@@ -84,9 +84,10 @@ def cmd_realize(args, cfg: RunConfig) -> int:
     if seq.n > cfg.vertex_limit:
         raise LimitError(f"realization limited to {cfg.vertex_limit} "
                          f"vertices (got {seq.n})")
-    if not is_graphical(seq):
-        raise InputError(f"sequence {seq.to_text()} is not graphical")
-    g = havel_hakimi_realize(seq)
+    try:
+        g = havel_hakimi_realize(seq)
+    except ContractError:
+        raise InputError(f"sequence {seq.to_text()} is not graphical") from None
     if cfg.json_output:
         _emit({"sequence": list(seq), "graph6": encode_graph6(g),
                "edges": g.edge_count})

@@ -234,36 +234,44 @@ def contains_subgraph(host: SmallGraph, pattern) -> bool:
 # Canonical form
 # ----------------------------------------------------------------------
 
-def _refine_colors(n: int, rows) -> list[int]:
+def _refine_colors(nbrs) -> list[int]:
     """Iterated neighbor-multiset refinement starting from degrees.
 
-    Color ids are ranks of sorted signature keys, so the final coloring is
-    invariant under relabeling.
+    ``nbrs`` holds each vertex's neighbor list. Color ids are ranks of
+    sorted signature keys, so the final coloring is invariant under
+    relabeling. A discrete coloring cannot split further, so refinement
+    stops there without another round.
     """
-    sig = sorted({r.bit_count() for r in rows})
+    degs = [len(nb) for nb in nbrs]
+    sig = sorted(set(degs))
     rank = {d: i for i, d in enumerate(sig)}
-    colors = [rank[r.bit_count()] for r in rows]
+    colors = [rank[d] for d in degs]
     ncells = len(sig)
-    while True:
-        sigs = []
-        for v in range(n):
-            nbr = sorted(colors[u] for u in _bits(rows[v]))
-            sigs.append((colors[v], tuple(nbr)))
+    while ncells < len(nbrs):
+        sigs = [(c, tuple(sorted([colors[u] for u in nb])))
+                for c, nb in zip(colors, nbrs)]
         keys = sorted(set(sigs))
         if len(keys) == ncells:
-            return colors
+            break
         rank2 = {s: i for i, s in enumerate(keys)}
         colors = [rank2[s] for s in sigs]
         ncells = len(keys)
+    return colors
 
 
 def canonical_form(g: SmallGraph, limit: int = DEFAULT_VERTEX_LIMIT) -> bytes:
     """Canonical byte string: equal exactly for isomorphic graphs.
 
     Minimum adjacency encoding over all vertex orderings compatible with
-    the refined degree partition, found by branch-and-bound. The search
-    space is the product of the cell factorials, so the refinement is
-    what keeps this usable; the limit guards the worst case.
+    the refined degree partition, found by branch-and-bound. Twins
+    (vertices whose neighbourhoods agree apart from each other) are
+    interchanged by an automorphism that fixes every other vertex, so at
+    each position only one unplaced member of a twin class is tried: the
+    skipped subtrees are images of the tried one and hold the same
+    encodings. The search space is therefore the product of the cell
+    factorials after each cell is quotiented by its twin classes, which
+    makes complete, empty, star and complete multipartite graphs cheap;
+    the limit guards the worst case of large cells without twins.
     """
     n = g.n
     if n > limit:
@@ -271,15 +279,29 @@ def canonical_form(g: SmallGraph, limit: int = DEFAULT_VERTEX_LIMIT) -> bytes:
     if n == 0:
         return b"\x00"
     rows = g.rows
-    colors = _refine_colors(n, rows)
+    nbrs = [list(_bits(r)) for r in rows]
+    colors = _refine_colors(nbrs)
     by_color: dict[int, list[int]] = {}
     for v in range(n):
         by_color.setdefault(colors[v], []).append(v)
     blocks = [by_color[c] for c in sorted(by_color)]
+
+    # twin[v] is the least vertex of v's twin class. Non-adjacent twins
+    # share their open neighbourhood and adjacent ones their closed one;
+    # a class of three or more is all of one kind, so the first vertex
+    # seen with v's open or closed row is the least member of v's class.
+    twin = []
+    first_open: dict[int, int] = {}
+    first_closed: dict[int, int] = {}
+    for v, row in enumerate(rows):
+        u = first_open.setdefault(row, v)
+        if u == v:
+            u = first_closed.setdefault(row | 1 << v, v)
+        twin.append(u)
+
     block_at_pos: list[int] = []
     for i, blk in enumerate(blocks):
         block_at_pos.extend([i] * len(blk))
-
     INF = 1 << (n + 1)
     best = [INF] * n
     cur = [0] * n
@@ -291,8 +313,14 @@ def canonical_form(g: SmallGraph, limit: int = DEFAULT_VERTEX_LIMIT) -> bytes:
         if pos == n:
             best[:] = cur
             return
-        cands = [v for v in blocks[block_at_pos[pos]] if not placed[v]]
-        cands.sort(key=lambda v: adjbits[v])
+        cands = []
+        classes = 0
+        for v in blocks[block_at_pos[pos]]:
+            if not placed[v] and not (classes >> twin[v]) & 1:
+                classes |= 1 << twin[v]
+                cands.append(v)
+        cands.sort(key=adjbits.__getitem__)
+        bit = 1 << pos
         for v in cands:
             chunk = adjbits[v]
             if chunk > best[pos]:
@@ -303,14 +331,12 @@ def canonical_form(g: SmallGraph, limit: int = DEFAULT_VERTEX_LIMIT) -> bytes:
                     best[k] = INF
             cur[pos] = chunk
             placed[v] = True
-            touched = []
-            for w in _bits(rows[v]):
-                if not placed[w]:
-                    adjbits[w] |= 1 << pos
-                    touched.append(w)
+            touched = [w for w in nbrs[v] if not placed[w]]
+            for w in touched:
+                adjbits[w] |= bit
             descend(pos + 1)
             for w in touched:
-                adjbits[w] ^= 1 << pos
+                adjbits[w] ^= bit
             placed[v] = False
 
     descend(0)

@@ -47,6 +47,12 @@ def havel_hakimi_realize(seq) -> SmallGraph:
     seq = DegreeSequence(seq)
     if not is_graphical(seq):
         raise ContractError(f"sequence {tuple(seq)} is not graphical")
+    return _greedy_realization(seq)
+
+
+def _greedy_realization(seq: DegreeSequence) -> SmallGraph:
+    """Havel-Hakimi layoff for a sequence the caller has already found
+    graphical; the body of ``havel_hakimi_realize`` without its check."""
     n = seq.n
     residual = list(seq)
     rows = [0] * n
@@ -129,6 +135,12 @@ def enumerate_realizations(seq, limit: int = DEFAULT_VERTEX_LIMIT,
     deduplicated by canonical form. ``order_seed`` shuffles expansion
     order (the class set must not depend on it). ``max_classes`` is a
     guard; exceeding it raises with the partial count.
+
+    The greedy start is yielded before its canonical key is computed: a
+    caller that stops at the first realization pays for no canonical
+    form. The key is taken when expansion begins, so the order, the
+    class set and the ``max_classes`` count are those of a search that
+    keyed the start up front.
     """
     seq = DegreeSequence(seq)
     if not is_graphical(seq):
@@ -136,12 +148,11 @@ def enumerate_realizations(seq, limit: int = DEFAULT_VERTEX_LIMIT,
     if seq.n > limit:
         raise LimitError(f"realization search limited to {limit} vertices (got {seq.n})")
     rng = Random(order_seed) if order_seed is not None else None
-    start = havel_hakimi_realize(seq)
-    seen = {canonical_form(start, limit)}
-    queue = deque([start])
-    while queue:
-        g = queue.popleft()
-        yield g
+    g = _greedy_realization(seq)
+    yield g
+    seen = {canonical_form(g, limit)}
+    queue = deque()
+    while True:
         nbrs = _switch_neighbors(g)
         if rng is not None:
             rng.shuffle(nbrs)
@@ -154,6 +165,10 @@ def enumerate_realizations(seq, limit: int = DEFAULT_VERTEX_LIMIT,
                         partial=len(seen))
                 seen.add(key)
                 queue.append(h)
+        if not queue:
+            return
+        g = queue.popleft()
+        yield g
 
 
 def is_potentially(seq, target: TargetPattern,

@@ -170,6 +170,28 @@ class TestPotential:
         assert find_embedding(g, km_minus_c4(6)) is not None
 
 
+class TestPathologicalInputs:
+    """Inputs whose single realization once took seconds to a minute to
+    canonicalize at n = 10..12; each must be decided and, when negative,
+    with an exhausted search."""
+
+    def test_complete_graph_sequence(self, capsys):
+        code, out, _ = run_cli(capsys, "--json", "potential", "9^10", "--m", "5")
+        rec = json.loads(out)
+        assert code == 0 and rec["verdict"] is True
+        g = decode_graph6(rec["witness"])
+        assert find_embedding(g, km_minus_c4(5)) is not None
+
+    @pytest.mark.parametrize("seq", ["0^10", "9,1^9", "1,1,1,1,0^8"])
+    def test_negative_and_exhausted(self, capsys, seq):
+        code, out, _ = run_cli(capsys, "--json", "potential", seq, "--m", "5")
+        rec = json.loads(out)
+        assert code == 1
+        assert rec["verdict"] is False
+        assert rec["exhausted"] is True
+        assert rec["explored"] == 1
+
+
 class TestSigma:
     def test_exact_small_case(self, capsys):
         code, out, _ = run_cli(capsys, "sigma", "--m", "5", "--n", "6",

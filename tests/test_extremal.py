@@ -75,6 +75,14 @@ class TestVerifyTheorem1:
             assert report.pattern_free
             assert report.sum_is_bound_minus_two
 
+    def test_full_grid_to_default_limit(self):
+        # The witnesses K_{m-3} joined to an independent set once made the
+        # canonical form enumerate (n-m+3)! orderings; n = 12 is the limit.
+        for m in range(4, 9):
+            for n in range(m, 13):
+                report = verify_theorem1(m, n)
+                assert report.passed, (m, n)
+
     def test_json_dict_fields(self):
         d = verify_theorem1(5, 6).to_json_dict()
         assert d["passed"] is True

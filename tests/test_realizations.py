@@ -1,16 +1,21 @@
 from __future__ import annotations
 
+import hashlib
+import re
 from itertools import combinations, permutations
 from random import Random
 
 import pytest
 from helpers import gray_code_degree_map, random_graph
 
+import kmc4.cli
+import kmc4.realizations
 from kmc4 import (ContractError, DegreeSequence, LimitError, SmallGraph,
                   WitnessResult, canonical_form, complete_graph, cycle_graph,
-                  degree_sequence_of, empty_graph, enumerate_realizations,
-                  find_embedding, havel_hakimi_realize, is_potentially, join,
-                  km_minus_c4, theorem2_interchange, two_switch)
+                  degree_sequence_of, empty_graph, encode_graph6,
+                  enumerate_realizations, find_embedding,
+                  havel_hakimi_realize, is_potentially, join, km_minus_c4,
+                  theorem2_interchange, two_switch)
 
 BOWTIE = km_minus_c4(5)
 
@@ -179,6 +184,134 @@ class TestIsPotentially:
             base = is_potentially(seq, BOWTIE).verdict
             for seed in (1, 5):
                 assert is_potentially(seq, BOWTIE, order_seed=seed).verdict == base
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call; returns
+    the list the calls are appended to."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+# Search traces recorded at commit 9e31535, when the start realization was
+# keyed before it was yielded. Keys: (sequence, order_seed). Short runs keep
+# the graph6 of every yielded class in order; long runs keep the class
+# count and the first 16 hex digits of the SHA-256 of the space-joined list.
+FROZEN_ORDER = {
+    ((3,) * 6, None): ["EuWw", "E]ow"],
+    ((3,) * 6, 7): ["EuWw", "Es\\o"],
+    ((2,) * 7, 1): ["FoCZ?", "FoCi_"],
+    ((4, 3, 3, 2, 2, 2), None): ["E|`G", "E\\r?", "EzaG", "Etp_"],
+    ((4, 3, 3, 2, 2, 2), 1): ["E|`G", "Etp_", "E\\r?", "E{d_"],
+    ((4, 3, 3, 2, 2, 2), 7): ["E|`G", "Elj?", "E{d_", "Etp_"],
+}
+FROZEN_DIGEST = {
+    ((4, 4, 3, 3, 3, 3, 2, 2), None): (117, "12dcc5f694273d3a"),
+    ((4, 4, 3, 3, 3, 3, 2, 2), 7): (117, "9003fd808ee2b54d"),
+    ((3, 3, 3, 3, 2, 2, 2, 2), 1): (28, "4dba5951e9f256f6"),
+}
+# (sequence, m, budget, order_seed) -> (verdict, explored, exhausted, witness)
+FROZEN_POTENTIAL = [
+    ((4, 4, 3, 3, 3, 3, 2, 2), 5, None, None, (True, 7, False, "GmbHP_")),
+    ((4, 4, 3, 3, 3, 3, 2, 2), 5, None, 3, (True, 3, False, "G}HG[_")),
+    ((4, 4, 3, 3, 3, 3, 2, 2), 5, 2, None, (False, 2, False, None)),
+    ((4, 4, 3, 3, 3, 3, 2, 2), 6, None, None, (False, 117, True, None)),
+    ((3, 3, 3, 3, 2, 2, 2, 2), 5, None, 3, (False, 28, True, None)),
+    ((3,) * 6, 5, 1, None, (False, 1, False, None)),
+    ((3,) * 6, 5, 2, 3, (False, 2, True, None)),
+]
+
+
+class TestLazyStartKey:
+    def test_first_realization_needs_no_canonical_form(self, monkeypatch):
+        calls = count_calls(monkeypatch, kmc4.realizations, "canonical_form")
+        first = next(enumerate_realizations((4, 4, 3, 3, 3, 3, 2, 2)))
+        assert first == havel_hakimi_realize((4, 4, 3, 3, 3, 3, 2, 2))
+        assert calls == []
+
+    def test_first_class_positive_needs_no_canonical_form(self, monkeypatch):
+        calls = count_calls(monkeypatch, kmc4.realizations, "canonical_form")
+        res = is_potentially((5, 4, 4, 3, 3, 3, 2, 2, 2), BOWTIE)
+        assert res.verdict and res.explored == 1
+        assert calls == []
+
+    def test_expansion_keys_the_start_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, kmc4.realizations, "canonical_form")
+        gen = enumerate_realizations((3,) * 6)
+        start = next(gen)
+        next(gen)
+        assert calls[0][0] == start
+        assert sum(1 for args in calls if args[0] == start) == 1
+
+    @pytest.mark.parametrize("seq,seed", sorted(FROZEN_ORDER, key=repr))
+    def test_frozen_class_order(self, seq, seed):
+        got = [encode_graph6(g)
+               for g in enumerate_realizations(seq, order_seed=seed)]
+        assert got == FROZEN_ORDER[(seq, seed)]
+
+    @pytest.mark.parametrize("seq,seed", sorted(FROZEN_DIGEST, key=repr))
+    def test_frozen_class_digest(self, seq, seed):
+        got = [encode_graph6(g)
+               for g in enumerate_realizations(seq, order_seed=seed)]
+        digest = hashlib.sha256(" ".join(got).encode()).hexdigest()[:16]
+        assert (len(got), digest) == FROZEN_DIGEST[(seq, seed)]
+
+    @pytest.mark.parametrize("seq,m,budget,seed,want", FROZEN_POTENTIAL)
+    def test_frozen_potential_results(self, seq, m, budget, seed, want):
+        res = is_potentially(seq, km_minus_c4(m), budget=budget,
+                             order_seed=seed)
+        witness = encode_graph6(res.witness) if res.witness else None
+        assert (res.verdict, res.explored, res.exhausted, witness) == want
+
+    def test_max_classes_counts_the_start(self):
+        assert len(list(enumerate_realizations((3,) * 6, max_classes=2))) == 2
+        with pytest.raises(LimitError) as exc:
+            list(enumerate_realizations((4, 3, 3, 2, 2, 2), max_classes=3))
+        assert exc.value.partial == 3
+
+
+class TestGraphicalityCheckedOnce:
+    NOT_GRAPHICAL = re.escape("sequence (3, 3, 1, 1) is not graphical")
+
+    @pytest.mark.parametrize("run", [
+        lambda: havel_hakimi_realize((4, 4, 3, 3, 2, 2)),
+        lambda: list(enumerate_realizations((4, 4, 3, 3, 2, 2))),
+        lambda: is_potentially((4, 4, 3, 3, 2, 2), km_minus_c4(6)),
+    ])
+    def test_library_entry_points(self, monkeypatch, run):
+        calls = count_calls(monkeypatch, kmc4.realizations, "is_graphical")
+        run()
+        assert len(calls) == 1
+
+    def test_cli_realize(self, monkeypatch, capsys):
+        in_library = count_calls(monkeypatch, kmc4.realizations, "is_graphical")
+        in_cli = count_calls(monkeypatch, kmc4.cli, "is_graphical")
+        assert kmc4.cli.main(["realize", "4,4,3,3,2,2"]) == 0
+        assert capsys.readouterr().out == "E~`G\n"
+        assert len(in_library) + len(in_cli) == 1
+
+    @pytest.mark.parametrize("run", [
+        lambda: havel_hakimi_realize((3, 3, 1, 1)),
+        lambda: next(enumerate_realizations((3, 3, 1, 1))),
+        lambda: is_potentially((3, 3, 1, 1), km_minus_c4(4)),
+    ])
+    def test_library_errors_unchanged(self, run):
+        with pytest.raises(ContractError, match=self.NOT_GRAPHICAL):
+            run()
+
+    @pytest.mark.parametrize("argv", [
+        ["realize", "3,3,1,1"], ["potential", "3,3,1,1", "--m", "4"]])
+    def test_cli_errors_unchanged(self, capsys, argv):
+        assert kmc4.cli.main(argv) == 2
+        assert capsys.readouterr().err == \
+            "error: sequence 3,3,1,1 is not graphical\n"
 
 
 class TestInterchange:
