@@ -10,6 +10,7 @@ arguments, seed, and limits reproduce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -249,7 +250,11 @@ def cmd_verify_base_cases(args, cfg: RunConfig) -> int:
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``kmc4`` argument parser, built on the first call and cached
+    for the life of the process. Parsing leaves it unchanged; callers
+    must not mutate the returned parser."""
     p = argparse.ArgumentParser(
         prog="kmc4",
         description="Potential-subgraph thresholds for the complete graph "

@@ -12,7 +12,6 @@ threshold by exhaustive sweep at small n.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, InputError, LimitError
@@ -151,7 +150,12 @@ def sigma_exact(m: int, n: int, limit: int = DEFAULT_VERTEX_LIMIT,
         raise LimitError(f"exact threshold limited to {limit} vertices (got {n})")
     pattern = km_minus_c4(m)
     # A budget needs the serial path so the short verdict can surface.
-    pool = ProcessPoolExecutor(workers) if workers > 1 and budget is None else None
+    pool = None
+    if workers > 1 and budget is None:
+        # Imported here: loading the process pool costs every kmc4
+        # process a third of its start-up.
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(workers)
     try:
         level = n * (n - 1)
         while level >= 0:

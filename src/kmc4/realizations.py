@@ -132,15 +132,15 @@ def enumerate_realizations(seq, limit: int = DEFAULT_VERTEX_LIMIT,
     """One representative per isomorphism class of realizations.
 
     Breadth-first closure of the greedy realization under 2-switches,
-    deduplicated by canonical form. ``order_seed`` shuffles expansion
-    order (the class set must not depend on it). ``max_classes`` is a
-    guard; exceeding it raises with the partial count.
-
-    The greedy start is yielded before its canonical key is computed: a
-    caller that stops at the first realization pays for no canonical
-    form. The key is taken when expansion begins, so the order, the
-    class set and the ``max_classes`` count are those of a search that
-    keyed the start up front.
+    deduplicated by canonical form. Classes are yielded in discovery
+    order: the greedy start first, then each neighbour as soon as its
+    key turns out to be new, so the queue holds classes already yielded
+    but not yet expanded. A caller that stops early has keyed only the
+    neighbours scanned before it stopped; the start itself is keyed
+    when expansion begins. ``order_seed`` shuffles expansion order (the
+    class set must not depend on it). ``max_classes`` is a guard: the
+    generator yields that many classes, and on finding one more raises
+    with the partial count.
     """
     seq = DegreeSequence(seq)
     if not is_graphical(seq):
@@ -151,9 +151,9 @@ def enumerate_realizations(seq, limit: int = DEFAULT_VERTEX_LIMIT,
     g = _greedy_realization(seq)
     yield g
     seen = {canonical_form(g, limit)}
-    queue = deque()
-    while True:
-        nbrs = _switch_neighbors(g)
+    queue = deque([g])
+    while queue:
+        nbrs = _switch_neighbors(queue.popleft())
         if rng is not None:
             rng.shuffle(nbrs)
         for h in nbrs:
@@ -165,10 +165,7 @@ def enumerate_realizations(seq, limit: int = DEFAULT_VERTEX_LIMIT,
                         partial=len(seen))
                 seen.add(key)
                 queue.append(h)
-        if not queue:
-            return
-        g = queue.popleft()
-        yield g
+                yield h
 
 
 def is_potentially(seq, target: TargetPattern,

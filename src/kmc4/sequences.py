@@ -98,11 +98,20 @@ def is_graphical(seq: Iterable[int]) -> bool:
         return False
     if sum(d) % 2:
         return False
+    # Right side of inequality k: k(k-1) + sum(min(x, k) for x in d[k:]).
+    # The terms at least k are d[:q]; q only moves left as k grows, so
+    # the sum is k per term of d[k:q] plus the suffix sum from max(k, q).
+    suffix = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + d[i]
     prefix = 0
+    q = n
     for k in range(1, n + 1):
         prefix += d[k - 1]
-        bound = k * (k - 1) + sum(min(x, k) for x in d[k:])
-        if prefix > bound:
+        while q > 0 and d[q - 1] < k:
+            q -= 1
+        p = max(k, q)
+        if prefix > k * (k - 1) + k * (p - k) + suffix[p]:
             return False
     return True
 

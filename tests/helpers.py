@@ -7,11 +7,13 @@ machinery, so the two can be compared honestly.
 
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache
 from itertools import combinations, permutations
 from random import Random
 
-from kmc4 import SmallGraph
+from kmc4 import SmallGraph, canonical_form, havel_hakimi_realize
+from kmc4.realizations import _switch_neighbors
 
 
 @lru_cache(maxsize=None)
@@ -101,6 +103,47 @@ def nonincreasing_tuples(length: int, bound: int):
             for rest in rec(slots - 1, first):
                 yield (first,) + rest
     yield from rec(length, bound)
+
+
+def is_graphical_quadratic(seq) -> bool:
+    """Erdos-Gallai exactly as the inequalities read: every right-hand
+    side summed afresh, O(n^2) per call."""
+    d = sorted(seq, reverse=True)
+    n = len(d)
+    if d[-1] < 0 or d[0] > n - 1 or sum(d) % 2:
+        return False
+    prefix = 0
+    for k in range(1, n + 1):
+        prefix += d[k - 1]
+        if prefix > k * (k - 1) + sum(min(x, k) for x in d[k:]):
+            return False
+    return True
+
+
+def eager_realizations(seq, order_seed=None):
+    """Realization classes by the breadth-first closure that keys every
+    2-switch neighbour of a class before it yields the next class.
+
+    It uses the library's canonical form and neighbour order, so it
+    pins the order in which classes are yielded; the labeled census
+    tests check the class set itself."""
+    rng = Random(order_seed) if order_seed is not None else None
+    g = havel_hakimi_realize(seq)
+    seen = {canonical_form(g)}
+    queue = deque()
+    while True:
+        yield g
+        nbrs = _switch_neighbors(g)
+        if rng is not None:
+            rng.shuffle(nbrs)
+        for h in nbrs:
+            key = canonical_form(h)
+            if key not in seen:
+                seen.add(key)
+                queue.append(h)
+        if not queue:
+            return
+        g = queue.popleft()
 
 
 ACCEPTANCE_LINES: list[str] = []

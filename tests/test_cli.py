@@ -10,12 +10,16 @@ realization, threshold values at small n).
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from jsonschema import validate
 
+import kmc4
 from kmc4 import decode_graph6, extremal_witness, encode_graph6, find_embedding, km_minus_c4
-from kmc4.cli import main
+from kmc4.cli import build_parser, main
 
 SIGMA_SCHEMA = {
     "type": "object",
@@ -336,6 +340,43 @@ class TestVerifySubcommands:
         assert chatty[1] == quiet[1]
         assert "m=4 n=5" in chatty[2]
         assert quiet[2] == ""
+
+
+class TestCachedParser:
+    # Each run follows one that set what it leaves at its default.
+    RUNS = [
+        ["--json", "potential", "4,4,3,3,2,2", "--m", "5"],
+        ["potential", "4,4,3,3,2,2", "--m", "5"],
+        ["--seed", "7", "potential", "4,4,3,3,3,3,2,2", "--m", "6"],
+        ["potential", "4,4,3,3,3,3,2,2", "--m", "6"],
+        ["--budget", "1", "potential", "3^6"],
+        ["potential", "3^6"],
+        ["potential", "3,3,1,1"],
+        ["potential", "4,2,2,2,2"],
+        ["verify", "base-cases", "--family-n", "9"],
+        ["verify", "base-cases", "--family-n", "9"],
+    ]
+
+    def test_runs_in_a_row_match_fresh_parsers(self, capsys):
+        build_parser.cache_clear()
+        in_a_row = [run_cli(capsys, *argv) for argv in self.RUNS]
+        assert build_parser.cache_info().misses == 1
+        assert [code for code, _, _ in in_a_row] == [0, 0, 1, 1, 3, 1, 2, 0, 0, 0]
+        for argv, got in zip(self.RUNS, in_a_row):
+            build_parser.cache_clear()
+            assert run_cli(capsys, *argv) == got, argv
+
+    def test_import_builds_no_parser_and_no_process_pool(self):
+        probe = ("import sys\n"
+                 f"sys.path.insert(0, {str(Path(kmc4.__file__).parents[1])!r})\n"
+                 "import kmc4, kmc4.cli\n"
+                 "print(kmc4.cli.build_parser.cache_info().currsize,\n"
+                 "      [m for m in ('multiprocessing',\n"
+                 "                   'concurrent.futures.process')\n"
+                 "       if m in sys.modules])\n")
+        out = subprocess.run([sys.executable, "-c", probe], check=True,
+                             capture_output=True, text=True).stdout
+        assert out == "0 []\n"
 
 
 class TestLimitsAndEnvironment:

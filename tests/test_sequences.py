@@ -1,7 +1,8 @@
 from __future__ import annotations
 
 import pytest
-from helpers import gray_code_degree_map, nonincreasing_tuples
+from helpers import (gray_code_degree_map, is_graphical_quadratic,
+                     nonincreasing_tuples)
 
 from kmc4 import (DegreeSequence, InputError, LimitError, degree_sum,
                   enumerate_graphical_sequences,
@@ -91,6 +92,18 @@ class TestIsGraphical:
         realizable = set(gray_code_degree_map(n))
         for t in nonincreasing_tuples(n, n):
             assert is_graphical(t) == (t in realizable), t
+
+    def test_agrees_with_quadratic_form(self):
+        checked = 0
+        for n in range(1, 9):
+            for t in nonincreasing_tuples(n, n - 1):
+                assert is_graphical(t) == is_graphical_quadratic(t), t
+                checked += 1
+                # a term out of range, and a negative term
+                for bad in ((n,) + t[1:], t[:-1] + (-1,)):
+                    assert is_graphical(bad) == is_graphical_quadratic(bad)
+                    assert not is_graphical(bad)
+        assert checked == 8788
 
 
 class TestDegreeSum:
