@@ -117,9 +117,9 @@ def cmd_potential(args, cfg: RunConfig) -> int:
     elif res.verdict:
         print(encode_graph6(res.witness))
     elif res.exhausted:
-        print(f"not potential: exhausted {res.explored} realization classes")
+        print(f"not potential: exhausted {res.explored} candidates")
     else:
-        print(f"inconclusive: budget ran out after {res.explored} classes")
+        print(f"inconclusive: budget ran out after {res.explored} candidates")
     if res.verdict:
         return EXIT_PASS
     return EXIT_FAIL if res.exhausted else EXIT_INCONCLUSIVE
@@ -265,12 +265,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"vertex cap for exhaustive work "
                         f"(default ${ENV_LIMIT} or {DEFAULT_VERTEX_LIMIT})")
     p.add_argument("--budget", type=int, default=None, metavar="K",
-                   help="cap on realization classes per search; a negative "
-                        "verdict cut short this way exits 3")
+                   help="cap on candidates per decision (the greedy "
+                        "realization and at most three placements); a "
+                        "negative verdict cut short this way exits 3")
     p.add_argument("--workers", type=int, default=1, metavar="W",
                    help="worker processes for threshold sweeps")
     p.add_argument("--seed", type=int, default=None,
-                   help="shuffle realization search order, reproducibly")
+                   help="shuffle the order of the placements tried, "
+                        "reproducibly; the verdict never depends on it")
     p.add_argument("--progress", action="store_true",
                    help="progress lines on stderr")
     sub = p.add_subparsers(dest="command", required=True)
@@ -284,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_realize)
 
     sp = sub.add_parser("potential",
-                        help="search realizations for the target subgraph")
+                        help="does some realization contain the target?")
     sp.add_argument("sequence")
     sp.add_argument("--m", type=int, default=5,
                     help="target size (default 5)")

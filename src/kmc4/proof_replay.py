@@ -21,7 +21,7 @@ from .errors import InputError, LimitError
 from .graphs import (DEFAULT_VERTEX_LIMIT, SmallGraph, degree_sequence_of,
                      delete_vertex, encode_graph6, find_embedding,
                      km_minus_c4)
-from .realizations import (enumerate_realizations, havel_hakimi_realize,
+from .realizations import (_greedy_realization, enumerate_realizations,
                            is_potentially, theorem2_interchange)
 from .sequences import (DegreeSequence, degree_sum,
                         graphical_sequences_with_sum, is_graphical)
@@ -120,7 +120,7 @@ class BaseCaseReport:
 
 def verify_base_cases(family_ns=(8,),
                       limit: int = DEFAULT_VERTEX_LIMIT) -> BaseCaseReport:
-    """Confirm by realization search that every base-case sequence is
+    """Confirm with ``is_potentially`` that every base-case sequence is
     potentially bowtie-graphic, recording a witness for each."""
     cases = base_case_sequences()
     for fn in family_ns:
@@ -226,9 +226,11 @@ def _replay(seq: DegreeSequence, steps: list[ProofStep],
             limit: int) -> SmallGraph:
     n = seq.n
     bowtie = km_minus_c4(5)
+    # seq is graphical: replay_theorem2 checked it, and every recursive
+    # call passes the degree sequence of a real graph.
 
     if n == 5:
-        g = havel_hakimi_realize(seq)
+        g = _greedy_realization(seq)
         emb = find_embedding(g, bowtie)
         if emb is None:
             raise ReplayError(
@@ -241,7 +243,7 @@ def _replay(seq: DegreeSequence, steps: list[ProofStep],
         return g
 
     if seq[-1] <= 2:
-        g = havel_hakimi_realize(seq)
+        g = _greedy_realization(seq)
         v = n - 1  # greedy realization puts the minimum degree last
         attach = [g.degree(w) - 1 for w in g.neighbors(v)]
         residual = degree_sequence_of(delete_vertex(g, v))
@@ -277,7 +279,7 @@ def _replay(seq: DegreeSequence, steps: list[ProofStep],
         steps.append(ProofStep(
             CASE_EXCEPTIONAL, tuple(seq),
             f"table sequence; search found a witness after exploring "
-            f"{res.explored} classes", encode_graph6(res.witness)))
+            f"{res.explored} candidates", encode_graph6(res.witness)))
         return res.witness
 
     if seq[1] == 3:
@@ -322,7 +324,7 @@ def _replay(seq: DegreeSequence, steps: list[ProofStep],
         steps.append(ProofStep(
             CASE_INTERCHANGE, tuple(seq),
             "deviation: no realization offered a usable quadruple; "
-            f"fallback search found a witness after {res.explored} classes",
+            f"fallback search found a witness after {res.explored} candidates",
             encode_graph6(res.witness)))
         return res.witness
     raise ReplayError(f"every proof case failed for {tuple(seq)}", steps)

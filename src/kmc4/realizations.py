@@ -1,22 +1,51 @@
-"""Realizations of degree sequences and search over them.
+"""Realizations of degree sequences and the F_m decision.
 
 The greedy construction gives one realization; every other realization
 is reachable from it by 2-switches (remove two disjoint edges, reconnect
-the four endpoints the other way), and that classical fact is what makes
-the breadth-first closure below an exhaustive enumeration of realization
-classes. Negative answers to "does some realization contain this
-pattern" are only trusted when that closure ran to completion.
+the four endpoints the other way), and that classical fact makes the
+breadth-first closure in ``enumerate_realizations`` an exhaustive
+enumeration of realization classes.
+
+``is_potentially`` asks whether some realization contains F_m, the
+complete graph K_m minus a 4-cycle: a core of m-4 vertices joined to
+everything, and four cycle vertices that keep only their two diagonals.
+It needs no class search, because the same 2-switch settles where F_m
+may sit:
+
+- F_m can sit on the m largest degrees. Suppose F_m sits on S, u is in
+  S, w is not, and d(w) >= d(u). Pair each a in N(u) minus N[w] with a
+  distinct b in N(w) minus N[u]; there are at least as many b as a. The
+  2-switches ua, wb -> wa, ub let w play u's role.
+- The core can take the largest m-4 of those degrees. The same switch
+  moves a core role onto a cycle vertex of higher degree; its partners b
+  lie outside S, because a core vertex is adjacent to all of S.
+- What remains is a choice of pairing and cycle edges: how the 4 cycle
+  vertices pair into diagonals (at most 3 ways, fewer up to equal
+  degrees), and which of the 4 cycle edges the rest of the graph uses
+  (16 subsets).
+- Everything else is an exact lay-off (Kleitman and Wang, 1973). Every
+  other edge of a placed vertex goes outside. Outside vertices may be
+  joined to anything, so laying each placed vertex off onto the largest
+  outside residuals loses no realization. Havel-Hakimi then realizes the
+  outside residual exactly.
+
+So after a top-degree necessary condition, the decision tries the greedy
+realization and then at most three pairings, and each positive comes
+with a witness and its embedding. A negative is authoritative whenever
+every candidate was examined.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 from random import Random
 
 from .errors import ContractError, LimitError
-from .graphs import (DEFAULT_VERTEX_LIMIT, SmallGraph, TargetPattern,
-                     canonical_form, find_embedding)
+from .graphs import (DEFAULT_VERTEX_LIMIT, MAX_VERTICES, SmallGraph,
+                     TargetPattern, canonical_form, find_embedding,
+                     km_minus_c4)
 from .sequences import DegreeSequence, is_graphical
 
 
@@ -25,9 +54,9 @@ class WitnessResult:
     """Outcome of a potential-subgraph search.
 
     ``verdict`` True comes with the witness realization and the embedding
-    (host vertex per pattern vertex). ``exhausted`` records whether the
-    whole realization space was enumerated; a False verdict is
-    authoritative only when it is set.
+    (host vertex per pattern vertex). ``explored`` counts the candidates
+    examined. ``exhausted`` records whether every candidate was examined;
+    a False verdict is authoritative only when it is set.
     """
 
     verdict: bool
@@ -53,24 +82,38 @@ def havel_hakimi_realize(seq) -> SmallGraph:
 def _greedy_realization(seq: DegreeSequence) -> SmallGraph:
     """Havel-Hakimi layoff for a sequence the caller has already found
     graphical; the body of ``havel_hakimi_realize`` without its check."""
-    n = seq.n
-    residual = list(seq)
-    rows = [0] * n
-    while True:
-        u = max(range(n), key=lambda v: (residual[v], -v))
-        k = residual[u]
-        if k == 0:
-            break
-        targets = sorted((v for v in range(n) if v != u and residual[v] > 0),
-                         key=lambda v: (-residual[v], v))[:k]
-        if len(targets) < k:
-            raise ContractError(f"layoff of vertex {u} ran out of targets")
-        residual[u] = 0
-        for v in targets:
+    rows = [0] * seq.n
+    if not _lay_off(rows, [(d << 5) | (31 - v) for v, d in enumerate(seq)]):
+        raise ContractError(f"sequence {tuple(seq)} ran out of layoff targets")
+    return SmallGraph._from_rows(seq.n, rows)
+
+
+def _lay_off(rows: list[int], keys: list[int]) -> bool:
+    """Havel-Hakimi on the vertices named in ``keys``.
+
+    Each vertex v with residual demand r is one packed key
+    ``(r << 5) | (31 - v)``, so a plain descending sort orders by largest
+    residual, then lowest index. The largest is joined to the next
+    largest ones until every residual is zero; the edges go into
+    ``rows``. Returns False when a vertex runs out of targets, that is
+    when the residuals are not graphical.
+    """
+    keys = [key for key in keys if key >= 32]
+    while keys:
+        keys.sort(reverse=True)
+        top = keys[0]
+        k = top >> 5
+        if k >= len(keys):
+            return False
+        u = 31 - (top & 31)
+        for i in range(1, k + 1):
+            key = keys[i]
+            v = 31 - (key & 31)
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-            residual[v] -= 1
-    return SmallGraph._from_rows(n, rows)
+            keys[i] = key - 32
+        keys = [key for key in keys[1:] if key >= 32]
+    return True
 
 
 def two_switch(g: SmallGraph, a: int, b: int, c: int, d: int) -> SmallGraph:
@@ -172,25 +215,131 @@ def is_potentially(seq, target: TargetPattern,
                    limit: int = DEFAULT_VERTEX_LIMIT,
                    budget: int | None = None,
                    order_seed: int | None = None) -> WitnessResult:
-    """Does some realization of seq contain the target as a subgraph?
+    """Does some realization of seq contain the target F_m as a subgraph?
 
-    Walks the realization classes and stops at the first witness. With
-    fewer terms than the target has vertices the answer is immediately
-    no. ``budget`` caps the number of classes examined; when it runs out
-    the negative verdict is marked non-authoritative (exhausted False).
+    With fewer terms than m, or when the top degrees fail the necessary
+    condition (the m-4 largest at least m-1, the m-th largest at least
+    m-3), the answer is an immediate, authoritative no. Otherwise the
+    candidates are the greedy realization and then each distinct
+    diagonal pairing of the top-degree placement (module docstring);
+    ``explored`` counts the candidates examined, at most 4.
+    ``order_seed`` shuffles the pairing order. ``budget`` caps the
+    candidates; when it runs out the negative verdict is marked
+    non-authoritative (exhausted False). The target must be
+    ``km_minus_c4(m)``.
     """
+    m = target.m
+    if not (isinstance(m, int) and 4 <= m <= MAX_VERTICES
+            and target.pattern == _f_m(m)):
+        raise ContractError(f"target is not K_m minus a 4-cycle (m={m!r})")
     seq = DegreeSequence(seq)
-    if seq.n < target.m:
+    if seq.n < m:
+        return WitnessResult(False, None, None, 0, True)
+    if not is_graphical(seq):
+        raise ContractError(f"sequence {tuple(seq)} is not graphical")
+    if seq.n > limit:
+        raise LimitError(f"realization search limited to {limit} vertices (got {seq.n})")
+    if (m > 4 and seq[m - 5] < m - 1) or seq[m - 1] < m - 3:
         return WitnessResult(False, None, None, 0, True)
     explored = 0
-    for g in enumerate_realizations(seq, limit=limit, order_seed=order_seed):
+    for diagonals in _candidates(seq, m, order_seed):
         if budget is not None and explored >= budget:
             return WitnessResult(False, None, None, explored, False)
         explored += 1
-        emb = find_embedding(g, target)
+        if diagonals is None:
+            g = _greedy_realization(seq)
+            emb = find_embedding(g, target)
+        else:
+            g, emb = _placement(seq, m, diagonals)
+            if emb is not None and not _is_witness(seq, target, g, emb):
+                raise ContractError(f"placement witness for {tuple(seq)} "
+                                    f"fails its check")
         if emb is not None:
             return WitnessResult(True, g, emb, explored, False)
     return WitnessResult(False, None, None, explored, True)
+
+
+@cache
+def _f_m(m: int) -> SmallGraph:
+    return km_minus_c4(m).pattern
+
+
+def _candidates(seq: DegreeSequence, m: int, order_seed: int | None):
+    """None, standing for the greedy realization, then the diagonal
+    pairings of the cycle vertices m-4..m-1 in an order ``order_seed``
+    may shuffle. Two pairings that differ only by swapping vertices of
+    equal degree decide the same question, so one per pattern of degrees
+    is kept. The pairings are worked out only when the greedy
+    realization did not settle the decision."""
+    yield None
+    a, b, c, d = range(m - 4, m)
+    pairings = []
+    seen = set()
+    for diagonals in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))):
+        key = tuple(sorted((seq[x], seq[y]) for x, y in diagonals))
+        if key not in seen:
+            seen.add(key)
+            pairings.append(diagonals)
+    if order_seed is not None:
+        Random(order_seed).shuffle(pairings)
+    yield from pairings
+
+
+def _placement(seq: DegreeSequence, m: int, diagonals):
+    """A realization of seq with F_m on vertices 0..m-1, the core on
+    0..m-5 and the cycle diagonals as given, with its embedding; or
+    (None, None) when no such realization exists.
+
+    Tries each subset of the four cycle edges, lays each placed vertex
+    off onto the largest outside residuals, then realizes the outside
+    residual by Havel-Hakimi.
+    """
+    n = seq.n
+    (p, q), (r, s) = diagonals
+    core = (1 << (m - 4)) - 1
+    placed = (1 << m) - 1
+    base = [0] * n
+    for v in range(m - 4):
+        base[v] = placed ^ (1 << v)
+    for u, v in diagonals:
+        base[u] = core | (1 << v)
+        base[v] = core | (1 << u)
+    cycle = ((p, r), (r, q), (q, s), (s, p))
+    outside = [(seq[w] << 5) | (31 - w) for w in range(m, n)]
+    for used in range(16):
+        rows = base.copy()
+        for bit, (u, v) in enumerate(cycle):
+            if (used >> bit) & 1:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+        keys = outside.copy()
+        for v in range(m):
+            need = seq[v] - rows[v].bit_count()
+            if need < 0 or need > len(keys):
+                break
+            if need:
+                keys.sort(reverse=True)
+                if keys[need - 1] < 32:
+                    break
+                for i in range(need):
+                    key = keys[i]
+                    w = 31 - (key & 31)
+                    rows[v] |= 1 << w
+                    rows[w] |= 1 << v
+                    keys[i] = key - 32
+        else:
+            if _lay_off(rows, keys):
+                emb = (p, r, q, s) + tuple(range(m - 4))
+                return SmallGraph._from_rows(n, rows), emb
+    return None, None
+
+
+def _is_witness(seq: DegreeSequence, target: TargetPattern,
+                g: SmallGraph, emb: tuple[int, ...]) -> bool:
+    """Does g realize seq and carry every pattern edge under emb?"""
+    return (g.degrees() == tuple(seq) and len(set(emb)) == target.m
+            and all(g.has_edge(emb[a], emb[b])
+                    for a, b in target.pattern.edges()))
 
 
 def theorem2_interchange(g: SmallGraph, v1: int, v2: int, v3: int, v4: int,

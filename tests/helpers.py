@@ -12,7 +12,9 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from random import Random
 
-from kmc4 import SmallGraph, canonical_form, havel_hakimi_realize
+from kmc4 import (DegreeSequence, SmallGraph, WitnessResult, canonical_form,
+                  enumerate_realizations, find_embedding,
+                  havel_hakimi_realize)
 from kmc4.realizations import _switch_neighbors
 
 
@@ -144,6 +146,50 @@ def eager_realizations(seq, order_seed=None):
         if not queue:
             return
         g = queue.popleft()
+
+
+def search_potentially(seq, target, limit=12, budget=None, order_seed=None):
+    """Does some realization contain the target? Decided by walking the
+    realization classes and stopping at the first witness.
+
+    ``explored`` counts classes; ``budget`` caps them, and a search cut
+    short that way returns a non-authoritative negative."""
+    seq = DegreeSequence(seq)
+    if seq.n < target.m:
+        return WitnessResult(False, None, None, 0, True)
+    explored = 0
+    for g in enumerate_realizations(seq, limit=limit, order_seed=order_seed):
+        if budget is not None and explored >= budget:
+            return WitnessResult(False, None, None, explored, False)
+        explored += 1
+        emb = find_embedding(g, target)
+        if emb is not None:
+            return WitnessResult(True, g, emb, explored, False)
+    return WitnessResult(False, None, None, explored, True)
+
+
+def greedy_realization_by_scan(seq) -> SmallGraph:
+    """Havel-Hakimi that scans every vertex for the largest residual and
+    sorts the positive residuals again on each layoff step; ties go to
+    the lowest index."""
+    n = len(seq)
+    residual = list(seq)
+    rows = [0] * n
+    while True:
+        u = max(range(n), key=lambda v: (residual[v], -v))
+        k = residual[u]
+        if k == 0:
+            break
+        targets = sorted((v for v in range(n) if v != u and residual[v] > 0),
+                         key=lambda v: (-residual[v], v))[:k]
+        if len(targets) < k:
+            raise ValueError(f"layoff of vertex {u} ran out of targets")
+        residual[u] = 0
+        for v in targets:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+            residual[v] -= 1
+    return SmallGraph._from_rows(n, rows)
 
 
 ACCEPTANCE_LINES: list[str] = []

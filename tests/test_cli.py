@@ -139,19 +139,20 @@ class TestPotential:
     def test_negative_exhausted(self, capsys):
         code, out, _ = run_cli(capsys, "potential", "5,5,2,2,2,2", "--m", "5")
         assert code == 1
-        assert out == "not potential: exhausted 1 realization classes\n"
+        assert out == "not potential: exhausted 2 candidates\n"
 
     def test_budget_runs_out(self, capsys):
         code, out, _ = run_cli(capsys, "--budget", "1",
-                               "potential", "3,3,3,3,3,3", "--m", "5")
+                               "potential", "4,4,3,3,3,3,2,2", "--m", "5")
         assert code == 3
-        assert out.startswith("inconclusive: budget ran out after 1")
+        assert out == "inconclusive: budget ran out after 1 candidates\n"
 
     def test_json_schema(self, capsys):
         for argv in (
             ["--json", "potential", "4,2,2,2,2", "--m", "5"],
             ["--json", "potential", "5,5,2,2,2,2", "--m", "5"],
-            ["--json", "--budget", "1", "potential", "3,3,3,3,3,3", "--m", "5"],
+            ["--json", "--budget", "1", "potential", "4,4,3,3,3,3,2,2",
+             "--m", "5"],
         ):
             _, out, _ = run_cli(capsys, *argv)
             validate(json.loads(out), POTENTIAL_SCHEMA)
@@ -164,7 +165,7 @@ class TestPotential:
         assert rec["verdict"] is False
         assert rec["witness"] is None
         assert rec["exhausted"] is True
-        assert rec["explored"] == 1
+        assert rec["explored"] == 2
 
     def test_other_target_size(self, capsys):
         # The degree sequence of the m=6 pattern itself must be potential.
@@ -193,7 +194,7 @@ class TestPathologicalInputs:
         assert code == 1
         assert rec["verdict"] is False
         assert rec["exhausted"] is True
-        assert rec["explored"] == 1
+        assert rec["explored"] == 0
 
 
 class TestSigma:
@@ -349,7 +350,7 @@ class TestCachedParser:
         ["potential", "4,4,3,3,2,2", "--m", "5"],
         ["--seed", "7", "potential", "4,4,3,3,3,3,2,2", "--m", "6"],
         ["potential", "4,4,3,3,3,3,2,2", "--m", "6"],
-        ["--budget", "1", "potential", "3^6"],
+        ["--budget", "1", "potential", "4^2,3^4,2^2"],
         ["potential", "3^6"],
         ["potential", "3,3,1,1"],
         ["potential", "4,2,2,2,2"],

@@ -27,6 +27,19 @@ EXACT_TABLE = {
     (6, 8): (38, ((7, 7, 7, 3, 3, 3, 3, 3),)),
 }
 
+# m = 7 and 8, from the same sweep: the threshold exceeds the formula at
+# every n here except (7, 11), where it matches.
+TABLE_M7_M8 = {
+    (7, 8): (50, ((6,) * 8,)),
+    (7, 9): (56, ((6,) * 9,)),
+    (7, 10): (64, ((8,) + (6,) * 9, (7, 7) + (6,) * 8)),
+    (7, 11): (70, ((10,) * 4 + (4,) * 7, (8,) + (6,) * 10,
+                   (7, 7) + (6,) * 9)),
+    (8, 9): (66, ((8,) + (7,) * 8,)),
+    (8, 10): (82, ((8,) * 10,)),
+    (8, 11): (90, ((8,) * 11,)),
+}
+
 
 class TestLowerBound:
     @pytest.mark.parametrize("m,n,want", [
@@ -99,6 +112,15 @@ class TestSigmaExact:
         assert report.verdict == "matches"
         assert tuple(tuple(s) for s in report.extremal_sequences) == want_extremal
         assert len(report.witnesses) == len(want_extremal)
+
+    @pytest.mark.parametrize("m,n", sorted(TABLE_M7_M8))
+    def test_frozen_table_m7_m8(self, m, n):
+        want_exact, want_extremal = TABLE_M7_M8[(m, n)]
+        report = sigma_exact(m, n)
+        assert report.exact == want_exact
+        assert report.verdict == ("matches" if want_exact == report.lower_bound
+                                  else "exceeds")
+        assert tuple(tuple(s) for s in report.extremal_sequences) == want_extremal
 
     def test_extremal_sequences_sit_two_below(self):
         report = sigma_exact(5, 6)

@@ -6,19 +6,24 @@ from itertools import combinations, permutations
 from random import Random
 
 import pytest
-from helpers import eager_realizations, gray_code_degree_map, random_graph
+from helpers import (eager_realizations, gray_code_degree_map,
+                     greedy_realization_by_scan, random_graph, relabel,
+                     search_potentially)
 
 import kmc4.cli
 import kmc4.realizations
 from kmc4 import (ContractError, DegreeSequence, LimitError, SmallGraph,
-                  WitnessResult, canonical_form, complete_graph, cycle_graph,
-                  degree_sequence_of, empty_graph, encode_graph6,
-                  enumerate_graphical_sequences, enumerate_realizations,
-                  find_embedding,
+                  TargetPattern, WitnessResult, canonical_form,
+                  complete_graph, cycle_graph, degree_sequence_of,
+                  empty_graph, encode_graph6, enumerate_graphical_sequences,
+                  enumerate_realizations, find_embedding,
                   havel_hakimi_realize, is_potentially, join, km_minus_c4,
                   theorem2_interchange, two_switch)
 
 BOWTIE = km_minus_c4(5)
+# passes the necessary condition for m = 5, and the greedy realization
+# misses the bowtie
+GREEDY_MISS = (4, 4, 3, 3, 3, 3, 2, 2)
 
 
 def two_k4_matching() -> SmallGraph:
@@ -55,6 +60,15 @@ class TestHavelHakimi:
     def test_rejects_non_graphical(self):
         with pytest.raises(ContractError):
             havel_hakimi_realize((3, 3, 1, 1))
+
+    def test_same_graph_as_the_scanning_layoff(self):
+        count = 0
+        for n in range(1, 10):
+            for seq in enumerate_graphical_sequences(n):
+                assert havel_hakimi_realize(seq) == \
+                    greedy_realization_by_scan(seq), seq
+                count += 1
+        assert count == 6067
 
 
 class TestTwoSwitch:
@@ -173,11 +187,11 @@ class TestIsPotentially:
         assert not res.verdict and res.exhausted and res.explored >= 1
 
     def test_budget_marks_non_authoritative(self):
-        res = is_potentially((3,) * 6, BOWTIE, budget=1)
+        res = is_potentially(GREEDY_MISS, BOWTIE, budget=1)
         assert not res.verdict and not res.exhausted and res.explored == 1
 
     def test_zero_budget(self):
-        res = is_potentially((3,) * 6, BOWTIE, budget=0)
+        res = is_potentially(GREEDY_MISS, BOWTIE, budget=0)
         assert res == WitnessResult(False, None, None, 0, False)
 
     def test_order_seed_does_not_change_verdict(self):
@@ -185,6 +199,99 @@ class TestIsPotentially:
             base = is_potentially(seq, BOWTIE).verdict
             for seed in (1, 5):
                 assert is_potentially(seq, BOWTIE, order_seed=seed).verdict == base
+
+
+class TestExactDecision:
+    @pytest.mark.parametrize("m,n", [(m, n) for m in range(4, 8)
+                                     for n in range(m, 8)] + [(4, 8), (5, 8)])
+    def test_agrees_with_class_search(self, m, n):
+        target = km_minus_c4(m)
+        for seq in enumerate_graphical_sequences(n):
+            res = is_potentially(seq, target)
+            assert res.verdict == search_potentially(seq, target).verdict, seq
+            assert res.exhausted is not res.verdict, seq
+            assert res.explored <= 4
+
+    @pytest.mark.parametrize("m", [4, 5, 6, 7])
+    def test_placement_witnesses(self, m):
+        # every placement that succeeds, in every pairing, not only the
+        # first one is_potentially reaches
+        target = km_minus_c4(m)
+        built = 0
+        for n in range(m, 9):
+            for seq in enumerate_graphical_sequences(n):
+                pairings = list(kmc4.realizations._candidates(seq, m, None))
+                for diagonals in pairings[1:]:
+                    g, emb = kmc4.realizations._placement(seq, m, diagonals)
+                    if g is None:
+                        continue
+                    built += 1
+                    assert g.degrees() == tuple(seq), seq
+                    assert sorted(emb) == list(range(m)), seq
+                    for a, b in target.pattern.edges():
+                        assert g.has_edge(emb[a], emb[b]), seq
+        assert built > 0
+
+    def test_placement_witness_is_returned(self):
+        res = is_potentially(GREEDY_MISS, BOWTIE)
+        assert (res.verdict, res.explored) == (True, 2)
+        assert res.witness.degrees() == GREEDY_MISS
+        for a, b in BOWTIE.pattern.edges():
+            assert res.witness.has_edge(res.embedding[a], res.embedding[b])
+
+    @pytest.mark.parametrize("seq,m,budget,want", [
+        # fewer terms than m, or the necessary condition fails: no candidate
+        ((3, 3, 3, 3), 5, 0, (False, 0, True)),
+        ((3,) * 6, 5, 0, (False, 0, True)),
+        ((3,) * 6, 5, None, (False, 0, True)),
+        # the greedy realization is the first candidate
+        ((4, 2, 2, 2, 2), 5, 0, (False, 0, False)),
+        ((4, 2, 2, 2, 2), 5, 1, (True, 1, False)),
+        ((4, 2, 2, 2, 2), 5, None, (True, 1, False)),
+        # the greedy realization misses; one pairing up to equal degrees
+        (GREEDY_MISS, 5, 0, (False, 0, False)),
+        (GREEDY_MISS, 5, 1, (False, 1, False)),
+        (GREEDY_MISS, 5, 2, (True, 2, False)),
+        (GREEDY_MISS, 5, None, (True, 2, False)),
+        ((5, 5, 2, 2, 2, 2), 5, 1, (False, 1, False)),
+        ((5, 5, 2, 2, 2, 2), 5, 2, (False, 2, True)),
+        ((5, 5, 2, 2, 2, 2), 5, None, (False, 2, True)),
+        # two pairings
+        ((5, 5, 5, 4, 3, 3, 3), 6, 2, (False, 2, False)),
+        ((5, 5, 5, 4, 3, 3, 3), 6, 3, (False, 3, True)),
+        ((5, 5, 5, 4, 3, 3, 3), 6, None, (False, 3, True)),
+    ])
+    def test_budget_counts_candidates(self, seq, m, budget, want):
+        res = is_potentially(seq, km_minus_c4(m), budget=budget)
+        assert (res.verdict, res.explored, res.exhausted) == want
+
+    @pytest.mark.parametrize("m", [4, 5, 6])
+    def test_seed_does_not_change_the_verdict(self, m):
+        target = km_minus_c4(m)
+        for n in range(m, 8):
+            for seq in enumerate_graphical_sequences(n):
+                base = is_potentially(seq, target)
+                for seed in (1, 2, 3):
+                    res = is_potentially(seq, target, order_seed=seed)
+                    assert (res.verdict, res.exhausted) == \
+                        (base.verdict, base.exhausted), (seq, seed)
+
+    def test_seed_orders_the_pairings(self):
+        # the greedy realization misses and only the second pairing in
+        # the default order succeeds
+        seq = (4, 4, 3, 2, 2, 1)
+        assert is_potentially(seq, BOWTIE).explored == 3
+        assert is_potentially(seq, BOWTIE, order_seed=1).explored == 2
+
+    @pytest.mark.parametrize("target", [
+        TargetPattern(5, complete_graph(5)),
+        TargetPattern(6, km_minus_c4(5).pattern),
+        TargetPattern(3, complete_graph(3)),
+        TargetPattern(5, relabel(BOWTIE.pattern, [4, 0, 1, 2, 3])),
+    ])
+    def test_rejects_foreign_targets(self, target):
+        with pytest.raises(ContractError, match="4-cycle"):
+            is_potentially((4, 2, 2, 2, 2), target)
 
 
 def count_calls(monkeypatch, module, name):
@@ -266,8 +373,8 @@ class TestLazyStartKey:
 
     @pytest.mark.parametrize("seq,m,budget,seed,want", FROZEN_POTENTIAL)
     def test_frozen_potential_results(self, seq, m, budget, seed, want):
-        res = is_potentially(seq, km_minus_c4(m), budget=budget,
-                             order_seed=seed)
+        res = search_potentially(seq, km_minus_c4(m), budget=budget,
+                                 order_seed=seed)
         witness = encode_graph6(res.witness) if res.witness else None
         assert (res.verdict, res.explored, res.exhausted, witness) == want
 
@@ -289,7 +396,7 @@ class TestLazyDiscovery:
                     for g in eager_realizations(seq, order_seed=seed)]
             assert got == want, seq
 
-    # (sequence, m, budget) -> canonical forms computed by is_potentially;
+    # (sequence, m, budget) -> canonical forms computed by the class search;
     # a search that keyed every neighbour before yielding made 242, 85,
     # 13 and 4,661.
     @pytest.mark.parametrize("seq,m,budget,want", [
@@ -301,7 +408,7 @@ class TestLazyDiscovery:
     def test_keys_only_what_the_caller_reaches(self, monkeypatch, seq, m,
                                                budget, want):
         calls = count_calls(monkeypatch, kmc4.realizations, "canonical_form")
-        is_potentially(seq, km_minus_c4(m), budget=budget)
+        search_potentially(seq, km_minus_c4(m), budget=budget)
         assert len(calls) == want
 
     @pytest.mark.parametrize("seq,cap", [
