@@ -13,13 +13,14 @@ threshold by exhaustive sweep at small n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import BudgetExceededError, InputError, LimitError
 from .graphs import (DEFAULT_VERTEX_LIMIT, SmallGraph, empty_graph,
                      complete_graph, encode_graph6, find_embedding, join,
                      km_minus_c4)
-from .realizations import (enumerate_realizations, havel_hakimi_realize,
-                           is_potentially)
+from .realizations import (_decide, enumerate_realizations,
+                           havel_hakimi_realize)
 from .sequences import (DegreeSequence, degree_sum,
                         graphical_sequences_with_sum)
 
@@ -127,10 +128,8 @@ class SigmaReport:
         }
 
 
-def _potential_check(args) -> bool:
-    terms, m, limit = args
-    return is_potentially(DegreeSequence(terms), km_minus_c4(m),
-                          limit=limit).verdict
+def _potential_check(target, seq) -> bool:
+    return _decide(seq, target, None, None).verdict
 
 
 def sigma_exact(m: int, n: int, limit: int = DEFAULT_VERTEX_LIMIT,
@@ -144,6 +143,10 @@ def sigma_exact(m: int, n: int, limit: int = DEFAULT_VERTEX_LIMIT,
     extremal ones, and all higher levels have already been certified
     clean. Levels are independent, so the per-sequence checks may be
     spread over worker processes.
+
+    Each sequence goes straight to the decision core: the generator has
+    just found it graphical, n >= m holds because the lower bound is
+    defined, and n is within the limit.
     """
     bound = sigma_lower_bound(m, n)
     if n > limit:
@@ -162,13 +165,12 @@ def sigma_exact(m: int, n: int, limit: int = DEFAULT_VERTEX_LIMIT,
             seqs = list(graphical_sequences_with_sum(n, level, limit=limit))
             if pool is not None and len(seqs) > 1:
                 chunk = max(1, len(seqs) // (4 * workers))
-                verdicts = list(pool.map(
-                    _potential_check,
-                    [(tuple(s), m, limit) for s in seqs], chunksize=chunk))
+                verdicts = list(pool.map(partial(_potential_check, pattern),
+                                         seqs, chunksize=chunk))
             else:
                 verdicts = []
                 for s in seqs:
-                    res = is_potentially(s, pattern, limit=limit, budget=budget)
+                    res = _decide(s, pattern, budget, None)
                     if not res.verdict and not res.exhausted:
                         raise BudgetExceededError(
                             f"budget ran out deciding {tuple(s)} at level {level}",

@@ -11,6 +11,7 @@ isomorphism dedup, and the graph6 text codec.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, lru_cache
 
 from .errors import Graph6Error, InputError, LimitError
 from .sequences import DegreeSequence
@@ -149,6 +150,11 @@ def km_minus_c4(m: int) -> TargetPattern:
     """
     if not isinstance(m, int) or m < 4:
         raise InputError(f"pattern needs m >= 4, got {m!r}")
+    return _km_minus_c4(m)
+
+
+@cache
+def _km_minus_c4(m: int) -> TargetPattern:
     g = complete_graph(m)
     rows = list(g.rows)
     for u, v in ((0, 1), (1, 2), (2, 3), (3, 0)):
@@ -196,12 +202,7 @@ def find_embedding(host: SmallGraph, pattern) -> tuple[int, ...] | None:
         return None
     if pn == 0:
         return ()
-    order = sorted(range(pn), key=lambda v: (-pattern.degree(v), v))
-    pdeg = [pattern.degree(v) for v in order]
-    placed_nbrs: list[list[int]] = []
-    for k, pv in enumerate(order):
-        placed_nbrs.append(
-            [j for j in range(k) if pattern.has_edge(pv, order[j])])
+    order, pdeg, placed_nbrs = _embedding_plan(pattern)
     hdeg = host.degrees()
     hrows = host.rows
     full = (1 << hn) - 1
@@ -211,8 +212,8 @@ def find_embedding(host: SmallGraph, pattern) -> tuple[int, ...] | None:
         if k == pn:
             return True
         cand = full & ~used
-        for j in placed_nbrs[k]:
-            cand &= hrows[assign[order[j]]]
+        for pv in placed_nbrs[k]:
+            cand &= hrows[assign[pv]]
         need = pdeg[k]
         for hv in _bits(cand):
             if hdeg[hv] >= need:
@@ -224,6 +225,20 @@ def find_embedding(host: SmallGraph, pattern) -> tuple[int, ...] | None:
     if place(0, 0):
         return tuple(assign)
     return None
+
+
+@lru_cache(maxsize=64)
+def _embedding_plan(pattern: SmallGraph):
+    """The host-independent half of ``find_embedding``: pattern vertices
+    in decreasing-degree order (ties by index), the degree of each, and
+    for each the pattern vertices placed before it that it is adjacent
+    to."""
+    order = sorted(range(pattern.n), key=lambda v: (-pattern.degree(v), v))
+    pdeg = tuple(pattern.degree(v) for v in order)
+    placed_nbrs = tuple(
+        tuple(u for u in order[:k] if pattern.has_edge(pv, u))
+        for k, pv in enumerate(order))
+    return tuple(order), pdeg, placed_nbrs
 
 
 def contains_subgraph(host: SmallGraph, pattern) -> bool:

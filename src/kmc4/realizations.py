@@ -39,7 +39,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cache
 from random import Random
 
 from .errors import ContractError, LimitError
@@ -230,7 +229,7 @@ def is_potentially(seq, target: TargetPattern,
     """
     m = target.m
     if not (isinstance(m, int) and 4 <= m <= MAX_VERTICES
-            and target.pattern == _f_m(m)):
+            and target.pattern == km_minus_c4(m).pattern):
         raise ContractError(f"target is not K_m minus a 4-cycle (m={m!r})")
     seq = DegreeSequence(seq)
     if seq.n < m:
@@ -239,6 +238,15 @@ def is_potentially(seq, target: TargetPattern,
         raise ContractError(f"sequence {tuple(seq)} is not graphical")
     if seq.n > limit:
         raise LimitError(f"realization search limited to {limit} vertices (got {seq.n})")
+    return _decide(seq, target, budget, order_seed)
+
+
+def _decide(seq: DegreeSequence, target: TargetPattern,
+            budget: int | None, order_seed: int | None) -> WitnessResult:
+    """The decision of ``is_potentially`` without its input checks: seq
+    must be a graphical DegreeSequence with at least m terms, and target
+    must be ``km_minus_c4(m)``."""
+    m = target.m
     if (m > 4 and seq[m - 5] < m - 1) or seq[m - 1] < m - 3:
         return WitnessResult(False, None, None, 0, True)
     explored = 0
@@ -257,11 +265,6 @@ def is_potentially(seq, target: TargetPattern,
         if emb is not None:
             return WitnessResult(True, g, emb, explored, False)
     return WitnessResult(False, None, None, explored, True)
-
-
-@cache
-def _f_m(m: int) -> SmallGraph:
-    return km_minus_c4(m).pattern
 
 
 def _candidates(seq: DegreeSequence, m: int, order_seed: int | None):

@@ -1,9 +1,13 @@
 """Degree sequences: normalization, graphicality, exhaustive enumeration.
 
 A sequence is graphical when some simple graph realizes it; the test is
-the Erdos-Gallai system of inequalities. Enumeration walks bounded
-nonincreasing integer sequences grouped by degree sum, which lets the
-threshold sweeps upstream terminate as early as possible.
+the Erdos-Gallai system of inequalities. Enumeration goes one degree-sum
+level at a time, which lets the threshold sweeps upstream stop as early
+as possible. Within a level it is one depth-first walk over nonincreasing
+sequences, largest terms first. Each prefix is pruned as soon as the
+Erdos-Gallai inequality at its length fails for every possible tail, so
+most non-graphical sequences are never built. The full test then runs
+once at each leaf, which keeps the output exact.
 """
 
 from __future__ import annotations
@@ -12,7 +16,8 @@ from collections.abc import Iterable, Iterator
 
 from .errors import InputError, LimitError
 
-# Enumeration guard: realization search downstream is superexponential in n.
+# Enumeration guard: the number of graphical sequences grows exponentially
+# in n, and an exact threshold sweep decides every one above its answer.
 DEFAULT_LENGTH_LIMIT = 12
 
 
@@ -21,12 +26,15 @@ class DegreeSequence(tuple):
 
     Construction sorts the values descending, so two sequences with the
     same multiset of degrees compare equal. Everything else is plain
-    tuple behaviour.
+    tuple behaviour. A value that is already exactly of this type is
+    returned as it is, without sorting or checking it again.
     """
 
     __slots__ = ()
 
     def __new__(cls, values: Iterable[int]):
+        if type(values) is cls:
+            return values
         terms = sorted(values, reverse=True)
         if not terms:
             raise InputError("degree sequence needs at least one term")
@@ -116,20 +124,6 @@ def is_graphical(seq: Iterable[int]) -> bool:
     return True
 
 
-def _bounded_nonincreasing(slots: int, total: int, bound: int) -> Iterator[tuple[int, ...]]:
-    """Nonincreasing tuples of length ``slots`` with parts <= bound summing
-    to ``total``, in descending lexicographic order."""
-    if slots == 0:
-        if total == 0:
-            yield ()
-        return
-    # Largest part v must leave a remainder spreadable over slots-1 parts <= v.
-    lo = -(-total // slots)  # ceil
-    for v in range(min(bound, total), lo - 1, -1):
-        for rest in _bounded_nonincreasing(slots - 1, total - v, v):
-            yield (v,) + rest
-
-
 def graphical_sequences_with_sum(n: int, total: int,
                                  limit: int = DEFAULT_LENGTH_LIMIT) -> Iterator[DegreeSequence]:
     """All graphical n-term sequences with the exact degree sum given,
@@ -142,9 +136,38 @@ def graphical_sequences_with_sum(n: int, total: int,
         raise InputError(f"degree sum {total} out of range for n={n}")
     if total % 2:
         return
-    for terms in _bounded_nonincreasing(n, total, n - 1):
-        if is_graphical(terms):
-            yield DegreeSequence(terms)
+    # Depth-first over nonincreasing terms <= n-1: level j holds the next
+    # value to try for term j and the least value that still lets the
+    # remaining sum spread over the remaining terms.
+    terms = [0] * n
+    nxt = [0] * n
+    low = [0] * n
+    prefix = [0] * (n + 1)
+    nxt[0] = min(n - 1, total)
+    low[0] = -(-total // n)  # ceil
+    j = 0
+    while j >= 0:
+        v = nxt[j]
+        if v < low[j]:
+            j -= 1
+            continue
+        nxt[j] = v - 1
+        k = j + 1
+        p = prefix[j] + v
+        rest = total - p
+        # Erdos-Gallai inequality k: every later term is at most v, so the
+        # tail adds at most min(rest, (n-k) * min(v, k)) to its right side.
+        if p > k * (k - 1) + min(rest, (n - k) * min(v, k)):
+            continue
+        terms[j] = v
+        if k == n:
+            if is_graphical(terms):
+                yield tuple.__new__(DegreeSequence, terms)
+            continue
+        prefix[k] = p
+        nxt[k] = min(v, rest)
+        low[k] = -(-rest // (n - k))
+        j = k
 
 
 def enumerate_graphical_sequences(n: int, min_sum: int = 0,

@@ -12,9 +12,10 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from random import Random
 
-from kmc4 import (DegreeSequence, SmallGraph, WitnessResult, canonical_form,
+from kmc4 import (DegreeSequence, InputError, LimitError, SmallGraph,
+                  TargetPattern, WitnessResult, canonical_form,
                   enumerate_realizations, find_embedding,
-                  havel_hakimi_realize)
+                  havel_hakimi_realize, is_graphical)
 from kmc4.realizations import _switch_neighbors
 
 
@@ -190,6 +191,70 @@ def greedy_realization_by_scan(seq) -> SmallGraph:
             rows[v] |= 1 << u
             residual[v] -= 1
     return SmallGraph._from_rows(n, rows)
+
+
+def graphical_sequences_by_filter(n: int, total: int, limit: int = 12):
+    """Graphical n-term sequences with the given degree sum, by building
+    every nonincreasing sequence with parts <= n-1 and that sum, in
+    descending lexicographic order, and keeping the graphical ones."""
+    if n < 1:
+        raise InputError(f"need at least one term, got n={n}")
+    if n > limit:
+        raise LimitError(f"sequence enumeration limited to {limit} terms (got {n})")
+    if total < 0 or total > n * (n - 1):
+        raise InputError(f"degree sum {total} out of range for n={n}")
+    if total % 2:
+        return
+
+    def bounded(slots: int, rest: int, bound: int):
+        if slots == 0:
+            if rest == 0:
+                yield ()
+            return
+        for v in range(min(bound, rest), -(-rest // slots) - 1, -1):
+            for tail in bounded(slots - 1, rest - v, v):
+                yield (v,) + tail
+
+    for terms in bounded(n, total, n - 1):
+        if is_graphical(terms):
+            yield DegreeSequence(terms)
+
+
+def find_embedding_unplanned(host: SmallGraph, pattern):
+    """First injective map sending pattern edges onto host edges, with
+    the pattern's vertex order and neighbour lists worked out afresh on
+    every call: pattern vertices by decreasing degree, host candidates
+    by ascending index."""
+    if isinstance(pattern, TargetPattern):
+        pattern = pattern.pattern
+    pn, hn = pattern.n, host.n
+    if pn > hn:
+        return None
+    if pn == 0:
+        return ()
+    order = sorted(range(pn), key=lambda v: (-pattern.degree(v), v))
+    pdeg = [pattern.degree(v) for v in order]
+    placed_nbrs = [[j for j in range(k) if pattern.has_edge(pv, order[j])]
+                   for k, pv in enumerate(order)]
+    hdeg = host.degrees()
+    assign = [-1] * pn
+
+    def place(k: int, used: int) -> bool:
+        if k == pn:
+            return True
+        cand = ((1 << hn) - 1) & ~used
+        for j in placed_nbrs[k]:
+            cand &= host.rows[assign[order[j]]]
+        for hv in range(hn):
+            if (cand >> hv) & 1 and hdeg[hv] >= pdeg[k]:
+                assign[order[k]] = hv
+                if place(k + 1, used | (1 << hv)):
+                    return True
+        return False
+
+    if place(0, 0):
+        return tuple(assign)
+    return None
 
 
 ACCEPTANCE_LINES: list[str] = []

@@ -132,6 +132,11 @@ class TestSigmaExact:
         b = sigma_exact(5, 6, workers=2)
         assert (a.exact, a.extremal_sequences) == (b.exact, b.extremal_sequences)
 
+    @pytest.mark.parametrize("m,n", [(m, n) for m in (4, 5, 6)
+                                     for n in range(m, 9)])
+    def test_workers_give_the_serial_report(self, m, n):
+        assert sigma_exact(m, n, workers=2) == sigma_exact(m, n)
+
     def test_budget_zero_aborts(self):
         with pytest.raises(BudgetExceededError) as exc:
             sigma_exact(5, 6, budget=0)

@@ -5,7 +5,8 @@ from itertools import combinations, permutations
 from random import Random
 
 import pytest
-from helpers import brute_embedding_exists, random_graph, relabel
+from helpers import (brute_embedding_exists, find_embedding_unplanned,
+                     random_graph, relabel)
 
 from kmc4 import (Graph6Error, InputError, LimitError, SmallGraph,
                   TargetPattern, canonical_form, complement, complete_graph,
@@ -190,6 +191,53 @@ class TestFindEmbedding:
             host = random_graph(6, rng.uniform(0.3, 0.9), rng)
             assert contains_subgraph(host, bow) == (
                 find_embedding(host, bow) is not None)
+
+
+class TestEmbeddingPlan:
+    """``find_embedding`` with its cached pattern plan against the same
+    search with the plan worked out on every call."""
+
+    def test_every_small_labeled_host(self):
+        hosts = [host for n in range(7) for host in all_graphs(n)]
+        for pattern in (km_minus_c4(4), km_minus_c4(5)):
+            assert ([find_embedding(host, pattern) for host in hosts]
+                    == [find_embedding_unplanned(host, pattern) for host in hosts])
+
+    def test_random_hosts(self):
+        rng = Random(29)
+        patterns = [km_minus_c4(m) for m in range(4, 8)]
+        hits = 0
+        for _ in range(500):
+            host = random_graph(rng.randint(7, 10), rng.uniform(0.3, 0.95), rng)
+            for pattern in patterns:
+                emb = find_embedding(host, pattern)
+                assert emb == find_embedding_unplanned(host, pattern), host
+                hits += emb is not None
+        assert 200 < hits < 1900
+
+    def test_patterns_of_one_order_keep_their_own_plans(self):
+        bow = km_minus_c4(5).pattern
+        # the same bowtie with its centre moved, and a non-isomorphic
+        # pattern with as many vertices and edges
+        moved = relabel(bow, [1, 2, 3, 4, 0])
+        k23 = SmallGraph(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)])
+        rng = Random(31)
+        for _ in range(200):
+            host = random_graph(rng.randint(5, 8), rng.uniform(0.4, 0.95), rng)
+            for pattern in (bow, moved, k23, moved, bow):
+                assert (find_embedding(host, pattern)
+                        == find_embedding_unplanned(host, pattern)), host
+
+
+class TestKmMinusC4Cache:
+    def test_one_pattern_per_m(self):
+        assert km_minus_c4(6) is km_minus_c4(6)
+        assert km_minus_c4(6) is not km_minus_c4(7)
+
+    @pytest.mark.parametrize("bad", [[5], 3, 5.0, "5"])
+    def test_bad_argument_is_an_input_error(self, bad):
+        with pytest.raises(InputError):
+            km_minus_c4(bad)
 
 
 def all_graphs(n):

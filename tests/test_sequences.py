@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import re
+
 import pytest
-from helpers import (gray_code_degree_map, is_graphical_quadratic,
-                     nonincreasing_tuples)
+from helpers import (graphical_sequences_by_filter, gray_code_degree_map,
+                     is_graphical_quadratic, nonincreasing_tuples)
 
 from kmc4 import (DegreeSequence, InputError, LimitError, degree_sum,
                   enumerate_graphical_sequences,
@@ -30,6 +32,23 @@ class TestDegreeSequence:
 
     def test_make_sequence(self):
         assert make_sequence([0, 4, 2]) == (4, 2, 0)
+
+    def test_degree_sequence_returned_unchanged(self):
+        ds = DegreeSequence((1, 3, 2))
+        assert DegreeSequence(ds) is ds
+        assert make_sequence(ds) is ds
+
+    def test_other_iterables_still_normalized(self):
+        class Terms(tuple):
+            pass
+
+        for raw in ([1, 3, 2], (1, 3, 2), Terms((1, 3, 2))):
+            ds = DegreeSequence(raw)
+            assert type(ds) is DegreeSequence
+            assert ds == (3, 2, 1) and ds is not raw
+        for bad in ([2, -1], (2.5, 1), Terms((2, -1)), Terms(())):
+            with pytest.raises(InputError):
+                DegreeSequence(bad)
 
 
 class TestTextForms:
@@ -157,3 +176,33 @@ class TestEnumerationBySum:
             got = {tuple(s) for s in graphical_sequences_with_sum(5, total)}
             want = {t for t in realizable if sum(t) == total}
             assert got == want, total
+
+
+class TestPrunedWalk:
+    """The prefix-pruned walk against the partition-and-filter reference."""
+
+    def test_same_order_as_filter_to_n10(self):
+        for n in range(1, 11):
+            for total in range(0, n * (n - 1) + 1, 2):
+                got = list(graphical_sequences_with_sum(n, total))
+                assert got == list(graphical_sequences_by_filter(n, total)), (n, total)
+                assert all(type(s) is DegreeSequence for s in got)
+
+    def test_same_order_as_filter_n11_high_sums(self):
+        for total in range(40, 111, 2):
+            assert (list(graphical_sequences_with_sum(11, total))
+                    == list(graphical_sequences_by_filter(11, total))), total
+
+    def test_odd_sums_yield_nothing(self):
+        for n in range(2, 11):
+            for total in range(1, n * (n - 1), 2):
+                assert list(graphical_sequences_with_sum(n, total)) == []
+
+    @pytest.mark.parametrize("n,total,limit", [
+        (0, 0, 12), (-1, 0, 12), (13, 0, 12), (5, 0, 4),
+        (4, -2, 12), (4, 14, 12), (1, 2, 12)])
+    def test_same_errors_as_filter(self, n, total, limit):
+        with pytest.raises((InputError, LimitError)) as want:
+            list(graphical_sequences_by_filter(n, total, limit))
+        with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+            list(graphical_sequences_with_sum(n, total, limit))
