@@ -241,6 +241,28 @@ def _embedding_plan(pattern: SmallGraph):
     return tuple(order), pdeg, placed_nbrs
 
 
+def is_embedding(host: SmallGraph, pattern, emb) -> bool:
+    """Is emb (host vertex per pattern vertex) an injective map sending
+    every pattern edge onto a host edge? The pattern may be a SmallGraph
+    or a TargetPattern."""
+    if isinstance(pattern, TargetPattern):
+        pattern = pattern.pattern
+    if len(emb) != pattern.n or len(set(emb)) != pattern.n:
+        return False
+    if emb and (min(emb) < 0 or max(emb) >= host.n):
+        return False
+    rows = host.rows
+    for a, b in _pattern_edges(pattern):
+        if not (rows[emb[a]] >> emb[b]) & 1:
+            return False
+    return True
+
+
+@lru_cache(maxsize=64)
+def _pattern_edges(pattern: SmallGraph) -> tuple[tuple[int, int], ...]:
+    return tuple(pattern.edges())
+
+
 def contains_subgraph(host: SmallGraph, pattern) -> bool:
     return find_embedding(host, pattern) is not None
 

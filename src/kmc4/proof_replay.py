@@ -9,6 +9,14 @@ family forced when the second degree is 3, and otherwise a complete
 quadruple completed through a neighbor or a three-edge interchange.
 Each decision is recorded in a trace whose final graph is re-validated
 against the input sequence.
+
+Each leaf case yields its witness together with the bowtie's position
+in it: the 5-vertex base and the quadruple completion search for it
+once, the table and fallback cases take it from ``is_potentially``, and
+the hub-plus-cycle family has it by construction. Re-attaching a deleted
+vertex only appends a vertex and adds edges, so that position carries
+up unchanged; every deletion level and the final outcome check it edge
+by edge instead of searching again.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from itertools import combinations
 from .errors import InputError, LimitError
 from .graphs import (DEFAULT_VERTEX_LIMIT, SmallGraph, degree_sequence_of,
                      delete_vertex, encode_graph6, find_embedding,
-                     km_minus_c4)
+                     is_embedding, km_minus_c4)
 from .realizations import (_greedy_realization, enumerate_realizations,
                            is_potentially, theorem2_interchange)
 from .sequences import (DegreeSequence, degree_sum,
@@ -223,7 +231,8 @@ def _try_quad_completion(g: SmallGraph):
 
 
 def _replay(seq: DegreeSequence, steps: list[ProofStep],
-            limit: int) -> SmallGraph:
+            limit: int) -> tuple[SmallGraph, tuple[int, ...]]:
+    """The witness for seq and the bowtie's embedding in it."""
     n = seq.n
     bowtie = km_minus_c4(5)
     # seq is graphical: replay_theorem2 checked it, and every recursive
@@ -240,7 +249,7 @@ def _replay(seq: DegreeSequence, steps: list[ProofStep],
             CASE_BASE5, tuple(seq),
             f"greedy realization has {g.edge_count} >= 8 edges; "
             f"target embedded at {list(emb)}", encode_graph6(g)))
-        return g
+        return g, emb
 
     if seq[-1] <= 2:
         g = _greedy_realization(seq)
@@ -256,19 +265,19 @@ def _replay(seq: DegreeSequence, steps: list[ProofStep],
             f"deleted a vertex of degree {seq[-1]}; residual "
             f"({','.join(str(t) for t in residual)}) keeps the threshold",
             encode_graph6(g)))
-        inner = _replay(residual, steps, limit)
+        inner, emb = _replay(residual, steps, limit)
         out = _attach_back(inner, attach, steps)
         if degree_sequence_of(out) != seq:
             raise ReplayError(
                 f"re-attachment realized {tuple(degree_sequence_of(out))} "
                 f"instead of {tuple(seq)}", steps)
-        if find_embedding(out, bowtie) is None:
+        if not is_embedding(out, bowtie, emb):
             raise ReplayError("re-attachment lost the embedded target", steps)
         steps.append(ProofStep(
             CASE_DELETION, tuple(seq),
             f"re-attached the deleted vertex to degrees "
             f"{sorted(attach, reverse=True)}", encode_graph6(out)))
-        return out
+        return out, emb
 
     if n in _EXCEPTIONAL and tuple(seq) in _EXCEPTIONAL[n]:
         res = is_potentially(seq, bowtie, limit=limit)
@@ -280,7 +289,7 @@ def _replay(seq: DegreeSequence, steps: list[ProofStep],
             CASE_EXCEPTIONAL, tuple(seq),
             f"table sequence; search found a witness after exploring "
             f"{res.explored} candidates", encode_graph6(res.witness)))
-        return res.witness
+        return res.witness, res.embedding
 
     if seq[1] == 3:
         expected = (n - 1,) + (3,) * (n - 1)
@@ -298,14 +307,17 @@ def _replay(seq: DegreeSequence, steps: list[ProofStep],
             rows[0] |= 1 << u
             rows[u] |= 1
         g = SmallGraph._from_rows(n, rows)
-        if find_embedding(g, bowtie) is None:
+        # the hub is the bowtie's center; rim edges 1-2 and 3-4 its two
+        # independent edges
+        emb = (1, 3, 2, 4, 0)
+        if not is_embedding(g, bowtie, emb):
             raise ReplayError("hub-plus-cycle construction misses the target",
                               steps)
         steps.append(ProofStep(
             CASE_FAMILY, tuple(seq),
             "hub joined to a cycle realizes the forced sequence and "
             "contains the target", encode_graph6(g)))
-        return g
+        return g, emb
 
     # Main case: d(v2) >= 4 and minimum degree >= 3. Search realizations
     # for a complete quadruple that one of the two completions finishes.
@@ -313,12 +325,13 @@ def _replay(seq: DegreeSequence, steps: list[ProofStep],
         done = _try_quad_completion(g)
         if done is not None:
             witness, case, action = done
-            if find_embedding(witness, bowtie) is None:
+            emb = find_embedding(witness, bowtie)
+            if emb is None:
                 raise ReplayError(f"completion claimed by '{case}' does not "
                                   f"contain the target", steps)
             steps.append(ProofStep(case, tuple(seq), action,
                                    encode_graph6(witness)))
-            return witness
+            return witness, emb
     res = is_potentially(seq, bowtie, limit=limit)
     if res.verdict:
         steps.append(ProofStep(
@@ -326,7 +339,7 @@ def _replay(seq: DegreeSequence, steps: list[ProofStep],
             "deviation: no realization offered a usable quadruple; "
             f"fallback search found a witness after {res.explored} candidates",
             encode_graph6(res.witness)))
-        return res.witness
+        return res.witness, res.embedding
     raise ReplayError(f"every proof case failed for {tuple(seq)}", steps)
 
 
@@ -335,7 +348,8 @@ def replay_theorem2(seq, limit: int = DEFAULT_VERTEX_LIMIT) -> ProofTrace:
 
     Preconditions: graphical, n >= 5, degree sum >= 4n-4. The returned
     trace ends in a graph that realizes the input sequence and contains
-    the bowtie; both facts are re-checked before returning.
+    the bowtie; both facts are re-checked before returning, the second
+    on the embedding the replay carried.
     """
     seq = DegreeSequence(seq)
     n = seq.n
@@ -349,12 +363,12 @@ def replay_theorem2(seq, limit: int = DEFAULT_VERTEX_LIMIT) -> ProofTrace:
         raise InputError(
             f"degree sum {degree_sum(seq)} below threshold {4 * n - 4}")
     steps: list[ProofStep] = []
-    out = _replay(seq, steps, limit)
+    out, emb = _replay(seq, steps, limit)
     if degree_sequence_of(out) != seq:
         raise ReplayError(
             f"outcome realizes {tuple(degree_sequence_of(out))} "
             f"instead of {tuple(seq)}", steps)
-    if find_embedding(out, km_minus_c4(5)) is None:
+    if not is_embedding(out, km_minus_c4(5), emb):
         raise ReplayError("outcome does not contain the target", steps)
     return ProofTrace(steps, out)
 

@@ -31,20 +31,24 @@ may sit:
 
 So after a top-degree necessary condition, the decision tries the greedy
 realization and then at most three pairings, and each positive comes
-with a witness and its embedding. A negative is authoritative whenever
-every candidate was examined.
+with a witness and its embedding. The greedy realization gives vertex i
+degree seq[i], so it too is first read for F_m on vertices 0..m-1 in the
+same layout as a placement; only when F_m does not sit there is it
+searched for with ``find_embedding``. A negative is authoritative
+whenever every candidate was examined.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 from random import Random
 
 from .errors import ContractError, LimitError
 from .graphs import (DEFAULT_VERTEX_LIMIT, MAX_VERTICES, SmallGraph,
                      TargetPattern, canonical_form, find_embedding,
-                     km_minus_c4)
+                     is_embedding, km_minus_c4)
 from .sequences import DegreeSequence, is_graphical
 
 
@@ -220,8 +224,10 @@ def is_potentially(seq, target: TargetPattern,
     condition (the m-4 largest at least m-1, the m-th largest at least
     m-3), the answer is an immediate, authoritative no. Otherwise the
     candidates are the greedy realization and then each distinct
-    diagonal pairing of the top-degree placement (module docstring);
-    ``explored`` counts the candidates examined, at most 4.
+    diagonal pairing of the top-degree placement (module docstring).
+    The greedy realization's embedding is read off vertices 0..m-1 when
+    F_m sits there, and searched for otherwise; ``explored`` counts the
+    candidates examined, at most 4.
     ``order_seed`` shuffles the pairing order. ``budget`` caps the
     candidates; when it runs out the negative verdict is marked
     non-authoritative (exhausted False). The target must be
@@ -256,7 +262,7 @@ def _decide(seq: DegreeSequence, target: TargetPattern,
         explored += 1
         if diagonals is None:
             g = _greedy_realization(seq)
-            emb = find_embedding(g, target)
+            emb = _top_embedding(g, m) or find_embedding(g, target)
         else:
             g, emb = _placement(seq, m, diagonals)
             if emb is not None and not _is_witness(seq, target, g, emb):
@@ -275,10 +281,9 @@ def _candidates(seq: DegreeSequence, m: int, order_seed: int | None):
     is kept. The pairings are worked out only when the greedy
     realization did not settle the decision."""
     yield None
-    a, b, c, d = range(m - 4, m)
     pairings = []
     seen = set()
-    for diagonals in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))):
+    for diagonals in _pairings(m):
         key = tuple(sorted((seq[x], seq[y]) for x, y in diagonals))
         if key not in seen:
             seen.add(key)
@@ -286,6 +291,14 @@ def _candidates(seq: DegreeSequence, m: int, order_seed: int | None):
     if order_seed is not None:
         Random(order_seed).shuffle(pairings)
     yield from pairings
+
+
+@cache
+def _pairings(m: int):
+    """The three ways to pair the cycle vertices m-4..m-1 into
+    diagonals."""
+    a, b, c, d = range(m - 4, m)
+    return ((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))
 
 
 def _placement(seq: DegreeSequence, m: int, diagonals):
@@ -337,12 +350,26 @@ def _placement(seq: DegreeSequence, m: int, diagonals):
     return None, None
 
 
+def _top_embedding(g: SmallGraph, m: int) -> tuple[int, ...] | None:
+    """F_m on vertices 0..m-1 of g in the layout ``_placement`` returns,
+    or None: the core 0..m-5 must be joined to all of 0..m-1, and the
+    cycle vertices m-4..m-1 must hold one of the three diagonal
+    pairings."""
+    rows = g.rows
+    placed = (1 << m) - 1
+    for v in range(m - 4):
+        if (rows[v] | (1 << v)) & placed != placed:
+            return None
+    for (p, q), (r, s) in _pairings(m):
+        if (rows[p] >> q) & (rows[r] >> s) & 1:
+            return (p, r, q, s) + tuple(range(m - 4))
+    return None
+
+
 def _is_witness(seq: DegreeSequence, target: TargetPattern,
                 g: SmallGraph, emb: tuple[int, ...]) -> bool:
     """Does g realize seq and carry every pattern edge under emb?"""
-    return (g.degrees() == tuple(seq) and len(set(emb)) == target.m
-            and all(g.has_edge(emb[a], emb[b])
-                    for a, b in target.pattern.edges()))
+    return g.degrees() == tuple(seq) and is_embedding(g, target, emb)
 
 
 def theorem2_interchange(g: SmallGraph, v1: int, v2: int, v3: int, v4: int,

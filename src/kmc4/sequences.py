@@ -27,7 +27,8 @@ class DegreeSequence(tuple):
     Construction sorts the values descending, so two sequences with the
     same multiset of degrees compare equal. Everything else is plain
     tuple behaviour. A value that is already exactly of this type is
-    returned as it is, without sorting or checking it again.
+    returned as it is, without sorting or checking it again, and a
+    pickled one is rebuilt the same way.
     """
 
     __slots__ = ()
@@ -44,6 +45,11 @@ class DegreeSequence(tuple):
             if t < 0:
                 raise InputError(f"negative degree {t}")
         return tuple.__new__(cls, terms)
+
+    def __reduce__(self):
+        # Rebuild without sorting or checking again: the terms already are
+        # a valid sequence.
+        return tuple.__new__, (DegreeSequence, tuple(self))
 
     @property
     def n(self) -> int:

@@ -257,6 +257,22 @@ def find_embedding_unplanned(host: SmallGraph, pattern):
     return None
 
 
+def embedding_is_valid(host: SmallGraph, pattern, emb) -> bool:
+    """Is emb an injective map into host's vertices under which every
+    pattern edge is a host edge? Read straight off the bitmask rows."""
+    if isinstance(pattern, TargetPattern):
+        pattern = pattern.pattern
+    if len(emb) != pattern.n or len(set(emb)) != len(emb):
+        return False
+    if any(not 0 <= v < host.n for v in emb):
+        return False
+    for a in range(pattern.n):
+        for b in range(a + 1, pattern.n):
+            if (pattern.rows[a] >> b) & 1 and not (host.rows[emb[a]] >> emb[b]) & 1:
+                return False
+    return True
+
+
 ACCEPTANCE_LINES: list[str] = []
 
 

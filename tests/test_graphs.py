@@ -5,8 +5,8 @@ from itertools import combinations, permutations
 from random import Random
 
 import pytest
-from helpers import (brute_embedding_exists, find_embedding_unplanned,
-                     random_graph, relabel)
+from helpers import (brute_embedding_exists, embedding_is_valid,
+                     find_embedding_unplanned, random_graph, relabel)
 
 from kmc4 import (Graph6Error, InputError, LimitError, SmallGraph,
                   TargetPattern, canonical_form, complement, complete_graph,
@@ -14,6 +14,7 @@ from kmc4 import (Graph6Error, InputError, LimitError, SmallGraph,
                   degree_sequence_of, delete_vertex, empty_graph,
                   encode_graph6, find_embedding, join, km_minus_c4,
                   parse_edge_text)
+from kmc4.graphs import is_embedding
 
 
 def two_independent_edges() -> SmallGraph:
@@ -227,6 +228,58 @@ class TestEmbeddingPlan:
             for pattern in (bow, moved, k23, moved, bow):
                 assert (find_embedding(host, pattern)
                         == find_embedding_unplanned(host, pattern)), host
+
+
+class TestIsEmbedding:
+    BOW = km_minus_c4(5)
+
+    def test_accepts_what_find_embedding_returns(self):
+        rng = Random(37)
+        found = 0
+        for _ in range(200):
+            host = random_graph(rng.randint(5, 9), rng.uniform(0.4, 0.95), rng)
+            for m in (4, 5, 6):
+                emb = find_embedding(host, km_minus_c4(m))
+                if emb is not None:
+                    found += 1
+                    assert is_embedding(host, km_minus_c4(m), emb)
+        assert found > 100
+
+    def test_agrees_with_independent_check_on_random_maps(self):
+        rng = Random(41)
+        accepted = 0
+        for _ in range(2000):
+            host = random_graph(rng.randint(5, 8), rng.uniform(0.5, 1.0), rng)
+            emb = tuple(rng.randrange(host.n) for _ in range(5))
+            got = is_embedding(host, self.BOW, emb)
+            assert got == embedding_is_valid(host, self.BOW, emb), (host, emb)
+            accepted += got
+        assert accepted > 20
+
+    def test_rejects_a_non_injective_map(self):
+        # every pattern edge lands on a host edge, but two pattern
+        # vertices share a host vertex
+        host = complete_graph(6)
+        assert is_embedding(host, self.BOW, (0, 1, 2, 3, 4))
+        assert not is_embedding(host, self.BOW, (0, 1, 2, 3, 0))
+        assert not is_embedding(host, self.BOW, (0, 1, 0, 3, 4))
+
+    def test_rejects_a_missing_edge(self):
+        host = complete_graph(5)
+        rows = list(host.rows)
+        # pattern vertex 4 is the centre; drop its edge to pattern vertex 0
+        rows[4] ^= 1 << 0
+        rows[0] ^= 1 << 4
+        host = SmallGraph._from_rows(5, rows)
+        assert not is_embedding(host, self.BOW, (0, 1, 2, 3, 4))
+        # the bowtie still sits there with its centre on host vertex 1
+        # and 0, 4 on different independent edges
+        assert is_embedding(host, self.BOW, (0, 3, 2, 4, 1))
+
+    @pytest.mark.parametrize("emb", [(0, 1, 2, 3), (0, 1, 2, 3, 4, 5),
+                                     (0, 1, 2, 3, 5), (0, 1, 2, 3, -1)])
+    def test_rejects_wrong_length_and_out_of_range(self, emb):
+        assert not is_embedding(complete_graph(5), self.BOW, emb)
 
 
 class TestKmMinusC4Cache:

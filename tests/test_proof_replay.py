@@ -14,7 +14,9 @@ from __future__ import annotations
 import json
 
 import pytest
+from helpers import embedding_is_valid
 
+import kmc4.proof_replay
 from kmc4 import (
     BaseCaseReport,
     InputError,
@@ -29,6 +31,7 @@ from kmc4 import (
     is_potentially,
     km_minus_c4,
     replay_theorem2,
+    two_switch,
     verify_base_cases,
     verify_theorem2_range,
 )
@@ -213,6 +216,83 @@ class TestCaseBranches:
         step = trace.steps[0]
         assert step.case == "interchange"
         assert step.action.startswith("deviation:")
+
+
+def record_returns(monkeypatch, module, name):
+    """Wrap module.name so that every value it returns is appended to
+    the list returned here."""
+    returned = []
+    real = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        out = real(*args, **kwargs)
+        returned.append(out)
+        return out
+
+    monkeypatch.setattr(module, name, recording)
+    return returned
+
+
+class TestCarriedEmbedding:
+    @pytest.mark.parametrize("seq", [
+        (4, 4, 3, 3, 2), (7, 7, 4, 4, 4, 2, 2, 2), (5, 3, 3, 3, 3, 3),
+        (8, 3, 3, 3, 3, 3, 3, 3, 3), (4, 4, 4, 4, 3, 3), (4,) * 8, (4,) * 6,
+        (6, 6, 5, 5, 4, 3, 3, 2, 2)])
+    def test_every_level_returns_a_valid_embedding(self, monkeypatch, seq):
+        returned = record_returns(monkeypatch, kmc4.proof_replay, "_replay")
+        trace = replay_theorem2(seq)
+        check_trace(seq, trace)
+        assert returned[-1][0] == trace.outcome
+        for g, emb in returned:
+            assert embedding_is_valid(g, BOWTIE, emb), (g, emb)
+
+    def test_deletion_levels_do_not_search(self, monkeypatch):
+        calls = record_returns(monkeypatch, kmc4.proof_replay,
+                               "find_embedding")
+        trace = replay_theorem2((7, 7, 4, 4, 4, 2, 2, 2))
+        assert [s.case for s in trace.steps].count("d_n≤2 deletion") == 6
+        # the 5-vertex base case searches once; the three re-attachments
+        # and the final check only check what it found
+        assert len(calls) == 1
+
+    def test_family_embedding_is_built(self, monkeypatch):
+        calls = record_returns(monkeypatch, kmc4.proof_replay,
+                               "find_embedding")
+        returned = record_returns(monkeypatch, kmc4.proof_replay, "_replay")
+        replay_theorem2((7,) + (3,) * 7)
+        assert calls == []
+        assert returned[0][1] == (1, 3, 2, 4, 0)
+
+    def test_lost_embedding_edge_is_caught(self, monkeypatch):
+        # re-attach as usual, then 2-switch away one edge of the carried
+        # embedding: the degrees still match, and another bowtie may
+        # remain, but the carried embedding is broken
+        returned = record_returns(monkeypatch, kmc4.proof_replay, "_replay")
+        real_attach = kmc4.proof_replay._attach_back
+        switched = []
+
+        def drop_embedded_edge(witness, attach_degrees, steps):
+            out = real_attach(witness, attach_degrees, steps)
+            emb = returned[-1][1]
+            for a, b in BOWTIE.pattern.edges():
+                x, y = emb[a], emb[b]
+                for u, w in out.edges():
+                    for c, d in ((u, w), (w, u)):
+                        if ({c, d} & {x, y} or out.has_edge(x, c)
+                                or out.has_edge(y, d)):
+                            continue
+                        switched.append(two_switch(out, x, y, c, d))
+                        return switched[-1]
+            raise AssertionError("no 2-switch removes an embedded edge")
+
+        monkeypatch.setattr(kmc4.proof_replay, "_attach_back",
+                            drop_embedded_edge)
+        with pytest.raises(ReplayError,
+                           match="re-attachment lost the embedded target"):
+            replay_theorem2((5, 5, 4, 4, 2, 2, 2))
+        assert len(switched) == 1
+        # a search would still have found a bowtie in the mutated graph
+        assert find_embedding(switched[0], BOWTIE) is not None
 
 
 class TestTraceFormats:

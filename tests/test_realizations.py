@@ -6,9 +6,9 @@ from itertools import combinations, permutations
 from random import Random
 
 import pytest
-from helpers import (eager_realizations, gray_code_degree_map,
-                     greedy_realization_by_scan, random_graph, relabel,
-                     search_potentially)
+from helpers import (eager_realizations, embedding_is_valid,
+                     gray_code_degree_map, greedy_realization_by_scan,
+                     random_graph, relabel, search_potentially)
 
 import kmc4.cli
 import kmc4.realizations
@@ -292,6 +292,87 @@ class TestExactDecision:
     def test_rejects_foreign_targets(self, target):
         with pytest.raises(ContractError, match="4-cycle"):
             is_potentially((4, 2, 2, 2, 2), target)
+
+
+def top_graph(m: int, diagonals, n: int | None = None, drop=()):
+    """Vertices 0..m-1 hold a core 0..m-5 joined to everything in 0..m-1
+    and cycle vertices m-4..m-1 joined only along ``diagonals``; the
+    edges in ``drop`` are then removed. Extra vertices up to n hang off
+    vertex 0 and m-1."""
+    n = m if n is None else n
+    core = range(m - 4)
+    edges = {(u, v) for u in core for v in range(m) if u < v}
+    edges |= {tuple(sorted(pair)) for pair in diagonals}
+    edges |= {(0, w) for w in range(m, n)} | {(m - 1, w) for w in range(m, n)}
+    edges -= {tuple(sorted(pair)) for pair in drop}
+    return SmallGraph(n, sorted(edges))
+
+
+class TestTopEmbedding:
+    @pytest.mark.parametrize("m", [4, 5, 8])
+    def test_each_pairing_gives_its_tuple(self, m):
+        a, b, c, d = range(m - 4, m)
+        core = tuple(range(m - 4))
+        for diagonals, want in [
+                (((a, b), (c, d)), (a, c, b, d)),
+                (((a, c), (b, d)), (a, b, c, d)),
+                (((a, d), (b, c)), (a, b, d, c))]:
+            for n in (m, m + 2):
+                g = top_graph(m, diagonals, n)
+                emb = kmc4.realizations._top_embedding(g, m)
+                assert emb == want + core, (diagonals, n)
+                assert embedding_is_valid(g, km_minus_c4(m), emb)
+
+    @pytest.mark.parametrize("m", [4, 8])
+    def test_first_complete_pairing_wins(self, m):
+        a, b, c, d = range(m - 4, m)
+        g = top_graph(m, [(a, b), (c, d), (a, c), (b, d), (a, d), (b, c)])
+        assert kmc4.realizations._top_embedding(g, m) == \
+            (a, c, b, d) + tuple(range(m - 4))
+
+    @pytest.mark.parametrize("m,core_vertex,top", [
+        (5, 0, 4), (8, 0, 7), (8, 3, 1), (8, 2, 5)])
+    def test_core_vertex_missing_one_top_vertex(self, m, core_vertex, top):
+        a, b, c, d = range(m - 4, m)
+        g = top_graph(m, [(a, b), (c, d)], m + 1, drop=[(core_vertex, top)])
+        assert kmc4.realizations._top_embedding(g, m) is None
+
+    @pytest.mark.parametrize("m", [4, 8])
+    def test_no_complete_pairing(self, m):
+        a, b, c, d = range(m - 4, m)
+        for diagonals in ([], [(a, b)], [(a, b), (a, c), (a, d)],
+                          [(a, b), (b, c), (a, c)]):
+            g = top_graph(m, diagonals, m + 1)
+            assert kmc4.realizations._top_embedding(g, m) is None, diagonals
+
+    def test_greedy_positive_on_top_needs_no_search(self, monkeypatch):
+        calls = count_calls(monkeypatch, kmc4.realizations, "find_embedding")
+        res = is_potentially((4, 2, 2, 2, 2), BOWTIE)
+        assert (res.verdict, res.explored, res.embedding) == \
+            (True, 1, (1, 3, 2, 4, 0))
+        assert calls == []
+
+    @pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
+    def test_greedy_decides_exactly_when_it_holds_the_target(self, m):
+        # both ways the greedy candidate can hold F_m occur: on vertices
+        # 0..m-1, and elsewhere, where only the search finds it
+        target = km_minus_c4(m)
+        off_top = 0
+        for n in range(1, 9):
+            for seq in enumerate_graphical_sequences(n):
+                res = is_potentially(seq, target)
+                greedy = havel_hakimi_realize(seq)
+                holds = find_embedding(greedy, target) is not None
+                on_greedy = (res.explored == 1 and res.verdict
+                             and res.witness == greedy)
+                assert on_greedy == holds, seq
+                off_top += holds and n >= m and \
+                    kmc4.realizations._top_embedding(greedy, m) is None
+                if res.verdict:
+                    assert res.witness.degrees() == tuple(seq), seq
+                    assert embedding_is_valid(res.witness, target,
+                                              res.embedding), seq
+        assert off_top > 0 or m == 8
 
 
 def count_calls(monkeypatch, module, name):
