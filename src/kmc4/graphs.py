@@ -64,7 +64,7 @@ class SmallGraph:
         return self.rows[v].bit_count()
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(r.bit_count() for r in self.rows)
+        return tuple(map(int.bit_count, self.rows))
 
     @property
     def edge_count(self) -> int:
@@ -166,7 +166,9 @@ def _km_minus_c4(m: int) -> TargetPattern:
 def degree_sequence_of(g: SmallGraph) -> DegreeSequence:
     if g.n == 0:
         raise InputError("the empty graph has no degree sequence")
-    return DegreeSequence(g.degrees())
+    # Bit counts are nonnegative integers already; only the sort is needed.
+    return tuple.__new__(DegreeSequence,
+                         sorted(map(int.bit_count, g.rows), reverse=True))
 
 
 def delete_vertex(g: SmallGraph, v: int) -> SmallGraph:
@@ -390,24 +392,36 @@ def canonical_form(g: SmallGraph, limit: int = DEFAULT_VERTEX_LIMIT) -> bytes:
 # graph6 codec
 # ----------------------------------------------------------------------
 
+# _REV6[x] is the 6-bit value x with its bits in reverse order.
+_REV6 = tuple(int(f"{x:06b}"[::-1], 2) for x in range(64))
+
+
 def encode_graph6(g: SmallGraph) -> str:
     """Standard header-free graph6 text for a graph on at most 62 vertices."""
     n = g.n
-    out = [chr(63 + n)]
+    rows = g.rows
+    rev = _REV6
     acc = 0
-    nbits = 0
     for j in range(1, n):
-        col = g.rows[j]
-        for i in range(j):
-            acc = (acc << 1) | ((col >> i) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(63 + acc))
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append(chr(63 + (acc << (6 - nbits))))
-    return "".join(out)
+        # Column j is the pairs (0, j), ..., (j - 1, j) in that order: the
+        # low j bits of row j reversed, read off the table six at a time.
+        x = rows[j] & ((1 << j) - 1)
+        if j <= 6:
+            col = rev[x] >> (6 - j)
+        elif j <= 12:
+            col = (rev[x & 63] << (j - 6)) | (rev[x >> 6] >> (12 - j))
+        else:
+            col = 0
+            for _ in range(-(-j // 6)):
+                col = (col << 6) | rev[x & 63]
+                x >>= 6
+            col >>= -j % 6
+        acc = (acc << j) | col
+    nbits = n * (n - 1) // 2
+    pad = -nbits % 6
+    acc <<= pad
+    return chr(63 + n) + "".join([chr(63 + ((acc >> s) & 63))
+                                  for s in range(nbits + pad - 6, -1, -6)])
 
 
 def decode_graph6(text: str) -> SmallGraph:

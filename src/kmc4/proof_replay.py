@@ -11,9 +11,9 @@ Each decision is recorded in a trace whose final graph is re-validated
 against the input sequence.
 
 Each leaf case yields its witness together with the bowtie's position
-in it: the 5-vertex base and the quadruple completion search for it
-once, the table and fallback cases take it from ``is_potentially``, and
-the hub-plus-cycle family has it by construction. Re-attaching a deleted
+in it: the 5-vertex base searches for it once, the table and fallback
+cases take it from ``is_potentially``, and the hub-plus-cycle family and
+the quadruple completions have it by construction. Re-attaching a deleted
 vertex only appends a vertex and adds edges, so that position carries
 up unchanged; every deletion level and the final outcome check it edge
 by edge instead of searching again.
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 from .errors import InputError, LimitError
 from .graphs import (DEFAULT_VERTEX_LIMIT, SmallGraph, degree_sequence_of,
@@ -178,7 +178,9 @@ def _try_quad_completion(g: SmallGraph):
     Looks for a complete quadruple; a neighbor touching two of its
     vertices closes the target directly, otherwise the attachments
     y1, y2, y3 are located and the three-edge interchange applies.
-    Returns (witness, case, action) or None.
+    Returns (witness, embedding, case, action) or None; the embedding is
+    the bowtie each completion builds, in the layout (p, r, q, s, centre)
+    with independent edges p-q and r-s.
     """
     n = g.n
     rows = g.rows
@@ -202,7 +204,11 @@ def _try_quad_completion(g: SmallGraph):
                 hit = y
                 break
         if hit is not None:
-            return (g, CASE_DIRECT,
+            # a and b are joined to hit: centre a, independent edges
+            # hit-b and c-d
+            a, b, c, d = sorted((v1, v2, v3, v4),
+                                key=lambda v: not (rows[hit] >> v) & 1)
+            return (g, (hit, c, b, d, a), CASE_DIRECT,
                     f"complete quadruple {v1},{v2},{v3},{v4} and vertex {hit} "
                     f"adjacent to two of it close the target in place")
         # every outside vertex touches at most one quad vertex
@@ -220,11 +226,11 @@ def _try_quad_completion(g: SmallGraph):
             continue
         y3 = (y3_mask & -y3_mask).bit_length() - 1
         if (rows[y3] >> v1) & 1:
-            return (g, CASE_DIRECT,
+            return (g, (y1, v2, y3, v3, v1), CASE_DIRECT,
                     f"attachment path {v1}-{y1}-{y3} returns to the quadruple "
                     f"at {v1}, closing the target in place")
         g2 = theorem2_interchange(g, v1, v2, v3, v4, y1, y2, y3)
-        return (g2, CASE_INTERCHANGE,
+        return (g2, (v3, v1, v4, y1, v2), CASE_INTERCHANGE,
                 f"interchange on quadruple {v1},{v2},{v3},{v4} with "
                 f"y1={y1}, y2={y2}, y3={y3}")
     return None
@@ -321,12 +327,14 @@ def _replay(seq: DegreeSequence, steps: list[ProofStep],
 
     # Main case: d(v2) >= 4 and minimum degree >= 3. Search realizations
     # for a complete quadruple that one of the two completions finishes.
-    for g in enumerate_realizations(seq, limit=limit):
+    # The greedy realization is the first class enumerate_realizations
+    # yields; the rest are only discovered when it does not cooperate.
+    for g in chain([_greedy_realization(seq)],
+                   islice(enumerate_realizations(seq, limit=limit), 1, None)):
         done = _try_quad_completion(g)
         if done is not None:
-            witness, case, action = done
-            emb = find_embedding(witness, bowtie)
-            if emb is None:
+            witness, emb, case, action = done
+            if not is_embedding(witness, bowtie, emb):
                 raise ReplayError(f"completion claimed by '{case}' does not "
                                   f"contain the target", steps)
             steps.append(ProofStep(case, tuple(seq), action,

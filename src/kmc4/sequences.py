@@ -6,8 +6,9 @@ level at a time, which lets the threshold sweeps upstream stop as early
 as possible. Within a level it is one depth-first walk over nonincreasing
 sequences, largest terms first. Each prefix is pruned as soon as the
 Erdos-Gallai inequality at its length fails for every possible tail, so
-most non-graphical sequences are never built. The full test then runs
-once at each leaf, which keeps the output exact.
+most non-graphical sequences are never built. Where a term is at most
+its position that prune is the exact inequality, so each leaf checks
+only the inequalities it left open, which keeps the output exact.
 """
 
 from __future__ import annotations
@@ -149,6 +150,7 @@ def graphical_sequences_with_sum(n: int, total: int,
     nxt = [0] * n
     low = [0] * n
     prefix = [0] * (n + 1)
+    prefix[n] = total
     nxt[0] = min(n - 1, total)
     low[0] = -(-total // n)  # ceil
     j = 0
@@ -167,7 +169,20 @@ def graphical_sequences_with_sum(n: int, total: int,
             continue
         terms[j] = v
         if k == n:
-            if is_graphical(terms):
+            # Where d_i <= i the bound above was exact, so inequality i
+            # holds. The others form the prefix d_i > i (so i < n - 1), and
+            # of those only the run ends d_i > d_{i+1} need checking
+            # (Tripathi and Vijay). The terms at least i are terms[:q].
+            i = 1
+            q = n
+            while terms[i - 1] > i:
+                if terms[i - 1] > terms[i]:
+                    while terms[q - 1] < i:
+                        q -= 1
+                    if prefix[i] > i * (q - 1) + total - prefix[q]:
+                        break
+                i += 1
+            else:
                 yield tuple.__new__(DegreeSequence, terms)
             continue
         prefix[k] = p

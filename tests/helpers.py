@@ -257,6 +257,27 @@ def find_embedding_unplanned(host: SmallGraph, pattern):
     return None
 
 
+def encode_graph6_by_bits(g: SmallGraph) -> str:
+    """graph6 text built one bit at a time, in the order the format
+    lists the pairs: (0,1), then (0,2), (1,2), then (0,3), ..."""
+    n = g.n
+    out = [chr(63 + n)]
+    acc = 0
+    nbits = 0
+    for j in range(1, n):
+        col = g.rows[j]
+        for i in range(j):
+            acc = (acc << 1) | ((col >> i) & 1)
+            nbits += 1
+            if nbits == 6:
+                out.append(chr(63 + acc))
+                acc = 0
+                nbits = 0
+    if nbits:
+        out.append(chr(63 + (acc << (6 - nbits))))
+    return "".join(out)
+
+
 def embedding_is_valid(host: SmallGraph, pattern, emb) -> bool:
     """Is emb an injective map into host's vertices under which every
     pattern edge is a host edge? Read straight off the bitmask rows."""

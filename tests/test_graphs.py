@@ -6,10 +6,12 @@ from random import Random
 
 import pytest
 from helpers import (brute_embedding_exists, embedding_is_valid,
-                     find_embedding_unplanned, random_graph, relabel)
+                     encode_graph6_by_bits, find_embedding_unplanned,
+                     random_graph, relabel)
 
-from kmc4 import (Graph6Error, InputError, LimitError, SmallGraph,
-                  TargetPattern, canonical_form, complement, complete_graph,
+from kmc4 import (DegreeSequence, Graph6Error, InputError, LimitError,
+                  SmallGraph, TargetPattern, canonical_form, complement,
+                  complete_graph,
                   contains_subgraph, cycle_graph, decode_graph6,
                   degree_sequence_of, delete_vertex, empty_graph,
                   encode_graph6, find_embedding, join, km_minus_c4,
@@ -81,6 +83,17 @@ class TestConstructors:
         g = join(complete_graph(2), empty_graph(4))
         assert degree_sequence_of(g) == (5, 5, 2, 2, 2, 2)
         assert g.edge_count == 9
+
+    def test_degree_sequence_of_sorts_the_bit_counts(self):
+        rng = Random(5)
+        for _ in range(200):
+            g = random_graph(rng.randint(1, 12), rng.random(), rng)
+            seq = degree_sequence_of(g)
+            assert type(seq) is DegreeSequence
+            assert seq == tuple(sorted((len(list(g.neighbors(v)))
+                                        for v in range(g.n)), reverse=True))
+        with pytest.raises(InputError, match="no degree sequence"):
+            degree_sequence_of(empty_graph(0))
 
     def test_join_keeps_first_block_first(self):
         g = join(SmallGraph(2, [(0, 1)]), empty_graph(1))
@@ -452,6 +465,25 @@ class TestGraph6:
         assert decode_graph6("A_") == complete_graph(2)
         assert decode_graph6(">>graph6<<A_") == complete_graph(2)
         assert decode_graph6("D~{") == complete_graph(5)
+
+    def test_every_graph_to_six_vertices_matches_bitwise_encoder(self):
+        for n in range(7):
+            pairs = [(i, j) for j in range(1, n) for i in range(j)]
+            for mask in range(1 << len(pairs)):
+                g = SmallGraph(n, [e for k, e in enumerate(pairs)
+                                   if (mask >> k) & 1])
+                text = encode_graph6(g)
+                assert text == encode_graph6_by_bits(g), g
+                assert decode_graph6(text) == g
+
+    def test_seeded_graphs_to_32_vertices_match_bitwise_encoder(self):
+        rng = Random(61)
+        for n in range(33):
+            for _ in range(50):
+                g = random_graph(n, rng.random(), rng)
+                text = encode_graph6(g)
+                assert text == encode_graph6_by_bits(g), g
+                assert decode_graph6(text) == g
 
     def test_round_trip_seeded(self):
         rng = Random(23)

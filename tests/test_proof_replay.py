@@ -11,6 +11,7 @@ residual sum at or above the threshold for n - 1 vertices).
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -27,6 +28,7 @@ from kmc4 import (
     base_case_sequences,
     degree_sum,
     find_embedding,
+    havel_hakimi_realize,
     is_graphical,
     is_potentially,
     km_minus_c4,
@@ -293,6 +295,81 @@ class TestCarriedEmbedding:
         assert len(switched) == 1
         # a search would still have found a bowtie in the mutated graph
         assert find_embedding(switched[0], BOWTIE) is not None
+
+
+class TestConstructedCompletion:
+    """The main case's bowtie comes from the completion that built it."""
+
+    @pytest.mark.parametrize("seq,action", [
+        ((4, 4, 4, 4, 3, 3), "complete quadruple"),
+        ((7, 4) + (3,) * 7, "attachment path"),
+        ((4,) * 8, "interchange on quadruple")])
+    def test_each_completion_builds_a_valid_embedding(self, monkeypatch,
+                                                      seq, action):
+        returned = record_returns(monkeypatch, kmc4.proof_replay,
+                                  "_try_quad_completion")
+        searched = record_returns(monkeypatch, kmc4.proof_replay,
+                                  "find_embedding")
+        trace = replay_theorem2(seq)
+        check_trace(seq, trace)
+        [(witness, emb, case, text)] = [d for d in returned if d is not None]
+        assert text.startswith(action)
+        assert (trace.steps[-1].case, trace.steps[-1].action) == (case, text)
+        assert witness == trace.outcome
+        assert embedding_is_valid(witness, BOWTIE, emb), emb
+        assert searched == []
+
+    def test_wrong_embedding_is_caught(self, monkeypatch):
+        real = kmc4.proof_replay._try_quad_completion
+
+        def swap_v1_v2(g):
+            done = real(g)
+            if done is None:
+                return None
+            witness, (v3, v1, v4, y1, v2), case, action = done
+            return witness, (v3, v2, v4, y1, v1), case, action
+
+        monkeypatch.setattr(kmc4.proof_replay, "_try_quad_completion",
+                            swap_v1_v2)
+        with pytest.raises(ReplayError, match="completion claimed by "
+                           "'interchange' does not contain the target"):
+            replay_theorem2((4,) * 8)
+
+    def test_other_realizations_only_after_the_greedy_one(self, monkeypatch):
+        real = kmc4.proof_replay.enumerate_realizations
+        yielded = []
+
+        def recording(*args, **kwargs):
+            for g in real(*args, **kwargs):
+                yielded.append(g)
+                yield g
+
+        monkeypatch.setattr(kmc4.proof_replay, "enumerate_realizations",
+                            recording)
+        # the greedy realization cooperates: no class search starts
+        check_trace((5, 5, 5, 5, 4, 4), replay_theorem2((5, 5, 5, 5, 4, 4)))
+        assert yielded == []
+        # it does not: the search resumes after its first class, the
+        # greedy realization itself
+        check_trace((4,) * 8, replay_theorem2((4,) * 8))
+        assert len(yielded) >= 2
+        assert yielded[0] == havel_hakimi_realize((4,) * 8)
+
+    def test_json_lines_frozen_for_6_to_8_vertices(self):
+        # Frozen while the main case still searched for its bowtie and
+        # for every realization class: every case, action and graph of
+        # every threshold sequence on 6 to 8 vertices is unchanged.
+        digest = hashlib.sha256()
+        count = 0
+        for n in range(6, 9):
+            for total in range(n * (n - 1), 4 * n - 5, -2):
+                for seq in graphical_sequences_with_sum(n, total):
+                    count += 1
+                    for line in replay_theorem2(seq).to_json_lines():
+                        digest.update(line.encode() + b"\n")
+        assert count == 820
+        assert digest.hexdigest() == (
+            "ba87287462b17d9f50a2ce33a2ba02d36ade0d21ea2d25c03c890d126b97c7af")
 
 
 class TestTraceFormats:

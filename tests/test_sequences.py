@@ -8,6 +8,7 @@ import pytest
 from helpers import (graphical_sequences_by_filter, gray_code_degree_map,
                      is_graphical_quadratic, nonincreasing_tuples)
 
+import kmc4.sequences
 from kmc4 import (DegreeSequence, InputError, LimitError, degree_sum,
                   enumerate_graphical_sequences,
                   graphical_sequences_with_sum, is_graphical, make_sequence)
@@ -236,3 +237,22 @@ class TestPrunedWalk:
             list(graphical_sequences_by_filter(n, total, limit))
         with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
             list(graphical_sequences_with_sum(n, total, limit))
+
+
+class TestOpenInequalityLeafCheck:
+    """Each leaf checks only the Erdos-Gallai inequalities the prune left
+    open: the run ends d_k > d_{k+1} among the terms d_k > k."""
+
+    def test_accepts_exactly_the_graphical_tuples_to_n8(self):
+        for n in range(1, 9):
+            walked = {s for total in range(0, n * (n - 1) + 1, 2)
+                      for s in graphical_sequences_with_sum(n, total)}
+            for t in nonincreasing_tuples(n, n - 1):
+                assert (t in walked) == is_graphical(t), t
+
+    def test_walk_runs_no_full_test(self, monkeypatch):
+        def refuse(seq):
+            raise AssertionError(f"full test run on {seq}")
+
+        monkeypatch.setattr(kmc4.sequences, "is_graphical", refuse)
+        assert len(list(enumerate_graphical_sequences(9, 40))) > 0
