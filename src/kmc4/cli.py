@@ -266,8 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
                         f"(default ${ENV_LIMIT} or {DEFAULT_VERTEX_LIMIT})")
     p.add_argument("--budget", type=int, default=None, metavar="K",
                    help="cap on candidates per decision (the greedy "
-                        "realization and at most three placements); a "
-                        "negative verdict cut short this way exits 3")
+                        "realization and at most three placement "
+                        "pairings; the sigma sweep counts the pairings "
+                        "only); a negative verdict cut short this way "
+                        "exits 3")
     p.add_argument("--workers", type=int, default=1, metavar="W",
                    help="worker processes for threshold sweeps")
     p.add_argument("--seed", type=int, default=None,

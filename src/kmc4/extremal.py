@@ -19,7 +19,7 @@ from .errors import BudgetExceededError, InputError, LimitError
 from .graphs import (DEFAULT_VERTEX_LIMIT, SmallGraph, empty_graph,
                      complete_graph, encode_graph6, find_embedding, join,
                      km_minus_c4)
-from .realizations import (_decide, enumerate_realizations,
+from .realizations import (_decide_sequence, enumerate_realizations,
                            havel_hakimi_realize)
 from .sequences import (DegreeSequence, degree_sum,
                         graphical_sequences_with_sum)
@@ -128,10 +128,6 @@ class SigmaReport:
         }
 
 
-def _potential_check(target, seq) -> bool:
-    return _decide(seq, target, None, None).verdict
-
-
 def sigma_exact(m: int, n: int, limit: int = DEFAULT_VERTEX_LIMIT,
                 workers: int = 1, budget: int | None = None,
                 progress=None) -> SigmaReport:
@@ -144,14 +140,15 @@ def sigma_exact(m: int, n: int, limit: int = DEFAULT_VERTEX_LIMIT,
     clean. Levels are independent, so the per-sequence checks may be
     spread over worker processes.
 
-    Each sequence goes straight to the decision core: the generator has
-    just found it graphical, n >= m holds because the lower bound is
-    defined, and n is within the limit.
+    Each sequence goes straight to the verdict-only decision on its
+    degrees, in every mode: the generator has just found it graphical,
+    n >= m holds because the lower bound is defined, and n is within the
+    limit. Only the failing sequences are realized, for their witnesses.
     """
     bound = sigma_lower_bound(m, n)
     if n > limit:
         raise LimitError(f"exact threshold limited to {limit} vertices (got {n})")
-    pattern = km_minus_c4(m)
+    decide = partial(_decide_sequence, m=m, budget=budget)
     # A budget needs the serial path so the short verdict can surface.
     pool = None
     if workers > 1 and budget is None:
@@ -165,21 +162,23 @@ def sigma_exact(m: int, n: int, limit: int = DEFAULT_VERTEX_LIMIT,
             seqs = list(graphical_sequences_with_sum(n, level, limit=limit))
             if pool is not None and len(seqs) > 1:
                 chunk = max(1, len(seqs) // (4 * workers))
-                verdicts = list(pool.map(partial(_potential_check, pattern),
-                                         seqs, chunksize=chunk))
+                results = pool.map(decide, seqs, chunksize=chunk)
             else:
-                verdicts = []
-                for s in seqs:
-                    res = _decide(s, pattern, budget, None)
-                    if not res.verdict and not res.exhausted:
+                results = map(decide, seqs)
+            failures = []
+            pairings = 0
+            for s, (verdict, explored, exhausted) in zip(seqs, results):
+                if not verdict:
+                    if not exhausted:
                         raise BudgetExceededError(
                             f"budget ran out deciding {tuple(s)} at level {level}",
-                            partial=res.explored)
-                    verdicts.append(res.verdict)
-            failures = [s for s, ok in zip(seqs, verdicts) if not ok]
+                            partial=explored)
+                    failures.append(s)
+                pairings += explored
             if progress is not None:
                 progress(f"m={m} n={n} sum={level}: "
-                         f"{len(seqs)} sequences, {len(failures)} failing")
+                         f"{len(seqs)} sequences, {len(failures)} failing, "
+                         f"{pairings} pairings")
             if failures:
                 exact = level + 2
                 assert exact % 2 == 0

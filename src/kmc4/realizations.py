@@ -36,6 +36,16 @@ degree seq[i], so it too is first read for F_m on vertices 0..m-1 in the
 same layout as a placement; only when F_m does not sit there is it
 searched for with ``find_embedding``. A negative is authoritative
 whenever every candidate was examined.
+
+A threshold sweep needs only verdicts, and ``_decide_sequence`` reaches
+the same ones on degrees alone, with no greedy candidate and no
+adjacency rows. A cycle-edge subset fits when, after the inside degrees
+are subtracted, each placed vertex can be laid off onto the largest
+outside degrees and the sorted outside residual passes Erdos-Gallai.
+K_m, the one subset every pairing shares, is tried first and once; the
+other subsets follow, most edges first. ``_placement`` runs the same
+per-subset test in index order and builds rows only for the first
+subset that fits, so a witness is the same whichever path found it.
 """
 
 from __future__ import annotations
@@ -49,7 +59,7 @@ from .errors import ContractError, LimitError
 from .graphs import (DEFAULT_VERTEX_LIMIT, MAX_VERTICES, SmallGraph,
                      TargetPattern, canonical_form, find_embedding,
                      is_embedding, km_minus_c4)
-from .sequences import DegreeSequence, is_graphical
+from .sequences import DegreeSequence, _erdos_gallai, is_graphical
 
 
 @dataclass
@@ -273,24 +283,67 @@ def _decide(seq: DegreeSequence, target: TargetPattern,
     return WitnessResult(False, None, None, explored, True)
 
 
+def _decide_sequence(seq: DegreeSequence, m: int,
+                     budget: int | None) -> tuple[bool, int, bool]:
+    """The verdict of ``_decide`` on degrees alone, with the same input
+    contract: (verdict, pairings explored, exhausted).
+
+    No greedy candidate and no adjacency rows. After the same necessary
+    condition, the first pairing tries K_m on the top m degrees, the one
+    placement every pairing shares; then the core is laid off once, and
+    each distinct pairing tries its other cycle-edge subsets, most edges
+    first. A core that does not fit rules out every pairing at once.
+    ``budget`` caps the pairings, at most 3.
+    """
+    if (m > 4 and seq[m - 5] < m - 1) or seq[m - 1] < m - 3:
+        return False, 0, True
+    explored = 0
+    out = None
+    for diagonals in _distinct_pairings(seq, m):
+        if budget is not None and explored >= budget:
+            return False, explored, False
+        explored += 1
+        if out is None:
+            rest = _lay_off_degrees(seq[m:], [d - m + 1 for d in seq[:m]])
+            if rest is not None and _erdos_gallai(rest):
+                return True, explored, False
+            out = _core_residual(seq, m)
+            if out is None:
+                return False, explored, True
+        if _first_fit(seq, m, out, diagonals, _FEWER_EDGES) is not None:
+            return True, explored, False
+    return False, explored, True
+
+
 def _candidates(seq: DegreeSequence, m: int, order_seed: int | None):
-    """None, standing for the greedy realization, then the diagonal
-    pairings of the cycle vertices m-4..m-1 in an order ``order_seed``
-    may shuffle. Two pairings that differ only by swapping vertices of
-    equal degree decide the same question, so one per pattern of degrees
-    is kept. The pairings are worked out only when the greedy
-    realization did not settle the decision."""
+    """None, standing for the greedy realization, then the distinct
+    diagonal pairings in an order ``order_seed`` may shuffle. The
+    pairings are worked out only when the greedy realization did not
+    settle the decision."""
     yield None
-    pairings = []
-    seen = set()
-    for diagonals in _pairings(m):
-        key = tuple(sorted((seq[x], seq[y]) for x, y in diagonals))
-        if key not in seen:
-            seen.add(key)
-            pairings.append(diagonals)
+    pairings = list(_distinct_pairings(seq, m))
     if order_seed is not None:
         Random(order_seed).shuffle(pairings)
     yield from pairings
+
+
+def _distinct_pairings(seq: DegreeSequence, m: int):
+    """The diagonal pairings of the cycle vertices m-4..m-1. Two that
+    differ only by swapping vertices of equal degree decide the same
+    question, so one per pattern of degrees is kept. The first is
+    yielded before any pattern is worked out."""
+    first, *rest = _pairings(m)
+    yield first
+    seen = {_degree_pattern(seq, first)}
+    for diagonals in rest:
+        key = _degree_pattern(seq, diagonals)
+        if key not in seen:
+            seen.add(key)
+            yield diagonals
+
+
+def _degree_pattern(seq: DegreeSequence, diagonals):
+    return tuple(sorted((seq[x], seq[y]) for x, y in diagonals))
 
 
 @cache
@@ -301,53 +354,101 @@ def _pairings(m: int):
     return ((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))
 
 
+# Bit i of a cycle-edge subset stands for edge i of the cycle p-r-q-s-p
+# of diagonals (p, q), (r, s); entry ``used`` holds how many of its edges
+# meet p, r, q and s.
+_CYCLE_DEGREES = tuple(((used & 1) + (used >> 3 & 1),
+                        (used & 1) + (used >> 1 & 1),
+                        (used >> 1 & 1) + (used >> 2 & 1),
+                        (used >> 2 & 1) + (used >> 3 & 1))
+                       for used in range(16))
+# The subsets short of K_m by descending edge count: the order in which
+# positives of a sweep fit soonest.
+_FEWER_EDGES = tuple(sorted(range(15), key=lambda used: -used.bit_count()))
+
+
+def _core_residual(seq: DegreeSequence, m: int) -> list[int] | None:
+    """The outside degrees seq[m:] after each core vertex is laid off
+    onto them, or None when one does not fit. A core vertex is joined to
+    the other m-1 placed vertices whatever the pairing and cycle edges,
+    so this is shared by every placement."""
+    return _lay_off_degrees(seq[m:], [seq[v] - m + 1 for v in range(m - 4)])
+
+
+def _first_fit(seq: DegreeSequence, m: int, out: list[int], diagonals,
+               order) -> int | None:
+    """The first cycle-edge subset in ``order`` with which the cycle
+    vertices of ``diagonals`` fit on the core residual ``out``, or None."""
+    (p, q), (r, s) = diagonals
+    spare = m - 3  # the core and the diagonal
+    a, b, c, d = seq[p] - spare, seq[r] - spare, seq[q] - spare, seq[s] - spare
+    for used in order:
+        ep, er, eq, es = _CYCLE_DEGREES[used]
+        rest = _lay_off_degrees(out, (a - ep, b - er, c - eq, d - es))
+        if rest is not None and _erdos_gallai(rest):
+            return used
+    return None
+
+
+def _lay_off_degrees(out, needs) -> list[int] | None:
+    """A new list: the nonincreasing outside residuals ``out`` after each
+    placed vertex's outside demand in ``needs`` is laid off onto the
+    largest of them, or None when a demand is negative or finds too few
+    positive residuals."""
+    out = list(out)
+    for k in needs:
+        if k:
+            if k < 0 or k > len(out) or not out[k - 1]:
+                return None
+            for i in range(k):
+                out[i] -= 1
+            out.sort(reverse=True)
+    return out
+
+
 def _placement(seq: DegreeSequence, m: int, diagonals):
     """A realization of seq with F_m on vertices 0..m-1, the core on
     0..m-5 and the cycle diagonals as given, with its embedding; or
     (None, None) when no such realization exists.
 
-    Tries each subset of the four cycle edges, lays each placed vertex
-    off onto the largest outside residuals, then realizes the outside
-    residual by Havel-Hakimi.
+    Takes the first cycle-edge subset in index order that fits on
+    degrees (``_first_fit``), lays each placed vertex off onto the
+    largest outside residuals, lowest index first among equals, then
+    realizes the outside residual by Havel-Hakimi.
     """
+    out = _core_residual(seq, m)
+    used = None if out is None else _first_fit(seq, m, out, diagonals, range(16))
+    if used is None:
+        return None, None
     n = seq.n
     (p, q), (r, s) = diagonals
     core = (1 << (m - 4)) - 1
     placed = (1 << m) - 1
-    base = [0] * n
+    rows = [0] * n
     for v in range(m - 4):
-        base[v] = placed ^ (1 << v)
+        rows[v] = placed ^ (1 << v)
     for u, v in diagonals:
-        base[u] = core | (1 << v)
-        base[v] = core | (1 << u)
-    cycle = ((p, r), (r, q), (q, s), (s, p))
-    outside = [(seq[w] << 5) | (31 - w) for w in range(m, n)]
-    for used in range(16):
-        rows = base.copy()
-        for bit, (u, v) in enumerate(cycle):
-            if (used >> bit) & 1:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-        keys = outside.copy()
-        for v in range(m):
-            need = seq[v] - rows[v].bit_count()
-            if need < 0 or need > len(keys):
-                break
-            if need:
-                keys.sort(reverse=True)
-                if keys[need - 1] < 32:
-                    break
-                for i in range(need):
-                    key = keys[i]
-                    w = 31 - (key & 31)
-                    rows[v] |= 1 << w
-                    rows[w] |= 1 << v
-                    keys[i] = key - 32
-        else:
-            if _lay_off(rows, keys):
-                emb = (p, r, q, s) + tuple(range(m - 4))
-                return SmallGraph._from_rows(n, rows), emb
-    return None, None
+        rows[u] = core | (1 << v)
+        rows[v] = core | (1 << u)
+    for bit, (u, v) in enumerate(((p, r), (r, q), (q, s), (s, p))):
+        if (used >> bit) & 1:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    keys = [(seq[w] << 5) | (31 - w) for w in range(m, n)]
+    for v in range(m):
+        need = seq[v] - rows[v].bit_count()
+        if need:
+            keys.sort(reverse=True)
+            for i in range(need):
+                key = keys[i]
+                w = 31 - (key & 31)
+                rows[v] |= 1 << w
+                rows[w] |= 1 << v
+                keys[i] = key - 32
+    if not _lay_off(rows, keys):
+        raise ContractError(f"placement for {tuple(seq)} ran out of "
+                            f"layoff targets")
+    return SmallGraph._from_rows(n, rows), (p, r, q, s) + tuple(range(m - 4))
 
 
 def _top_embedding(g: SmallGraph, m: int) -> tuple[int, ...] | None:

@@ -111,22 +111,34 @@ def is_graphical(seq: Iterable[int]) -> bool:
         raise InputError("degree sequence needs at least one term")
     if d[-1] < 0 or d[0] > n - 1:
         return False
-    if sum(d) % 2:
+    return _erdos_gallai(d)
+
+
+def _erdos_gallai(d: list[int]) -> bool:
+    """The Erdos-Gallai inequalities for a nonincreasing list of
+    nonnegative terms, parity included.
+
+    Stops at the first k with d_k < k: from inequality k - 1 to k the
+    left side grows by d_k and the right side by at least
+    2(k - 1) - d_k >= d_k, and every later term is below its position
+    too, so every later inequality holds.
+    """
+    if sum(d) & 1:
         return False
     # Right side of inequality k: k(k-1) + sum(min(x, k) for x in d[k:]).
-    # The terms at least k are d[:q]; q only moves left as k grows, so
-    # the sum is k per term of d[k:q] plus the suffix sum from max(k, q).
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + d[i]
-    prefix = 0
-    q = n
-    for k in range(1, n + 1):
-        prefix += d[k - 1]
-        while q > 0 and d[q - 1] < k:
+    # The terms at least k are d[:q], with q >= k while d_k >= k, so it
+    # is k(q-1) plus the sum of d[q:]; q only moves left as k grows.
+    lhs = 0
+    tail = 0
+    q = len(d)
+    for k, dk in enumerate(d, 1):
+        if dk < k:
+            return True
+        lhs += dk
+        while d[q - 1] < k:
             q -= 1
-        p = max(k, q)
-        if prefix > k * (k - 1) + k * (p - k) + suffix[p]:
+            tail += d[q]
+        if lhs > k * (q - 1) + tail:
             return False
     return True
 
@@ -165,7 +177,8 @@ def graphical_sequences_with_sum(n: int, total: int,
         rest = total - p
         # Erdos-Gallai inequality k: every later term is at most v, so the
         # tail adds at most min(rest, (n-k) * min(v, k)) to its right side.
-        if p > k * (k - 1) + min(rest, (n - k) * min(v, k)):
+        slack = p - k * (k - 1)
+        if slack > rest or slack > (n - k) * (v if v < k else k):
             continue
         terms[j] = v
         if k == n:
@@ -186,7 +199,7 @@ def graphical_sequences_with_sum(n: int, total: int,
                 yield tuple.__new__(DegreeSequence, terms)
             continue
         prefix[k] = p
-        nxt[k] = min(v, rest)
+        nxt[k] = v if v < rest else rest
         low[k] = -(-rest // (n - k))
         j = k
 

@@ -16,7 +16,7 @@ from kmc4 import (DegreeSequence, InputError, LimitError, SmallGraph,
                   TargetPattern, WitnessResult, canonical_form,
                   enumerate_realizations, find_embedding,
                   havel_hakimi_realize, is_graphical)
-from kmc4.realizations import _switch_neighbors
+from kmc4.realizations import _lay_off, _switch_neighbors
 
 
 @lru_cache(maxsize=None)
@@ -293,6 +293,51 @@ def embedding_is_valid(host: SmallGraph, pattern, emb) -> bool:
                 return False
     return True
 
+
+
+def row_by_row_placement(seq, m: int, diagonals):
+    """Reference for ``kmc4.realizations._placement``: F_m on vertices
+    0..m-1 with the given diagonals, found by building the rows of every
+    cycle-edge subset in index order 0..15 and keeping the first whose
+    lay-off goes through; (None, None) when none does."""
+    n = len(seq)
+    (p, q), (r, s) = diagonals
+    core = (1 << (m - 4)) - 1
+    placed = (1 << m) - 1
+    base = [0] * n
+    for v in range(m - 4):
+        base[v] = placed ^ (1 << v)
+    for u, v in diagonals:
+        base[u] = core | (1 << v)
+        base[v] = core | (1 << u)
+    cycle = ((p, r), (r, q), (q, s), (s, p))
+    outside = [(seq[w] << 5) | (31 - w) for w in range(m, n)]
+    for used in range(16):
+        rows = base.copy()
+        for bit, (u, v) in enumerate(cycle):
+            if (used >> bit) & 1:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+        keys = outside.copy()
+        for v in range(m):
+            need = seq[v] - rows[v].bit_count()
+            if need < 0 or need > len(keys):
+                break
+            if need:
+                keys.sort(reverse=True)
+                if keys[need - 1] < 32:
+                    break
+                for i in range(need):
+                    key = keys[i]
+                    w = 31 - (key & 31)
+                    rows[v] |= 1 << w
+                    rows[w] |= 1 << v
+                    keys[i] = key - 32
+        else:
+            if _lay_off(rows, keys):
+                emb = (p, r, q, s) + tuple(range(m - 4))
+                return SmallGraph._from_rows(n, rows), emb
+    return None, None
 
 ACCEPTANCE_LINES: list[str] = []
 

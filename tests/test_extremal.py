@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from kmc4 import (BudgetExceededError, InputError, LimitError,
@@ -136,6 +138,19 @@ class TestSigmaExact:
                                      for n in range(m, 9)])
     def test_workers_give_the_serial_report(self, m, n):
         assert sigma_exact(m, n, workers=2) == sigma_exact(m, n)
+
+    @pytest.mark.parametrize("m,n", [(4, 7), (5, 7), (6, 8)])
+    def test_workers_give_the_serial_progress(self, m, n):
+        serial, parallel = [], []
+        sigma_exact(m, n, progress=serial.append)
+        sigma_exact(m, n, workers=2, progress=parallel.append)
+        assert parallel == serial
+        assert all(re.search(r", \d+ failing, \d+ pairings$", ln)
+                   for ln in serial)
+
+    @pytest.mark.parametrize("m,n", [(4, 7), (5, 7), (6, 8), (7, 8)])
+    def test_three_pairings_are_every_candidate(self, m, n):
+        assert sigma_exact(m, n, budget=3) == sigma_exact(m, n)
 
     def test_budget_zero_aborts(self):
         with pytest.raises(BudgetExceededError) as exc:

@@ -8,7 +8,8 @@ from random import Random
 import pytest
 from helpers import (eager_realizations, embedding_is_valid,
                      gray_code_degree_map, greedy_realization_by_scan,
-                     random_graph, relabel, search_potentially)
+                     random_graph, relabel, row_by_row_placement,
+                     search_potentially)
 
 import kmc4.cli
 import kmc4.realizations
@@ -293,6 +294,66 @@ class TestExactDecision:
         with pytest.raises(ContractError, match="4-cycle"):
             is_potentially((4, 2, 2, 2, 2), target)
 
+
+
+class TestDecideSequence:
+    """The verdict-only decision the threshold sweep runs on degrees."""
+
+    @pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
+    def test_agrees_with_decide(self, m):
+        target = km_minus_c4(m)
+        decided = 0
+        for n in range(m, 10):
+            for seq in enumerate_graphical_sequences(n):
+                verdict, explored, exhausted = \
+                    kmc4.realizations._decide_sequence(seq, m, None)
+                want = kmc4.realizations._decide(seq, target, None, None)
+                assert verdict == want.verdict, seq
+                assert exhausted is not verdict, seq
+                assert explored <= 3, seq
+                decided += 1
+        assert decided > 0
+
+    @pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
+    def test_complete_graph_fits_at_once(self, m):
+        # K_m is the only realization of (m-1)^m and of no other subset
+        assert kmc4.realizations._decide_sequence(
+            DegreeSequence([m - 1] * m), m, None) == (True, 1, False)
+
+    @pytest.mark.parametrize("seq,m,budget,want", [
+        # the necessary condition fails: no pairing
+        ((3,) * 6, 5, 0, (False, 0, True)),
+        ((3,) * 6, 5, None, (False, 0, True)),
+        # three pairings; the first fails and the second fits
+        ((4, 3, 2, 1, 1, 1), 4, 0, (False, 0, False)),
+        ((4, 3, 2, 1, 1, 1), 4, 1, (False, 1, False)),
+        ((4, 3, 2, 1, 1, 1), 4, 2, (True, 2, False)),
+        ((4, 3, 2, 1, 1, 1), 4, 3, (True, 2, False)),
+        ((4, 3, 2, 1, 1, 1), 4, None, (True, 2, False)),
+        # two pairings, both fail
+        ((5, 5, 5, 4, 3, 3, 3), 6, 0, (False, 0, False)),
+        ((5, 5, 5, 4, 3, 3, 3), 6, 1, (False, 1, False)),
+        ((5, 5, 5, 4, 3, 3, 3), 6, 2, (False, 2, True)),
+        ((5, 5, 5, 4, 3, 3, 3), 6, 3, (False, 2, True)),
+        ((5, 5, 5, 4, 3, 3, 3), 6, None, (False, 2, True)),
+    ])
+    def test_budget_counts_pairings(self, seq, m, budget, want):
+        assert kmc4.realizations._decide_sequence(
+            DegreeSequence(seq), m, budget) == want
+
+    @pytest.mark.parametrize("m", [4, 5, 6])
+    def test_placement_matches_the_row_by_row_build(self, m):
+        compared = built = 0
+        for n in range(m, 9):
+            for seq in enumerate_graphical_sequences(n):
+                for diagonals in kmc4.realizations._pairings(m):
+                    g, emb = kmc4.realizations._placement(seq, m, diagonals)
+                    want_g, want_emb = row_by_row_placement(seq, m, diagonals)
+                    assert (g and g.rows, emb) == \
+                        (want_g and want_g.rows, want_emb), (seq, diagonals)
+                    compared += 1
+                    built += g is not None
+        assert 0 < built < compared
 
 def top_graph(m: int, diagonals, n: int | None = None, drop=()):
     """Vertices 0..m-1 hold a core 0..m-5 joined to everything in 0..m-1
