@@ -10,6 +10,16 @@ quadruple completed through a neighbor or a three-edge interchange.
 Each decision is recorded in a trace whose final graph is re-validated
 against the input sequence.
 
+The main case offers the completions at most two realizations, both
+built rather than searched for: the greedy one, then one with K4 on the
+four largest degrees. Some realization holds a complete quadruple
+exactly when the second exists (the clique case of the placement
+argument in ``realizations``), so no realization classes are walked.
+When neither cooperates, a fallback deviation asks ``is_potentially``.
+Up to 11 vertices only (4^6) and (4^7), which have no complete
+quadruple in any realization, end up there, directly or after deleting
+an isolated vertex.
+
 Each leaf case yields its witness together with the bowtie's position
 in it: the 5-vertex base searches for it once, the table and fallback
 cases take it from ``is_potentially``, and the hub-plus-cycle family and
@@ -23,15 +33,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
+from itertools import combinations
 
 from .errors import InputError, LimitError
 from .graphs import (DEFAULT_VERTEX_LIMIT, SmallGraph, degree_sequence_of,
                      delete_vertex, encode_graph6, find_embedding,
                      is_embedding, km_minus_c4)
 from .realizations import (_decide_sequence, _greedy_realization,
-                           enumerate_realizations, is_potentially,
-                           theorem2_interchange)
+                           _k4_on_top, is_potentially, theorem2_interchange)
 from .sequences import (DegreeSequence, degree_sum,
                         graphical_sequences_with_sum, is_graphical)
 
@@ -326,12 +335,14 @@ def _replay(seq: DegreeSequence, steps: list[ProofStep],
             "contains the target", encode_graph6(g)))
         return g, emb
 
-    # Main case: d(v2) >= 4 and minimum degree >= 3. Search realizations
-    # for a complete quadruple that one of the two completions finishes.
-    # The greedy realization is the first class enumerate_realizations
-    # yields; the rest are only discovered when it does not cooperate.
-    for g in chain([_greedy_realization(seq)],
-                   islice(enumerate_realizations(seq, limit=limit), 1, None)):
+    # Main case: d(v2) >= 4 and minimum degree >= 3. Two realizations
+    # are offered to the completions: the greedy one, then, only when it
+    # does not cooperate, one built with K4 on the four largest degrees,
+    # which exists whenever any realization holds a complete quadruple.
+    for build in (_greedy_realization, _k4_on_top):
+        g = build(seq)
+        if g is None:
+            continue
         done = _try_quad_completion(g)
         if done is not None:
             witness, emb, case, action = done
@@ -431,7 +442,10 @@ def verify_theorem2_range(n_max: int, limit: int = DEFAULT_VERTEX_LIMIT,
                     ok = False
                 if not ok:
                     replay_failures += 1
-                if not _decide_sequence(seq, 5, None)[0]:
+                # sigma_exact has decided every level from report.exact
+                # up, all positive
+                if level < report.exact and not _decide_sequence(seq, 5,
+                                                                 None)[0]:
                     agreement_failures += 1
             level -= 2
         if progress is not None:

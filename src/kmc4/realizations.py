@@ -412,9 +412,8 @@ def _placement(seq: DegreeSequence, m: int, diagonals):
     (None, None) when no such realization exists.
 
     Takes the first cycle-edge subset in index order that fits on
-    degrees (``_first_fit``), lays each placed vertex off onto the
-    largest outside residuals, lowest index first among equals, then
-    realizes the outside residual by Havel-Hakimi.
+    degrees (``_first_fit``) and finishes the rows with
+    ``_realize_around``.
     """
     out = _core_residual(seq, m)
     used = None if out is None else _first_fit(seq, m, out, diagonals, range(16))
@@ -434,11 +433,45 @@ def _placement(seq: DegreeSequence, m: int, diagonals):
         if (used >> bit) & 1:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-    keys = [(seq[w] << 5) | (31 - w) for w in range(m, n)]
-    for v in range(m):
+    g = _realize_around(seq, rows, m)
+    if g is None:
+        raise ContractError(f"placement for {tuple(seq)} ran out of "
+                            f"layoff targets")
+    return g, (p, r, q, s) + tuple(range(m - 4))
+
+
+def _k4_on_top(seq: DegreeSequence) -> SmallGraph | None:
+    """A realization of seq with K4 on vertices 0..3, or None when no
+    realization of seq contains a K4.
+
+    The clique case of the placement argument (module docstring): a K4
+    anywhere moves onto the four largest degrees by 2-switches, and
+    laying its vertices off onto the largest outside residuals loses no
+    realization. seq must be graphical with at least 4 terms.
+    """
+    rows = [0b1111 ^ (1 << v) for v in range(4)] + [0] * (seq.n - 4)
+    return _realize_around(seq, rows, 4)
+
+
+def _realize_around(seq: DegreeSequence, rows: list[int],
+                    placed: int) -> SmallGraph | None:
+    """Finish ``rows``, which hold the edges among the placed vertices
+    0..placed-1, into a realization of seq, or None when a lay-off runs
+    short.
+
+    Each placed vertex in turn is laid off onto the largest outside
+    residuals, lowest index first among equals; Havel-Hakimi then
+    realizes what is left outside.
+    """
+    keys = [(seq[w] << 5) | (31 - w) for w in range(placed, seq.n)]
+    for v in range(placed):
         need = seq[v] - rows[v].bit_count()
         if need:
+            if need < 0 or need > len(keys):
+                return None
             keys.sort(reverse=True)
+            if keys[need - 1] < 32:
+                return None
             for i in range(need):
                 key = keys[i]
                 w = 31 - (key & 31)
@@ -446,9 +479,8 @@ def _placement(seq: DegreeSequence, m: int, diagonals):
                 rows[w] |= 1 << v
                 keys[i] = key - 32
     if not _lay_off(rows, keys):
-        raise ContractError(f"placement for {tuple(seq)} ran out of "
-                            f"layoff targets")
-    return SmallGraph._from_rows(n, rows), (p, r, q, s) + tuple(range(m - 4))
+        return None
+    return SmallGraph._from_rows(seq.n, rows)
 
 
 def _top_embedding(g: SmallGraph, m: int) -> tuple[int, ...] | None:

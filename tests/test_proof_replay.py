@@ -13,11 +13,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import combinations
 
 import pytest
-from helpers import embedding_is_valid
+from helpers import eager_realizations, embedding_is_valid
 
+import kmc4.extremal
+import kmc4.graphs
 import kmc4.proof_replay
+import kmc4.realizations
 from kmc4 import (
     BaseCaseReport,
     InputError,
@@ -37,6 +41,7 @@ from kmc4 import (
     verify_base_cases,
     verify_theorem2_range,
 )
+from kmc4.realizations import _k4_on_top
 from kmc4.sequences import graphical_sequences_with_sum
 
 BOWTIE = km_minus_c4(5)
@@ -209,9 +214,12 @@ class TestCaseBranches:
 
     @pytest.mark.parametrize("n", [6, 7])
     def test_regular_fallback_deviation(self, n):
-        # No realization of the 4-regular sequence on six or seven vertices
-        # contains a complete quadruple, so the quadruple-completion search
-        # comes up empty and the recorded step is the fallback deviation.
+        # The complement of a 4-regular graph on six or seven vertices is
+        # a perfect matching or 2-regular on seven vertices, and neither
+        # has four pairwise non-adjacent vertices. So no realization
+        # contains a complete quadruple: the greedy one offers none, the
+        # K4 construction's lay-off runs short, and the recorded step is
+        # the fallback deviation.
         seq = (4,) * n
         trace = replay_theorem2(seq)
         check_trace(seq, trace)
@@ -336,29 +344,51 @@ class TestConstructedCompletion:
             replay_theorem2((4,) * 8)
 
     def test_other_realizations_only_after_the_greedy_one(self, monkeypatch):
-        real = kmc4.proof_replay.enumerate_realizations
-        yielded = []
+        built = []
+        for name in ("_greedy_realization", "_k4_on_top"):
+            real = getattr(kmc4.proof_replay, name)
 
-        def recording(*args, **kwargs):
-            for g in real(*args, **kwargs):
-                yielded.append(g)
-                yield g
+            def recording(seq, name=name, real=real):
+                g = real(seq)
+                built.append((name, g))
+                return g
 
-        monkeypatch.setattr(kmc4.proof_replay, "enumerate_realizations",
-                            recording)
-        # the greedy realization cooperates: no class search starts
+            monkeypatch.setattr(kmc4.proof_replay, name, recording)
+        # the greedy realization cooperates: nothing else is built
         check_trace((5, 5, 5, 5, 4, 4), replay_theorem2((5, 5, 5, 5, 4, 4)))
-        assert yielded == []
-        # it does not: the search resumes after its first class, the
-        # greedy realization itself
-        check_trace((4,) * 8, replay_theorem2((4,) * 8))
-        assert len(yielded) >= 2
-        assert yielded[0] == havel_hakimi_realize((4,) * 8)
+        assert [name for name, _ in built] == ["_greedy_realization"]
+        # it does not: the K4 construction comes second, and its graph
+        # is the one the interchange starts from
+        built.clear()
+        trace = replay_theorem2((4,) * 8)
+        check_trace((4,) * 8, trace)
+        assert [name for name, _ in built] == ["_greedy_realization",
+                                               "_k4_on_top"]
+        assert built[0][1] == havel_hakimi_realize((4,) * 8)
+        assert has_k4_on_top(built[1][1])
+        assert trace.steps[0].action == ("interchange on quadruple 0,1,2,3 "
+                                         "with y1=4, y2=5, y3=6")
+
+    def test_no_class_search_for_6_to_9_vertices(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the replay keyed a realization class")
+
+        monkeypatch.setattr(kmc4.graphs, "canonical_form", refuse)
+        monkeypatch.setattr(kmc4.realizations, "canonical_form", refuse)
+        count = 0
+        for n in range(6, 10):
+            for total in range(n * (n - 1), 4 * n - 5, -2):
+                for seq in graphical_sequences_with_sum(n, total):
+                    replay_theorem2(seq)
+                    count += 1
+        assert count == 3767
 
     def test_json_lines_frozen_for_6_to_8_vertices(self):
-        # Frozen while the main case still searched for its bowtie and
-        # for every realization class: every case, action and graph of
-        # every threshold sequence on 6 to 8 vertices is unchanged.
+        # Frozen once the main case built its second realization with K4
+        # on the four largest degrees instead of searching realization
+        # classes; that changed the traces of (4^8), (5,5,5,3^5),
+        # (4^6,3,3), (6,4,3^6) and (5,5,3^6). Every case, action and
+        # graph of every threshold sequence on 6 to 8 vertices is pinned.
         digest = hashlib.sha256()
         count = 0
         for n in range(6, 9):
@@ -369,7 +399,109 @@ class TestConstructedCompletion:
                         digest.update(line.encode() + b"\n")
         assert count == 820
         assert digest.hexdigest() == (
-            "ba87287462b17d9f50a2ce33a2ba02d36ade0d21ea2d25c03c890d126b97c7af")
+            "ee2335d159c34b1ae4cc02acbb95bbd50ea0158ed767d2bfd99e3efb4f7fa2df")
+
+
+def has_k4_on_top(g):
+    """Are vertices 0..3 of g pairwise adjacent? Read off the rows."""
+    return all((g.rows[u] >> v) & 1 for u, v in combinations(range(4), 2))
+
+
+def has_k4(g):
+    """Brute-force scan of every vertex quadruple for a 4-clique."""
+    return any(all(g.has_edge(u, v) for u, v in combinations(quad, 2))
+               for quad in combinations(range(g.n), 4))
+
+
+def main_case_sequences(n_max):
+    """Every graphical sequence the replay's main case could meet on 6 to
+    n_max vertices: minimum degree at least 3, second degree at least 4,
+    and not in the exceptional table."""
+    for n in range(6, n_max + 1):
+        for total in range(n * (n - 1), 3 * n - 1, -2):
+            for seq in graphical_sequences_with_sum(n, total):
+                if (seq[-1] >= 3 and seq[1] >= 4 and tuple(seq)
+                        not in kmc4.proof_replay._EXCEPTIONAL.get(n, ())):
+                    yield seq
+
+
+class TestK4OnTop:
+    def test_exact_against_the_class_walk(self):
+        count = 0
+        missing = []
+        for seq in main_case_sequences(9):
+            count += 1
+            g = _k4_on_top(seq)
+            exists = any(has_k4(h) for h in eager_realizations(seq))
+            assert (g is not None) == exists, seq
+            if g is None:
+                missing.append(tuple(seq))
+            else:
+                assert g.degrees() == tuple(seq)
+                assert has_k4_on_top(g)
+        assert count == 1095
+        assert missing == [(4,) * 6, (4,) * 7]
+
+
+# The threshold sequences on at most 9 vertices whose trace changed when
+# the main case stopped searching realization classes: each is completed,
+# at some level of its deletion chain, from the K4 construction.
+K4_COMPLETED = {
+    (4, 4, 4, 4, 4, 4, 3, 3), (4, 4, 4, 4, 4, 4, 4, 4),
+    (5, 5, 3, 3, 3, 3, 3, 3), (5, 5, 5, 3, 3, 3, 3, 3),
+    (6, 4, 3, 3, 3, 3, 3, 3),
+    (4, 4, 4, 4, 4, 4, 4, 3, 1), (4, 4, 4, 4, 4, 4, 4, 4, 0),
+    (4, 4, 4, 4, 4, 4, 4, 4, 2), (4, 4, 4, 4, 4, 4, 4, 4, 4),
+    (5, 4, 4, 4, 3, 3, 3, 3, 3), (5, 5, 4, 3, 3, 3, 3, 3, 3),
+    (5, 5, 4, 4, 4, 3, 3, 3, 3), (5, 5, 4, 4, 4, 4, 4, 4, 4),
+    (5, 5, 5, 4, 4, 3, 3, 3, 2), (5, 5, 5, 4, 4, 4, 4, 4, 3),
+    (6, 4, 4, 3, 3, 3, 3, 3, 3), (6, 5, 3, 3, 3, 3, 3, 3, 3),
+    (6, 6, 4, 3, 3, 3, 3, 3, 3), (7, 4, 3, 3, 3, 3, 3, 3, 3),
+    (7, 5, 4, 3, 3, 3, 3, 3, 3), (8, 4, 4, 3, 3, 3, 3, 3, 3),
+}
+
+
+class TestChangedTraces:
+    def test_which_traces_use_the_k4_construction(self, monkeypatch):
+        k4_graphs = record_returns(monkeypatch, kmc4.proof_replay,
+                                   "_k4_on_top")
+        returned = record_returns(monkeypatch, kmc4.proof_replay, "_replay")
+        real = kmc4.proof_replay._try_quad_completion
+        completed_from = []
+
+        def recording(g):
+            done = real(g)
+            if done is not None:
+                completed_from.append(g)
+            return done
+
+        monkeypatch.setattr(kmc4.proof_replay, "_try_quad_completion",
+                            recording)
+        served = set()
+        deviating = set()
+        for n in range(5, 10):
+            for total in range(n * (n - 1), 4 * n - 5, -2):
+                for seq in graphical_sequences_with_sum(n, total):
+                    for log in (k4_graphs, completed_from, returned):
+                        log.clear()
+                    trace = replay_theorem2(seq)
+                    seq = tuple(seq)
+                    if any(g in k4_graphs for g in completed_from):
+                        served.add(seq)
+                        check_trace(seq, trace)
+                        for g, emb in returned:
+                            assert embedding_is_valid(g, BOWTIE, emb), seq
+                    deviations = [s for s in trace.steps
+                                  if s.action.startswith("deviation:")]
+                    if deviations:
+                        deviating.add(seq)
+                        [step] = deviations
+                        assert step.sequence in {(4,) * 6, (4,) * 7}
+                        assert all(s.case == "d_n≤2 deletion"
+                                   for s in trace.steps if s is not step)
+        assert served == K4_COMPLETED
+        assert deviating == {(4,) * 6, (4,) * 7, (4,) * 6 + (0,),
+                             (4,) * 7 + (0,)}
 
 
 class TestTraceFormats:
@@ -440,6 +572,28 @@ class TestVerifyTheorem2Range:
             assert entry["replay_failures"] == 0
             assert entry["agreement_failures"] == 0
             assert entry["sequences_checked"] > 0
+
+    def test_agreement_decides_only_below_the_sweep(self, monkeypatch):
+        # sigma_exact has decided every level from its exact threshold
+        # up, so only levels below it are decided again
+        decided = record_returns(monkeypatch, kmc4.proof_replay,
+                                 "_decide_sequence")
+        assert verify_theorem2_range(7).passed
+        assert decided == []
+        real = kmc4.extremal.sigma_exact
+
+        def two_higher(m, n, **kwargs):
+            report = real(m, n, **kwargs)
+            report.exact += 2
+            return report
+
+        monkeypatch.setattr(kmc4.extremal, "sigma_exact", two_higher)
+        report = verify_theorem2_range(7)
+        assert not report.passed
+        assert [e["agreement_failures"] for e in report.entries] == [0, 0, 0]
+        assert len(decided) == sum(
+            len(list(graphical_sequences_with_sum(n, 4 * n - 4)))
+            for n in (5, 6, 7))
 
     def test_range_too_small(self):
         with pytest.raises(InputError):

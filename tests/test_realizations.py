@@ -355,6 +355,24 @@ class TestDecideSequence:
                     built += g is not None
         assert 0 < built < compared
 
+
+class TestRealizeAround:
+    @pytest.mark.parametrize("seq,built", [
+        ((4, 4, 4, 4, 2, 2), True),
+        # vertex 3 finds only zero residuals outside
+        ((5, 5, 5, 5, 2, 2, 1, 1), False),
+        # vertex 0 needs more outside vertices than there are
+        ((5, 5, 5, 5, 1), False),
+        # the placed vertices fit; Havel-Hakimi outside runs short
+        ((4, 4, 4, 4, 4, 4), False)])
+    def test_short_lay_off_gives_none(self, seq, built):
+        rows = [0b1111 ^ (1 << v) for v in range(4)] + [0] * (len(seq) - 4)
+        g = kmc4.realizations._realize_around(DegreeSequence(seq), rows, 4)
+        assert (g is not None) == built
+        if built:
+            assert g.degrees() == seq
+
+
 def top_graph(m: int, diagonals, n: int | None = None, drop=()):
     """Vertices 0..m-1 hold a core 0..m-5 joined to everything in 0..m-1
     and cycle vertices m-4..m-1 joined only along ``diagonals``; the
