@@ -15,22 +15,17 @@ from .extremal import (SigmaReport, Theorem1Report, extremal_witness,
                        sigma_exact, sigma_lower_bound, verify_conjecture,
                        verify_theorem1)
 from .graphs import (DEFAULT_VERTEX_LIMIT, MAX_VERTICES, SmallGraph,
-                     TargetPattern, canonical_form, complement,
-                     complete_graph, contains_subgraph, cycle_graph,
-                     decode_graph6, degree_sequence_of, delete_vertex,
-                     empty_graph, encode_graph6, find_embedding, join,
-                     km_minus_c4, parse_edge_text)
+                     TargetPattern, complete_graph, decode_graph6,
+                     degree_sequence_of, delete_vertex, empty_graph,
+                     encode_graph6, find_embedding, join, km_minus_c4)
 from .proof_replay import (BaseCaseReport, ProofStep, ProofTrace,
                            ReplayError, Theorem2RangeReport,
                            base_case_sequences, replay_theorem2,
                            verify_base_cases, verify_theorem2_range)
-from .realizations import (WitnessResult, enumerate_realizations,
-                           havel_hakimi_realize, is_potentially,
-                           theorem2_interchange, two_switch)
-from .sequences import (DEFAULT_LENGTH_LIMIT, DegreeSequence, degree_sum,
-                        enumerate_graphical_sequences,
-                        graphical_sequences_with_sum, is_graphical,
-                        make_sequence)
+from .realizations import (WitnessResult, havel_hakimi_realize,
+                           is_potentially, theorem2_interchange)
+from .sequences import (DEFAULT_LENGTH_LIMIT, DegreeSequence,
+                        graphical_sequences_with_sum, is_graphical)
 
 __version__ = "0.1.0"
 
@@ -55,19 +50,12 @@ __all__ = [
     "Theorem2RangeReport",
     "WitnessResult",
     "base_case_sequences",
-    "canonical_form",
-    "complement",
     "complete_graph",
-    "contains_subgraph",
-    "cycle_graph",
     "decode_graph6",
     "degree_sequence_of",
-    "degree_sum",
     "delete_vertex",
     "empty_graph",
     "encode_graph6",
-    "enumerate_graphical_sequences",
-    "enumerate_realizations",
     "extremal_witness",
     "find_embedding",
     "graphical_sequences_with_sum",
@@ -76,13 +64,10 @@ __all__ = [
     "is_potentially",
     "join",
     "km_minus_c4",
-    "make_sequence",
-    "parse_edge_text",
     "replay_theorem2",
     "sigma_exact",
     "sigma_lower_bound",
     "theorem2_interchange",
-    "two_switch",
     "verify_base_cases",
     "verify_conjecture",
     "verify_theorem1",

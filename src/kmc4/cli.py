@@ -25,7 +25,7 @@ from .graphs import (DEFAULT_VERTEX_LIMIT, MAX_VERTICES, encode_graph6,
 from .proof_replay import (ReplayError, replay_theorem2, verify_base_cases,
                            verify_theorem2_range)
 from .realizations import havel_hakimi_realize, is_potentially
-from .sequences import DegreeSequence, degree_sum, is_graphical
+from .sequences import DegreeSequence, is_graphical
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -154,7 +154,7 @@ def cmd_witness(args, cfg: RunConfig) -> int:
             "n": args.n,
             "sequence": list(seq),
             "graph6": encode_graph6(g),
-            "degree_sum": degree_sum(seq),
+            "degree_sum": sum(seq),
             "lower_bound": sigma_lower_bound(args.m, args.n),
         })
     else:

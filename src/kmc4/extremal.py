@@ -19,9 +19,8 @@ from .errors import BudgetExceededError, InputError, LimitError
 from .graphs import (DEFAULT_VERTEX_LIMIT, SmallGraph, empty_graph,
                      complete_graph, encode_graph6, find_embedding, join,
                      km_minus_c4)
-from .realizations import (_decide_sequence, enumerate_realizations,
-                           havel_hakimi_realize)
-from .sequences import (DegreeSequence, degree_sum,
+from .realizations import _decide_sequence, havel_hakimi_realize
+from .sequences import (DegreeSequence, _is_threshold,
                         graphical_sequences_with_sum)
 
 
@@ -52,7 +51,12 @@ def extremal_witness(m: int, n: int) -> tuple[SmallGraph, DegreeSequence]:
 
 @dataclass
 class Theorem1Report:
-    """Checks behind the lower bound at one (m, n)."""
+    """Checks behind the lower bound at one (m, n).
+
+    ``realization_classes`` is 1 when the witness sequence is a
+    threshold sequence, which has exactly one labeled realization, and 2
+    otherwise, standing for more than one labeled realization.
+    """
 
     m: int
     n: int
@@ -84,22 +88,24 @@ def verify_theorem1(m: int, n: int,
                     limit: int = DEFAULT_VERTEX_LIMIT) -> Theorem1Report:
     """Machine-check the lower-bound construction at one (m, n).
 
-    The witness must avoid the target, be the unique realization class of
-    its degree sequence, and have degree sum exactly bound minus two.
+    The witness must avoid the target, be the only realization of its
+    degree sequence, and have degree sum exactly bound minus two. The
+    second check is a test on degrees alone: a sequence has exactly one
+    labeled realization exactly when it is a threshold sequence (Hammer,
+    Ibaraki and Simeone 1978), and then ``realization_classes`` is 1;
+    otherwise it is 2.
     """
     g, seq = extremal_witness(m, n)
-    pattern = km_minus_c4(m)
-    classes = 0
-    for _ in enumerate_realizations(seq, limit=limit):
-        classes += 1
+    if n > limit:
+        raise LimitError(f"realization search limited to {limit} vertices (got {n})")
     return Theorem1Report(
         m=m,
         n=n,
         sequence=seq,
         witness_graph6=encode_graph6(g),
-        pattern_free=find_embedding(g, pattern) is None,
-        realization_classes=classes,
-        sum_is_bound_minus_two=(degree_sum(seq) + 2 == sigma_lower_bound(m, n)),
+        pattern_free=find_embedding(g, km_minus_c4(m)) is None,
+        realization_classes=1 if _is_threshold(seq) else 2,
+        sum_is_bound_minus_two=(sum(seq) + 2 == sigma_lower_bound(m, n)),
     )
 
 

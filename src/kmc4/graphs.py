@@ -3,9 +3,9 @@
 Adjacency is stored as one integer bitmask per vertex, which keeps every
 row in a single machine word and makes neighborhood intersection, degree
 counts, and edge toggles cheap. On top of the type live the pattern
-constructions (complete graphs, complements, joins, the complete graph
-minus a 4-cycle), injective subgraph embedding, a canonical form for
-isomorphism dedup, and the graph6 text codec.
+constructions (complete and empty graphs, joins, the complete graph
+minus a 4-cycle), vertex deletion, injective subgraph embedding and
+its check, and the graph6 text codec.
 """
 
 from __future__ import annotations
@@ -115,18 +115,6 @@ def empty_graph(k: int) -> SmallGraph:
     if k > MAX_VERTICES:
         raise LimitError(f"graphs limited to {MAX_VERTICES} vertices (got {k})")
     return SmallGraph._from_rows(k, [0] * k)
-
-
-def cycle_graph(k: int) -> SmallGraph:
-    if k < 3:
-        raise InputError(f"a cycle needs at least 3 vertices, got {k}")
-    return SmallGraph(k, [(i, (i + 1) % k) for i in range(k)])
-
-
-def complement(g: SmallGraph) -> SmallGraph:
-    full = (1 << g.n) - 1
-    return SmallGraph._from_rows(
-        g.n, [(full ^ row) & ~(1 << v) for v, row in enumerate(g.rows)])
 
 
 def join(g1: SmallGraph, g2: SmallGraph) -> SmallGraph:
@@ -265,129 +253,6 @@ def _pattern_edges(pattern: SmallGraph) -> tuple[tuple[int, int], ...]:
     return tuple(pattern.edges())
 
 
-def contains_subgraph(host: SmallGraph, pattern) -> bool:
-    return find_embedding(host, pattern) is not None
-
-
-# ----------------------------------------------------------------------
-# Canonical form
-# ----------------------------------------------------------------------
-
-def _refine_colors(nbrs) -> list[int]:
-    """Iterated neighbor-multiset refinement starting from degrees.
-
-    ``nbrs`` holds each vertex's neighbor list. Color ids are ranks of
-    sorted signature keys, so the final coloring is invariant under
-    relabeling. A discrete coloring cannot split further, so refinement
-    stops there without another round.
-    """
-    degs = [len(nb) for nb in nbrs]
-    sig = sorted(set(degs))
-    rank = {d: i for i, d in enumerate(sig)}
-    colors = [rank[d] for d in degs]
-    ncells = len(sig)
-    while ncells < len(nbrs):
-        sigs = [(c, tuple(sorted([colors[u] for u in nb])))
-                for c, nb in zip(colors, nbrs)]
-        keys = sorted(set(sigs))
-        if len(keys) == ncells:
-            break
-        rank2 = {s: i for i, s in enumerate(keys)}
-        colors = [rank2[s] for s in sigs]
-        ncells = len(keys)
-    return colors
-
-
-def canonical_form(g: SmallGraph, limit: int = DEFAULT_VERTEX_LIMIT) -> bytes:
-    """Canonical byte string: equal exactly for isomorphic graphs.
-
-    Minimum adjacency encoding over all vertex orderings compatible with
-    the refined degree partition, found by branch-and-bound. Twins
-    (vertices whose neighbourhoods agree apart from each other) are
-    interchanged by an automorphism that fixes every other vertex, so at
-    each position only one unplaced member of a twin class is tried: the
-    skipped subtrees are images of the tried one and hold the same
-    encodings. The search space is therefore the product of the cell
-    factorials after each cell is quotiented by its twin classes, which
-    makes complete, empty, star and complete multipartite graphs cheap;
-    the limit guards the worst case of large cells without twins.
-    """
-    n = g.n
-    if n > limit:
-        raise LimitError(f"canonical form limited to {limit} vertices (got {n})")
-    if n == 0:
-        return b"\x00"
-    rows = g.rows
-    nbrs = [list(_bits(r)) for r in rows]
-    colors = _refine_colors(nbrs)
-    by_color: dict[int, list[int]] = {}
-    for v in range(n):
-        by_color.setdefault(colors[v], []).append(v)
-    blocks = [by_color[c] for c in sorted(by_color)]
-
-    # twin[v] is the least vertex of v's twin class. Non-adjacent twins
-    # share their open neighbourhood and adjacent ones their closed one;
-    # a class of three or more is all of one kind, so the first vertex
-    # seen with v's open or closed row is the least member of v's class.
-    twin = []
-    first_open: dict[int, int] = {}
-    first_closed: dict[int, int] = {}
-    for v, row in enumerate(rows):
-        u = first_open.setdefault(row, v)
-        if u == v:
-            u = first_closed.setdefault(row | 1 << v, v)
-        twin.append(u)
-
-    block_at_pos: list[int] = []
-    for i, blk in enumerate(blocks):
-        block_at_pos.extend([i] * len(blk))
-    INF = 1 << (n + 1)
-    best = [INF] * n
-    cur = [0] * n
-    placed = [False] * n
-    # adjacency bits of each vertex toward already placed positions
-    adjbits = [0] * n
-
-    def descend(pos: int):
-        if pos == n:
-            best[:] = cur
-            return
-        cands = []
-        classes = 0
-        for v in blocks[block_at_pos[pos]]:
-            if not placed[v] and not (classes >> twin[v]) & 1:
-                classes |= 1 << twin[v]
-                cands.append(v)
-        cands.sort(key=adjbits.__getitem__)
-        bit = 1 << pos
-        for v in cands:
-            chunk = adjbits[v]
-            if chunk > best[pos]:
-                break
-            if chunk < best[pos]:
-                best[pos] = chunk
-                for k in range(pos + 1, n):
-                    best[k] = INF
-            cur[pos] = chunk
-            placed[v] = True
-            touched = [w for w in nbrs[v] if not placed[w]]
-            for w in touched:
-                adjbits[w] |= bit
-            descend(pos + 1)
-            for w in touched:
-                adjbits[w] ^= bit
-            placed[v] = False
-
-    descend(0)
-    acc = 0
-    shift = 0
-    for pos, chunk in enumerate(best):
-        acc |= chunk << shift
-        shift += pos
-    nbytes = max(1, (shift + 7) // 8)
-    return bytes([n]) + acc.to_bytes(nbytes, "little")
-
-
 # ----------------------------------------------------------------------
 # graph6 codec
 # ----------------------------------------------------------------------
@@ -467,25 +332,3 @@ def decode_graph6(text: str) -> SmallGraph:
                 raise Graph6Error("nonzero padding bits", offset=1 + k)
             bit_index += 1
     return SmallGraph._from_rows(n, rows)
-
-
-def parse_edge_text(text: str, n: int | None = None) -> SmallGraph:
-    """Build a graph from ``u-v`` pairs separated by spaces or commas.
-
-    Vertex count defaults to one past the largest endpoint mentioned.
-    """
-    edges = []
-    hi = -1
-    for tok in text.replace(",", " ").split():
-        a, sep, b = tok.partition("-")
-        if not sep:
-            raise InputError(f"bad edge token {tok!r}, expected u-v")
-        try:
-            u, v = int(a), int(b)
-        except ValueError:
-            raise InputError(f"bad edge token {tok!r}") from None
-        edges.append((u, v))
-        hi = max(hi, u, v)
-    if n is None:
-        n = hi + 1
-    return SmallGraph(n, edges)

@@ -15,14 +15,14 @@ built rather than searched for: the greedy one, then one with K4 on the
 four largest degrees. Some realization holds a complete quadruple
 exactly when the second exists (the clique case of the placement
 argument in ``realizations``), so no realization classes are walked.
-When neither cooperates, a fallback deviation asks ``is_potentially``.
-Up to 11 vertices only (4^6) and (4^7), which have no complete
-quadruple in any realization, end up there, directly or after deleting
-an isolated vertex.
+(4^6) and (4^7) have no complete quadruple in any realization, so they
+sit in the table instead. Up to 14 vertices every other main-case
+sequence is completed from one of the two; when neither cooperates the
+replay fails with ``ReplayError``.
 
 Each leaf case yields its witness together with the bowtie's position
-in it: the 5-vertex base searches for it once, the table and fallback
-cases take it from ``is_potentially``, and the hub-plus-cycle family and
+in it: the 5-vertex base searches for it once, the table case takes it
+from ``is_potentially``, and the hub-plus-cycle family and
 the quadruple completions have it by construction. Re-attaching a deleted
 vertex only appends a vertex and adds edges, so that position carries
 up unchanged; every deletion level and the final outcome check it edge
@@ -41,8 +41,8 @@ from .graphs import (DEFAULT_VERTEX_LIMIT, SmallGraph, degree_sequence_of,
                      is_embedding, km_minus_c4)
 from .realizations import (_decide_sequence, _greedy_realization,
                            _k4_on_top, is_potentially, theorem2_interchange)
-from .sequences import (DegreeSequence, degree_sum,
-                        graphical_sequences_with_sum, is_graphical)
+from .sequences import (DegreeSequence, graphical_sequences_with_sum,
+                        is_graphical)
 
 CASE_BASE5 = "q≥8 (n=5)"
 CASE_DELETION = "d_n≤2 deletion"
@@ -51,11 +51,21 @@ CASE_FAMILY = "d(v2)=3 sequence"
 CASE_INTERCHANGE = "interchange"
 CASE_DIRECT = "direct-adjacency"
 
-# Sequences the induction cannot reduce; handled by direct search.
-_EXCEPTIONAL = {
-    6: {(5, 3, 3, 3, 3, 3), (4, 4, 3, 3, 3, 3), (5, 5, 5, 5, 5, 5)},
-    7: {(6, 3, 3, 3, 3, 3, 3), (5, 4, 3, 3, 3, 3, 3), (4, 4, 4, 3, 3, 3, 3)},
-}
+# The sequences the induction cannot reduce, handled by direct search,
+# as (n, sequence) in the order ``verify base-cases`` reports them. No
+# realization of (4^6) or (4^7) has a complete quadruple, so the main
+# case has nothing to complete for either.
+_EXCEPTIONAL_CASES = (
+    (6, DegreeSequence((5, 3, 3, 3, 3, 3))),
+    (6, DegreeSequence((4, 4, 3, 3, 3, 3))),
+    (6, DegreeSequence((5, 5, 5, 5, 5, 5))),
+    (6, DegreeSequence((4, 4, 4, 4, 4, 4))),
+    (7, DegreeSequence((6, 3, 3, 3, 3, 3, 3))),
+    (7, DegreeSequence((5, 4, 3, 3, 3, 3, 3))),
+    (7, DegreeSequence((4, 4, 4, 3, 3, 3, 3))),
+    (7, DegreeSequence((4, 4, 4, 4, 4, 4, 4))),
+)
+_EXCEPTIONAL = frozenset(seq for _, seq in _EXCEPTIONAL_CASES)
 
 
 class ReplayError(RuntimeError):
@@ -107,14 +117,7 @@ def base_case_sequences(family_n: int | None = None
                         ) -> list[tuple[int, DegreeSequence]]:
     """The fixed sequences the induction bottoms out on, plus the
     hub-plus-cycle family instantiated at ``family_n`` when given."""
-    fixed = [
-        (6, DegreeSequence((5, 3, 3, 3, 3, 3))),
-        (6, DegreeSequence((4, 4, 3, 3, 3, 3))),
-        (6, DegreeSequence((5, 5, 5, 5, 5, 5))),
-        (7, DegreeSequence((6, 3, 3, 3, 3, 3, 3))),
-        (7, DegreeSequence((5, 4, 3, 3, 3, 3, 3))),
-        (7, DegreeSequence((4, 4, 4, 3, 3, 3, 3))),
-    ]
+    fixed = list(_EXCEPTIONAL_CASES)
     if family_n is not None:
         if family_n < 5:
             raise InputError(f"family needs n >= 5, got {family_n}")
@@ -272,9 +275,9 @@ def _replay(seq: DegreeSequence, steps: list[ProofStep],
         v = n - 1  # greedy realization puts the minimum degree last
         attach = [g.degree(w) - 1 for w in g.neighbors(v)]
         residual = degree_sequence_of(delete_vertex(g, v))
-        if degree_sum(residual) < 4 * (n - 1) - 4:
+        if sum(residual) < 4 * (n - 1) - 4:
             raise ReplayError(
-                f"residual sum {degree_sum(residual)} below threshold "
+                f"residual sum {sum(residual)} below threshold "
                 f"after deleting degree {seq[-1]}", steps)
         steps.append(ProofStep(
             CASE_DELETION, tuple(seq),
@@ -295,7 +298,7 @@ def _replay(seq: DegreeSequence, steps: list[ProofStep],
             f"{sorted(attach, reverse=True)}", encode_graph6(out)))
         return out, emb
 
-    if n in _EXCEPTIONAL and tuple(seq) in _EXCEPTIONAL[n]:
+    if seq in _EXCEPTIONAL:
         res = is_potentially(seq, bowtie, limit=limit)
         if not res.verdict:
             raise ReplayError(
@@ -311,7 +314,7 @@ def _replay(seq: DegreeSequence, steps: list[ProofStep],
         expected = (n - 1,) + (3,) * (n - 1)
         if tuple(seq) != expected:
             raise ReplayError(
-                f"second degree 3 with sum {degree_sum(seq)} should force "
+                f"second degree 3 with sum {sum(seq)} should force "
                 f"{expected}, got {tuple(seq)}", steps)
         rows = [0] * n
         rim = list(range(1, n))
@@ -352,14 +355,6 @@ def _replay(seq: DegreeSequence, steps: list[ProofStep],
             steps.append(ProofStep(case, tuple(seq), action,
                                    encode_graph6(witness)))
             return witness, emb
-    res = is_potentially(seq, bowtie, limit=limit)
-    if res.verdict:
-        steps.append(ProofStep(
-            CASE_INTERCHANGE, tuple(seq),
-            "deviation: no realization offered a usable quadruple; "
-            f"fallback search found a witness after {res.explored} candidates",
-            encode_graph6(res.witness)))
-        return res.witness, res.embedding
     raise ReplayError(f"every proof case failed for {tuple(seq)}", steps)
 
 
@@ -379,9 +374,9 @@ def replay_theorem2(seq, limit: int = DEFAULT_VERTEX_LIMIT) -> ProofTrace:
         raise LimitError(f"replay limited to {limit} vertices (got {n})")
     if not is_graphical(seq):
         raise InputError(f"sequence {tuple(seq)} is not graphical")
-    if degree_sum(seq) < 4 * n - 4:
+    if sum(seq) < 4 * n - 4:
         raise InputError(
-            f"degree sum {degree_sum(seq)} below threshold {4 * n - 4}")
+            f"degree sum {sum(seq)} below threshold {4 * n - 4}")
     steps: list[ProofStep] = []
     out, emb = _replay(seq, steps, limit)
     if degree_sequence_of(out) != seq:

@@ -1,16 +1,15 @@
 """Realizations of degree sequences and the F_m decision.
 
-The greedy construction gives one realization; every other realization
-is reachable from it by 2-switches (remove two disjoint edges, reconnect
-the four endpoints the other way), and that classical fact makes the
-breadth-first closure in ``enumerate_realizations`` an exhaustive
-enumeration of realization classes.
+The greedy construction (Havel-Hakimi) gives one realization. Any two
+realizations of a sequence are joined by 2-switches: remove two disjoint
+edges and reconnect the four endpoints the other way, which keeps every
+degree. Nothing here walks those switches; they are the argument that
+makes a few built realizations enough.
 
 ``is_potentially`` asks whether some realization contains F_m, the
 complete graph K_m minus a 4-cycle: a core of m-4 vertices joined to
 everything, and four cycle vertices that keep only their two diagonals.
-It needs no class search, because the same 2-switch settles where F_m
-may sit:
+The 2-switch settles where F_m may sit:
 
 - F_m can sit on the m largest degrees. Suppose F_m sits on S, u is in
   S, w is not, and d(w) >= d(u). Pair each a in N(u) minus N[w] with a
@@ -50,15 +49,14 @@ subset that fits, so a witness is the same whichever path found it.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cache
 from random import Random
 
 from .errors import ContractError, LimitError
 from .graphs import (DEFAULT_VERTEX_LIMIT, MAX_VERTICES, SmallGraph,
-                     TargetPattern, canonical_form, find_embedding,
-                     is_embedding, km_minus_c4)
+                     TargetPattern, find_embedding, is_embedding,
+                     km_minus_c4)
 from .sequences import DegreeSequence, _erdos_gallai, is_graphical
 
 
@@ -127,101 +125,6 @@ def _lay_off(rows: list[int], keys: list[int]) -> bool:
             keys[i] = key - 32
         keys = [key for key in keys[1:] if key >= 32]
     return True
-
-
-def two_switch(g: SmallGraph, a: int, b: int, c: int, d: int) -> SmallGraph:
-    """Replace edges a-b and c-d with a-c and b-d.
-
-    Degrees are untouched. Preconditions are checked and violations name
-    the failing pair.
-    """
-    if len({a, b, c, d}) != 4:
-        raise ContractError(f"switch vertices ({a},{b},{c},{d}) are not distinct")
-    for u, v in ((a, b), (c, d)):
-        if not (0 <= u < g.n and 0 <= v < g.n):
-            raise ContractError(f"vertex pair ({u},{v}) out of range for n={g.n}")
-        if not g.has_edge(u, v):
-            raise ContractError(f"required edge {u}-{v} is absent")
-    for u, v in ((a, c), (b, d)):
-        if g.has_edge(u, v):
-            raise ContractError(f"required non-edge {u}-{v} is present")
-    return _switched(g, a, b, c, d)
-
-
-def _switched(g: SmallGraph, a: int, b: int, c: int, d: int) -> SmallGraph:
-    rows = list(g.rows)
-    rows[a] ^= (1 << b) | (1 << c)
-    rows[b] ^= (1 << a) | (1 << d)
-    rows[c] ^= (1 << d) | (1 << a)
-    rows[d] ^= (1 << c) | (1 << b)
-    return SmallGraph._from_rows(g.n, rows)
-
-
-def _switch_neighbors(g: SmallGraph) -> list[SmallGraph]:
-    """All graphs one valid 2-switch away, in a fixed order, deduplicated."""
-    rows = g.rows
-    edges = g.edges()
-    out = []
-    seen = set()
-    for i in range(len(edges)):
-        a, b = edges[i]
-        for j in range(i + 1, len(edges)):
-            c, d = edges[j]
-            if c == a or c == b or d == a or d == b:
-                continue
-            if not ((rows[a] >> c) & 1) and not ((rows[b] >> d) & 1):
-                h = _switched(g, a, b, c, d)
-                if h.rows not in seen:
-                    seen.add(h.rows)
-                    out.append(h)
-            if not ((rows[a] >> d) & 1) and not ((rows[b] >> c) & 1):
-                h = _switched(g, a, b, d, c)
-                if h.rows not in seen:
-                    seen.add(h.rows)
-                    out.append(h)
-    return out
-
-
-def enumerate_realizations(seq, limit: int = DEFAULT_VERTEX_LIMIT,
-                           max_classes: int | None = None,
-                           order_seed: int | None = None):
-    """One representative per isomorphism class of realizations.
-
-    Breadth-first closure of the greedy realization under 2-switches,
-    deduplicated by canonical form. Classes are yielded in discovery
-    order: the greedy start first, then each neighbour as soon as its
-    key turns out to be new, so the queue holds classes already yielded
-    but not yet expanded. A caller that stops early has keyed only the
-    neighbours scanned before it stopped; the start itself is keyed
-    when expansion begins. ``order_seed`` shuffles expansion order (the
-    class set must not depend on it). ``max_classes`` is a guard: the
-    generator yields that many classes, and on finding one more raises
-    with the partial count.
-    """
-    seq = DegreeSequence(seq)
-    if not is_graphical(seq):
-        raise ContractError(f"sequence {tuple(seq)} is not graphical")
-    if seq.n > limit:
-        raise LimitError(f"realization search limited to {limit} vertices (got {seq.n})")
-    rng = Random(order_seed) if order_seed is not None else None
-    g = _greedy_realization(seq)
-    yield g
-    seen = {canonical_form(g, limit)}
-    queue = deque([g])
-    while queue:
-        nbrs = _switch_neighbors(queue.popleft())
-        if rng is not None:
-            rng.shuffle(nbrs)
-        for h in nbrs:
-            key = canonical_form(h, limit)
-            if key not in seen:
-                if max_classes is not None and len(seen) >= max_classes:
-                    raise LimitError(
-                        f"realization classes exceed cap {max_classes}",
-                        partial=len(seen))
-                seen.add(key)
-                queue.append(h)
-                yield h
 
 
 def is_potentially(seq, target: TargetPattern,

@@ -1,7 +1,9 @@
 """Degree sequences: normalization, graphicality, exhaustive enumeration.
 
 A sequence is graphical when some simple graph realizes it; the test is
-the Erdos-Gallai system of inequalities. Enumeration goes one degree-sum
+the Erdos-Gallai system of inequalities. The same inequalities, held
+with equality, pick out the threshold sequences: those with exactly one
+labeled realization. Enumeration goes one degree-sum
 level at a time, which lets the threshold sweeps upstream stop as early
 as possible. Within a level it is one depth-first walk over nonincreasing
 sequences, largest terms first. Each prefix is pruned as soon as the
@@ -93,16 +95,6 @@ class DegreeSequence(tuple):
         return ",".join(parts)
 
 
-def make_sequence(values: Iterable[int]) -> DegreeSequence:
-    """Build a normalized degree sequence from arbitrary integer order."""
-    return DegreeSequence(values)
-
-
-def degree_sum(seq: Iterable[int]) -> int:
-    """Sum of the terms (twice the edge count of any realization)."""
-    return sum(seq)
-
-
 def is_graphical(seq: Iterable[int]) -> bool:
     """Erdos-Gallai test: does some simple graph realize the sequence?"""
     d = sorted(seq, reverse=True)
@@ -139,6 +131,24 @@ def _erdos_gallai(d: list[int]) -> bool:
             q -= 1
             tail += d[q]
         if lhs > k * (q - 1) + tail:
+            return False
+    return True
+
+
+def _is_threshold(d) -> bool:
+    """Does the graphical nonincreasing sequence d have exactly one
+    labeled realization?
+
+    Hammer, Ibaraki and Simeone (1978): exactly when d is a threshold
+    sequence, that is when the Erdos-Gallai inequality holds with
+    equality for every k up to max{k : d_k >= k - 1}.
+    """
+    lhs = 0
+    for k, dk in enumerate(d, 1):
+        if dk < k - 1:
+            break
+        lhs += dk
+        if lhs != k * (k - 1) + sum(min(x, k) for x in d[k:]):
             return False
     return True
 
@@ -202,23 +212,3 @@ def graphical_sequences_with_sum(n: int, total: int,
         nxt[k] = v if v < rest else rest
         low[k] = -(-rest // (n - k))
         j = k
-
-
-def enumerate_graphical_sequences(n: int, min_sum: int = 0,
-                                  limit: int = DEFAULT_LENGTH_LIMIT) -> Iterator[DegreeSequence]:
-    """Every graphical n-term sequence with degree sum >= min_sum, once each.
-
-    Zero terms are allowed. Order is deterministic: degree sum descending,
-    then descending lexicographic within a sum level, so threshold sweeps
-    can stop at the first interesting level.
-    """
-    if n < 1:
-        raise InputError(f"need at least one term, got n={n}")
-    if n > limit:
-        raise LimitError(f"sequence enumeration limited to {limit} terms (got {n})")
-    if min_sum < 0 or min_sum > n * (n - 1):
-        raise InputError(f"min_sum {min_sum} out of range for n={n}")
-    total = n * (n - 1)
-    while total >= min_sum:
-        yield from graphical_sequences_with_sum(n, total, limit)
-        total -= 2

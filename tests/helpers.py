@@ -1,8 +1,14 @@
 """Oracles for the tests, built from first principles.
 
-Everything here recomputes ground truth by brute force over raw edge
-sets and bitmasks, independent of the library's search and canonical
-machinery, so the two can be compared honestly.
+Most of what is here recomputes ground truth by brute force over raw
+edge sets and bitmasks, independent of the library's decision
+machinery, so the two can be compared honestly. The 2-switch class
+search is the exhaustive oracle for realizations:
+``enumerate_realizations`` walks every isomorphism class of
+realizations of a sequence, keyed by ``canonical_form``, which the
+library never does, and ``search_potentially`` and
+``eager_realizations`` are built on it. These live only here, with a
+few small constructors the library has no use for.
 """
 
 from __future__ import annotations
@@ -12,11 +18,281 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from random import Random
 
-from kmc4 import (DegreeSequence, InputError, LimitError, SmallGraph,
-                  TargetPattern, WitnessResult, canonical_form,
-                  enumerate_realizations, find_embedding,
-                  havel_hakimi_realize, is_graphical)
-from kmc4.realizations import _lay_off, _switch_neighbors
+from kmc4 import (DEFAULT_LENGTH_LIMIT, DEFAULT_VERTEX_LIMIT, ContractError,
+                  DegreeSequence, InputError, LimitError, SmallGraph,
+                  TargetPattern, WitnessResult, find_embedding,
+                  graphical_sequences_with_sum, havel_hakimi_realize,
+                  is_graphical)
+from kmc4.graphs import _bits
+from kmc4.realizations import _greedy_realization, _lay_off
+
+
+def cycle_graph(k: int) -> SmallGraph:
+    if k < 3:
+        raise InputError(f"a cycle needs at least 3 vertices, got {k}")
+    return SmallGraph(k, [(i, (i + 1) % k) for i in range(k)])
+
+
+def complement(g: SmallGraph) -> SmallGraph:
+    full = (1 << g.n) - 1
+    return SmallGraph._from_rows(
+        g.n, [(full ^ row) & ~(1 << v) for v, row in enumerate(g.rows)])
+
+
+def contains_subgraph(host: SmallGraph, pattern) -> bool:
+    return find_embedding(host, pattern) is not None
+
+
+def _refine_colors(nbrs) -> list[int]:
+    """Iterated neighbor-multiset refinement starting from degrees.
+
+    ``nbrs`` holds each vertex's neighbor list. Color ids are ranks of
+    sorted signature keys, so the final coloring is invariant under
+    relabeling. A discrete coloring cannot split further, so refinement
+    stops there without another round.
+    """
+    degs = [len(nb) for nb in nbrs]
+    sig = sorted(set(degs))
+    rank = {d: i for i, d in enumerate(sig)}
+    colors = [rank[d] for d in degs]
+    ncells = len(sig)
+    while ncells < len(nbrs):
+        sigs = [(c, tuple(sorted([colors[u] for u in nb])))
+                for c, nb in zip(colors, nbrs)]
+        keys = sorted(set(sigs))
+        if len(keys) == ncells:
+            break
+        rank2 = {s: i for i, s in enumerate(keys)}
+        colors = [rank2[s] for s in sigs]
+        ncells = len(keys)
+    return colors
+
+
+def canonical_form(g: SmallGraph, limit: int = DEFAULT_VERTEX_LIMIT) -> bytes:
+    """Canonical byte string: equal exactly for isomorphic graphs.
+
+    Minimum adjacency encoding over all vertex orderings compatible with
+    the refined degree partition, found by branch-and-bound. Twins
+    (vertices whose neighbourhoods agree apart from each other) are
+    interchanged by an automorphism that fixes every other vertex, so at
+    each position only one unplaced member of a twin class is tried: the
+    skipped subtrees are images of the tried one and hold the same
+    encodings. The search space is therefore the product of the cell
+    factorials after each cell is quotiented by its twin classes, which
+    makes complete, empty, star and complete multipartite graphs cheap;
+    the limit guards the worst case of large cells without twins.
+    """
+    n = g.n
+    if n > limit:
+        raise LimitError(f"canonical form limited to {limit} vertices (got {n})")
+    if n == 0:
+        return b"\x00"
+    rows = g.rows
+    nbrs = [list(_bits(r)) for r in rows]
+    colors = _refine_colors(nbrs)
+    by_color: dict[int, list[int]] = {}
+    for v in range(n):
+        by_color.setdefault(colors[v], []).append(v)
+    blocks = [by_color[c] for c in sorted(by_color)]
+
+    # twin[v] is the least vertex of v's twin class. Non-adjacent twins
+    # share their open neighbourhood and adjacent ones their closed one;
+    # a class of three or more is all of one kind, so the first vertex
+    # seen with v's open or closed row is the least member of v's class.
+    twin = []
+    first_open: dict[int, int] = {}
+    first_closed: dict[int, int] = {}
+    for v, row in enumerate(rows):
+        u = first_open.setdefault(row, v)
+        if u == v:
+            u = first_closed.setdefault(row | 1 << v, v)
+        twin.append(u)
+
+    block_at_pos: list[int] = []
+    for i, blk in enumerate(blocks):
+        block_at_pos.extend([i] * len(blk))
+    INF = 1 << (n + 1)
+    best = [INF] * n
+    cur = [0] * n
+    placed = [False] * n
+    # adjacency bits of each vertex toward already placed positions
+    adjbits = [0] * n
+
+    def descend(pos: int):
+        if pos == n:
+            best[:] = cur
+            return
+        cands = []
+        classes = 0
+        for v in blocks[block_at_pos[pos]]:
+            if not placed[v] and not (classes >> twin[v]) & 1:
+                classes |= 1 << twin[v]
+                cands.append(v)
+        cands.sort(key=adjbits.__getitem__)
+        bit = 1 << pos
+        for v in cands:
+            chunk = adjbits[v]
+            if chunk > best[pos]:
+                break
+            if chunk < best[pos]:
+                best[pos] = chunk
+                for k in range(pos + 1, n):
+                    best[k] = INF
+            cur[pos] = chunk
+            placed[v] = True
+            touched = [w for w in nbrs[v] if not placed[w]]
+            for w in touched:
+                adjbits[w] |= bit
+            descend(pos + 1)
+            for w in touched:
+                adjbits[w] ^= bit
+            placed[v] = False
+
+    descend(0)
+    acc = 0
+    shift = 0
+    for pos, chunk in enumerate(best):
+        acc |= chunk << shift
+        shift += pos
+    nbytes = max(1, (shift + 7) // 8)
+    return bytes([n]) + acc.to_bytes(nbytes, "little")
+
+
+def parse_edge_text(text: str, n: int | None = None) -> SmallGraph:
+    """Build a graph from ``u-v`` pairs separated by spaces or commas.
+
+    Vertex count defaults to one past the largest endpoint mentioned.
+    """
+    edges = []
+    hi = -1
+    for tok in text.replace(",", " ").split():
+        a, sep, b = tok.partition("-")
+        if not sep:
+            raise InputError(f"bad edge token {tok!r}, expected u-v")
+        try:
+            u, v = int(a), int(b)
+        except ValueError:
+            raise InputError(f"bad edge token {tok!r}") from None
+        edges.append((u, v))
+        hi = max(hi, u, v)
+    if n is None:
+        n = hi + 1
+    return SmallGraph(n, edges)
+
+
+def enumerate_graphical_sequences(n: int, min_sum: int = 0,
+                                  limit: int = DEFAULT_LENGTH_LIMIT) -> Iterator[DegreeSequence]:
+    """Every graphical n-term sequence with degree sum >= min_sum, once each.
+
+    Zero terms are allowed. Order is deterministic: degree sum descending,
+    then descending lexicographic within a sum level, so threshold sweeps
+    can stop at the first interesting level.
+    """
+    if n < 1:
+        raise InputError(f"need at least one term, got n={n}")
+    if n > limit:
+        raise LimitError(f"sequence enumeration limited to {limit} terms (got {n})")
+    if min_sum < 0 or min_sum > n * (n - 1):
+        raise InputError(f"min_sum {min_sum} out of range for n={n}")
+    total = n * (n - 1)
+    while total >= min_sum:
+        yield from graphical_sequences_with_sum(n, total, limit)
+        total -= 2
+
+
+def two_switch(g: SmallGraph, a: int, b: int, c: int, d: int) -> SmallGraph:
+    """Replace edges a-b and c-d with a-c and b-d.
+
+    Degrees are untouched. Preconditions are checked and violations name
+    the failing pair.
+    """
+    if len({a, b, c, d}) != 4:
+        raise ContractError(f"switch vertices ({a},{b},{c},{d}) are not distinct")
+    for u, v in ((a, b), (c, d)):
+        if not (0 <= u < g.n and 0 <= v < g.n):
+            raise ContractError(f"vertex pair ({u},{v}) out of range for n={g.n}")
+        if not g.has_edge(u, v):
+            raise ContractError(f"required edge {u}-{v} is absent")
+    for u, v in ((a, c), (b, d)):
+        if g.has_edge(u, v):
+            raise ContractError(f"required non-edge {u}-{v} is present")
+    return _switched(g, a, b, c, d)
+
+
+def _switched(g: SmallGraph, a: int, b: int, c: int, d: int) -> SmallGraph:
+    rows = list(g.rows)
+    rows[a] ^= (1 << b) | (1 << c)
+    rows[b] ^= (1 << a) | (1 << d)
+    rows[c] ^= (1 << d) | (1 << a)
+    rows[d] ^= (1 << c) | (1 << b)
+    return SmallGraph._from_rows(g.n, rows)
+
+
+def _switch_neighbors(g: SmallGraph) -> list[SmallGraph]:
+    """All graphs one valid 2-switch away, in a fixed order, deduplicated."""
+    rows = g.rows
+    edges = g.edges()
+    out = []
+    seen = set()
+    for i in range(len(edges)):
+        a, b = edges[i]
+        for j in range(i + 1, len(edges)):
+            c, d = edges[j]
+            if c == a or c == b or d == a or d == b:
+                continue
+            if not ((rows[a] >> c) & 1) and not ((rows[b] >> d) & 1):
+                h = _switched(g, a, b, c, d)
+                if h.rows not in seen:
+                    seen.add(h.rows)
+                    out.append(h)
+            if not ((rows[a] >> d) & 1) and not ((rows[b] >> c) & 1):
+                h = _switched(g, a, b, d, c)
+                if h.rows not in seen:
+                    seen.add(h.rows)
+                    out.append(h)
+    return out
+
+
+def enumerate_realizations(seq, limit: int = DEFAULT_VERTEX_LIMIT,
+                           max_classes: int | None = None,
+                           order_seed: int | None = None):
+    """One representative per isomorphism class of realizations.
+
+    Breadth-first closure of the greedy realization under 2-switches,
+    deduplicated by canonical form. Classes are yielded in discovery
+    order: the greedy start first, then each neighbour as soon as its
+    key turns out to be new, so the queue holds classes already yielded
+    but not yet expanded. A caller that stops early has keyed only the
+    neighbours scanned before it stopped; the start itself is keyed
+    when expansion begins. ``order_seed`` shuffles expansion order (the
+    class set must not depend on it). ``max_classes`` is a guard: the
+    generator yields that many classes, and on finding one more raises
+    with the partial count.
+    """
+    seq = DegreeSequence(seq)
+    if not is_graphical(seq):
+        raise ContractError(f"sequence {tuple(seq)} is not graphical")
+    if seq.n > limit:
+        raise LimitError(f"realization search limited to {limit} vertices (got {seq.n})")
+    rng = Random(order_seed) if order_seed is not None else None
+    g = _greedy_realization(seq)
+    yield g
+    seen = {canonical_form(g, limit)}
+    queue = deque([g])
+    while queue:
+        nbrs = _switch_neighbors(queue.popleft())
+        if rng is not None:
+            rng.shuffle(nbrs)
+        for h in nbrs:
+            key = canonical_form(h, limit)
+            if key not in seen:
+                if max_classes is not None and len(seen) >= max_classes:
+                    raise LimitError(
+                        f"realization classes exceed cap {max_classes}",
+                        partial=len(seen))
+                seen.add(key)
+                queue.append(h)
+                yield h
 
 
 @lru_cache(maxsize=None)

@@ -25,7 +25,6 @@ from kmc4 import (
     km_minus_c4,
     sigma_exact,
     sigma_lower_bound,
-    two_switch,
     verify_base_cases,
     verify_conjecture,
     verify_theorem1,
@@ -39,6 +38,7 @@ from helpers import (
     nonincreasing_tuples,
     random_graph,
     record_acceptance as report,
+    two_switch,
 )
 
 BOWTIE = km_minus_c4(5)

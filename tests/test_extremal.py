@@ -3,12 +3,13 @@ from __future__ import annotations
 import re
 
 import pytest
+from helpers import canonical_form, enumerate_realizations
 
 from kmc4 import (BudgetExceededError, InputError, LimitError,
-                  canonical_form, complete_graph, degree_sequence_of,
-                  degree_sum, empty_graph, extremal_witness, find_embedding,
-                  join, km_minus_c4, sigma_exact, sigma_lower_bound,
-                  verify_conjecture, verify_theorem1)
+                  complete_graph, degree_sequence_of, empty_graph,
+                  extremal_witness, find_embedding, join, km_minus_c4,
+                  sigma_exact, sigma_lower_bound, verify_conjecture,
+                  verify_theorem1)
 
 # Exact thresholds confirmed by the exhaustive sweep, frozen here so a
 # regression in any underlying layer trips loudly. The failing sequences
@@ -73,7 +74,7 @@ class TestExtremalWitness:
         for m in range(4, 8):
             for n in range(m, 10):
                 _, seq = extremal_witness(m, n)
-                assert degree_sum(seq) == sigma_lower_bound(m, n) - 2
+                assert sum(seq) == sigma_lower_bound(m, n) - 2
 
     def test_avoids_pattern(self):
         for m, n in [(4, 6), (5, 7), (6, 8)]:
@@ -91,12 +92,23 @@ class TestVerifyTheorem1:
             assert report.sum_is_bound_minus_two
 
     def test_full_grid_to_default_limit(self):
-        # The witnesses K_{m-3} joined to an independent set once made the
-        # canonical form enumerate (n-m+3)! orderings; n = 12 is the limit.
+        # n = 12 is the default limit.
         for m in range(4, 9):
             for n in range(m, 13):
                 report = verify_theorem1(m, n)
                 assert report.passed, (m, n)
+
+    def test_classes_match_the_class_walk(self):
+        for m in range(4, 10):
+            for n in range(m, 10):
+                report = verify_theorem1(m, n)
+                walked = sum(1 for _ in enumerate_realizations(report.sequence))
+                assert report.realization_classes == walked == 1, (m, n)
+
+    def test_vertex_limit(self):
+        with pytest.raises(LimitError, match=re.escape(
+                "realization search limited to 8 vertices (got 9)")):
+            verify_theorem1(5, 9, limit=8)
 
     def test_json_dict_fields(self):
         d = verify_theorem1(5, 6).to_json_dict()
@@ -127,7 +139,7 @@ class TestSigmaExact:
     def test_extremal_sequences_sit_two_below(self):
         report = sigma_exact(5, 6)
         for s in report.extremal_sequences:
-            assert degree_sum(s) == report.exact - 2
+            assert sum(s) == report.exact - 2
 
     def test_parallel_matches_serial(self):
         a = sigma_exact(5, 6)

@@ -5,17 +5,15 @@ from itertools import combinations, permutations
 from random import Random
 
 import pytest
-from helpers import (brute_embedding_exists, embedding_is_valid,
+from helpers import (brute_embedding_exists, canonical_form, complement,
+                     contains_subgraph, cycle_graph, embedding_is_valid,
                      encode_graph6_by_bits, find_embedding_unplanned,
-                     random_graph, relabel)
+                     parse_edge_text, random_graph, relabel)
 
 from kmc4 import (DegreeSequence, Graph6Error, InputError, LimitError,
-                  SmallGraph, TargetPattern, canonical_form, complement,
-                  complete_graph,
-                  contains_subgraph, cycle_graph, decode_graph6,
+                  SmallGraph, TargetPattern, complete_graph, decode_graph6,
                   degree_sequence_of, delete_vertex, empty_graph,
-                  encode_graph6, find_embedding, join, km_minus_c4,
-                  parse_edge_text)
+                  encode_graph6, find_embedding, join, km_minus_c4)
 from kmc4.graphs import is_embedding
 
 

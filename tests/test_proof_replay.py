@@ -16,7 +16,7 @@ import json
 from itertools import combinations
 
 import pytest
-from helpers import eager_realizations, embedding_is_valid
+from helpers import eager_realizations, embedding_is_valid, two_switch
 
 import kmc4.extremal
 import kmc4.graphs
@@ -24,20 +24,19 @@ import kmc4.proof_replay
 import kmc4.realizations
 from kmc4 import (
     BaseCaseReport,
+    DegreeSequence,
     InputError,
     LimitError,
     ProofStep,
     ProofTrace,
     ReplayError,
     base_case_sequences,
-    degree_sum,
     find_embedding,
     havel_hakimi_realize,
     is_graphical,
     is_potentially,
     km_minus_c4,
     replay_theorem2,
-    two_switch,
     verify_base_cases,
     verify_theorem2_range,
 )
@@ -75,11 +74,11 @@ class TestBaseCaseSequences:
         got = base_case_sequences()
         assert (6, (5, 3, 3, 3, 3, 3)) in got
         assert (7, (4, 4, 4, 3, 3, 3, 3)) in got
-        assert len(got) == 6
+        assert len(got) == 8
         for n, seq in got:
             assert n == len(seq)
             assert is_graphical(seq)
-            assert degree_sum(seq) >= 4 * n - 4
+            assert sum(seq) >= 4 * n - 4
 
     def test_family_member_appended(self):
         got = base_case_sequences(family_n=8)
@@ -217,15 +216,13 @@ class TestCaseBranches:
         # The complement of a 4-regular graph on six or seven vertices is
         # a perfect matching or 2-regular on seven vertices, and neither
         # has four pairwise non-adjacent vertices. So no realization
-        # contains a complete quadruple: the greedy one offers none, the
-        # K4 construction's lay-off runs short, and the recorded step is
-        # the fallback deviation.
+        # contains a complete quadruple, the main case has nothing to
+        # complete, and the sequence is an exceptional one instead.
         seq = (4,) * n
+        assert _k4_on_top(DegreeSequence(seq)) is None
         trace = replay_theorem2(seq)
         check_trace(seq, trace)
-        step = trace.steps[0]
-        assert step.case == "interchange"
-        assert step.action.startswith("deviation:")
+        assert [s.case for s in trace.steps] == ["exceptional-sequence"]
 
 
 def record_returns(monkeypatch, module, name):
@@ -369,12 +366,13 @@ class TestConstructedCompletion:
         assert trace.steps[0].action == ("interchange on quadruple 0,1,2,3 "
                                          "with y1=4, y2=5, y3=6")
 
-    def test_no_class_search_for_6_to_9_vertices(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the replay keyed a realization class")
-
-        monkeypatch.setattr(kmc4.graphs, "canonical_form", refuse)
-        monkeypatch.setattr(kmc4.realizations, "canonical_form", refuse)
+    def test_no_class_search_for_6_to_9_vertices(self):
+        # the library has no class search for the replay to fall back on
+        for module in (kmc4.graphs, kmc4.realizations):
+            for name in ("enumerate_realizations", "_switch_neighbors",
+                         "two_switch", "_switched", "canonical_form",
+                         "_refine_colors"):
+                assert not hasattr(module, name), (module.__name__, name)
         count = 0
         for n in range(6, 10):
             for total in range(n * (n - 1), 4 * n - 5, -2):
@@ -387,8 +385,11 @@ class TestConstructedCompletion:
         # Frozen once the main case built its second realization with K4
         # on the four largest degrees instead of searching realization
         # classes; that changed the traces of (4^8), (5,5,5,3^5),
-        # (4^6,3,3), (6,4,3^6) and (5,5,3^6). Every case, action and
-        # graph of every threshold sequence on 6 to 8 vertices is pinned.
+        # (4^6,3,3), (6,4,3^6) and (5,5,3^6). Re-frozen when (4^6) and
+        # (4^7) joined the exceptional table, which changed the case and
+        # action, not the graphs, of (4^6), (4^7), (4^6,0) and (4^7,0).
+        # Every case, action and graph of every threshold sequence on 6
+        # to 8 vertices is pinned.
         digest = hashlib.sha256()
         count = 0
         for n in range(6, 9):
@@ -399,7 +400,7 @@ class TestConstructedCompletion:
                         digest.update(line.encode() + b"\n")
         assert count == 820
         assert digest.hexdigest() == (
-            "ee2335d159c34b1ae4cc02acbb95bbd50ea0158ed767d2bfd99e3efb4f7fa2df")
+            "f8d878d071b31a980e1beb8bef49262631afdbb140ebe167b5f3e8b8f257f8f0")
 
 
 def has_k4_on_top(g):
@@ -420,8 +421,8 @@ def main_case_sequences(n_max):
     for n in range(6, n_max + 1):
         for total in range(n * (n - 1), 3 * n - 1, -2):
             for seq in graphical_sequences_with_sum(n, total):
-                if (seq[-1] >= 3 and seq[1] >= 4 and tuple(seq)
-                        not in kmc4.proof_replay._EXCEPTIONAL.get(n, ())):
+                if (seq[-1] >= 3 and seq[1] >= 4
+                        and seq not in kmc4.proof_replay._EXCEPTIONAL):
                     yield seq
 
 
@@ -439,8 +440,8 @@ class TestK4OnTop:
             else:
                 assert g.degrees() == tuple(seq)
                 assert has_k4_on_top(g)
-        assert count == 1095
-        assert missing == [(4,) * 6, (4,) * 7]
+        assert count == 1093
+        assert missing == []
 
 
 # The threshold sequences on at most 9 vertices whose trace changed when
@@ -478,7 +479,6 @@ class TestChangedTraces:
         monkeypatch.setattr(kmc4.proof_replay, "_try_quad_completion",
                             recording)
         served = set()
-        deviating = set()
         for n in range(5, 10):
             for total in range(n * (n - 1), 4 * n - 5, -2):
                 for seq in graphical_sequences_with_sum(n, total):
@@ -491,17 +491,9 @@ class TestChangedTraces:
                         check_trace(seq, trace)
                         for g, emb in returned:
                             assert embedding_is_valid(g, BOWTIE, emb), seq
-                    deviations = [s for s in trace.steps
-                                  if s.action.startswith("deviation:")]
-                    if deviations:
-                        deviating.add(seq)
-                        [step] = deviations
-                        assert step.sequence in {(4,) * 6, (4,) * 7}
-                        assert all(s.case == "d_n≤2 deletion"
-                                   for s in trace.steps if s is not step)
+                    assert not any(s.action.startswith("deviation:")
+                                   for s in trace.steps), seq
         assert served == K4_COMPLETED
-        assert deviating == {(4,) * 6, (4,) * 7, (4,) * 6 + (0,),
-                             (4,) * 7 + (0,)}
 
 
 class TestTraceFormats:

@@ -6,20 +6,20 @@ from itertools import combinations, permutations
 from random import Random
 
 import pytest
-from helpers import (eager_realizations, embedding_is_valid,
-                     gray_code_degree_map, greedy_realization_by_scan,
-                     random_graph, relabel, row_by_row_placement,
-                     search_potentially)
+import helpers
+from helpers import (canonical_form, cycle_graph, eager_realizations,
+                     embedding_is_valid, enumerate_graphical_sequences,
+                     enumerate_realizations, gray_code_degree_map,
+                     greedy_realization_by_scan, random_graph, relabel,
+                     row_by_row_placement, search_potentially, two_switch)
 
 import kmc4.cli
 import kmc4.realizations
 from kmc4 import (ContractError, DegreeSequence, LimitError, SmallGraph,
-                  TargetPattern, WitnessResult, canonical_form,
-                  complete_graph, cycle_graph, degree_sequence_of,
-                  empty_graph, encode_graph6, enumerate_graphical_sequences,
-                  enumerate_realizations, find_embedding,
-                  havel_hakimi_realize, is_potentially, join, km_minus_c4,
-                  theorem2_interchange, two_switch)
+                  TargetPattern, WitnessResult, complete_graph,
+                  degree_sequence_of, empty_graph, encode_graph6,
+                  find_embedding, havel_hakimi_realize, is_potentially, join,
+                  km_minus_c4, theorem2_interchange)
 
 BOWTIE = km_minus_c4(5)
 # passes the necessary condition for m = 5, and the greedy realization
@@ -499,19 +499,19 @@ FROZEN_POTENTIAL = [
 
 class TestLazyStartKey:
     def test_first_realization_needs_no_canonical_form(self, monkeypatch):
-        calls = count_calls(monkeypatch, kmc4.realizations, "canonical_form")
+        calls = count_calls(monkeypatch, helpers, "canonical_form")
         first = next(enumerate_realizations((4, 4, 3, 3, 3, 3, 2, 2)))
         assert first == havel_hakimi_realize((4, 4, 3, 3, 3, 3, 2, 2))
         assert calls == []
 
-    def test_first_class_positive_needs_no_canonical_form(self, monkeypatch):
-        calls = count_calls(monkeypatch, kmc4.realizations, "canonical_form")
+    def test_first_class_positive_needs_no_canonical_form(self):
+        # the library has no canonical form to key a class with
+        assert not hasattr(kmc4.realizations, "canonical_form")
         res = is_potentially((5, 4, 4, 3, 3, 3, 2, 2, 2), BOWTIE)
         assert res.verdict and res.explored == 1
-        assert calls == []
 
     def test_expansion_keys_the_start_once(self, monkeypatch):
-        calls = count_calls(monkeypatch, kmc4.realizations, "canonical_form")
+        calls = count_calls(monkeypatch, helpers, "canonical_form")
         gen = enumerate_realizations((3,) * 6)
         start = next(gen)
         next(gen)
@@ -567,7 +567,7 @@ class TestLazyDiscovery:
     ])
     def test_keys_only_what_the_caller_reaches(self, monkeypatch, seq, m,
                                                budget, want):
-        calls = count_calls(monkeypatch, kmc4.realizations, "canonical_form")
+        calls = count_calls(monkeypatch, helpers, "canonical_form")
         search_potentially(seq, km_minus_c4(m), budget=budget)
         assert len(calls) == want
 
@@ -592,8 +592,9 @@ class TestGraphicalityCheckedOnce:
     ])
     def test_library_entry_points(self, monkeypatch, run):
         calls = count_calls(monkeypatch, kmc4.realizations, "is_graphical")
+        in_oracle = count_calls(monkeypatch, helpers, "is_graphical")
         run()
-        assert len(calls) == 1
+        assert len(calls) + len(in_oracle) == 1
 
     def test_cli_realize(self, monkeypatch, capsys):
         in_library = count_calls(monkeypatch, kmc4.realizations, "is_graphical")

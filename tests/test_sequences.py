@@ -5,13 +5,15 @@ import pickle
 import re
 
 import pytest
-from helpers import (graphical_sequences_by_filter, gray_code_degree_map,
+from helpers import (_switch_neighbors, enumerate_graphical_sequences,
+                     graphical_sequences_by_filter, gray_code_degree_map,
                      is_graphical_quadratic, nonincreasing_tuples)
 
 import kmc4.sequences
-from kmc4 import (DegreeSequence, InputError, LimitError, degree_sum,
-                  enumerate_graphical_sequences,
-                  graphical_sequences_with_sum, is_graphical, make_sequence)
+from kmc4 import (DegreeSequence, InputError, LimitError,
+                  graphical_sequences_with_sum, havel_hakimi_realize,
+                  is_graphical)
+from kmc4.sequences import _is_threshold
 
 
 class TestDegreeSequence:
@@ -33,13 +35,9 @@ class TestDegreeSequence:
         with pytest.raises(InputError):
             DegreeSequence((2.5, 1))
 
-    def test_make_sequence(self):
-        assert make_sequence([0, 4, 2]) == (4, 2, 0)
-
     def test_degree_sequence_returned_unchanged(self):
         ds = DegreeSequence((1, 3, 2))
         assert DegreeSequence(ds) is ds
-        assert make_sequence(ds) is ds
 
     def test_other_iterables_still_normalized(self):
         class Terms(tuple):
@@ -156,9 +154,19 @@ class TestIsGraphical:
         assert checked == 8788
 
 
-class TestDegreeSum:
-    def test_sum(self):
-        assert degree_sum((4, 2, 2, 2, 2)) == 12
+class TestIsThreshold:
+    def test_unique_realization_exactly_when_no_switch(self):
+        # A sequence has one labeled realization exactly when its greedy
+        # realization admits no 2-switch.
+        checked = 0
+        threshold = 0
+        for n in range(1, 10):
+            for seq in enumerate_graphical_sequences(n):
+                unique = not _switch_neighbors(havel_hakimi_realize(seq))
+                assert _is_threshold(seq) == unique, seq
+                checked += 1
+                threshold += unique
+        assert (checked, threshold) == (6067, 511)
 
 
 class TestEnumerationBySum:
