@@ -271,7 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "only); a negative verdict cut short this way "
                         "exits 3")
     p.add_argument("--workers", type=int, default=1, metavar="W",
-                   help="worker processes for threshold sweeps")
+                   help="accepted and currently unused: reserved for "
+                        "running the theorem-2 replay loop in worker "
+                        "processes; every sweep runs serially")
     p.add_argument("--seed", type=int, default=None,
                    help="shuffle the order of the placements tried, "
                         "reproducibly; the verdict never depends on it")

@@ -7,18 +7,19 @@ closed form (2m-6)n - (m-3)(m-2) + 2 is a proven lower bound witnessed
 by the join of a complete graph on m-3 vertices with an independent set,
 and is conjectured (known for m in {4, 5}) to be the exact value. This
 module computes the bound, checks the witness, and determines the exact
-threshold by exhaustive sweep at small n.
+threshold at small n by a sweep over degree-sum levels. The sweep runs
+by induction on n: the paper's deletion step proves potential every
+sequence whose least term is small against the threshold one length
+down, and only the others are decided.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 from .errors import BudgetExceededError, InputError, LimitError
-from .graphs import (DEFAULT_VERTEX_LIMIT, SmallGraph, empty_graph,
-                     complete_graph, encode_graph6, find_embedding, join,
-                     km_minus_c4)
+from .graphs import (DEFAULT_VERTEX_LIMIT, SmallGraph, complete_graph,
+                     empty_graph, encode_graph6, join)
 from .realizations import _decide_sequence, havel_hakimi_realize
 from .sequences import (DegreeSequence, _is_threshold,
                         graphical_sequences_with_sum)
@@ -90,10 +91,14 @@ def verify_theorem1(m: int, n: int,
 
     The witness must avoid the target, be the only realization of its
     degree sequence, and have degree sum exactly bound minus two. The
-    second check is a test on degrees alone: a sequence has exactly one
-    labeled realization exactly when it is a threshold sequence (Hammer,
-    Ibaraki and Simeone 1978), and then ``realization_classes`` is 1;
-    otherwise it is 2.
+    first check reads the witness's rows: its m-3 clique vertices must
+    cover every edge. The target has independence number 2, so covering
+    its edges takes m-2 vertices, and a subgraph never needs a larger
+    vertex cover than its host; so a graph whose edges m-3 vertices
+    cover cannot hold the target. The second check is a test on degrees
+    alone: a sequence has exactly one labeled realization exactly when
+    it is a threshold sequence (Hammer, Ibaraki and Simeone 1978), and
+    then ``realization_classes`` is 1; otherwise it is 2.
     """
     g, seq = extremal_witness(m, n)
     if n > limit:
@@ -103,10 +108,17 @@ def verify_theorem1(m: int, n: int,
         n=n,
         sequence=seq,
         witness_graph6=encode_graph6(g),
-        pattern_free=find_embedding(g, km_minus_c4(m)) is None,
+        pattern_free=_clique_covers_edges(g, m),
         realization_classes=1 if _is_threshold(seq) else 2,
         sum_is_bound_minus_two=(sum(seq) + 2 == sigma_lower_bound(m, n)),
     )
+
+
+def _clique_covers_edges(g: SmallGraph, m: int) -> bool:
+    """Does every edge of the witness g touch one of its first m-3
+    vertices, the clique of the construction?"""
+    clique = (1 << (m - 3)) - 1
+    return all(row & ~clique == 0 for row in g.rows[m - 3:])
 
 
 @dataclass
@@ -137,87 +149,107 @@ class SigmaReport:
 def sigma_exact(m: int, n: int, limit: int = DEFAULT_VERTEX_LIMIT,
                 workers: int = 1, budget: int | None = None,
                 progress=None) -> SigmaReport:
-    """Exact threshold by exhaustive sweep.
+    """Exact threshold by exhaustive sweep, by induction on n.
 
-    Scans degree-sum levels downward from n(n-1). Every sequence at every
-    level is decided; the first level with a non-potential sequence fixes
-    the threshold at that level plus two, the failing sequences are the
-    extremal ones, and all higher levels have already been certified
-    clean. Levels are independent, so the per-sequence checks may be
-    spread over worker processes.
+    Computes the threshold at every length from m up to n, each by a scan
+    of degree-sum levels downward from its top level. Every sequence a
+    scan skips is potential by the deletion lemma (see ``_sigma_upward``),
+    and every other one is decided on its degrees; the first level with a
+    non-potential sequence fixes the threshold at that level plus two,
+    the failing sequences are the extremal ones, and all higher levels
+    are certified clean. Only the failing sequences at n are realized,
+    for their witnesses.
 
-    Each sequence goes straight to the verdict-only decision on its
-    degrees, in every mode: the generator has just found it graphical,
-    n >= m holds because the lower bound is defined, and n is within the
-    limit. Only the failing sequences are realized, for their witnesses.
+    ``workers`` is accepted and ignored: the levels are small enough that
+    a process pool costs more than it saves.
     """
-    bound = sigma_lower_bound(m, n)
+    sigma_lower_bound(m, n)  # raises unless 4 <= m <= n
     if n > limit:
         raise LimitError(f"exact threshold limited to {limit} vertices (got {n})")
-    decide = partial(_decide_sequence, m=m, budget=budget)
-    # A budget needs the serial path so the short verdict can surface.
-    pool = None
-    if workers > 1 and budget is None:
-        # Imported here: loading the process pool costs every kmc4
-        # process a third of its start-up.
-        from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(workers)
-    try:
+    for _, exact, failures in _sigma_upward(m, n, limit, budget, progress):
+        pass
+    return _sigma_report(m, n, exact, failures)
+
+
+def _sigma_upward(m: int, n_hi: int, limit: int, budget: int | None,
+                  progress):
+    """Yield (n, exact threshold, failing sequences) for n = m..n_hi.
+
+    Deletion lemma: lay a vertex of least degree d off a graphical
+    n-term sequence with sum S onto the d largest other terms
+    (Kleitman-Wang). What is left is graphical with n - 1 terms and sum
+    S - 2d, and a realization of it holding the target extends to one of
+    the whole sequence. So once the threshold s at n - 1 is known, every
+    sequence with S - 2d >= s is potential, and a level S need only walk
+    the sequences whose least term is above (S - s) / 2. Those include
+    every non-potential one, so the first failing level and its failing
+    sequences, in order, are those of the full sweep. At n = m nothing is
+    known below and the whole level is walked.
+
+    The caller checks m, n_hi and the limit.
+    """
+    below = None
+    for n in range(m, n_hi + 1):
         level = n * (n - 1)
         while level >= 0:
-            seqs = list(graphical_sequences_with_sum(n, level, limit=limit))
-            if pool is not None and len(seqs) > 1:
-                chunk = max(1, len(seqs) // (4 * workers))
-                results = pool.map(decide, seqs, chunksize=chunk)
-            else:
-                results = map(decide, seqs)
+            floor = 0 if below is None else max(0, (level - below) // 2 + 1)
             failures = []
-            pairings = 0
-            for s, (verdict, explored, exhausted) in zip(seqs, results):
+            count = pairings = 0
+            for s in graphical_sequences_with_sum(n, level, limit=limit,
+                                                  min_term=floor):
+                verdict, explored, exhausted = _decide_sequence(s, m, budget)
                 if not verdict:
                     if not exhausted:
                         raise BudgetExceededError(
-                            f"budget ran out deciding {tuple(s)} at level {level}",
+                            f"budget ran out deciding {tuple(s)} at level {level}"
+                            f" of n={n}",
                             partial=explored)
                     failures.append(s)
+                count += 1
                 pairings += explored
             if progress is not None:
-                progress(f"m={m} n={n} sum={level}: "
-                         f"{len(seqs)} sequences, {len(failures)} failing, "
+                progress(f"m={m} n={n} sum={level} floor={floor}: "
+                         f"{count} sequences, {len(failures)} failing, "
                          f"{pairings} pairings")
             if failures:
-                exact = level + 2
-                assert exact % 2 == 0
-                verdict = ("matches" if exact == bound
-                           else "exceeds" if exact > bound else "below")
-                witnesses = tuple(encode_graph6(havel_hakimi_realize(s))
-                                  for s in failures)
-                return SigmaReport(m=m, n=n, lower_bound=bound, exact=exact,
-                                   verdict=verdict,
-                                   extremal_sequences=tuple(failures),
-                                   witnesses=witnesses)
+                break
             level -= 2
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    raise AssertionError("sweep hit level 0 with no failing sequence")
+        else:
+            raise AssertionError("sweep hit level 0 with no failing sequence")
+        below = level + 2
+        yield n, below, failures
+
+
+def _sigma_report(m: int, n: int, exact: int,
+                  failures: list[DegreeSequence]) -> SigmaReport:
+    """The report at (m, n), with a witness realization per failure."""
+    bound = sigma_lower_bound(m, n)
+    verdict = ("matches" if exact == bound
+               else "exceeds" if exact > bound else "below")
+    witnesses = tuple(encode_graph6(havel_hakimi_realize(s)) for s in failures)
+    return SigmaReport(m=m, n=n, lower_bound=bound, exact=exact,
+                       verdict=verdict, extremal_sequences=tuple(failures),
+                       witnesses=witnesses)
 
 
 def verify_conjecture(m: int, n_range, limit: int = DEFAULT_VERTEX_LIMIT,
                       workers: int = 1, progress=None) -> list[SigmaReport]:
     """Exact thresholds across an inclusive interval of n.
 
-    Returns one report per n; the caller decides what to make of the
-    verdicts. Exact below the formula would contradict the witness
-    construction and exceeding it would refute the conjectured equality.
+    Returns one report per n, all from one upward sweep; the caller
+    decides what to make of the verdicts. Exact below the formula would
+    contradict the witness construction and exceeding it would refute
+    the conjectured equality. ``workers`` is accepted and ignored, as in
+    ``sigma_exact``.
     """
     lo, hi = n_range
     if lo < m:
         raise InputError(f"range starts below m: {lo} < {m}")
     if hi > limit:
         raise LimitError(f"exact threshold limited to {limit} vertices (got {hi})")
-    reports = []
-    for n in range(lo, hi + 1):
-        reports.append(sigma_exact(m, n, limit=limit, workers=workers,
-                                   progress=progress))
-    return reports
+    if lo > hi:
+        return []
+    sigma_lower_bound(m, lo)  # raises unless m >= 4
+    return [_sigma_report(m, n, exact, failures)
+            for n, exact, failures in _sigma_upward(m, hi, limit, None, progress)
+            if n >= lo]

@@ -408,8 +408,11 @@ def verify_theorem2_range(n_max: int, limit: int = DEFAULT_VERTEX_LIMIT,
     At each n the exact threshold must equal 4n-4, and the constructive
     replay must produce a valid witness for every graphical sequence at
     or above the threshold, agreeing with the verdict-only decision.
+    The thresholds come from one upward sweep over n. ``workers`` is
+    accepted and unused, reserved for spreading the replay loop over
+    processes.
     """
-    from .extremal import sigma_exact
+    from .extremal import _sigma_upward
 
     if n_max < 5:
         raise InputError(f"need n_max >= 5, got {n_max}")
@@ -418,10 +421,8 @@ def verify_theorem2_range(n_max: int, limit: int = DEFAULT_VERTEX_LIMIT,
                          f"(got {n_max})")
     bowtie = km_minus_c4(5)
     entries = []
-    for n in range(5, n_max + 1):
-        report = sigma_exact(5, n, limit=limit, workers=workers,
-                             progress=progress)
-        exact_ok = report.exact == 4 * n - 4
+    for n, exact, _ in _sigma_upward(5, n_max, limit, None, progress):
+        exact_ok = exact == 4 * n - 4
         checked = 0
         replay_failures = 0
         agreement_failures = 0
@@ -437,18 +438,16 @@ def verify_theorem2_range(n_max: int, limit: int = DEFAULT_VERTEX_LIMIT,
                     ok = False
                 if not ok:
                     replay_failures += 1
-                # sigma_exact has decided every level from report.exact
-                # up, all positive
-                if level < report.exact and not _decide_sequence(seq, 5,
-                                                                 None)[0]:
+                # the sweep has certified every level from exact up
+                if level < exact and not _decide_sequence(seq, 5, None)[0]:
                     agreement_failures += 1
             level -= 2
         if progress is not None:
-            progress(f"n={n}: exact={report.exact}, {checked} sequences "
+            progress(f"n={n}: exact={exact}, {checked} sequences "
                      f"replayed, {replay_failures} replay failures")
         entries.append({
             "n": n,
-            "exact": report.exact,
+            "exact": exact,
             "expected": 4 * n - 4,
             "exact_ok": exact_ok,
             "sequences_checked": checked,

@@ -10,7 +10,9 @@ sequences, largest terms first. Each prefix is pruned as soon as the
 Erdos-Gallai inequality at its length fails for every possible tail, so
 most non-graphical sequences are never built. Where a term is at most
 its position that prune is the exact inequality, so each leaf checks
-only the inequalities it left open, which keeps the output exact.
+only the inequalities it left open, which keeps the output exact. An
+optional floor on every term narrows each term's range and leaves the
+order of the walk as it is.
 """
 
 from __future__ import annotations
@@ -154,27 +156,37 @@ def _is_threshold(d) -> bool:
 
 
 def graphical_sequences_with_sum(n: int, total: int,
-                                 limit: int = DEFAULT_LENGTH_LIMIT) -> Iterator[DegreeSequence]:
-    """All graphical n-term sequences with the exact degree sum given,
-    descending lexicographically. Odd sums yield nothing."""
+                                 limit: int = DEFAULT_LENGTH_LIMIT,
+                                 min_term: int = 0) -> Iterator[DegreeSequence]:
+    """All graphical n-term sequences with the exact degree sum given and
+    every term at least ``min_term``, descending lexicographically. Odd
+    sums yield nothing.
+
+    The floor only narrows the range of each term, so the walk, its
+    prune and the order are those of the unfloored enumeration with the
+    sequences below the floor left out.
+    """
     if n < 1:
         raise InputError(f"need at least one term, got n={n}")
     if n > limit:
         raise LimitError(f"sequence enumeration limited to {limit} terms (got {n})")
     if total < 0 or total > n * (n - 1):
         raise InputError(f"degree sum {total} out of range for n={n}")
-    if total % 2:
+    if min_term < 0:
+        raise InputError(f"negative term floor {min_term}")
+    if total % 2 or min_term * n > total:
         return
     # Depth-first over nonincreasing terms <= n-1: level j holds the next
-    # value to try for term j and the least value that still lets the
-    # remaining sum spread over the remaining terms.
+    # value to try for term j, at most what leaves min_term for each later
+    # term, and the least value that still lets the remaining sum spread
+    # over the remaining terms, at least min_term.
     terms = [0] * n
     nxt = [0] * n
     low = [0] * n
     prefix = [0] * (n + 1)
     prefix[n] = total
-    nxt[0] = min(n - 1, total)
-    low[0] = -(-total // n)  # ceil
+    nxt[0] = min(n - 1, total - min_term * (n - 1))
+    low[0] = max(-(-total // n), min_term)  # ceil
     j = 0
     while j >= 0:
         v = nxt[j]
@@ -209,6 +221,8 @@ def graphical_sequences_with_sum(n: int, total: int,
                 yield tuple.__new__(DegreeSequence, terms)
             continue
         prefix[k] = p
-        nxt[k] = v if v < rest else rest
-        low[k] = -(-rest // (n - k))
+        cap = rest - min_term * (n - k - 1)
+        nxt[k] = v if v < cap else cap
+        lo = -(-rest // (n - k))
+        low[k] = lo if lo > min_term else min_term
         j = k

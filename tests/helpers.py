@@ -9,6 +9,9 @@ realizations of a sequence, keyed by ``canonical_form``, which the
 library never does, and ``search_potentially`` and
 ``eager_realizations`` are built on it. These live only here, with a
 few small constructors the library has no use for.
+``sigma_by_full_sweep`` is the exact-threshold sweep without the
+induction on n, the reference for the one that skips what the deletion
+lemma proves.
 """
 
 from __future__ import annotations
@@ -19,12 +22,12 @@ from itertools import combinations, permutations
 from random import Random
 
 from kmc4 import (DEFAULT_LENGTH_LIMIT, DEFAULT_VERTEX_LIMIT, ContractError,
-                  DegreeSequence, InputError, LimitError, SmallGraph,
-                  TargetPattern, WitnessResult, find_embedding,
-                  graphical_sequences_with_sum, havel_hakimi_realize,
-                  is_graphical)
+                  DegreeSequence, InputError, LimitError, SigmaReport,
+                  SmallGraph, TargetPattern, WitnessResult, encode_graph6,
+                  find_embedding, graphical_sequences_with_sum,
+                  havel_hakimi_realize, is_graphical, sigma_lower_bound)
 from kmc4.graphs import _bits
-from kmc4.realizations import _greedy_realization, _lay_off
+from kmc4.realizations import _decide_sequence, _greedy_realization, _lay_off
 
 
 def cycle_graph(k: int) -> SmallGraph:
@@ -614,6 +617,29 @@ def row_by_row_placement(seq, m: int, diagonals):
                 emb = (p, r, q, s) + tuple(range(m - 4))
                 return SmallGraph._from_rows(n, rows), emb
     return None, None
+
+def sigma_by_full_sweep(m: int, n: int) -> SigmaReport:
+    """The exact threshold with no induction on n: every graphical
+    sequence at every level is decided, from the top level down, and
+    the first level with a failing sequence fixes the report."""
+    bound = sigma_lower_bound(m, n)
+    level = n * (n - 1)
+    while level >= 0:
+        failures = [s for s in graphical_sequences_with_sum(n, level)
+                    if not _decide_sequence(s, m, None)[0]]
+        if failures:
+            exact = level + 2
+            verdict = ("matches" if exact == bound
+                       else "exceeds" if exact > bound else "below")
+            witnesses = tuple(encode_graph6(havel_hakimi_realize(s))
+                              for s in failures)
+            return SigmaReport(m=m, n=n, lower_bound=bound, exact=exact,
+                               verdict=verdict,
+                               extremal_sequences=tuple(failures),
+                               witnesses=witnesses)
+        level -= 2
+    raise AssertionError("sweep hit level 0 with no failing sequence")
+
 
 ACCEPTANCE_LINES: list[str] = []
 

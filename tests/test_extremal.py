@@ -3,13 +3,16 @@ from __future__ import annotations
 import re
 
 import pytest
-from helpers import canonical_form, enumerate_realizations
+from helpers import (canonical_form, enumerate_realizations,
+                     graphical_sequences_by_filter, sigma_by_full_sweep)
 
-from kmc4 import (BudgetExceededError, InputError, LimitError,
+from kmc4 import (BudgetExceededError, InputError, LimitError, SmallGraph,
                   complete_graph, degree_sequence_of, empty_graph,
                   extremal_witness, find_embedding, join, km_minus_c4,
                   sigma_exact, sigma_lower_bound, verify_conjecture,
                   verify_theorem1)
+from kmc4.extremal import _clique_covers_edges
+from kmc4.realizations import _decide_sequence
 
 # Exact thresholds confirmed by the exhaustive sweep, frozen here so a
 # regression in any underlying layer trips loudly. The failing sequences
@@ -41,6 +44,14 @@ TABLE_M7_M8 = {
     (8, 9): (66, ((8,) + (7,) * 8,)),
     (8, 10): (82, ((8,) * 10,)),
     (8, 11): (90, ((8,) * 11,)),
+}
+
+# Beyond the default limit, from the sweep by induction on n; each
+# matches the formula.
+TABLE_N16 = {
+    (5, 16): (60, ((15,) * 2 + (2,) * 14,)),
+    (6, 16): (86, ((15,) * 3 + (3,) * 13,)),
+    (7, 16): (110, ((15,) * 4 + (4,) * 12,)),
 }
 
 
@@ -110,6 +121,22 @@ class TestVerifyTheorem1:
                 "realization search limited to 8 vertices (got 9)")):
             verify_theorem1(5, 9, limit=8)
 
+    def test_cover_check_agrees_with_the_embedding_search(self):
+        for m in range(4, 10):
+            for n in range(m, 10):
+                g, _ = extremal_witness(m, n)
+                assert _clique_covers_edges(g, m) == (
+                    find_embedding(g, km_minus_c4(m)) is None), (m, n)
+
+    def test_cover_check_fails_on_a_mutated_witness(self):
+        # one edge between two vertices of the independent side
+        for m in range(4, 10):
+            for n in range(m, 10):
+                g, _ = extremal_witness(m, n)
+                bad = SmallGraph(n, list(g.edges()) + [(m - 3, m - 2)])
+                assert not _clique_covers_edges(bad, m), (m, n)
+                assert find_embedding(bad, km_minus_c4(m)) is not None, (m, n)
+
     def test_json_dict_fields(self):
         d = verify_theorem1(5, 6).to_json_dict()
         assert d["passed"] is True
@@ -178,11 +205,52 @@ class TestSigmaExact:
         sigma_exact(5, 5, progress=lines.append)
         assert lines and all("m=5 n=5" in ln for ln in lines)
 
+    def test_progress_shows_every_length_and_its_floor(self):
+        lines = []
+        sigma_exact(5, 7, progress=lines.append)
+        parsed = [re.fullmatch(r"m=5 n=(\d+) sum=(\d+) floor=(\d+): \d+ "
+                               r"sequences, (\d+) failing, \d+ pairings", ln)
+                  for ln in lines]
+        assert all(parsed)
+        ns = [int(p[1]) for p in parsed]
+        assert ns == sorted(ns) and set(ns) == {5, 6, 7}
+        assert all(p[3] == "0" for p in parsed if p[1] == "5")
+        # sigma(5, 5) = 16, so level 18 at n = 6 walks only least terms
+        # above (18 - 16) / 2; both failing sequences have least term 2
+        last_n6 = lines[len(ns) - ns[::-1].index(6) - 1]
+        assert last_n6.startswith("m=5 n=6 sum=18 floor=2: ")
+        assert ", 2 failing, " in last_n6
+
     def test_json_dict(self):
         d = sigma_exact(5, 5).to_json_dict()
         assert d["exact"] == 16 and d["formula"] == 16
         assert d["verdict"] == "matches"
         assert [4, 4, 2, 2, 2] in d["extremal_sequences"]
+
+
+class TestSweepByInduction:
+    @pytest.mark.parametrize("m,n", [(m, n) for m in range(4, 9)
+                                     for n in range(m, 11)])
+    def test_same_report_as_the_full_sweep(self, m, n):
+        assert sigma_exact(m, n) == sigma_by_full_sweep(m, n)
+
+    @pytest.mark.parametrize("n", range(5, 10))
+    def test_deletion_lemma(self, n):
+        # least term d with S - 2d >= sigma(m, n - 1): always potential
+        below = {m: sigma_by_full_sweep(m, n - 1).exact for m in range(4, n)}
+        for total in range(min(below.values()), n * (n - 1) + 1, 2):
+            for seq in graphical_sequences_by_filter(n, total):
+                for m, s in below.items():
+                    if 2 * seq[-1] <= total - s:
+                        assert _decide_sequence(seq, m, None)[0], (m, seq)
+
+    @pytest.mark.parametrize("m,n", sorted(TABLE_N16))
+    def test_frozen_rows_beyond_the_default_limit(self, m, n):
+        want_exact, want_extremal = TABLE_N16[(m, n)]
+        report = sigma_exact(m, n, limit=16)
+        assert report.exact == want_exact
+        assert report.verdict == "matches"
+        assert report.extremal_sequences == want_extremal
 
 
 class TestVerifyConjecture:

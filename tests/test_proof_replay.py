@@ -566,20 +566,19 @@ class TestVerifyTheorem2Range:
             assert entry["sequences_checked"] > 0
 
     def test_agreement_decides_only_below_the_sweep(self, monkeypatch):
-        # sigma_exact has decided every level from its exact threshold
+        # the sweep has certified every level from its exact threshold
         # up, so only levels below it are decided again
         decided = record_returns(monkeypatch, kmc4.proof_replay,
                                  "_decide_sequence")
         assert verify_theorem2_range(7).passed
         assert decided == []
-        real = kmc4.extremal.sigma_exact
+        real = kmc4.extremal._sigma_upward
 
-        def two_higher(m, n, **kwargs):
-            report = real(m, n, **kwargs)
-            report.exact += 2
-            return report
+        def two_higher(*args):
+            for n, exact, failures in real(*args):
+                yield n, exact + 2, failures
 
-        monkeypatch.setattr(kmc4.extremal, "sigma_exact", two_higher)
+        monkeypatch.setattr(kmc4.extremal, "_sigma_upward", two_higher)
         report = verify_theorem2_range(7)
         assert not report.passed
         assert [e["agreement_failures"] for e in report.entries] == [0, 0, 0]

@@ -232,6 +232,20 @@ class TestPrunedWalk:
             assert (list(graphical_sequences_with_sum(11, total))
                     == list(graphical_sequences_by_filter(11, total))), total
 
+    def test_floor_filters_the_walk_in_order(self):
+        for n in range(1, 10):
+            for total in range(0, n * (n - 1) + 1, 2):
+                full = list(graphical_sequences_by_filter(n, total))
+                for floor in range(n + 1):
+                    got = list(graphical_sequences_with_sum(
+                        n, total, min_term=floor))
+                    assert got == [s for s in full if s[-1] >= floor], (
+                        n, total, floor)
+
+    def test_negative_floor_rejected(self):
+        with pytest.raises(InputError, match="negative term floor -1"):
+            list(graphical_sequences_with_sum(4, 6, min_term=-1))
+
     def test_odd_sums_yield_nothing(self):
         for n in range(2, 11):
             for total in range(1, n * (n - 1), 2):
