@@ -16,11 +16,10 @@ from .extremal import (SigmaReport, Theorem1Report, extremal_witness,
                        verify_theorem1)
 from .graphs import (DEFAULT_VERTEX_LIMIT, MAX_VERTICES, SmallGraph,
                      TargetPattern, complete_graph, decode_graph6,
-                     degree_sequence_of, delete_vertex, empty_graph,
-                     encode_graph6, find_embedding, join, km_minus_c4)
+                     degree_sequence_of, empty_graph, encode_graph6,
+                     find_embedding, join, km_minus_c4)
 from .proof_replay import (BaseCaseReport, ProofStep, ProofTrace,
-                           ReplayError, Theorem2RangeReport,
-                           base_case_sequences, replay_theorem2,
+                           ReplayError, Theorem2RangeReport, replay_theorem2,
                            verify_base_cases, verify_theorem2_range)
 from .realizations import (WitnessResult, havel_hakimi_realize,
                            is_potentially, theorem2_interchange)
@@ -49,11 +48,9 @@ __all__ = [
     "Theorem1Report",
     "Theorem2RangeReport",
     "WitnessResult",
-    "base_case_sequences",
     "complete_graph",
     "decode_graph6",
     "degree_sequence_of",
-    "delete_vertex",
     "empty_graph",
     "encode_graph6",
     "extremal_witness",

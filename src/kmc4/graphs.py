@@ -159,19 +159,6 @@ def degree_sequence_of(g: SmallGraph) -> DegreeSequence:
                          sorted(map(int.bit_count, g.rows), reverse=True))
 
 
-def delete_vertex(g: SmallGraph, v: int) -> SmallGraph:
-    """Remove vertex v; higher-numbered vertices shift down by one."""
-    if not (0 <= v < g.n):
-        raise InputError(f"vertex {v} out of range for n={g.n}")
-    low_mask = (1 << v) - 1
-    rows = []
-    for u, row in enumerate(g.rows):
-        if u == v:
-            continue
-        rows.append((row & low_mask) | ((row >> (v + 1)) << v))
-    return SmallGraph._from_rows(g.n - 1, rows)
-
-
 # ----------------------------------------------------------------------
 # Subgraph containment
 # ----------------------------------------------------------------------

@@ -20,13 +20,22 @@ sit in the table instead. Up to 14 vertices every other main-case
 sequence is completed from one of the two; when neither cooperates the
 replay fails with ``ReplayError``.
 
+The deletion case works on degrees alone. A vertex of least degree
+d <= 2 is laid off onto the d largest other terms (Kleitman and Wang),
+which leaves a graphical residual with n - 1 terms and sum at least
+4(n - 1) - 4: the deletion lemma the threshold sweep in ``extremal``
+uses. The replay recurses on that residual and joins a new vertex to
+vertices whose degrees in the returned witness are the lowered terms,
+which realizes the sequence again; only that graph is recorded.
+
 Each leaf case yields its witness together with the bowtie's position
-in it: the 5-vertex base searches for it once, the table case takes it
-from ``is_potentially``, and the hub-plus-cycle family and
-the quadruple completions have it by construction. Re-attaching a deleted
-vertex only appends a vertex and adds edges, so that position carries
-up unchanged; every deletion level and the final outcome check it edge
-by edge instead of searching again.
+in it: the 5-vertex base reads it off a vertex of degree 4 and a
+pairing of the other four, the table case takes it from
+``is_potentially``, and the hub-plus-cycle family and the quadruple
+completions have it by construction. Re-attaching a vertex only
+appends a vertex and adds edges, so that position carries up
+unchanged; every deletion level and the final outcome check it edge by
+edge instead of searching.
 """
 
 from __future__ import annotations
@@ -37,8 +46,8 @@ from itertools import combinations
 
 from .errors import InputError, LimitError
 from .graphs import (DEFAULT_VERTEX_LIMIT, SmallGraph, degree_sequence_of,
-                     delete_vertex, encode_graph6, find_embedding,
-                     is_embedding, km_minus_c4)
+                     encode_graph6, find_embedding, is_embedding,
+                     km_minus_c4)
 from .realizations import (_decide_sequence, _greedy_realization,
                            _k4_on_top, is_potentially, theorem2_interchange)
 from .sequences import (DegreeSequence, graphical_sequences_with_sum,
@@ -185,6 +194,31 @@ def _attach_back(witness: SmallGraph, attach_degrees: list[int],
     return SmallGraph._from_rows(new_v + 1, rows)
 
 
+def _base5_embedding(g: SmallGraph) -> tuple[int, ...] | None:
+    """The bowtie in a 5-vertex graph, read off without a search.
+
+    The centre is the lowest-index vertex of degree 4; the two
+    independent edges are the first of the three pairings of the other
+    four vertices, in the order ``find_embedding`` meets them, whose two
+    pairs are both edges. With at least 8 edges both always exist: the
+    complement has at most 2 edges, so some vertex misses all of them,
+    and they rule out at most two of the three disjoint pairings.
+    Returns the embedding in the layout (p, r, q, s, centre) with
+    independent edges p-q and r-s, or None.
+    """
+    rows = g.rows
+    for c in range(5):
+        if rows[c].bit_count() == 4:
+            break
+    else:
+        return None
+    a, b, x, y = (v for v in range(5) if v != c)
+    for p, q, r, s in ((a, x, b, y), (a, y, b, x), (a, b, x, y)):
+        if (rows[p] >> q) & 1 and (rows[r] >> s) & 1:
+            return (p, r, q, s, c)
+    return None
+
+
 def _try_quad_completion(g: SmallGraph):
     """Finish the main case from one realization, if it cooperates.
 
@@ -255,11 +289,11 @@ def _replay(seq: DegreeSequence, steps: list[ProofStep],
     n = seq.n
     bowtie = km_minus_c4(5)
     # seq is graphical: replay_theorem2 checked it, and every recursive
-    # call passes the degree sequence of a real graph.
+    # call passes a Kleitman-Wang residual, graphical by their lemma.
 
     if n == 5:
         g = _greedy_realization(seq)
-        emb = find_embedding(g, bowtie)
+        emb = _base5_embedding(g)
         if emb is None:
             raise ReplayError(
                 f"5-vertex realization of {tuple(seq)} with "
@@ -271,19 +305,19 @@ def _replay(seq: DegreeSequence, steps: list[ProofStep],
         return g, emb
 
     if seq[-1] <= 2:
-        g = _greedy_realization(seq)
-        v = n - 1  # greedy realization puts the minimum degree last
-        attach = [g.degree(w) - 1 for w in g.neighbors(v)]
-        residual = degree_sequence_of(delete_vertex(g, v))
+        d = seq[-1]
+        attach = [t - 1 for t in seq[:d]]
+        residual = tuple.__new__(DegreeSequence, sorted(
+            attach + list(seq[d:n - 1]), reverse=True))
         if sum(residual) < 4 * (n - 1) - 4:
             raise ReplayError(
                 f"residual sum {sum(residual)} below threshold "
-                f"after deleting degree {seq[-1]}", steps)
+                f"after deleting degree {d}", steps)
         steps.append(ProofStep(
             CASE_DELETION, tuple(seq),
-            f"deleted a vertex of degree {seq[-1]}; residual "
-            f"({','.join(str(t) for t in residual)}) keeps the threshold",
-            encode_graph6(g)))
+            f"laid a vertex of degree {d} off onto degrees "
+            f"{list(seq[:d])}; residual "
+            f"({','.join(str(t) for t in residual)}) keeps the threshold"))
         inner, emb = _replay(residual, steps, limit)
         out = _attach_back(inner, attach, steps)
         if degree_sequence_of(out) != seq:

@@ -557,6 +557,19 @@ def encode_graph6_by_bits(g: SmallGraph) -> str:
     return "".join(out)
 
 
+def kleitman_wang_residual(seq) -> tuple[int, ...]:
+    """Lay a vertex of least degree d off onto d vertices of largest
+    degree among the others (Kleitman and Wang 1973): those lose one
+    each, the laid-off vertex goes, and the rest stay. Vertices carry
+    explicit labels, so which ones are chosen is read off directly."""
+    vertices = sorted(enumerate(seq), key=lambda lv: (lv[1], -lv[0]))
+    _, d = vertices[0]
+    others = sorted(vertices[1:], key=lambda lv: (-lv[1], lv[0]))
+    hit = {label for label, _ in others[:d]}
+    degrees = [deg - (label in hit) for label, deg in others]
+    return tuple(sorted(degrees, reverse=True))
+
+
 def embedding_is_valid(host: SmallGraph, pattern, emb) -> bool:
     """Is emb an injective map into host's vertices under which every
     pattern edge is a host edge? Read straight off the bitmask rows."""

@@ -12,8 +12,8 @@ from helpers import (brute_embedding_exists, canonical_form, complement,
 
 from kmc4 import (DegreeSequence, Graph6Error, InputError, LimitError,
                   SmallGraph, TargetPattern, complete_graph, decode_graph6,
-                  degree_sequence_of, delete_vertex, empty_graph,
-                  encode_graph6, find_embedding, join, km_minus_c4)
+                  degree_sequence_of, empty_graph, encode_graph6,
+                  find_embedding, join, km_minus_c4)
 from kmc4.graphs import is_embedding
 
 
@@ -136,31 +136,6 @@ class TestTargetPattern:
         t = km_minus_c4(5)
         assert isinstance(t, TargetPattern)
         assert t.pattern.n == t.m
-
-
-class TestDeleteVertex:
-    def test_bowtie_center_leaves_independent_edges(self):
-        bow = km_minus_c4(5).pattern
-        center = max(range(5), key=bow.degree)
-        rest = delete_vertex(bow, center)
-        assert canonical_form(rest) == canonical_form(two_independent_edges())
-
-    def test_matches_relabel_reconstruction(self):
-        rng = Random(7)
-        for _ in range(60):
-            n = rng.randint(2, 9)
-            g = random_graph(n, 0.5, rng)
-            v = rng.randrange(n)
-            got = delete_vertex(g, v)
-            keep = [u for u in range(n) if u != v]
-            idx = {u: i for i, u in enumerate(keep)}
-            want = SmallGraph(n - 1, [(idx[a], idx[b]) for a, b in g.edges()
-                                      if a != v and b != v])
-            assert got == want
-
-    def test_out_of_range(self):
-        with pytest.raises(InputError):
-            delete_vertex(complete_graph(3), 3)
 
 
 class TestFindEmbedding:

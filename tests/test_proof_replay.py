@@ -16,7 +16,9 @@ import json
 from itertools import combinations
 
 import pytest
-from helpers import eager_realizations, embedding_is_valid, two_switch
+from helpers import (brute_embedding_exists, eager_realizations,
+                     embedding_is_valid, is_graphical_quadratic,
+                     kleitman_wang_residual, two_switch)
 
 import kmc4.extremal
 import kmc4.graphs
@@ -30,7 +32,8 @@ from kmc4 import (
     ProofStep,
     ProofTrace,
     ReplayError,
-    base_case_sequences,
+    SmallGraph,
+    decode_graph6,
     find_embedding,
     havel_hakimi_realize,
     is_graphical,
@@ -40,6 +43,7 @@ from kmc4 import (
     verify_base_cases,
     verify_theorem2_range,
 )
+from kmc4.proof_replay import _base5_embedding, base_case_sequences
 from kmc4.realizations import _k4_on_top
 from kmc4.sequences import graphical_sequences_with_sum
 
@@ -67,6 +71,9 @@ def check_trace(seq, trace):
         assert step.case in CASES
         assert isinstance(step.sequence, tuple)
         assert step.action
+        if step.graph6 is not None:
+            g = decode_graph6(step.graph6)
+            assert g.degrees() == tuple(sorted(step.sequence, reverse=True))
 
 
 class TestBaseCaseSequences:
@@ -147,6 +154,27 @@ class TestCaseBranches:
         check_trace((4, 4, 3, 3, 2), trace)
         assert [s.case for s in trace.steps] == ["q≥8 (n=5)"]
 
+    def test_five_vertex_bowtie_read_off_without_a_search(self):
+        # every labelled graph on 5 vertices: the construction returns a
+        # valid bowtie exactly when brute force finds one, and always
+        # with at least 8 edges (at most 2 in the complement)
+        pairs = list(combinations(range(5), 2))
+        dense = 0
+        for mask in range(1 << len(pairs)):
+            g = SmallGraph(5, [e for i, e in enumerate(pairs)
+                               if (mask >> i) & 1])
+            emb = _base5_embedding(g)
+            exists = brute_embedding_exists(g, BOWTIE.pattern)
+            assert (emb is not None) == exists, g.edges()
+            if emb is not None:
+                assert embedding_is_valid(g, BOWTIE, emb), (g.edges(), emb)
+                # the pairing order keeps the base step's action text
+                assert emb == find_embedding(g, BOWTIE)
+            if g.edge_count >= 8:
+                dense += 1
+                assert emb is not None, g.edges()
+        assert dense == 56
+
     def test_single_deletion(self):
         trace = replay_theorem2((4, 4, 4, 4, 2, 2))
         check_trace((4, 4, 4, 4, 2, 2), trace)
@@ -162,6 +190,18 @@ class TestCaseBranches:
         cases = [s.case for s in trace.steps]
         assert cases[:3] == ["d_n≤2 deletion"] * 3
         assert trace.depth == len(seq) - 4
+
+    def test_deletion_step_builds_no_graph(self):
+        # the lay-off works on degrees: only the re-attached graph is
+        # recorded, and the action names the degrees laid off onto
+        trace = replay_theorem2((5, 5, 4, 4, 2, 2, 2))
+        check_trace((5, 5, 4, 4, 2, 2, 2), trace)
+        first = trace.steps[0]
+        assert first.graph6 is None
+        assert first.action == ("laid a vertex of degree 2 off onto degrees "
+                                "[5, 5]; residual (4,4,4,4,2,2) keeps the "
+                                "threshold")
+        assert trace.steps[-1].graph6 is not None
 
     def test_deletion_records_both_directions(self):
         # The peel and the re-attachment are separate recorded steps, so a
@@ -258,9 +298,37 @@ class TestCarriedEmbedding:
                                "find_embedding")
         trace = replay_theorem2((7, 7, 4, 4, 4, 2, 2, 2))
         assert [s.case for s in trace.steps].count("d_n≤2 deletion") == 6
-        # the 5-vertex base case searches once; the three re-attachments
-        # and the final check only check what it found
-        assert len(calls) == 1
+        # the 5-vertex base case reads its bowtie off the degrees; the
+        # three re-attachments and the final check only check it
+        assert calls == []
+
+    def test_deletion_recurses_on_the_kleitman_wang_residual(self,
+                                                             monkeypatch):
+        called = []
+        real = kmc4.proof_replay._replay
+
+        def recording(seq, steps, limit):
+            called.append(tuple(seq))
+            return real(seq, steps, limit)
+
+        monkeypatch.setattr(kmc4.proof_replay, "_replay", recording)
+        deletions = 0
+        for n in range(6, 10):
+            for total in range(n * (n - 1), 4 * n - 5, -2):
+                for seq in graphical_sequences_with_sum(n, total):
+                    if seq[-1] > 2:
+                        continue
+                    # every level with n > 5 and least term <= 2 hands
+                    # the next level its lay-off residual
+                    chain = [tuple(seq)]
+                    while len(chain[-1]) > 5 and chain[-1][-1] <= 2:
+                        chain.append(kleitman_wang_residual(chain[-1]))
+                        assert is_graphical_quadratic(chain[-1])
+                    called.clear()
+                    check_trace(tuple(seq), replay_theorem2(seq))
+                    assert called == chain
+                    deletions += len(chain) - 1
+        assert deletions == 4631
 
     def test_family_embedding_is_built(self, monkeypatch):
         calls = record_returns(monkeypatch, kmc4.proof_replay,
@@ -388,8 +456,12 @@ class TestConstructedCompletion:
         # (4^6,3,3), (6,4,3^6) and (5,5,3^6). Re-frozen when (4^6) and
         # (4^7) joined the exceptional table, which changed the case and
         # action, not the graphs, of (4^6), (4^7), (4^6,0) and (4^7,0).
-        # Every case, action and graph of every threshold sequence on 6
-        # to 8 vertices is pinned.
+        # Re-frozen when the deletion case laid the least vertex off on
+        # degrees (Kleitman-Wang) instead of deleting it from a greedy
+        # realization: every trace with a deletion step changed (544 of
+        # the 820 here), its action text and graph6 at least. Every case,
+        # action and graph of every threshold sequence on 6 to 8
+        # vertices is pinned.
         digest = hashlib.sha256()
         count = 0
         for n in range(6, 9):
@@ -400,7 +472,7 @@ class TestConstructedCompletion:
                         digest.update(line.encode() + b"\n")
         assert count == 820
         assert digest.hexdigest() == (
-            "f8d878d071b31a980e1beb8bef49262631afdbb140ebe167b5f3e8b8f257f8f0")
+            "6e3dbf4ddcef5f3064030ca7b385b8e6eed94f5553945b1cdd27a4ff96672d59")
 
 
 def has_k4_on_top(g):
@@ -444,21 +516,25 @@ class TestK4OnTop:
         assert missing == []
 
 
-# The threshold sequences on at most 9 vertices whose trace changed when
-# the main case stopped searching realization classes: each is completed,
-# at some level of its deletion chain, from the K4 construction.
+# The threshold sequences on at most 9 vertices that are completed, at
+# some level of their deletion chain, from the K4 construction.
 K4_COMPLETED = {
     (4, 4, 4, 4, 4, 4, 3, 3), (4, 4, 4, 4, 4, 4, 4, 4),
     (5, 5, 3, 3, 3, 3, 3, 3), (5, 5, 5, 3, 3, 3, 3, 3),
     (6, 4, 3, 3, 3, 3, 3, 3),
     (4, 4, 4, 4, 4, 4, 4, 3, 1), (4, 4, 4, 4, 4, 4, 4, 4, 0),
     (4, 4, 4, 4, 4, 4, 4, 4, 2), (4, 4, 4, 4, 4, 4, 4, 4, 4),
-    (5, 4, 4, 4, 3, 3, 3, 3, 3), (5, 5, 4, 3, 3, 3, 3, 3, 3),
-    (5, 5, 4, 4, 4, 3, 3, 3, 3), (5, 5, 4, 4, 4, 4, 4, 4, 4),
-    (5, 5, 5, 4, 4, 3, 3, 3, 2), (5, 5, 5, 4, 4, 4, 4, 4, 3),
+    (5, 4, 4, 4, 3, 3, 3, 3, 3), (5, 4, 4, 4, 4, 4, 3, 3, 1),
+    (5, 4, 4, 4, 4, 4, 4, 3, 2), (5, 4, 4, 4, 4, 4, 4, 4, 1),
+    (5, 5, 4, 3, 3, 3, 3, 3, 3), (5, 5, 4, 4, 4, 3, 3, 3, 3),
+    (5, 5, 4, 4, 4, 4, 3, 3, 2), (5, 5, 4, 4, 4, 4, 4, 4, 2),
+    (5, 5, 4, 4, 4, 4, 4, 4, 4), (5, 5, 5, 4, 4, 4, 4, 4, 3),
     (6, 4, 4, 3, 3, 3, 3, 3, 3), (6, 5, 3, 3, 3, 3, 3, 3, 3),
-    (6, 6, 4, 3, 3, 3, 3, 3, 3), (7, 4, 3, 3, 3, 3, 3, 3, 3),
-    (7, 5, 4, 3, 3, 3, 3, 3, 3), (8, 4, 4, 3, 3, 3, 3, 3, 3),
+    (6, 5, 5, 3, 3, 3, 3, 3, 1), (6, 6, 3, 3, 3, 3, 3, 3, 2),
+    (6, 6, 4, 3, 3, 3, 3, 3, 3), (6, 6, 5, 3, 3, 3, 3, 3, 2),
+    (7, 4, 3, 3, 3, 3, 3, 3, 3), (7, 4, 4, 3, 3, 3, 3, 3, 2),
+    (7, 5, 3, 3, 3, 3, 3, 3, 2), (7, 5, 4, 3, 3, 3, 3, 3, 3),
+    (8, 4, 4, 3, 3, 3, 3, 3, 3),
 }
 
 
