@@ -16,8 +16,8 @@ from .extremal import (SigmaReport, Theorem1Report, extremal_witness,
                        verify_theorem1)
 from .graphs import (DEFAULT_VERTEX_LIMIT, MAX_VERTICES, SmallGraph,
                      TargetPattern, complete_graph, decode_graph6,
-                     degree_sequence_of, empty_graph, encode_graph6,
-                     find_embedding, join, km_minus_c4)
+                     degree_sequence_of, empty_graph, encode_graph6, join,
+                     km_minus_c4)
 from .proof_replay import (BaseCaseReport, ProofStep, ProofTrace,
                            ReplayError, Theorem2RangeReport, replay_theorem2,
                            verify_base_cases, verify_theorem2_range)
@@ -54,7 +54,6 @@ __all__ = [
     "empty_graph",
     "encode_graph6",
     "extremal_witness",
-    "find_embedding",
     "graphical_sequences_with_sum",
     "havel_hakimi_realize",
     "is_graphical",

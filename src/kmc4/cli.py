@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 for a passing or true outcome, 1 for failing or false,
-2 for bad input, 3 when a search budget ran out before a verdict.
+2 for bad input, 3 when the --budget cap ran out before a verdict.
 Reports in --json mode (and the always-JSON sigma report) are the only
 bytes on stdout; progress and error text go to stderr. Identical
-arguments, seed, and limits reproduce byte-identical output.
+arguments and limits reproduce byte-identical output.
 """
 
 from __future__ import annotations
@@ -39,9 +39,7 @@ ENV_LIMIT = "KMC4_VERTEX_LIMIT"
 class RunConfig:
     vertex_limit: int = DEFAULT_VERTEX_LIMIT
     realization_budget: int | None = None
-    parallelism: int = 1
     output_mode: str = "text"  # text | json
-    seed: int | None = None
     progress: object = None  # callable taking one message string, or None
 
     @property
@@ -103,7 +101,7 @@ def cmd_potential(args, cfg: RunConfig) -> int:
         raise InputError(f"sequence {seq.to_text()} is not graphical")
     target = km_minus_c4(args.m)
     res = is_potentially(seq, target, limit=cfg.vertex_limit,
-                         budget=cfg.realization_budget, order_seed=cfg.seed)
+                         budget=cfg.realization_budget)
     if cfg.json_output:
         _emit({
             "sequence": list(seq),
@@ -134,7 +132,6 @@ def cmd_sigma(args, cfg: RunConfig) -> int:
         return EXIT_PASS
     try:
         report = sigma_exact(args.m, args.n, limit=cfg.vertex_limit,
-                             workers=cfg.parallelism,
                              budget=cfg.realization_budget,
                              progress=cfg.progress)
     except BudgetExceededError as exc:
@@ -203,7 +200,6 @@ def cmd_verify_theorem1(args, cfg: RunConfig) -> int:
 
 def cmd_verify_theorem2(args, cfg: RunConfig) -> int:
     report = verify_theorem2_range(args.n_max, limit=cfg.vertex_limit,
-                                   workers=cfg.parallelism,
                                    progress=cfg.progress)
     if cfg.json_output:
         _emit(report.to_json_dict())
@@ -222,7 +218,6 @@ def cmd_verify_conjecture(args, cfg: RunConfig) -> int:
         raise InputError("verify conjecture needs --m")
     reports = verify_conjecture(args.m, (args.m, args.n_max),
                                 limit=cfg.vertex_limit,
-                                workers=cfg.parallelism,
                                 progress=cfg.progress)
     passed = all(r.verdict == "matches" for r in reports)
     if cfg.json_output:
@@ -265,18 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"vertex cap for exhaustive work "
                         f"(default ${ENV_LIMIT} or {DEFAULT_VERTEX_LIMIT})")
     p.add_argument("--budget", type=int, default=None, metavar="K",
-                   help="cap on candidates per decision (the greedy "
-                        "realization and at most three placement "
-                        "pairings; the sigma sweep counts the pairings "
-                        "only); a negative verdict cut short this way "
-                        "exits 3")
-    p.add_argument("--workers", type=int, default=1, metavar="W",
-                   help="accepted and currently unused: reserved for "
-                        "running the theorem-2 replay loop in worker "
-                        "processes; every sweep runs serially")
-    p.add_argument("--seed", type=int, default=None,
-                   help="shuffle the order of the placements tried, "
-                        "reproducibly; the verdict never depends on it")
+                   help="cap on the placement pairings tried per "
+                        "decision (at most three); a negative verdict "
+                        "cut short this way exits 3")
     p.add_argument("--progress", action="store_true",
                    help="progress lines on stderr")
     sub = p.add_subparsers(dest="command", required=True)
@@ -300,12 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="threshold report (always JSON on stdout)")
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
-    mode = sp.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", default=True,
-                      help="exhaustive sweep (default)")
-    mode.add_argument("--bound", dest="bound", action="store_true",
-                      help="closed-form lower bound only, no sweep")
-    sp.set_defaults(func=cmd_sigma, bound=False)
+    sp.add_argument("--bound", action="store_true",
+                    help="closed-form lower bound only, no exhaustive sweep")
+    sp.set_defaults(func=cmd_sigma)
 
     sp = sub.add_parser("witness",
                         help="extremal graph meeting the lower bound")
@@ -354,9 +337,7 @@ def run(argv=None) -> int:
             print(msg, file=sys.stderr, flush=True)
     cfg = RunConfig(vertex_limit=_resolve_limit(args.limit),
                     realization_budget=args.budget,
-                    parallelism=args.workers,
                     output_mode="json" if args.json else "text",
-                    seed=args.seed,
                     progress=progress)
     return args.func(args, cfg)
 

@@ -147,8 +147,7 @@ class SigmaReport:
 
 
 def sigma_exact(m: int, n: int, limit: int = DEFAULT_VERTEX_LIMIT,
-                workers: int = 1, budget: int | None = None,
-                progress=None) -> SigmaReport:
+                budget: int | None = None, progress=None) -> SigmaReport:
     """Exact threshold by exhaustive sweep, by induction on n.
 
     Computes the threshold at every length from m up to n, each by a scan
@@ -159,9 +158,6 @@ def sigma_exact(m: int, n: int, limit: int = DEFAULT_VERTEX_LIMIT,
     the failing sequences are the extremal ones, and all higher levels
     are certified clean. Only the failing sequences at n are realized,
     for their witnesses.
-
-    ``workers`` is accepted and ignored: the levels are small enough that
-    a process pool costs more than it saves.
     """
     sigma_lower_bound(m, n)  # raises unless 4 <= m <= n
     if n > limit:
@@ -197,7 +193,7 @@ def _sigma_upward(m: int, n_hi: int, limit: int, budget: int | None,
             count = pairings = 0
             for s in graphical_sequences_with_sum(n, level, limit=limit,
                                                   min_term=floor):
-                verdict, explored, exhausted = _decide_sequence(s, m, budget)
+                verdict, explored, exhausted, _, _ = _decide_sequence(s, m, budget)
                 if not verdict:
                     if not exhausted:
                         raise BudgetExceededError(
@@ -233,14 +229,13 @@ def _sigma_report(m: int, n: int, exact: int,
 
 
 def verify_conjecture(m: int, n_range, limit: int = DEFAULT_VERTEX_LIMIT,
-                      workers: int = 1, progress=None) -> list[SigmaReport]:
+                      progress=None) -> list[SigmaReport]:
     """Exact thresholds across an inclusive interval of n.
 
     Returns one report per n, all from one upward sweep; the caller
     decides what to make of the verdicts. Exact below the formula would
     contradict the witness construction and exceeding it would refute
-    the conjectured equality. ``workers`` is accepted and ignored, as in
-    ``sigma_exact``.
+    the conjectured equality.
     """
     lo, hi = n_range
     if lo < m:

@@ -4,8 +4,8 @@ Adjacency is stored as one integer bitmask per vertex, which keeps every
 row in a single machine word and makes neighborhood intersection, degree
 counts, and edge toggles cheap. On top of the type live the pattern
 constructions (complete and empty graphs, joins, the complete graph
-minus a 4-cycle), vertex deletion, injective subgraph embedding and
-its check, and the graph6 text codec.
+minus a 4-cycle), the check of a subgraph embedding, and the graph6
+text codec.
 """
 
 from __future__ import annotations
@@ -160,63 +160,8 @@ def degree_sequence_of(g: SmallGraph) -> DegreeSequence:
 
 
 # ----------------------------------------------------------------------
-# Subgraph containment
+# Embedding check
 # ----------------------------------------------------------------------
-
-def find_embedding(host: SmallGraph, pattern) -> tuple[int, ...] | None:
-    """First injective map sending pattern edges onto host edges.
-
-    Pattern vertices are placed in decreasing-degree order with degree
-    feasibility pruning; host candidates are tried in ascending index, so
-    the embedding found is deterministic. Returns a tuple indexed by
-    pattern vertex, or None. The pattern may be a SmallGraph or a
-    TargetPattern.
-    """
-    if isinstance(pattern, TargetPattern):
-        pattern = pattern.pattern
-    pn, hn = pattern.n, host.n
-    if pn > hn:
-        return None
-    if pn == 0:
-        return ()
-    order, pdeg, placed_nbrs = _embedding_plan(pattern)
-    hdeg = host.degrees()
-    hrows = host.rows
-    full = (1 << hn) - 1
-    assign = [-1] * pn
-
-    def place(k: int, used: int) -> bool:
-        if k == pn:
-            return True
-        cand = full & ~used
-        for pv in placed_nbrs[k]:
-            cand &= hrows[assign[pv]]
-        need = pdeg[k]
-        for hv in _bits(cand):
-            if hdeg[hv] >= need:
-                assign[order[k]] = hv
-                if place(k + 1, used | (1 << hv)):
-                    return True
-        return False
-
-    if place(0, 0):
-        return tuple(assign)
-    return None
-
-
-@lru_cache(maxsize=64)
-def _embedding_plan(pattern: SmallGraph):
-    """The host-independent half of ``find_embedding``: pattern vertices
-    in decreasing-degree order (ties by index), the degree of each, and
-    for each the pattern vertices placed before it that it is adjacent
-    to."""
-    order = sorted(range(pattern.n), key=lambda v: (-pattern.degree(v), v))
-    pdeg = tuple(pattern.degree(v) for v in order)
-    placed_nbrs = tuple(
-        tuple(u for u in order[:k] if pattern.has_edge(pv, u))
-        for k, pv in enumerate(order))
-    return tuple(order), pdeg, placed_nbrs
-
 
 def is_embedding(host: SmallGraph, pattern, emb) -> bool:
     """Is emb (host vertex per pattern vertex) an injective map sending

@@ -46,8 +46,7 @@ from itertools import combinations
 
 from .errors import InputError, LimitError
 from .graphs import (DEFAULT_VERTEX_LIMIT, SmallGraph, degree_sequence_of,
-                     encode_graph6, find_embedding, is_embedding,
-                     km_minus_c4)
+                     encode_graph6, is_embedding, km_minus_c4)
 from .realizations import (_decide_sequence, _greedy_realization,
                            _k4_on_top, is_potentially, theorem2_interchange)
 from .sequences import (DegreeSequence, graphical_sequences_with_sum,
@@ -60,7 +59,7 @@ CASE_FAMILY = "d(v2)=3 sequence"
 CASE_INTERCHANGE = "interchange"
 CASE_DIRECT = "direct-adjacency"
 
-# The sequences the induction cannot reduce, handled by direct search,
+# The sequences the induction cannot reduce, decided by ``is_potentially``,
 # as (n, sequence) in the order ``verify base-cases`` reports them. No
 # realization of (4^6) or (4^7) has a complete quadruple, so the main
 # case has nothing to complete for either.
@@ -99,10 +98,12 @@ class ProofStep:
 
 @dataclass
 class ProofTrace:
-    """Ordered case decisions ending in a validated witness."""
+    """Ordered case decisions ending in a validated witness, with the
+    bowtie's embedding in it (host vertex per pattern vertex)."""
 
     steps: list[ProofStep]
     outcome: SmallGraph
+    embedding: tuple[int, ...]
 
     @property
     def depth(self) -> int:
@@ -199,9 +200,9 @@ def _base5_embedding(g: SmallGraph) -> tuple[int, ...] | None:
 
     The centre is the lowest-index vertex of degree 4; the two
     independent edges are the first of the three pairings of the other
-    four vertices, in the order ``find_embedding`` meets them, whose two
-    pairs are both edges. With at least 8 edges both always exist: the
-    complement has at most 2 edges, so some vertex misses all of them,
+    four vertices, in the order below, whose two pairs are both edges.
+    With at least 8 edges both always exist: the complement has at
+    most 2 edges, so some vertex misses all of them,
     and they rule out at most two of the three disjoint pairings.
     Returns the embedding in the layout (p, r, q, s, centre) with
     independent edges p-q and r-s, or None.
@@ -340,8 +341,8 @@ def _replay(seq: DegreeSequence, steps: list[ProofStep],
                 f"containing the target", steps)
         steps.append(ProofStep(
             CASE_EXCEPTIONAL, tuple(seq),
-            f"table sequence; search found a witness after exploring "
-            f"{res.explored} candidates", encode_graph6(res.witness)))
+            f"table sequence; the top-degree placement holds the target "
+            f"at pairing {res.explored}", encode_graph6(res.witness)))
         return res.witness, res.embedding
 
     if seq[1] == 3:
@@ -398,7 +399,7 @@ def replay_theorem2(seq, limit: int = DEFAULT_VERTEX_LIMIT) -> ProofTrace:
     Preconditions: graphical, n >= 5, degree sum >= 4n-4. The returned
     trace ends in a graph that realizes the input sequence and contains
     the bowtie; both facts are re-checked before returning, the second
-    on the embedding the replay carried.
+    on the embedding the replay carried, which the trace keeps.
     """
     seq = DegreeSequence(seq)
     n = seq.n
@@ -419,7 +420,7 @@ def replay_theorem2(seq, limit: int = DEFAULT_VERTEX_LIMIT) -> ProofTrace:
             f"instead of {tuple(seq)}", steps)
     if not is_embedding(out, km_minus_c4(5), emb):
         raise ReplayError("outcome does not contain the target", steps)
-    return ProofTrace(steps, out)
+    return ProofTrace(steps, out, emb)
 
 
 @dataclass
@@ -436,15 +437,14 @@ class Theorem2RangeReport:
 
 
 def verify_theorem2_range(n_max: int, limit: int = DEFAULT_VERTEX_LIMIT,
-                          workers: int = 1, progress=None) -> Theorem2RangeReport:
+                          progress=None) -> Theorem2RangeReport:
     """Exhaustively confirm the m=5 equality for 5 <= n <= n_max.
 
     At each n the exact threshold must equal 4n-4, and the constructive
     replay must produce a valid witness for every graphical sequence at
     or above the threshold, agreeing with the verdict-only decision.
-    The thresholds come from one upward sweep over n. ``workers`` is
-    accepted and unused, reserved for spreading the replay loop over
-    processes.
+    Each witness is checked edge by edge on the embedding its trace
+    carries. The thresholds come from one upward sweep over n.
     """
     from .extremal import _sigma_upward
 
@@ -467,7 +467,8 @@ def verify_theorem2_range(n_max: int, limit: int = DEFAULT_VERTEX_LIMIT,
                 try:
                     trace = replay_theorem2(seq, limit=limit)
                     ok = (degree_sequence_of(trace.outcome) == seq
-                          and find_embedding(trace.outcome, bowtie) is not None)
+                          and is_embedding(trace.outcome, bowtie,
+                                           trace.embedding))
                 except ReplayError:
                     ok = False
                 if not ok:

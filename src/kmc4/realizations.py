@@ -28,46 +28,37 @@ The 2-switch settles where F_m may sit:
   outside residuals loses no realization. Havel-Hakimi then realizes the
   outside residual exactly.
 
-So after a top-degree necessary condition, the decision tries the greedy
-realization and then at most three pairings, and each positive comes
-with a witness and its embedding. The greedy realization gives vertex i
-degree seq[i], so it too is first read for F_m on vertices 0..m-1 in the
-same layout as a placement; only when F_m does not sit there is it
-searched for with ``find_embedding``. A negative is authoritative
-whenever every candidate was examined.
-
-A threshold sweep needs only verdicts, and ``_decide_sequence`` reaches
-the same ones on degrees alone, with no greedy candidate and no
-adjacency rows. A cycle-edge subset fits when, after the inside degrees
-are subtracted, each placed vertex can be laid off onto the largest
-outside degrees and the sorted outside residual passes Erdos-Gallai.
-K_m, the one subset every pairing shares, is tried first and once; the
-other subsets follow, most edges first. ``_placement`` runs the same
-per-subset test in index order and builds rows only for the first
-subset that fits, so a witness is the same whichever path found it.
+So after a top-degree necessary condition, the decision tries at most
+three pairings on degrees alone, with no adjacency rows. A cycle-edge
+subset fits when, after the inside degrees are subtracted, each placed
+vertex can be laid off onto the largest outside degrees and the sorted
+outside residual passes Erdos-Gallai. K_m, the one subset every pairing
+shares, is tried first and once; the other subsets follow, most edges
+first. A negative is authoritative whenever every pairing was tried.
+A positive names the pairing and subset that fit, and ``_placement``
+builds the rows of that one placement into the witness, with its
+embedding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from random import Random
 
 from .errors import ContractError, LimitError
 from .graphs import (DEFAULT_VERTEX_LIMIT, MAX_VERTICES, SmallGraph,
-                     TargetPattern, find_embedding, is_embedding,
-                     km_minus_c4)
+                     TargetPattern, is_embedding, km_minus_c4)
 from .sequences import DegreeSequence, _erdos_gallai, is_graphical
 
 
 @dataclass
 class WitnessResult:
-    """Outcome of a potential-subgraph search.
+    """Outcome of a potential-subgraph decision.
 
     ``verdict`` True comes with the witness realization and the embedding
-    (host vertex per pattern vertex). ``explored`` counts the candidates
-    examined. ``exhausted`` records whether every candidate was examined;
-    a False verdict is authoritative only when it is set.
+    (host vertex per pattern vertex). ``explored`` counts the placement
+    pairings tried. ``exhausted`` records whether every pairing was
+    tried; a False verdict is authoritative only when it is set.
     """
 
     verdict: bool
@@ -129,22 +120,18 @@ def _lay_off(rows: list[int], keys: list[int]) -> bool:
 
 def is_potentially(seq, target: TargetPattern,
                    limit: int = DEFAULT_VERTEX_LIMIT,
-                   budget: int | None = None,
-                   order_seed: int | None = None) -> WitnessResult:
+                   budget: int | None = None) -> WitnessResult:
     """Does some realization of seq contain the target F_m as a subgraph?
 
     With fewer terms than m, or when the top degrees fail the necessary
     condition (the m-4 largest at least m-1, the m-th largest at least
-    m-3), the answer is an immediate, authoritative no. Otherwise the
-    candidates are the greedy realization and then each distinct
-    diagonal pairing of the top-degree placement (module docstring).
-    The greedy realization's embedding is read off vertices 0..m-1 when
-    F_m sits there, and searched for otherwise; ``explored`` counts the
-    candidates examined, at most 4.
-    ``order_seed`` shuffles the pairing order. ``budget`` caps the
-    candidates; when it runs out the negative verdict is marked
-    non-authoritative (exhausted False). The target must be
-    ``km_minus_c4(m)``.
+    m-3), the answer is an immediate, authoritative no. Otherwise each
+    distinct diagonal pairing of the top-degree placement is tried on
+    degrees (module docstring); ``explored`` counts the pairings tried,
+    at most 3. A positive's witness is the placement that fit, checked
+    edge by edge before it is returned. ``budget`` caps the pairings;
+    when it runs out the negative verdict is marked non-authoritative
+    (exhausted False). The target must be ``km_minus_c4(m)``.
     """
     m = target.m
     if not (isinstance(m, int) and 4 <= m <= MAX_VERTICES
@@ -157,77 +144,48 @@ def is_potentially(seq, target: TargetPattern,
         raise ContractError(f"sequence {tuple(seq)} is not graphical")
     if seq.n > limit:
         raise LimitError(f"realization search limited to {limit} vertices (got {seq.n})")
-    return _decide(seq, target, budget, order_seed)
+    verdict, explored, exhausted, diagonals, used = \
+        _decide_sequence(seq, m, budget)
+    if not verdict:
+        return WitnessResult(False, None, None, explored, exhausted)
+    g, emb = _placement(seq, m, diagonals, used)
+    if not _is_witness(seq, target, g, emb):
+        raise ContractError(f"placement witness for {tuple(seq)} "
+                            f"fails its check")
+    return WitnessResult(True, g, emb, explored, False)
 
 
-def _decide(seq: DegreeSequence, target: TargetPattern,
-            budget: int | None, order_seed: int | None) -> WitnessResult:
-    """The decision of ``is_potentially`` without its input checks: seq
-    must be a graphical DegreeSequence with at least m terms, and target
-    must be ``km_minus_c4(m)``."""
-    m = target.m
-    if (m > 4 and seq[m - 5] < m - 1) or seq[m - 1] < m - 3:
-        return WitnessResult(False, None, None, 0, True)
-    explored = 0
-    for diagonals in _candidates(seq, m, order_seed):
-        if budget is not None and explored >= budget:
-            return WitnessResult(False, None, None, explored, False)
-        explored += 1
-        if diagonals is None:
-            g = _greedy_realization(seq)
-            emb = _top_embedding(g, m) or find_embedding(g, target)
-        else:
-            g, emb = _placement(seq, m, diagonals)
-            if emb is not None and not _is_witness(seq, target, g, emb):
-                raise ContractError(f"placement witness for {tuple(seq)} "
-                                    f"fails its check")
-        if emb is not None:
-            return WitnessResult(True, g, emb, explored, False)
-    return WitnessResult(False, None, None, explored, True)
+def _decide_sequence(seq: DegreeSequence, m: int, budget: int | None):
+    """The decision on degrees alone: (verdict, pairings explored,
+    exhausted, diagonals, used), where a positive names the pairing and
+    the cycle-edge subset that fit, and a negative has None for both.
 
-
-def _decide_sequence(seq: DegreeSequence, m: int,
-                     budget: int | None) -> tuple[bool, int, bool]:
-    """The verdict of ``_decide`` on degrees alone, with the same input
-    contract: (verdict, pairings explored, exhausted).
-
-    No greedy candidate and no adjacency rows. After the same necessary
-    condition, the first pairing tries K_m on the top m degrees, the one
-    placement every pairing shares; then the core is laid off once, and
-    each distinct pairing tries its other cycle-edge subsets, most edges
-    first. A core that does not fit rules out every pairing at once.
-    ``budget`` caps the pairings, at most 3.
+    seq must be a graphical DegreeSequence with at least m terms. After
+    the necessary condition, the core is laid off once, with the first
+    pairing; a core that does not fit rules out every pairing at once.
+    Each distinct pairing then tries its cycle-edge subsets, most edges
+    first. K_m (subset 15, every cycle edge) is the same placement in
+    every pairing, so only the first tries it. ``budget`` caps the
+    pairings, at most 3.
     """
     if (m > 4 and seq[m - 5] < m - 1) or seq[m - 1] < m - 3:
-        return False, 0, True
+        return False, 0, True, None, None
     explored = 0
     out = None
+    order = _MOST_EDGES
     for diagonals in _distinct_pairings(seq, m):
         if budget is not None and explored >= budget:
-            return False, explored, False
+            return False, explored, False, None, None
         explored += 1
         if out is None:
-            rest = _lay_off_degrees(seq[m:], [d - m + 1 for d in seq[:m]])
-            if rest is not None and _erdos_gallai(rest):
-                return True, explored, False
             out = _core_residual(seq, m)
             if out is None:
-                return False, explored, True
-        if _first_fit(seq, m, out, diagonals, _FEWER_EDGES) is not None:
-            return True, explored, False
-    return False, explored, True
-
-
-def _candidates(seq: DegreeSequence, m: int, order_seed: int | None):
-    """None, standing for the greedy realization, then the distinct
-    diagonal pairings in an order ``order_seed`` may shuffle. The
-    pairings are worked out only when the greedy realization did not
-    settle the decision."""
-    yield None
-    pairings = list(_distinct_pairings(seq, m))
-    if order_seed is not None:
-        Random(order_seed).shuffle(pairings)
-    yield from pairings
+                return False, explored, True, None, None
+        used = _first_fit(seq, m, out, diagonals, order)
+        if used is not None:
+            return True, explored, False, diagonals, used
+        order = _MOST_EDGES[1:]
+    return False, explored, True, None, None
 
 
 def _distinct_pairings(seq: DegreeSequence, m: int):
@@ -265,9 +223,9 @@ _CYCLE_DEGREES = tuple(((used & 1) + (used >> 3 & 1),
                         (used >> 1 & 1) + (used >> 2 & 1),
                         (used >> 2 & 1) + (used >> 3 & 1))
                        for used in range(16))
-# The subsets short of K_m by descending edge count: the order in which
+# The subsets by descending edge count, K_m first: the order in which
 # positives of a sweep fit soonest.
-_FEWER_EDGES = tuple(sorted(range(15), key=lambda used: -used.bit_count()))
+_MOST_EDGES = tuple(sorted(range(16), key=lambda used: -used.bit_count()))
 
 
 def _core_residual(seq: DegreeSequence, m: int) -> list[int] | None:
@@ -309,24 +267,17 @@ def _lay_off_degrees(out, needs) -> list[int] | None:
     return out
 
 
-def _placement(seq: DegreeSequence, m: int, diagonals):
-    """A realization of seq with F_m on vertices 0..m-1, the core on
-    0..m-5 and the cycle diagonals as given, with its embedding; or
-    (None, None) when no such realization exists.
-
-    Takes the first cycle-edge subset in index order that fits on
-    degrees (``_first_fit``) and finishes the rows with
-    ``_realize_around``.
+def _placement(seq: DegreeSequence, m: int, diagonals, used: int):
+    """The realization of seq with F_m on vertices 0..m-1, the core on
+    0..m-5, the cycle diagonals as given and the cycle edges in ``used``,
+    with its embedding. The caller has found on degrees that this
+    placement fits (``_decide_sequence``); ``_realize_around`` finishes
+    the rows.
     """
-    out = _core_residual(seq, m)
-    used = None if out is None else _first_fit(seq, m, out, diagonals, range(16))
-    if used is None:
-        return None, None
-    n = seq.n
     (p, q), (r, s) = diagonals
     core = (1 << (m - 4)) - 1
     placed = (1 << m) - 1
-    rows = [0] * n
+    rows = [0] * seq.n
     for v in range(m - 4):
         rows[v] = placed ^ (1 << v)
     for u, v in diagonals:
@@ -384,22 +335,6 @@ def _realize_around(seq: DegreeSequence, rows: list[int],
     if not _lay_off(rows, keys):
         return None
     return SmallGraph._from_rows(seq.n, rows)
-
-
-def _top_embedding(g: SmallGraph, m: int) -> tuple[int, ...] | None:
-    """F_m on vertices 0..m-1 of g in the layout ``_placement`` returns,
-    or None: the core 0..m-5 must be joined to all of 0..m-1, and the
-    cycle vertices m-4..m-1 must hold one of the three diagonal
-    pairings."""
-    rows = g.rows
-    placed = (1 << m) - 1
-    for v in range(m - 4):
-        if (rows[v] | (1 << v)) & placed != placed:
-            return None
-    for (p, q), (r, s) in _pairings(m):
-        if (rows[p] >> q) & (rows[r] >> s) & 1:
-            return (p, r, q, s) + tuple(range(m - 4))
-    return None
 
 
 def _is_witness(seq: DegreeSequence, target: TargetPattern,

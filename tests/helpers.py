@@ -7,8 +7,10 @@ search is the exhaustive oracle for realizations:
 ``enumerate_realizations`` walks every isomorphism class of
 realizations of a sequence, keyed by ``canonical_form``, which the
 library never does, and ``search_potentially`` and
-``eager_realizations`` are built on it. These live only here, with a
-few small constructors the library has no use for.
+``eager_realizations`` are built on it. ``find_embedding`` is the
+subgraph search those oracles read a realization with; the library
+decides on degrees and only checks the embedding it builds. These live
+only here, with a few small constructors the library has no use for.
 ``sigma_by_full_sweep`` is the exact-threshold sweep without the
 induction on n, the reference for the one that skips what the deletion
 lemma proves.
@@ -24,8 +26,8 @@ from random import Random
 from kmc4 import (DEFAULT_LENGTH_LIMIT, DEFAULT_VERTEX_LIMIT, ContractError,
                   DegreeSequence, InputError, LimitError, SigmaReport,
                   SmallGraph, TargetPattern, WitnessResult, encode_graph6,
-                  find_embedding, graphical_sequences_with_sum,
-                  havel_hakimi_realize, is_graphical, sigma_lower_bound)
+                  graphical_sequences_with_sum, havel_hakimi_realize,
+                  is_graphical, sigma_lower_bound)
 from kmc4.graphs import _bits
 from kmc4.realizations import _decide_sequence, _greedy_realization, _lay_off
 
@@ -40,6 +42,61 @@ def complement(g: SmallGraph) -> SmallGraph:
     full = (1 << g.n) - 1
     return SmallGraph._from_rows(
         g.n, [(full ^ row) & ~(1 << v) for v, row in enumerate(g.rows)])
+
+
+def find_embedding(host: SmallGraph, pattern) -> tuple[int, ...] | None:
+    """First injective map sending pattern edges onto host edges.
+
+    Pattern vertices are placed in decreasing-degree order with degree
+    feasibility pruning; host candidates are tried in ascending index, so
+    the embedding found is deterministic. Returns a tuple indexed by
+    pattern vertex, or None. The pattern may be a SmallGraph or a
+    TargetPattern.
+    """
+    if isinstance(pattern, TargetPattern):
+        pattern = pattern.pattern
+    pn, hn = pattern.n, host.n
+    if pn > hn:
+        return None
+    if pn == 0:
+        return ()
+    order, pdeg, placed_nbrs = _embedding_plan(pattern)
+    hdeg = host.degrees()
+    hrows = host.rows
+    full = (1 << hn) - 1
+    assign = [-1] * pn
+
+    def place(k: int, used: int) -> bool:
+        if k == pn:
+            return True
+        cand = full & ~used
+        for pv in placed_nbrs[k]:
+            cand &= hrows[assign[pv]]
+        need = pdeg[k]
+        for hv in _bits(cand):
+            if hdeg[hv] >= need:
+                assign[order[k]] = hv
+                if place(k + 1, used | (1 << hv)):
+                    return True
+        return False
+
+    if place(0, 0):
+        return tuple(assign)
+    return None
+
+
+@lru_cache(maxsize=64)
+def _embedding_plan(pattern: SmallGraph):
+    """The host-independent half of ``find_embedding``: pattern vertices
+    in decreasing-degree order (ties by index), the degree of each, and
+    for each the pattern vertices placed before it that it is adjacent
+    to."""
+    order = sorted(range(pattern.n), key=lambda v: (-pattern.degree(v), v))
+    pdeg = tuple(pattern.degree(v) for v in order)
+    placed_nbrs = tuple(
+        tuple(u for u in order[:k] if pattern.has_edge(pv, u))
+        for k, pv in enumerate(order))
+    return tuple(order), pdeg, placed_nbrs
 
 
 def contains_subgraph(host: SmallGraph, pattern) -> bool:
@@ -587,49 +644,131 @@ def embedding_is_valid(host: SmallGraph, pattern, emb) -> bool:
 
 
 
-def row_by_row_placement(seq, m: int, diagonals):
+def row_by_row_placement(seq, m: int, diagonals, used: int):
     """Reference for ``kmc4.realizations._placement``: F_m on vertices
-    0..m-1 with the given diagonals, found by building the rows of every
-    cycle-edge subset in index order 0..15 and keeping the first whose
-    lay-off goes through; (None, None) when none does."""
+    0..m-1 with the given diagonals and the cycle edges in ``used`` (bit
+    i for edge i of the cycle p-r-q-s-p of diagonals (p, q), (r, s)),
+    built row by row and finished by laying each placed vertex off onto
+    the largest outside residuals; (None, None) when a lay-off runs
+    short."""
     n = len(seq)
     (p, q), (r, s) = diagonals
     core = (1 << (m - 4)) - 1
     placed = (1 << m) - 1
-    base = [0] * n
+    rows = [0] * n
     for v in range(m - 4):
-        base[v] = placed ^ (1 << v)
+        rows[v] = placed ^ (1 << v)
     for u, v in diagonals:
-        base[u] = core | (1 << v)
-        base[v] = core | (1 << u)
-    cycle = ((p, r), (r, q), (q, s), (s, p))
-    outside = [(seq[w] << 5) | (31 - w) for w in range(m, n)]
-    for used in range(16):
-        rows = base.copy()
-        for bit, (u, v) in enumerate(cycle):
-            if (used >> bit) & 1:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-        keys = outside.copy()
-        for v in range(m):
-            need = seq[v] - rows[v].bit_count()
-            if need < 0 or need > len(keys):
-                break
-            if need:
-                keys.sort(reverse=True)
-                if keys[need - 1] < 32:
-                    break
-                for i in range(need):
-                    key = keys[i]
-                    w = 31 - (key & 31)
-                    rows[v] |= 1 << w
-                    rows[w] |= 1 << v
-                    keys[i] = key - 32
+        rows[u] = core | (1 << v)
+        rows[v] = core | (1 << u)
+    for bit, (u, v) in enumerate(((p, r), (r, q), (q, s), (s, p))):
+        if (used >> bit) & 1:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    keys = [(seq[w] << 5) | (31 - w) for w in range(m, n)]
+    for v in range(m):
+        need = seq[v] - rows[v].bit_count()
+        if need < 0 or need > len(keys):
+            return None, None
+        if need:
+            keys.sort(reverse=True)
+            if keys[need - 1] < 32:
+                return None, None
+            for i in range(need):
+                key = keys[i]
+                w = 31 - (key & 31)
+                rows[v] |= 1 << w
+                rows[w] |= 1 << v
+                keys[i] = key - 32
+    if not _lay_off(rows, keys):
+        return None, None
+    return SmallGraph._from_rows(n, rows), (p, r, q, s) + tuple(range(m - 4))
+
+
+def labeled_realizations(seq):
+    """Every graph on vertices 0..n-1 in which vertex i has degree
+    seq[i], by backtracking: vertex v takes its remaining demand from the
+    higher vertices that still have some."""
+    n = len(seq)
+    rows = [0] * n
+    rem = list(seq)
+
+    def fill(v):
+        if v == n:
+            yield SmallGraph._from_rows(n, rows)
+            return
+        need = rem[v]
+        rem[v] = 0
+        for chosen in combinations([w for w in range(v + 1, n) if rem[w]], need):
+            for w in chosen:
+                rows[v] |= 1 << w
+                rows[w] |= 1 << v
+                rem[w] -= 1
+            yield from fill(v + 1)
+            for w in chosen:
+                rows[v] ^= 1 << w
+                rows[w] ^= 1 << v
+                rem[w] += 1
+        rem[v] = need
+
+    yield from fill(0)
+
+
+def top_layouts(seq, m: int):
+    """Brute force over ``labeled_realizations``: the three diagonal
+    pairings of the cycle vertices m-4..m-1, in the order
+    ((a,b),(c,d)), ((a,c),(b,d)), ((a,d),(b,c)); whether some realization
+    joins each of 0..m-5 to every other vertex of 0..m-1 (the core); and
+    the set of pairings some such realization also holds as edges, that
+    is, F_m on 0..m-1 in that layout."""
+    a, b, c, d = range(m - 4, m)
+    pairings = (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c)))
+    placed = (1 << m) - 1
+    core_held = False
+    held = set()
+    for g in labeled_realizations(seq):
+        if any((g.rows[v] | (1 << v)) & placed != placed for v in range(m - 4)):
+            continue
+        core_held = True
+        for pairing in pairings:
+            if all(g.has_edge(u, v) for u, v in pairing):
+                held.add(pairing)
+    return pairings, core_held, held
+
+
+def pairing_decision(seq, m: int, budget=None) -> set:
+    """What the pairing-only decision may answer, from ``top_layouts``:
+    the set of allowed (verdict, pairings explored, exhausted).
+
+    Pairings equal up to swapping vertices of equal degree ask the same
+    question, so the first of each degree pattern is tried, in order. A
+    positive stops at the first pairing some realization holds. A
+    negative tries none when there are fewer than m terms or the top m
+    degrees cannot carry F_m's own degrees, (m-1)^(m-4) and (m-3)^4;
+    otherwise it tries every distinct pairing, or may stop after the
+    first when no realization holds the core. ``budget`` caps the
+    pairings tried, and a decision it cuts short is a negative that is
+    not exhausted.
+    """
+    fm = [m - 1] * (m - 4) + [m - 3] * 4
+    if len(seq) < m or any(seq[i] < fm[i] for i in range(m)):
+        stops = [(0, False)]
+    else:
+        pairings, core_held, held = top_layouts(seq, m)
+        distinct, patterns = [], set()
+        for pairing in pairings:
+            key = tuple(sorted((seq[x], seq[y]) for x, y in pairing))
+            if key not in patterns:
+                patterns.add(key)
+                distinct.append(pairing)
+        hits = [i + 1 for i, pairing in enumerate(distinct) if pairing in held]
+        if hits:
+            stops = [(hits[0], True)]
         else:
-            if _lay_off(rows, keys):
-                emb = (p, r, q, s) + tuple(range(m - 4))
-                return SmallGraph._from_rows(n, rows), emb
-    return None, None
+            stops = [(len(distinct), False)] + ([] if core_held else [(1, False)])
+    return {(False, budget, False) if budget is not None and budget < k
+            else (verdict, k, not verdict) for k, verdict in stops}
+
 
 def sigma_by_full_sweep(m: int, n: int) -> SigmaReport:
     """The exact threshold with no induction on n: every graphical

@@ -15,10 +15,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from helpers import find_embedding, pairing_decision
 from jsonschema import validate
 
 import kmc4
-from kmc4 import decode_graph6, extremal_witness, encode_graph6, find_embedding, km_minus_c4
+from kmc4 import decode_graph6, extremal_witness, encode_graph6, km_minus_c4
 from kmc4.cli import build_parser, main
 
 SIGMA_SCHEMA = {
@@ -137,13 +138,17 @@ class TestPotential:
         assert find_embedding(g, km_minus_c4(5)) is not None
 
     def test_negative_exhausted(self, capsys):
+        # one pairing up to equal degrees, and no realization holds it
+        assert pairing_decision((5, 5, 2, 2, 2, 2), 5) == {(False, 1, True)}
         code, out, _ = run_cli(capsys, "potential", "5,5,2,2,2,2", "--m", "5")
         assert code == 1
-        assert out == "not potential: exhausted 2 candidates\n"
+        assert out == "not potential: exhausted 1 candidates\n"
 
     def test_budget_runs_out(self, capsys):
+        # only the second of two pairings holds the bowtie
+        assert pairing_decision((4, 4, 3, 2, 2, 1), 5, 1) == {(False, 1, False)}
         code, out, _ = run_cli(capsys, "--budget", "1",
-                               "potential", "4,4,3,3,3,3,2,2", "--m", "5")
+                               "potential", "4,4,3,2,2,1", "--m", "5")
         assert code == 3
         assert out == "inconclusive: budget ran out after 1 candidates\n"
 
@@ -151,7 +156,7 @@ class TestPotential:
         for argv in (
             ["--json", "potential", "4,2,2,2,2", "--m", "5"],
             ["--json", "potential", "5,5,2,2,2,2", "--m", "5"],
-            ["--json", "--budget", "1", "potential", "4,4,3,3,3,3,2,2",
+            ["--json", "--budget", "1", "potential", "4,4,3,2,2,1",
              "--m", "5"],
         ):
             _, out, _ = run_cli(capsys, *argv)
@@ -165,7 +170,7 @@ class TestPotential:
         assert rec["verdict"] is False
         assert rec["witness"] is None
         assert rec["exhausted"] is True
-        assert rec["explored"] == 2
+        assert rec["explored"] == 1
 
     def test_other_target_size(self, capsys):
         # The degree sequence of the m=6 pattern itself must be potential.
@@ -199,8 +204,7 @@ class TestPathologicalInputs:
 
 class TestSigma:
     def test_exact_small_case(self, capsys):
-        code, out, _ = run_cli(capsys, "sigma", "--m", "5", "--n", "6",
-                               "--exact")
+        code, out, _ = run_cli(capsys, "sigma", "--m", "5", "--n", "6")
         assert code == 0
         rec = json.loads(out)
         assert rec["exact"] == 20
@@ -235,12 +239,6 @@ class TestSigma:
         first = run_cli(capsys, "sigma", "--m", "5", "--n", "6")
         second = run_cli(capsys, "sigma", "--m", "5", "--n", "6")
         assert first == second
-
-    def test_workers_match_serial(self, capsys):
-        serial = run_cli(capsys, "sigma", "--m", "5", "--n", "7")
-        parallel = run_cli(capsys, "--workers", "2",
-                           "sigma", "--m", "5", "--n", "7")
-        assert serial[1] == parallel[1]
 
 
 class TestWitness:
@@ -348,9 +346,9 @@ class TestCachedParser:
     RUNS = [
         ["--json", "potential", "4,4,3,3,2,2", "--m", "5"],
         ["potential", "4,4,3,3,2,2", "--m", "5"],
-        ["--seed", "7", "potential", "4,4,3,3,3,3,2,2", "--m", "6"],
+        ["--limit", "8", "potential", "4,4,3,3,3,3,2,2", "--m", "6"],
         ["potential", "4,4,3,3,3,3,2,2", "--m", "6"],
-        ["--budget", "1", "potential", "4^2,3^4,2^2"],
+        ["--budget", "1", "potential", "4^2,3,2^2,1"],
         ["potential", "3^6"],
         ["potential", "3,3,1,1"],
         ["potential", "4,2,2,2,2"],
@@ -419,6 +417,23 @@ class TestArgumentErrors:
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run_cli(capsys, "enumerate", "2,1,1")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--workers", "2", "sigma", "--m", "5", "--n", "6"],
+        ["--seed", "7", "potential", "4,2,2,2,2"],
+        ["sigma", "--m", "5", "--n", "6", "--exact"],
+    ])
+    def test_removed_options_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "usage" in err
+
+    def test_global_options(self):
+        options = {opt for action in build_parser()._actions
+                   for opt in action.option_strings}
+        assert options == {"-h", "--help", "--json", "--limit", "--budget",
+                           "--progress"}
 
     def test_sigma_requires_m_and_n(self, capsys):
         code, _, _ = run_cli(capsys, "sigma", "--m", "5")

@@ -3,12 +3,12 @@ from __future__ import annotations
 import re
 
 import pytest
-from helpers import (canonical_form, enumerate_realizations,
+from helpers import (canonical_form, enumerate_realizations, find_embedding,
                      graphical_sequences_by_filter, sigma_by_full_sweep)
 
 from kmc4 import (BudgetExceededError, InputError, LimitError, SmallGraph,
                   complete_graph, degree_sequence_of, empty_graph,
-                  extremal_witness, find_embedding, join, km_minus_c4,
+                  extremal_witness, join, km_minus_c4,
                   sigma_exact, sigma_lower_bound, verify_conjecture,
                   verify_theorem1)
 from kmc4.extremal import _clique_covers_edges
@@ -167,25 +167,6 @@ class TestSigmaExact:
         report = sigma_exact(5, 6)
         for s in report.extremal_sequences:
             assert sum(s) == report.exact - 2
-
-    def test_parallel_matches_serial(self):
-        a = sigma_exact(5, 6)
-        b = sigma_exact(5, 6, workers=2)
-        assert (a.exact, a.extremal_sequences) == (b.exact, b.extremal_sequences)
-
-    @pytest.mark.parametrize("m,n", [(m, n) for m in (4, 5, 6)
-                                     for n in range(m, 9)])
-    def test_workers_give_the_serial_report(self, m, n):
-        assert sigma_exact(m, n, workers=2) == sigma_exact(m, n)
-
-    @pytest.mark.parametrize("m,n", [(4, 7), (5, 7), (6, 8)])
-    def test_workers_give_the_serial_progress(self, m, n):
-        serial, parallel = [], []
-        sigma_exact(m, n, progress=serial.append)
-        sigma_exact(m, n, workers=2, progress=parallel.append)
-        assert parallel == serial
-        assert all(re.search(r", \d+ failing, \d+ pairings$", ln)
-                   for ln in serial)
 
     @pytest.mark.parametrize("m,n", [(4, 7), (5, 7), (6, 8), (7, 8)])
     def test_three_pairings_are_every_candidate(self, m, n):

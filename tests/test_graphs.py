@@ -7,13 +7,14 @@ from random import Random
 import pytest
 from helpers import (brute_embedding_exists, canonical_form, complement,
                      contains_subgraph, cycle_graph, embedding_is_valid,
-                     encode_graph6_by_bits, find_embedding_unplanned,
-                     parse_edge_text, random_graph, relabel)
+                     encode_graph6_by_bits, find_embedding,
+                     find_embedding_unplanned, parse_edge_text, random_graph,
+                     relabel)
 
 from kmc4 import (DegreeSequence, Graph6Error, InputError, LimitError,
                   SmallGraph, TargetPattern, complete_graph, decode_graph6,
-                  degree_sequence_of, empty_graph, encode_graph6,
-                  find_embedding, join, km_minus_c4)
+                  degree_sequence_of, empty_graph, encode_graph6, join,
+                  km_minus_c4)
 from kmc4.graphs import is_embedding
 
 

@@ -17,8 +17,9 @@ from itertools import combinations
 
 import pytest
 from helpers import (brute_embedding_exists, eager_realizations,
-                     embedding_is_valid, is_graphical_quadratic,
-                     kleitman_wang_residual, two_switch)
+                     embedding_is_valid, find_embedding,
+                     is_graphical_quadratic, kleitman_wang_residual,
+                     two_switch)
 
 import kmc4.extremal
 import kmc4.graphs
@@ -34,7 +35,6 @@ from kmc4 import (
     ReplayError,
     SmallGraph,
     decode_graph6,
-    find_embedding,
     havel_hakimi_realize,
     is_graphical,
     is_potentially,
@@ -265,6 +265,14 @@ class TestCaseBranches:
         assert [s.case for s in trace.steps] == ["exceptional-sequence"]
 
 
+def assert_no_search():
+    """Nothing in the library searches for a subgraph: the replay and
+    the decision only check the embeddings they build."""
+    for module in (kmc4.graphs, kmc4.realizations, kmc4.proof_replay,
+                   kmc4.extremal):
+        assert not hasattr(module, "find_embedding"), module.__name__
+
+
 def record_returns(monkeypatch, module, name):
     """Wrap module.name so that every value it returns is appended to
     the list returned here."""
@@ -294,13 +302,16 @@ class TestCarriedEmbedding:
             assert embedding_is_valid(g, BOWTIE, emb), (g, emb)
 
     def test_deletion_levels_do_not_search(self, monkeypatch):
-        calls = record_returns(monkeypatch, kmc4.proof_replay,
-                               "find_embedding")
+        checked = record_returns(monkeypatch, kmc4.proof_replay,
+                                 "is_embedding")
         trace = replay_theorem2((7, 7, 4, 4, 4, 2, 2, 2))
         assert [s.case for s in trace.steps].count("d_n≤2 deletion") == 6
         # the 5-vertex base case reads its bowtie off the degrees; the
-        # three re-attachments and the final check only check it
-        assert calls == []
+        # three re-attachments and the final check only check it, on
+        # the embedding the trace keeps
+        assert_no_search()
+        assert checked == [True] * 4
+        assert embedding_is_valid(trace.outcome, BOWTIE, trace.embedding)
 
     def test_deletion_recurses_on_the_kleitman_wang_residual(self,
                                                              monkeypatch):
@@ -331,12 +342,10 @@ class TestCarriedEmbedding:
         assert deletions == 4631
 
     def test_family_embedding_is_built(self, monkeypatch):
-        calls = record_returns(monkeypatch, kmc4.proof_replay,
-                               "find_embedding")
         returned = record_returns(monkeypatch, kmc4.proof_replay, "_replay")
-        replay_theorem2((7,) + (3,) * 7)
-        assert calls == []
-        assert returned[0][1] == (1, 3, 2, 4, 0)
+        trace = replay_theorem2((7,) + (3,) * 7)
+        assert_no_search()
+        assert returned[0][1] == trace.embedding == (1, 3, 2, 4, 0)
 
     def test_lost_embedding_edge_is_caught(self, monkeypatch):
         # re-attach as usual, then 2-switch away one edge of the carried
@@ -381,8 +390,6 @@ class TestConstructedCompletion:
                                                       seq, action):
         returned = record_returns(monkeypatch, kmc4.proof_replay,
                                   "_try_quad_completion")
-        searched = record_returns(monkeypatch, kmc4.proof_replay,
-                                  "find_embedding")
         trace = replay_theorem2(seq)
         check_trace(seq, trace)
         [(witness, emb, case, text)] = [d for d in returned if d is not None]
@@ -390,7 +397,8 @@ class TestConstructedCompletion:
         assert (trace.steps[-1].case, trace.steps[-1].action) == (case, text)
         assert witness == trace.outcome
         assert embedding_is_valid(witness, BOWTIE, emb), emb
-        assert searched == []
+        assert trace.embedding == emb
+        assert_no_search()
 
     def test_wrong_embedding_is_caught(self, monkeypatch):
         real = kmc4.proof_replay._try_quad_completion
@@ -459,9 +467,14 @@ class TestConstructedCompletion:
         # Re-frozen when the deletion case laid the least vertex off on
         # degrees (Kleitman-Wang) instead of deleting it from a greedy
         # realization: every trace with a deletion step changed (544 of
-        # the 820 here), its action text and graph6 at least. Every case,
-        # action and graph of every threshold sequence on 6 to 8
-        # vertices is pinned.
+        # the 820 here), its action text and graph6 at least. Re-frozen
+        # when the table case took its witness from the pairing-only
+        # decision instead of the greedy realization: the 54 traces here
+        # that reach an exceptional sequence changed their action text,
+        # and 28 of them their graphs, every graph checked against
+        # perfbench/checks.py and the brute-force bowtie search first.
+        # Every case, action and graph of every threshold sequence on 6
+        # to 8 vertices is pinned.
         digest = hashlib.sha256()
         count = 0
         for n in range(6, 9):
@@ -472,7 +485,7 @@ class TestConstructedCompletion:
                         digest.update(line.encode() + b"\n")
         assert count == 820
         assert digest.hexdigest() == (
-            "6e3dbf4ddcef5f3064030ca7b385b8e6eed94f5553945b1cdd27a4ff96672d59")
+            "55f444165aa3620de2f40bba499dd34f37fb3be47eb103516ba966a92a3ecbf9")
 
 
 def has_k4_on_top(g):

@@ -10,21 +10,24 @@ import helpers
 from helpers import (canonical_form, cycle_graph, eager_realizations,
                      embedding_is_valid, enumerate_graphical_sequences,
                      enumerate_realizations, gray_code_degree_map,
-                     greedy_realization_by_scan, random_graph, relabel,
-                     row_by_row_placement, search_potentially, two_switch)
+                     find_embedding, greedy_realization_by_scan,
+                     pairing_decision, random_graph, relabel,
+                     row_by_row_placement, search_potentially, top_layouts,
+                     two_switch)
 
 import kmc4.cli
 import kmc4.realizations
 from kmc4 import (ContractError, DegreeSequence, LimitError, SmallGraph,
                   TargetPattern, WitnessResult, complete_graph,
                   degree_sequence_of, empty_graph, encode_graph6,
-                  find_embedding, havel_hakimi_realize, is_potentially, join,
+                  havel_hakimi_realize, is_potentially, join,
                   km_minus_c4, theorem2_interchange)
 
 BOWTIE = km_minus_c4(5)
-# passes the necessary condition for m = 5, and the greedy realization
-# misses the bowtie
-GREEDY_MISS = (4, 4, 3, 3, 3, 3, 2, 2)
+# passes the necessary condition for m = 5 and has two distinct pairings;
+# no realization holds the bowtie in the first, and one holds it in the
+# second (``pairing_decision`` checks both by brute force)
+SECOND_PAIRING = (4, 4, 3, 2, 2, 1)
 
 
 def two_k4_matching() -> SmallGraph:
@@ -188,18 +191,23 @@ class TestIsPotentially:
         assert not res.verdict and res.exhausted and res.explored >= 1
 
     def test_budget_marks_non_authoritative(self):
-        res = is_potentially(GREEDY_MISS, BOWTIE, budget=1)
+        res = is_potentially(SECOND_PAIRING, BOWTIE, budget=1)
         assert not res.verdict and not res.exhausted and res.explored == 1
 
     def test_zero_budget(self):
-        res = is_potentially(GREEDY_MISS, BOWTIE, budget=0)
+        res = is_potentially(SECOND_PAIRING, BOWTIE, budget=0)
         assert res == WitnessResult(False, None, None, 0, False)
 
-    def test_order_seed_does_not_change_verdict(self):
-        for seq in [(4, 4, 3, 3, 2, 2), (5, 5, 2, 2, 2, 2), (3, 3, 3, 3, 3, 3)]:
+    def test_order_seed_does_not_change_verdict(self, monkeypatch):
+        # the pairings tried in a seeded random order instead of the
+        # fixed one
+        for seq in [(4, 4, 3, 3, 2, 2), (5, 5, 2, 2, 2, 2), (3, 3, 3, 3, 3, 3),
+                    SECOND_PAIRING]:
             base = is_potentially(seq, BOWTIE).verdict
             for seed in (1, 5):
-                assert is_potentially(seq, BOWTIE, order_seed=seed).verdict == base
+                with monkeypatch.context() as mp:
+                    shuffle_pairings(mp, seed)
+                    assert is_potentially(seq, BOWTIE).verdict == base
 
 
 class TestExactDecision:
@@ -211,78 +219,104 @@ class TestExactDecision:
             res = is_potentially(seq, target)
             assert res.verdict == search_potentially(seq, target).verdict, seq
             assert res.exhausted is not res.verdict, seq
-            assert res.explored <= 4
+            assert res.explored <= 3
+
+    @pytest.mark.parametrize("n", range(4, 8))
+    def test_explored_pairings_agree_with_brute_force(self, n):
+        # every graphical sequence, every m and budget: the verdict and
+        # the pairings counted are those of the brute-force placement
+        # oracle over every labeled realization
+        for seq in enumerate_graphical_sequences(n):
+            for m in range(4, n + 1):
+                for budget in (None, 0, 1, 2):
+                    res = is_potentially(seq, km_minus_c4(m), budget=budget)
+                    assert (res.verdict, res.explored, res.exhausted) in \
+                        pairing_decision(seq, m, budget), (seq, m, budget)
 
     @pytest.mark.parametrize("m", [4, 5, 6, 7])
     def test_placement_witnesses(self, m):
-        # every placement that succeeds, in every pairing, not only the
-        # first one is_potentially reaches
+        # every pairing is_potentially may try, and every cycle-edge
+        # subset that fits on degrees, not only the first one it reaches
         target = km_minus_c4(m)
         built = 0
         for n in range(m, 9):
             for seq in enumerate_graphical_sequences(n):
-                pairings = list(kmc4.realizations._candidates(seq, m, None))
-                for diagonals in pairings[1:]:
-                    g, emb = kmc4.realizations._placement(seq, m, diagonals)
-                    if g is None:
-                        continue
-                    built += 1
-                    assert g.degrees() == tuple(seq), seq
-                    assert sorted(emb) == list(range(m)), seq
-                    for a, b in target.pattern.edges():
-                        assert g.has_edge(emb[a], emb[b]), seq
+                out = kmc4.realizations._core_residual(seq, m)
+                if out is None:
+                    continue
+                for diagonals in kmc4.realizations._distinct_pairings(seq, m):
+                    for used in range(16):
+                        if kmc4.realizations._first_fit(
+                                seq, m, out, diagonals, (used,)) is None:
+                            continue
+                        g, emb = kmc4.realizations._placement(
+                            seq, m, diagonals, used)
+                        built += 1
+                        assert g.degrees() == tuple(seq), seq
+                        assert sorted(emb) == list(range(m)), seq
+                        assert embedding_is_valid(g, target, emb), seq
         assert built > 0
 
     def test_placement_witness_is_returned(self):
-        res = is_potentially(GREEDY_MISS, BOWTIE)
+        res = is_potentially(SECOND_PAIRING, BOWTIE)
         assert (res.verdict, res.explored) == (True, 2)
-        assert res.witness.degrees() == GREEDY_MISS
+        assert res.witness.degrees() == SECOND_PAIRING
         for a, b in BOWTIE.pattern.edges():
             assert res.witness.has_edge(res.embedding[a], res.embedding[b])
 
     @pytest.mark.parametrize("seq,m,budget,want", [
-        # fewer terms than m, or the necessary condition fails: no candidate
+        # fewer terms than m, or the necessary condition fails: no pairing
         ((3, 3, 3, 3), 5, 0, (False, 0, True)),
         ((3,) * 6, 5, 0, (False, 0, True)),
         ((3,) * 6, 5, None, (False, 0, True)),
-        # the greedy realization is the first candidate
+        # one pairing up to equal degrees, and it fits
         ((4, 2, 2, 2, 2), 5, 0, (False, 0, False)),
         ((4, 2, 2, 2, 2), 5, 1, (True, 1, False)),
         ((4, 2, 2, 2, 2), 5, None, (True, 1, False)),
-        # the greedy realization misses; one pairing up to equal degrees
-        (GREEDY_MISS, 5, 0, (False, 0, False)),
-        (GREEDY_MISS, 5, 1, (False, 1, False)),
-        (GREEDY_MISS, 5, 2, (True, 2, False)),
-        (GREEDY_MISS, 5, None, (True, 2, False)),
-        ((5, 5, 2, 2, 2, 2), 5, 1, (False, 1, False)),
-        ((5, 5, 2, 2, 2, 2), 5, 2, (False, 2, True)),
-        ((5, 5, 2, 2, 2, 2), 5, None, (False, 2, True)),
-        # two pairings
-        ((5, 5, 5, 4, 3, 3, 3), 6, 2, (False, 2, False)),
-        ((5, 5, 5, 4, 3, 3, 3), 6, 3, (False, 3, True)),
-        ((5, 5, 5, 4, 3, 3, 3), 6, None, (False, 3, True)),
+        # two pairings; the first misses and the second fits
+        (SECOND_PAIRING, 5, 0, (False, 0, False)),
+        (SECOND_PAIRING, 5, 1, (False, 1, False)),
+        (SECOND_PAIRING, 5, 2, (True, 2, False)),
+        (SECOND_PAIRING, 5, None, (True, 2, False)),
+        # one pairing up to equal degrees, and it misses
+        ((5, 5, 2, 2, 2, 2), 5, 1, (False, 1, True)),
+        ((5, 5, 2, 2, 2, 2), 5, 2, (False, 1, True)),
+        ((5, 5, 2, 2, 2, 2), 5, None, (False, 1, True)),
+        # two pairings, both miss
+        ((5, 5, 5, 4, 3, 3, 3), 6, 2, (False, 2, True)),
+        ((5, 5, 5, 4, 3, 3, 3), 6, 3, (False, 2, True)),
+        ((5, 5, 5, 4, 3, 3, 3), 6, None, (False, 2, True)),
     ])
     def test_budget_counts_candidates(self, seq, m, budget, want):
+        assert want in pairing_decision(seq, m, budget)
         res = is_potentially(seq, km_minus_c4(m), budget=budget)
         assert (res.verdict, res.explored, res.exhausted) == want
 
     @pytest.mark.parametrize("m", [4, 5, 6])
-    def test_seed_does_not_change_the_verdict(self, m):
+    def test_seed_does_not_change_the_verdict(self, m, monkeypatch):
+        # the pairings tried in a seeded random order instead of the
+        # fixed one
         target = km_minus_c4(m)
         for n in range(m, 8):
             for seq in enumerate_graphical_sequences(n):
-                base = is_potentially(seq, target)
+                want = search_potentially(seq, target).verdict
                 for seed in (1, 2, 3):
-                    res = is_potentially(seq, target, order_seed=seed)
+                    with monkeypatch.context() as mp:
+                        shuffle_pairings(mp, seed)
+                        res = is_potentially(seq, target)
                     assert (res.verdict, res.exhausted) == \
-                        (base.verdict, base.exhausted), (seq, seed)
+                        (want, not want), (seq, seed)
 
-    def test_seed_orders_the_pairings(self):
-        # the greedy realization misses and only the second pairing in
-        # the default order succeeds
-        seq = (4, 4, 3, 2, 2, 1)
-        assert is_potentially(seq, BOWTIE).explored == 3
-        assert is_potentially(seq, BOWTIE, order_seed=1).explored == 2
+    def test_seed_orders_the_pairings(self, monkeypatch):
+        # only the second pairing in the fixed order fits; a seed that
+        # puts it first finds it at once
+        _, _, held = top_layouts(SECOND_PAIRING, 5)
+        assert held == {((1, 3), (2, 4)), ((1, 4), (2, 3))}
+        assert is_potentially(SECOND_PAIRING, BOWTIE).explored == 2
+        shuffle_pairings(monkeypatch, 1)
+        res = is_potentially(SECOND_PAIRING, BOWTIE)
+        assert (res.verdict, res.explored) == (True, 1)
+        assert res.embedding[:4] == (1, 2, 3, 4)
 
     @pytest.mark.parametrize("target", [
         TargetPattern(5, complete_graph(5)),
@@ -300,25 +334,12 @@ class TestDecideSequence:
     """The verdict-only decision the threshold sweep runs on degrees."""
 
     @pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
-    def test_agrees_with_decide(self, m):
-        target = km_minus_c4(m)
-        decided = 0
-        for n in range(m, 10):
-            for seq in enumerate_graphical_sequences(n):
-                verdict, explored, exhausted = \
-                    kmc4.realizations._decide_sequence(seq, m, None)
-                want = kmc4.realizations._decide(seq, target, None, None)
-                assert verdict == want.verdict, seq
-                assert exhausted is not verdict, seq
-                assert explored <= 3, seq
-                decided += 1
-        assert decided > 0
-
-    @pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
     def test_complete_graph_fits_at_once(self, m):
-        # K_m is the only realization of (m-1)^m and of no other subset
+        # K_m is the only realization of (m-1)^m: the first pairing with
+        # subset 15, every cycle edge
         assert kmc4.realizations._decide_sequence(
-            DegreeSequence([m - 1] * m), m, None) == (True, 1, False)
+            DegreeSequence([m - 1] * m), m, None) == \
+            (True, 1, False, kmc4.realizations._pairings(m)[0], 15)
 
     @pytest.mark.parametrize("seq,m,budget,want", [
         # the necessary condition fails: no pairing
@@ -339,20 +360,30 @@ class TestDecideSequence:
     ])
     def test_budget_counts_pairings(self, seq, m, budget, want):
         assert kmc4.realizations._decide_sequence(
-            DegreeSequence(seq), m, budget) == want
+            DegreeSequence(seq), m, budget)[:3] == want
 
     @pytest.mark.parametrize("m", [4, 5, 6])
     def test_placement_matches_the_row_by_row_build(self, m):
+        # a subset fits on degrees exactly when the row-by-row build goes
+        # through, and then both builds give the same graph
         compared = built = 0
         for n in range(m, 9):
             for seq in enumerate_graphical_sequences(n):
+                out = kmc4.realizations._core_residual(seq, m)
                 for diagonals in kmc4.realizations._pairings(m):
-                    g, emb = kmc4.realizations._placement(seq, m, diagonals)
-                    want_g, want_emb = row_by_row_placement(seq, m, diagonals)
-                    assert (g and g.rows, emb) == \
-                        (want_g and want_g.rows, want_emb), (seq, diagonals)
-                    compared += 1
-                    built += g is not None
+                    for used in range(16):
+                        want_g, want_emb = row_by_row_placement(
+                            seq, m, diagonals, used)
+                        fits = out is not None and kmc4.realizations._first_fit(
+                            seq, m, out, diagonals, (used,)) is not None
+                        assert fits == (want_g is not None), (seq, diagonals, used)
+                        compared += 1
+                        if fits:
+                            g, emb = kmc4.realizations._placement(
+                                seq, m, diagonals, used)
+                            assert (g.rows, emb) == (want_g.rows, want_emb), \
+                                (seq, diagonals, used)
+                            built += 1
         assert 0 < built < compared
 
 
@@ -373,21 +404,16 @@ class TestRealizeAround:
             assert g.degrees() == seq
 
 
-def top_graph(m: int, diagonals, n: int | None = None, drop=()):
-    """Vertices 0..m-1 hold a core 0..m-5 joined to everything in 0..m-1
-    and cycle vertices m-4..m-1 joined only along ``diagonals``; the
-    edges in ``drop`` are then removed. Extra vertices up to n hang off
-    vertex 0 and m-1."""
-    n = m if n is None else n
-    core = range(m - 4)
-    edges = {(u, v) for u in core for v in range(m) if u < v}
-    edges |= {tuple(sorted(pair)) for pair in diagonals}
-    edges |= {(0, w) for w in range(m, n)} | {(m - 1, w) for w in range(m, n)}
-    edges -= {tuple(sorted(pair)) for pair in drop}
-    return SmallGraph(n, sorted(edges))
+def fm_sequence(m: int, extra=()) -> DegreeSequence:
+    """The degrees of F_m alone, (m-1)^(m-4) and (m-3)^4, then ``extra``
+    outside terms."""
+    return DegreeSequence([m - 1] * (m - 4) + [m - 3] * 4 + list(extra))
 
 
 class TestTopEmbedding:
+    """F_m sits on vertices 0..m-1 of a witness, in the layout its
+    pairing fixes."""
+
     @pytest.mark.parametrize("m", [4, 5, 8])
     def test_each_pairing_gives_its_tuple(self, m):
         a, b, c, d = range(m - 4, m)
@@ -396,62 +422,73 @@ class TestTopEmbedding:
                 (((a, b), (c, d)), (a, c, b, d)),
                 (((a, c), (b, d)), (a, b, c, d)),
                 (((a, d), (b, c)), (a, b, d, c))]:
-            for n in (m, m + 2):
-                g = top_graph(m, diagonals, n)
-                emb = kmc4.realizations._top_embedding(g, m)
-                assert emb == want + core, (diagonals, n)
+            for extra in ((), (1, 1)):
+                seq = fm_sequence(m, extra)
+                g, emb = kmc4.realizations._placement(seq, m, diagonals, 0)
+                assert emb == want + core, (diagonals, extra)
+                assert g.degrees() == tuple(seq)
                 assert embedding_is_valid(g, km_minus_c4(m), emb)
 
     @pytest.mark.parametrize("m", [4, 8])
     def test_first_complete_pairing_wins(self, m):
+        # K_m holds every pairing; the first is the one returned
         a, b, c, d = range(m - 4, m)
-        g = top_graph(m, [(a, b), (c, d), (a, c), (b, d), (a, d), (b, c)])
-        assert kmc4.realizations._top_embedding(g, m) == \
-            (a, c, b, d) + tuple(range(m - 4))
+        res = is_potentially([m - 1] * m, km_minus_c4(m))
+        assert res.witness == complete_graph(m)
+        assert res.embedding == (a, c, b, d) + tuple(range(m - 4))
 
     @pytest.mark.parametrize("m,core_vertex,top", [
         (5, 0, 4), (8, 0, 7), (8, 3, 1), (8, 2, 5)])
     def test_core_vertex_missing_one_top_vertex(self, m, core_vertex, top):
+        # a 2-switch with the outside edge keeps every degree but takes
+        # the core vertex off one top vertex; the witness check refuses it
         a, b, c, d = range(m - 4, m)
-        g = top_graph(m, [(a, b), (c, d)], m + 1, drop=[(core_vertex, top)])
-        assert kmc4.realizations._top_embedding(g, m) is None
+        seq = fm_sequence(m, (1, 1))
+        target = km_minus_c4(m)
+        g, emb = kmc4.realizations._placement(seq, m, ((a, b), (c, d)), 0)
+        assert kmc4.realizations._is_witness(seq, target, g, emb)
+        edges = set(g.edges()) - {tuple(sorted((core_vertex, top))), (m, m + 1)}
+        edges |= {(core_vertex, m), (top, m + 1)}
+        bad = SmallGraph(m + 2, sorted(edges))
+        assert bad.degrees() == tuple(seq)
+        assert not embedding_is_valid(bad, target, emb)
+        assert not kmc4.realizations._is_witness(seq, target, bad, emb)
 
     @pytest.mark.parametrize("m", [4, 8])
     def test_no_complete_pairing(self, m):
-        a, b, c, d = range(m - 4, m)
-        for diagonals in ([], [(a, b)], [(a, b), (a, c), (a, d)],
-                          [(a, b), (b, c), (a, c)]):
-            g = top_graph(m, diagonals, m + 1)
-            assert kmc4.realizations._top_embedding(g, m) is None, diagonals
+        # some realization holds the core, none holds F_m on the top
+        # degrees in any pairing: every distinct pairing is tried, and
+        # the negative is authoritative
+        seq = {4: (3, 1, 1, 1), 8: (8, 8, 7, 7, 7, 6, 5, 5, 5)}[m]
+        _, core_held, held = top_layouts(seq, m)
+        assert core_held and held == set()
+        tried = len(list(kmc4.realizations._distinct_pairings(
+            DegreeSequence(seq), m)))
+        assert tried == {4: 1, 8: 2}[m]
+        assert is_potentially(seq, km_minus_c4(m)) == \
+            WitnessResult(False, None, None, tried, True)
 
-    def test_greedy_positive_on_top_needs_no_search(self, monkeypatch):
-        calls = count_calls(monkeypatch, kmc4.realizations, "find_embedding")
+    def test_positive_needs_no_search(self):
+        for module in (kmc4.graphs, kmc4.realizations, kmc4.extremal,
+                       kmc4.proof_replay):
+            assert not hasattr(module, "find_embedding"), module.__name__
         res = is_potentially((4, 2, 2, 2, 2), BOWTIE)
         assert (res.verdict, res.explored, res.embedding) == \
             (True, 1, (1, 3, 2, 4, 0))
-        assert calls == []
+        assert embedding_is_valid(res.witness, BOWTIE, res.embedding)
 
-    @pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
-    def test_greedy_decides_exactly_when_it_holds_the_target(self, m):
-        # both ways the greedy candidate can hold F_m occur: on vertices
-        # 0..m-1, and elsewhere, where only the search finds it
-        target = km_minus_c4(m)
-        off_top = 0
-        for n in range(1, 9):
-            for seq in enumerate_graphical_sequences(n):
-                res = is_potentially(seq, target)
-                greedy = havel_hakimi_realize(seq)
-                holds = find_embedding(greedy, target) is not None
-                on_greedy = (res.explored == 1 and res.verdict
-                             and res.witness == greedy)
-                assert on_greedy == holds, seq
-                off_top += holds and n >= m and \
-                    kmc4.realizations._top_embedding(greedy, m) is None
-                if res.verdict:
-                    assert res.witness.degrees() == tuple(seq), seq
-                    assert embedding_is_valid(res.witness, target,
-                                              res.embedding), seq
-        assert off_top > 0 or m == 8
+
+def shuffle_pairings(monkeypatch, seed):
+    """Make the decision try its distinct pairings in an order shuffled
+    by ``seed``."""
+    real = kmc4.realizations._distinct_pairings
+
+    def shuffled(seq, m):
+        pairings = list(real(seq, m))
+        Random(seed).shuffle(pairings)
+        return iter(pairings)
+
+    monkeypatch.setattr(kmc4.realizations, "_distinct_pairings", shuffled)
 
 
 def count_calls(monkeypatch, module, name):
