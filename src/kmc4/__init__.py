@@ -9,30 +9,26 @@ conjectured equality for larger m.
 
 from __future__ import annotations
 
-from .errors import (BudgetExceededError, ContractError, Graph6Error,
-                     InputError, LimitError)
+from .errors import ContractError, Graph6Error, InputError, LimitError
 from .extremal import (SigmaReport, Theorem1Report, extremal_witness,
                        sigma_exact, sigma_lower_bound, verify_conjecture,
                        verify_theorem1)
-from .graphs import (DEFAULT_VERTEX_LIMIT, MAX_VERTICES, SmallGraph,
-                     TargetPattern, complete_graph, decode_graph6,
-                     degree_sequence_of, empty_graph, encode_graph6, join,
-                     km_minus_c4)
+from .graphs import (MAX_VERTICES, SmallGraph, TargetPattern, complete_graph,
+                     decode_graph6, degree_sequence_of, empty_graph,
+                     encode_graph6, join, km_minus_c4)
 from .proof_replay import (BaseCaseReport, ProofStep, ProofTrace,
                            ReplayError, Theorem2RangeReport, replay_theorem2,
                            verify_base_cases, verify_theorem2_range)
 from .realizations import (WitnessResult, havel_hakimi_realize,
                            is_potentially, theorem2_interchange)
-from .sequences import (DEFAULT_LENGTH_LIMIT, DegreeSequence,
+from .sequences import (DEFAULT_VERTEX_LIMIT, DegreeSequence,
                         graphical_sequences_with_sum, is_graphical)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BaseCaseReport",
-    "BudgetExceededError",
     "ContractError",
-    "DEFAULT_LENGTH_LIMIT",
     "DEFAULT_VERTEX_LIMIT",
     "DegreeSequence",
     "Graph6Error",

@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Exit codes: 0 for a passing or true outcome, 1 for failing or false,
-2 for bad input, 3 when the --budget cap ran out before a verdict.
-Reports in --json mode (and the always-JSON sigma report) are the only
-bytes on stdout; progress and error text go to stderr. Identical
-arguments and limits reproduce byte-identical output.
+2 for bad input or a size over a cap, 3 when the --budget cap ran out
+before a verdict of ``potential``. --limit caps only the enumerating
+commands (sigma, verify conjecture, verify theorem2); the others are
+polynomial and capped only at 32 vertices. Reports in --json mode
+(and the always-JSON sigma report) are the only bytes on stdout;
+progress and error text go to stderr. Identical arguments and limits
+reproduce byte-identical output.
 """
 
 from __future__ import annotations
@@ -12,27 +15,22 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from dataclasses import dataclass
 
-from .errors import (BudgetExceededError, ContractError, Graph6Error,
-                     InputError, LimitError)
+from .errors import ContractError, Graph6Error, InputError, LimitError
 from .extremal import (SigmaReport, extremal_witness, sigma_exact,
                        sigma_lower_bound, verify_conjecture, verify_theorem1)
-from .graphs import (DEFAULT_VERTEX_LIMIT, MAX_VERTICES, encode_graph6,
-                     km_minus_c4)
+from .graphs import MAX_VERTICES, encode_graph6, km_minus_c4
 from .proof_replay import (ReplayError, replay_theorem2, verify_base_cases,
                            verify_theorem2_range)
 from .realizations import havel_hakimi_realize, is_potentially
-from .sequences import DegreeSequence, is_graphical
+from .sequences import DEFAULT_VERTEX_LIMIT, DegreeSequence, is_graphical
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_INCONCLUSIVE = 3
-
-ENV_LIMIT = "KMC4_VERTEX_LIMIT"
 
 
 @dataclass
@@ -47,17 +45,7 @@ class RunConfig:
         return self.output_mode == "json"
 
 
-def _resolve_limit(value: int | None) -> int:
-    if value is None:
-        raw = os.environ.get(ENV_LIMIT)
-        if raw is None:
-            value = DEFAULT_VERTEX_LIMIT
-        else:
-            try:
-                value = int(raw)
-            except ValueError:
-                raise InputError(
-                    f"{ENV_LIMIT} must be an integer, got {raw!r}") from None
+def _resolve_limit(value: int) -> int:
     if not 1 <= value <= MAX_VERTICES:
         raise InputError(
             f"vertex limit must be in 1..{MAX_VERTICES}, got {value}")
@@ -80,9 +68,6 @@ def cmd_graphical(args, cfg: RunConfig) -> int:
 
 def cmd_realize(args, cfg: RunConfig) -> int:
     seq = DegreeSequence.from_text(args.sequence)
-    if seq.n > cfg.vertex_limit:
-        raise LimitError(f"realization limited to {cfg.vertex_limit} "
-                         f"vertices (got {seq.n})")
     try:
         g = havel_hakimi_realize(seq)
     except ContractError:
@@ -100,8 +85,7 @@ def cmd_potential(args, cfg: RunConfig) -> int:
     if not is_graphical(seq):
         raise InputError(f"sequence {seq.to_text()} is not graphical")
     target = km_minus_c4(args.m)
-    res = is_potentially(seq, target, limit=cfg.vertex_limit,
-                         budget=cfg.realization_budget)
+    res = is_potentially(seq, target, budget=cfg.realization_budget)
     if cfg.json_output:
         _emit({
             "sequence": list(seq),
@@ -130,15 +114,8 @@ def cmd_sigma(args, cfg: RunConfig) -> int:
         _emit(SigmaReport(m=args.m, n=args.n, lower_bound=bound,
                           exact=None, verdict="not_computed").to_json_dict())
         return EXIT_PASS
-    try:
-        report = sigma_exact(args.m, args.n, limit=cfg.vertex_limit,
-                             budget=cfg.realization_budget,
-                             progress=cfg.progress)
-    except BudgetExceededError as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        _emit(SigmaReport(m=args.m, n=args.n, lower_bound=bound,
-                          exact=None, verdict="not_computed").to_json_dict())
-        return EXIT_INCONCLUSIVE
+    report = sigma_exact(args.m, args.n, limit=cfg.vertex_limit,
+                         progress=cfg.progress)
     _emit(report.to_json_dict())
     return EXIT_PASS if report.verdict == "matches" else EXIT_FAIL
 
@@ -161,7 +138,7 @@ def cmd_witness(args, cfg: RunConfig) -> int:
 
 def cmd_replay(args, cfg: RunConfig) -> int:
     seq = DegreeSequence.from_text(args.sequence)
-    trace = replay_theorem2(seq, limit=cfg.vertex_limit)
+    trace = replay_theorem2(seq)
     if cfg.json_output:
         for line in trace.to_json_lines():
             print(line)
@@ -179,7 +156,7 @@ def cmd_verify_theorem1(args, cfg: RunConfig) -> int:
     reports = []
     for m in ms:
         for n in range(m, args.n_max + 1):
-            reports.append(verify_theorem1(m, n, limit=cfg.vertex_limit))
+            reports.append(verify_theorem1(m, n))
             if cfg.progress is not None:
                 cfg.progress(f"checked lower bound at m={m} n={n}")
     if not reports:
@@ -233,7 +210,7 @@ def cmd_verify_conjecture(args, cfg: RunConfig) -> int:
 
 def cmd_verify_base_cases(args, cfg: RunConfig) -> int:
     family = tuple(args.family_n) if args.family_n else (8,)
-    report = verify_base_cases(family, limit=cfg.vertex_limit)
+    report = verify_base_cases(family)
     if cfg.json_output:
         _emit(report.to_json_dict())
     else:
@@ -256,13 +233,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "on m vertices with a 4-cycle of edges removed.")
     p.add_argument("--json", action="store_true",
                    help="machine-readable output on stdout")
-    p.add_argument("--limit", type=int, default=None, metavar="N",
-                   help=f"vertex cap for exhaustive work "
-                        f"(default ${ENV_LIMIT} or {DEFAULT_VERTEX_LIMIT})")
+    p.add_argument("--limit", type=int, default=DEFAULT_VERTEX_LIMIT,
+                   metavar="N",
+                   help=f"sequence length cap for sigma, verify conjecture "
+                        f"and verify theorem2 (default {DEFAULT_VERTEX_LIMIT},"
+                        f" at most {MAX_VERTICES})")
     p.add_argument("--budget", type=int, default=None, metavar="K",
-                   help="cap on the placement pairings tried per "
-                        "decision (at most three); a negative verdict "
-                        "cut short this way exits 3")
+                   help="cap on the placement pairings potential tries "
+                        "(at most three); a negative verdict cut short "
+                        "this way exits 3")
     p.add_argument("--progress", action="store_true",
                    help="progress lines on stderr")
     sub = p.add_subparsers(dest="command", required=True)
@@ -350,9 +329,6 @@ def main(argv=None) -> int:
         if code is None:
             return EXIT_PASS
         return code if isinstance(code, int) else EXIT_INPUT
-    except BudgetExceededError as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
     except ReplayError as exc:
         print(f"replay failed: {exc}", file=sys.stderr)
         return EXIT_FAIL

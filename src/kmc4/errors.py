@@ -21,10 +21,6 @@ class LimitError(RuntimeError):
         self.partial = partial
 
 
-class BudgetExceededError(LimitError):
-    """An explicit exploration budget ran out before a verdict was final."""
-
-
 class Graph6Error(ValueError):
     """Malformed graph6 text; carries the failing byte offset."""
 

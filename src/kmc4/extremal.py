@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceededError, InputError, LimitError
-from .graphs import (DEFAULT_VERTEX_LIMIT, SmallGraph, complete_graph,
-                     empty_graph, encode_graph6, join)
+from .errors import InputError, LimitError
+from .graphs import (SmallGraph, complete_graph, empty_graph, encode_graph6,
+                     join)
 from .realizations import _decide_sequence, havel_hakimi_realize
-from .sequences import (DegreeSequence, _is_threshold,
+from .sequences import (DEFAULT_VERTEX_LIMIT, DegreeSequence, _is_threshold,
                         graphical_sequences_with_sum)
 
 
@@ -85,8 +85,7 @@ class Theorem1Report:
         }
 
 
-def verify_theorem1(m: int, n: int,
-                    limit: int = DEFAULT_VERTEX_LIMIT) -> Theorem1Report:
+def verify_theorem1(m: int, n: int) -> Theorem1Report:
     """Machine-check the lower-bound construction at one (m, n).
 
     The witness must avoid the target, be the only realization of its
@@ -98,11 +97,10 @@ def verify_theorem1(m: int, n: int,
     cover cannot hold the target. The second check is a test on degrees
     alone: a sequence has exactly one labeled realization exactly when
     it is a threshold sequence (Hammer, Ibaraki and Simeone 1978), and
-    then ``realization_classes`` is 1; otherwise it is 2.
+    then ``realization_classes`` is 1; otherwise it is 2. Nothing is
+    searched, so n is capped only by ``MAX_VERTICES``.
     """
     g, seq = extremal_witness(m, n)
-    if n > limit:
-        raise LimitError(f"realization search limited to {limit} vertices (got {n})")
     return Theorem1Report(
         m=m,
         n=n,
@@ -147,7 +145,7 @@ class SigmaReport:
 
 
 def sigma_exact(m: int, n: int, limit: int = DEFAULT_VERTEX_LIMIT,
-                budget: int | None = None, progress=None) -> SigmaReport:
+                progress=None) -> SigmaReport:
     """Exact threshold by exhaustive sweep, by induction on n.
 
     Computes the threshold at every length from m up to n, each by a scan
@@ -160,15 +158,12 @@ def sigma_exact(m: int, n: int, limit: int = DEFAULT_VERTEX_LIMIT,
     for their witnesses.
     """
     sigma_lower_bound(m, n)  # raises unless 4 <= m <= n
-    if n > limit:
-        raise LimitError(f"exact threshold limited to {limit} vertices (got {n})")
-    for _, exact, failures in _sigma_upward(m, n, limit, budget, progress):
+    for _, exact, failures in _sigma_upward(m, n, limit, progress):
         pass
     return _sigma_report(m, n, exact, failures)
 
 
-def _sigma_upward(m: int, n_hi: int, limit: int, budget: int | None,
-                  progress):
+def _sigma_upward(m: int, n_hi: int, limit: int, progress):
     """Yield (n, exact threshold, failing sequences) for n = m..n_hi.
 
     Deletion lemma: lay a vertex of least degree d off a graphical
@@ -182,8 +177,13 @@ def _sigma_upward(m: int, n_hi: int, limit: int, budget: int | None,
     sequences, in order, are those of the full sweep. At n = m nothing is
     known below and the whole level is walked.
 
-    The caller checks m, n_hi and the limit.
+    Enumeration is the one exponential step of every threshold driver,
+    so this is where ``limit`` guards it: n_hi above it raises LimitError
+    before any level is walked. The caller checks m and n_hi.
     """
+    if n_hi > limit:
+        raise LimitError(f"exact threshold limited to {limit} vertices "
+                         f"(got {n_hi})")
     below = None
     for n in range(m, n_hi + 1):
         level = n * (n - 1)
@@ -193,13 +193,8 @@ def _sigma_upward(m: int, n_hi: int, limit: int, budget: int | None,
             count = pairings = 0
             for s in graphical_sequences_with_sum(n, level, limit=limit,
                                                   min_term=floor):
-                verdict, explored, exhausted, _, _ = _decide_sequence(s, m, budget)
+                verdict, explored, _, _, _ = _decide_sequence(s, m, None)
                 if not verdict:
-                    if not exhausted:
-                        raise BudgetExceededError(
-                            f"budget ran out deciding {tuple(s)} at level {level}"
-                            f" of n={n}",
-                            partial=explored)
                     failures.append(s)
                 count += 1
                 pairings += explored
@@ -240,11 +235,9 @@ def verify_conjecture(m: int, n_range, limit: int = DEFAULT_VERTEX_LIMIT,
     lo, hi = n_range
     if lo < m:
         raise InputError(f"range starts below m: {lo} < {m}")
-    if hi > limit:
-        raise LimitError(f"exact threshold limited to {limit} vertices (got {hi})")
     if lo > hi:
         return []
     sigma_lower_bound(m, lo)  # raises unless m >= 4
     return [_sigma_report(m, n, exact, failures)
-            for n, exact, failures in _sigma_upward(m, hi, limit, None, progress)
+            for n, exact, failures in _sigma_upward(m, hi, limit, progress)
             if n >= lo]

@@ -17,7 +17,12 @@ from .errors import Graph6Error, InputError, LimitError
 from .sequences import DegreeSequence
 
 MAX_VERTICES = 32
-DEFAULT_VERTEX_LIMIT = 12
+
+
+def _check_order(n: int) -> None:
+    """Raise LimitError when n vertices do not fit the bitmask rows."""
+    if n > MAX_VERTICES:
+        raise LimitError(f"graphs limited to {MAX_VERTICES} vertices (got {n})")
 
 
 def _bits(mask: int):
@@ -36,8 +41,7 @@ class SmallGraph:
     def __init__(self, n: int, edges=()):
         if not isinstance(n, int) or n < 0:
             raise InputError(f"vertex count must be a nonnegative integer, got {n!r}")
-        if n > MAX_VERTICES:
-            raise LimitError(f"graphs limited to {MAX_VERTICES} vertices (got {n})")
+        _check_order(n)
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -103,8 +107,7 @@ class TargetPattern:
 def complete_graph(k: int) -> SmallGraph:
     if not isinstance(k, int) or k < 0:
         raise InputError(f"order must be a nonnegative integer, got {k!r}")
-    if k > MAX_VERTICES:
-        raise LimitError(f"graphs limited to {MAX_VERTICES} vertices (got {k})")
+    _check_order(k)
     full = (1 << k) - 1
     return SmallGraph._from_rows(k, [full ^ (1 << v) for v in range(k)])
 
@@ -112,16 +115,14 @@ def complete_graph(k: int) -> SmallGraph:
 def empty_graph(k: int) -> SmallGraph:
     if not isinstance(k, int) or k < 0:
         raise InputError(f"order must be a nonnegative integer, got {k!r}")
-    if k > MAX_VERTICES:
-        raise LimitError(f"graphs limited to {MAX_VERTICES} vertices (got {k})")
+    _check_order(k)
     return SmallGraph._from_rows(k, [0] * k)
 
 
 def join(g1: SmallGraph, g2: SmallGraph) -> SmallGraph:
     """Disjoint union plus all cross edges; g1's vertices come first."""
     n = g1.n + g2.n
-    if n > MAX_VERTICES:
-        raise LimitError(f"join would have {n} vertices (limit {MAX_VERTICES})")
+    _check_order(n)
     high = ((1 << g2.n) - 1) << g1.n
     low = (1 << g1.n) - 1
     rows = [row | high for row in g1.rows]
@@ -238,8 +239,7 @@ def decode_graph6(text: str) -> SmallGraph:
     if not (63 <= c0 <= 125):
         raise Graph6Error(f"invalid size byte {s[0]!r}", offset=0)
     n = c0 - 63
-    if n > MAX_VERTICES:
-        raise LimitError(f"graphs limited to {MAX_VERTICES} vertices (got {n})")
+    _check_order(n)
     need = (n * (n - 1) // 2 + 5) // 6
     body = s[1:]
     if len(body) != need:

@@ -17,8 +17,11 @@ exactly when the second exists (the clique case of the placement
 argument in ``realizations``), so no realization classes are walked.
 (4^6) and (4^7) have no complete quadruple in any realization, so they
 sit in the table instead. Up to 14 vertices every other main-case
-sequence is completed from one of the two; when neither cooperates the
-replay fails with ``ReplayError``.
+sequence is completed from one of the two. The replay runs up to 32
+vertices, and beyond 14 that is checked on samples only: a main-case
+sequence that neither realization completes raises ``ReplayError``
+(exit 1 on the command line). It never yields a wrong witness, since
+every outcome is re-checked against the input.
 
 The deletion case works on degrees alone. A vertex of least degree
 d <= 2 is laid off onto the d largest other terms (Kleitman and Wang),
@@ -44,13 +47,13 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import InputError, LimitError
-from .graphs import (DEFAULT_VERTEX_LIMIT, SmallGraph, degree_sequence_of,
+from .errors import InputError
+from .graphs import (SmallGraph, _check_order, degree_sequence_of,
                      encode_graph6, is_embedding, km_minus_c4)
 from .realizations import (_decide_sequence, _greedy_realization,
                            _k4_on_top, is_potentially, theorem2_interchange)
-from .sequences import (DegreeSequence, graphical_sequences_with_sum,
-                        is_graphical)
+from .sequences import (DEFAULT_VERTEX_LIMIT, DegreeSequence,
+                        graphical_sequences_with_sum, is_graphical)
 
 CASE_BASE5 = "q≥8 (n=5)"
 CASE_DELETION = "d_n≤2 deletion"
@@ -149,8 +152,7 @@ class BaseCaseReport:
         return {"entries": self.entries, "passed": self.passed}
 
 
-def verify_base_cases(family_ns=(8,),
-                      limit: int = DEFAULT_VERTEX_LIMIT) -> BaseCaseReport:
+def verify_base_cases(family_ns=(8,)) -> BaseCaseReport:
     """Confirm with ``is_potentially`` that every base-case sequence is
     potentially bowtie-graphic, recording a witness for each."""
     cases = base_case_sequences()
@@ -161,7 +163,7 @@ def verify_base_cases(family_ns=(8,),
     bowtie = km_minus_c4(5)
     entries = []
     for n, seq in cases:
-        res = is_potentially(seq, bowtie, limit=limit)
+        res = is_potentially(seq, bowtie)
         entries.append({
             "n": n,
             "sequence": list(seq),
@@ -284,8 +286,8 @@ def _try_quad_completion(g: SmallGraph):
     return None
 
 
-def _replay(seq: DegreeSequence, steps: list[ProofStep],
-            limit: int) -> tuple[SmallGraph, tuple[int, ...]]:
+def _replay(seq: DegreeSequence,
+            steps: list[ProofStep]) -> tuple[SmallGraph, tuple[int, ...]]:
     """The witness for seq and the bowtie's embedding in it."""
     n = seq.n
     bowtie = km_minus_c4(5)
@@ -319,7 +321,7 @@ def _replay(seq: DegreeSequence, steps: list[ProofStep],
             f"laid a vertex of degree {d} off onto degrees "
             f"{list(seq[:d])}; residual "
             f"({','.join(str(t) for t in residual)}) keeps the threshold"))
-        inner, emb = _replay(residual, steps, limit)
+        inner, emb = _replay(residual, steps)
         out = _attach_back(inner, attach, steps)
         if degree_sequence_of(out) != seq:
             raise ReplayError(
@@ -334,7 +336,7 @@ def _replay(seq: DegreeSequence, steps: list[ProofStep],
         return out, emb
 
     if seq in _EXCEPTIONAL:
-        res = is_potentially(seq, bowtie, limit=limit)
+        res = is_potentially(seq, bowtie)
         if not res.verdict:
             raise ReplayError(
                 f"exceptional sequence {tuple(seq)} has no realization "
@@ -393,7 +395,7 @@ def _replay(seq: DegreeSequence, steps: list[ProofStep],
     raise ReplayError(f"every proof case failed for {tuple(seq)}", steps)
 
 
-def replay_theorem2(seq, limit: int = DEFAULT_VERTEX_LIMIT) -> ProofTrace:
+def replay_theorem2(seq) -> ProofTrace:
     """Constructive witness for a sequence meeting the m=5 threshold.
 
     Preconditions: graphical, n >= 5, degree sum >= 4n-4. The returned
@@ -405,15 +407,14 @@ def replay_theorem2(seq, limit: int = DEFAULT_VERTEX_LIMIT) -> ProofTrace:
     n = seq.n
     if n < 5:
         raise InputError(f"replay needs n >= 5, got n={n}")
-    if n > limit:
-        raise LimitError(f"replay limited to {limit} vertices (got {n})")
+    _check_order(n)
     if not is_graphical(seq):
         raise InputError(f"sequence {tuple(seq)} is not graphical")
     if sum(seq) < 4 * n - 4:
         raise InputError(
             f"degree sum {sum(seq)} below threshold {4 * n - 4}")
     steps: list[ProofStep] = []
-    out, emb = _replay(seq, steps, limit)
+    out, emb = _replay(seq, steps)
     if degree_sequence_of(out) != seq:
         raise ReplayError(
             f"outcome realizes {tuple(degree_sequence_of(out))} "
@@ -450,12 +451,9 @@ def verify_theorem2_range(n_max: int, limit: int = DEFAULT_VERTEX_LIMIT,
 
     if n_max < 5:
         raise InputError(f"need n_max >= 5, got {n_max}")
-    if n_max > limit:
-        raise LimitError(f"range verification limited to {limit} vertices "
-                         f"(got {n_max})")
     bowtie = km_minus_c4(5)
     entries = []
-    for n, exact, _ in _sigma_upward(5, n_max, limit, None, progress):
+    for n, exact, _ in _sigma_upward(5, n_max, limit, progress):
         exact_ok = exact == 4 * n - 4
         checked = 0
         replay_failures = 0
@@ -465,7 +463,7 @@ def verify_theorem2_range(n_max: int, limit: int = DEFAULT_VERTEX_LIMIT,
             for seq in graphical_sequences_with_sum(n, level, limit=limit):
                 checked += 1
                 try:
-                    trace = replay_theorem2(seq, limit=limit)
+                    trace = replay_theorem2(seq)
                     ok = (degree_sequence_of(trace.outcome) == seq
                           and is_embedding(trace.outcome, bowtie,
                                            trace.embedding))

@@ -45,9 +45,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .errors import ContractError, LimitError
-from .graphs import (DEFAULT_VERTEX_LIMIT, MAX_VERTICES, SmallGraph,
-                     TargetPattern, is_embedding, km_minus_c4)
+from .errors import ContractError
+from .graphs import (MAX_VERTICES, SmallGraph, TargetPattern, _check_order,
+                     is_embedding, km_minus_c4)
 from .sequences import DegreeSequence, _erdos_gallai, is_graphical
 
 
@@ -76,6 +76,7 @@ def havel_hakimi_realize(seq) -> SmallGraph:
     Vertex i of the result has degree seq[i] exactly.
     """
     seq = DegreeSequence(seq)
+    _check_order(seq.n)
     if not is_graphical(seq):
         raise ContractError(f"sequence {tuple(seq)} is not graphical")
     return _greedy_realization(seq)
@@ -84,10 +85,7 @@ def havel_hakimi_realize(seq) -> SmallGraph:
 def _greedy_realization(seq: DegreeSequence) -> SmallGraph:
     """Havel-Hakimi layoff for a sequence the caller has already found
     graphical; the body of ``havel_hakimi_realize`` without its check."""
-    rows = [0] * seq.n
-    if not _lay_off(rows, [(d << 5) | (31 - v) for v, d in enumerate(seq)]):
-        raise ContractError(f"sequence {tuple(seq)} ran out of layoff targets")
-    return SmallGraph._from_rows(seq.n, rows)
+    return _realize_around(seq, [0] * seq.n, 0)
 
 
 def _lay_off(rows: list[int], keys: list[int]) -> bool:
@@ -119,7 +117,6 @@ def _lay_off(rows: list[int], keys: list[int]) -> bool:
 
 
 def is_potentially(seq, target: TargetPattern,
-                   limit: int = DEFAULT_VERTEX_LIMIT,
                    budget: int | None = None) -> WitnessResult:
     """Does some realization of seq contain the target F_m as a subgraph?
 
@@ -131,19 +128,20 @@ def is_potentially(seq, target: TargetPattern,
     at most 3. A positive's witness is the placement that fit, checked
     edge by edge before it is returned. ``budget`` caps the pairings;
     when it runs out the negative verdict is marked non-authoritative
-    (exhausted False). The target must be ``km_minus_c4(m)``.
+    (exhausted False). The target must be ``km_minus_c4(m)``. The work
+    is polynomial in the length, so the only cap on it is the bitmask
+    width: more than ``MAX_VERTICES`` terms raise LimitError.
     """
     m = target.m
     if not (isinstance(m, int) and 4 <= m <= MAX_VERTICES
             and target.pattern == km_minus_c4(m).pattern):
         raise ContractError(f"target is not K_m minus a 4-cycle (m={m!r})")
     seq = DegreeSequence(seq)
+    _check_order(seq.n)
     if seq.n < m:
         return WitnessResult(False, None, None, 0, True)
     if not is_graphical(seq):
         raise ContractError(f"sequence {tuple(seq)} is not graphical")
-    if seq.n > limit:
-        raise LimitError(f"realization search limited to {limit} vertices (got {seq.n})")
     verdict, explored, exhausted, diagonals, used = \
         _decide_sequence(seq, m, budget)
     if not verdict:

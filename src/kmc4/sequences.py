@@ -23,7 +23,7 @@ from .errors import InputError, LimitError
 
 # Enumeration guard: the number of graphical sequences grows exponentially
 # in n, and an exact threshold sweep decides every one above its answer.
-DEFAULT_LENGTH_LIMIT = 12
+DEFAULT_VERTEX_LIMIT = 12
 
 
 class DegreeSequence(tuple):
@@ -156,7 +156,7 @@ def _is_threshold(d) -> bool:
 
 
 def graphical_sequences_with_sum(n: int, total: int,
-                                 limit: int = DEFAULT_LENGTH_LIMIT,
+                                 limit: int = DEFAULT_VERTEX_LIMIT,
                                  min_term: int = 0) -> Iterator[DegreeSequence]:
     """All graphical n-term sequences with the exact degree sum given and
     every term at least ``min_term``, descending lexicographically. Odd

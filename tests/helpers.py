@@ -23,8 +23,8 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from random import Random
 
-from kmc4 import (DEFAULT_LENGTH_LIMIT, DEFAULT_VERTEX_LIMIT, ContractError,
-                  DegreeSequence, InputError, LimitError, SigmaReport,
+from kmc4 import (DEFAULT_VERTEX_LIMIT, ContractError, DegreeSequence,
+                  InputError, LimitError, SigmaReport,
                   SmallGraph, TargetPattern, WitnessResult, encode_graph6,
                   graphical_sequences_with_sum, havel_hakimi_realize,
                   is_graphical, sigma_lower_bound)
@@ -241,7 +241,7 @@ def parse_edge_text(text: str, n: int | None = None) -> SmallGraph:
 
 
 def enumerate_graphical_sequences(n: int, min_sum: int = 0,
-                                  limit: int = DEFAULT_LENGTH_LIMIT) -> Iterator[DegreeSequence]:
+                                  limit: int = DEFAULT_VERTEX_LIMIT) -> Iterator[DegreeSequence]:
     """Every graphical n-term sequence with degree sum >= min_sum, once each.
 
     Zero terms are allowed. Order is deterministic: degree sum descending,

@@ -125,9 +125,13 @@ class TestRealize:
         assert "not graphical" in err
 
     def test_over_limit(self, capsys):
-        code, _, err = run_cli(capsys, "--limit", "4", "realize", "4,2,2,2,2")
+        # --limit does not apply: 32 terms are realized, 33 are refused
+        code, out, _ = run_cli(capsys, "--limit", "4", "realize", "2^32")
+        assert code == 0
+        assert decode_graph6(out.strip()).degrees() == (2,) * 32
+        code, _, err = run_cli(capsys, "realize", "2^33")
         assert code == 2
-        assert "error:" in err
+        assert err == "error: graphs limited to 32 vertices (got 33)\n"
 
 
 class TestPotential:
@@ -171,6 +175,15 @@ class TestPotential:
         assert rec["witness"] is None
         assert rec["exhausted"] is True
         assert rec["explored"] == 1
+
+    def test_up_to_the_bitmask_width(self, capsys):
+        code, out, _ = run_cli(capsys, "--limit", "4", "potential", "4^32",
+                               "--m", "5")
+        assert code == 0
+        assert decode_graph6(out.strip()).degrees() == (4,) * 32
+        code, out, err = run_cli(capsys, "potential", "4^33", "--m", "5")
+        assert (code, out) == (2, "")
+        assert err == "error: graphs limited to 32 vertices (got 33)\n"
 
     def test_other_target_size(self, capsys):
         # The degree sequence of the m=6 pattern itself must be potential.
@@ -240,6 +253,11 @@ class TestSigma:
         second = run_cli(capsys, "sigma", "--m", "5", "--n", "6")
         assert first == second
 
+    def test_budget_does_not_apply(self, capsys):
+        plain = run_cli(capsys, "sigma", "--m", "5", "--n", "6")
+        assert run_cli(capsys, "--budget", "0", "sigma",
+                       "--m", "5", "--n", "6") == plain
+
 
 class TestWitness:
     def test_bare_graph6(self, capsys):
@@ -284,6 +302,14 @@ class TestReplay:
         code, _, err = run_cli(capsys, "replay", "4,4,2,2,2,2")
         assert code == 2
         assert "error:" in err
+
+    def test_up_to_the_bitmask_width(self, capsys):
+        code, out, _ = run_cli(capsys, "--limit", "4", "replay", "4^32")
+        assert code == 0
+        assert out.startswith("1. ")
+        code, out, err = run_cli(capsys, "replay", "4^33")
+        assert (code, out) == (2, "")
+        assert err == "error: graphs limited to 32 vertices (got 33)\n"
 
     def test_deterministic(self, capsys):
         first = run_cli(capsys, "--json", "replay", "4,4,4,4,4,4,4,4")
@@ -379,25 +405,6 @@ class TestCachedParser:
 
 
 class TestLimitsAndEnvironment:
-    def test_env_limit_respected(self, capsys, monkeypatch):
-        monkeypatch.setenv("KMC4_VERTEX_LIMIT", "6")
-        code, _, err = run_cli(capsys, "realize", "6,2,2,2,2,2,2")
-        assert code == 2
-        assert "error:" in err
-
-    def test_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("KMC4_VERTEX_LIMIT", "6")
-        code, out, _ = run_cli(capsys, "--limit", "8",
-                               "realize", "6,2,2,2,2,2,2")
-        assert code == 0
-        assert decode_graph6(out.strip()).n == 7
-
-    def test_env_not_an_integer(self, capsys, monkeypatch):
-        monkeypatch.setenv("KMC4_VERTEX_LIMIT", "plenty")
-        code, _, err = run_cli(capsys, "graphical", "2,1,1")
-        assert code == 2
-        assert "KMC4_VERTEX_LIMIT" in err
-
     def test_limit_out_of_range(self, capsys):
         code, _, err = run_cli(capsys, "--limit", "40", "graphical", "2,1,1")
         assert code == 2

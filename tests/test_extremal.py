@@ -6,7 +6,7 @@ import pytest
 from helpers import (canonical_form, enumerate_realizations, find_embedding,
                      graphical_sequences_by_filter, sigma_by_full_sweep)
 
-from kmc4 import (BudgetExceededError, InputError, LimitError, SmallGraph,
+from kmc4 import (InputError, LimitError, SmallGraph,
                   complete_graph, degree_sequence_of, empty_graph,
                   extremal_witness, join, km_minus_c4,
                   sigma_exact, sigma_lower_bound, verify_conjecture,
@@ -116,10 +116,16 @@ class TestVerifyTheorem1:
                 walked = sum(1 for _ in enumerate_realizations(report.sequence))
                 assert report.realization_classes == walked == 1, (m, n)
 
+    def test_every_point_up_to_the_bitmask_width(self):
+        # nothing is searched, so no enumeration limit applies
+        for m in range(4, 33):
+            for n in range(m, 33):
+                assert verify_theorem1(m, n).passed, (m, n)
+
     def test_vertex_limit(self):
         with pytest.raises(LimitError, match=re.escape(
-                "realization search limited to 8 vertices (got 9)")):
-            verify_theorem1(5, 9, limit=8)
+                "graphs limited to 32 vertices (got 33)")):
+            verify_theorem1(5, 33)
 
     def test_cover_check_agrees_with_the_embedding_search(self):
         for m in range(4, 10):
@@ -167,15 +173,6 @@ class TestSigmaExact:
         report = sigma_exact(5, 6)
         for s in report.extremal_sequences:
             assert sum(s) == report.exact - 2
-
-    @pytest.mark.parametrize("m,n", [(4, 7), (5, 7), (6, 8), (7, 8)])
-    def test_three_pairings_are_every_candidate(self, m, n):
-        assert sigma_exact(m, n, budget=3) == sigma_exact(m, n)
-
-    def test_budget_zero_aborts(self):
-        with pytest.raises(BudgetExceededError) as exc:
-            sigma_exact(5, 6, budget=0)
-        assert exc.value.partial == 0
 
     def test_vertex_limit(self):
         with pytest.raises(LimitError):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from itertools import combinations
 
 import pytest
@@ -142,10 +143,21 @@ class TestReplayPreconditions:
             replay_theorem2((4, 4, 2, 2, 2, 2))
 
     def test_vertex_limit(self):
-        seq = (9,) * 10
+        seq = (4,) * 33
         assert is_graphical(seq)
-        with pytest.raises(LimitError):
-            replay_theorem2(seq, limit=8)
+        with pytest.raises(LimitError, match=re.escape(
+                "graphs limited to 32 vertices (got 33)")):
+            replay_theorem2(seq)
+
+    @pytest.mark.parametrize("n", range(13, 33))
+    def test_beyond_the_enumeration_limit(self, n):
+        # the hub-plus-cycle family and one main-case sequence
+        check_trace((n - 1,) + (3,) * (n - 1),
+                    replay_theorem2((n - 1,) + (3,) * (n - 1)))
+        seq = (5, 5) + (4,) * (n - 4) + (3, 3)
+        trace = replay_theorem2(seq)
+        check_trace(seq, trace)
+        assert trace.steps[-1].case in ("interchange", "direct-adjacency")
 
 
 class TestCaseBranches:
@@ -318,9 +330,9 @@ class TestCarriedEmbedding:
         called = []
         real = kmc4.proof_replay._replay
 
-        def recording(seq, steps, limit):
+        def recording(seq, steps):
             called.append(tuple(seq))
-            return real(seq, steps, limit)
+            return real(seq, steps)
 
         monkeypatch.setattr(kmc4.proof_replay, "_replay", recording)
         deletions = 0

@@ -20,8 +20,8 @@ import kmc4.realizations
 from kmc4 import (ContractError, DegreeSequence, LimitError, SmallGraph,
                   TargetPattern, WitnessResult, complete_graph,
                   degree_sequence_of, empty_graph, encode_graph6,
-                  havel_hakimi_realize, is_potentially, join,
-                  km_minus_c4, theorem2_interchange)
+                  extremal_witness, havel_hakimi_realize, is_potentially,
+                  join, km_minus_c4, replay_theorem2, theorem2_interchange)
 
 BOWTIE = km_minus_c4(5)
 # passes the necessary condition for m = 5 and has two distinct pairings;
@@ -73,6 +73,17 @@ class TestHavelHakimi:
                     greedy_realization_by_scan(seq), seq
                 count += 1
         assert count == 6067
+
+
+@pytest.mark.parametrize("call", [
+    havel_hakimi_realize,
+    lambda seq: is_potentially(seq, BOWTIE),
+    replay_theorem2,
+], ids=["havel_hakimi_realize", "is_potentially", "replay_theorem2"])
+def test_more_terms_than_the_bitmask_width(call):
+    with pytest.raises(LimitError, match=re.escape(
+            "graphs limited to 32 vertices (got 33)")):
+        call((4,) * 33)
 
 
 class TestTwoSwitch:
@@ -197,6 +208,23 @@ class TestIsPotentially:
     def test_zero_budget(self):
         res = is_potentially(SECOND_PAIRING, BOWTIE, budget=0)
         assert res == WitnessResult(False, None, None, 0, False)
+
+    @pytest.mark.parametrize("n", range(13, 33))
+    def test_beyond_the_enumeration_limit(self, n):
+        # the extremal sequence is an authoritative negative for every m
+        for m in (4, n // 2, n):
+            _, seq = extremal_witness(m, n)
+            res = is_potentially(seq, km_minus_c4(m))
+            assert not res.verdict and res.exhausted, (m, seq)
+        # one more edge inside the independent set makes it positive: the
+        # edge and a clique vertex with an independent neighbour are the
+        # two diagonals
+        m = 4 + n % 5
+        seq = (n - 1,) * (m - 3) + (m - 2,) * 2 + (m - 3,) * (n - m + 1)
+        res = is_potentially(seq, km_minus_c4(m))
+        assert res.verdict
+        assert res.witness.degrees() == seq
+        assert find_embedding(res.witness, km_minus_c4(m)) is not None
 
     def test_order_seed_does_not_change_verdict(self, monkeypatch):
         # the pairings tried in a seeded random order instead of the
