@@ -71,7 +71,8 @@ def cmd_realize(args, cfg: RunConfig) -> int:
     try:
         g = havel_hakimi_realize(seq)
     except ContractError:
-        raise InputError(f"sequence {seq.to_text()} is not graphical") from None
+        raise InputError(
+            f"sequence {seq.to_text()} is not graphical") from None
     if cfg.json_output:
         _emit({"sequence": list(seq), "graph6": encode_graph6(g),
                "edges": g.edge_count})
@@ -82,10 +83,17 @@ def cmd_realize(args, cfg: RunConfig) -> int:
 
 def cmd_potential(args, cfg: RunConfig) -> int:
     seq = DegreeSequence.from_text(args.sequence)
-    if not is_graphical(seq):
-        raise InputError(f"sequence {seq.to_text()} is not graphical")
-    target = km_minus_c4(args.m)
-    res = is_potentially(seq, target, budget=cfg.realization_budget)
+    try:
+        target = km_minus_c4(args.m)
+        res = is_potentially(seq, target, budget=cfg.realization_budget)
+    except (InputError, ContractError, LimitError):
+        # is_potentially runs Erdos-Gallai; only a failed query runs it
+        # again, so that a sequence that is not graphical is reported
+        # ahead of any other fault
+        if is_graphical(seq):
+            raise
+        raise InputError(
+            f"sequence {seq.to_text()} is not graphical") from None
     if cfg.json_output:
         _emit({
             "sequence": list(seq),

@@ -10,15 +10,7 @@ class ContractError(ValueError):
 
 
 class LimitError(RuntimeError):
-    """A computation would exceed a configured resource guard.
-
-    ``partial`` carries whatever partial count was reached before the
-    guard fired, when that is meaningful.
-    """
-
-    def __init__(self, message: str, partial: int | None = None):
-        super().__init__(message)
-        self.partial = partial
+    """A computation would exceed a configured resource guard."""
 
 
 class Graph6Error(ValueError):

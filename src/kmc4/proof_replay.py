@@ -10,18 +10,20 @@ quadruple completed through a neighbor or a three-edge interchange.
 Each decision is recorded in a trace whose final graph is re-validated
 against the input sequence.
 
-The main case offers the completions at most two realizations, both
-built rather than searched for: the greedy one, then one with K4 on the
-four largest degrees. Some realization holds a complete quadruple
-exactly when the second exists (the clique case of the placement
-argument in ``realizations``), so no realization classes are walked.
-(4^6) and (4^7) have no complete quadruple in any realization, so they
-sit in the table instead. Up to 14 vertices every other main-case
-sequence is completed from one of the two. The replay runs up to 32
-vertices, and beyond 14 that is checked on samples only: a main-case
-sequence that neither realization completes raises ``ReplayError``
-(exit 1 on the command line). It never yields a wrong witness, since
-every outcome is re-checked against the input.
+The main case builds one realization, with K4 on the four largest
+degrees, and completes the bowtie on that quadruple: through an outside
+vertex touching two of it, along an attachment path back to the
+largest, or by the three-edge interchange. Some realization holds a
+complete quadruple exactly when this one exists (the clique case of the
+placement argument in ``realizations``), so nothing is searched for,
+and once it exists the completion always succeeds. (4^6) and (4^7) have
+no complete quadruple in any realization, so they sit in the table
+instead. That every other main-case sequence has one is checked, not
+proved: exhaustively through 11 vertices by ``verify theorem2`` in CI,
+and on seeded samples of 14 to 32 vertices in the tests. A main-case
+sequence without one raises ``ReplayError`` (exit 1 on the command
+line). The replay never yields a wrong witness, since every outcome is
+re-checked against the input.
 
 The deletion case works on degrees alone. A vertex of least degree
 d <= 2 is laid off onto the d largest other terms (Kleitman and Wang),
@@ -45,13 +47,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import InputError
 from .graphs import (SmallGraph, _check_order, degree_sequence_of,
                      encode_graph6, is_embedding, km_minus_c4)
-from .realizations import (_decide_sequence, _greedy_realization,
-                           _k4_on_top, is_potentially, theorem2_interchange)
+from .realizations import (_decide_sequence, _k4_on_top, _realize_around,
+                           is_potentially, theorem2_interchange)
 from .sequences import (DEFAULT_VERTEX_LIMIT, DegreeSequence,
                         graphical_sequences_with_sum, is_graphical)
 
@@ -222,68 +223,53 @@ def _base5_embedding(g: SmallGraph) -> tuple[int, ...] | None:
     return None
 
 
-def _try_quad_completion(g: SmallGraph):
-    """Finish the main case from one realization, if it cooperates.
+def _complete_on_top(g: SmallGraph):
+    """Finish the main case from a realization with K4 on vertices 0..3.
 
-    Looks for a complete quadruple; a neighbor touching two of its
-    vertices closes the target directly, otherwise the attachments
-    y1, y2, y3 are located and the three-edge interchange applies.
-    Returns (witness, embedding, case, action) or None; the embedding is
-    the bowtie each completion builds, in the layout (p, r, q, s, centre)
-    with independent edges p-q and r-s.
+    The vertices are v1..v4 = 0, 1, 2, 3, in nonincreasing order of
+    degree. An outside vertex touching two of them closes the target
+    directly. Otherwise the attachments y1 of v1 and y2 of v2, and a
+    neighbor y3 of y1 other than v1 and y2, are located; y3 adjacent to
+    v1 closes the target along that path, and otherwise the three-edge
+    interchange applies. Returns (witness, embedding, case, action) or
+    None; the embedding is the bowtie each completion builds, in the
+    layout (p, r, q, s, centre) with independent edges p-q and r-s.
+
+    In the main case (second degree at least 4, least degree at least 3)
+    the attachments always exist, and the seven vertices are distinct:
+    v1 and v2 have a neighbor outside the quadruple, no outside vertex
+    is joined to both, and y1, joined to v1 alone there, has two more
+    neighbors outside it.
     """
-    n = g.n
     rows = g.rows
-    degs = g.degrees()
-    for quad in combinations(range(n), 4):
-        ok = True
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if not (rows[quad[i]] >> quad[j]) & 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        v1, v2, v3, v4 = sorted(quad, key=lambda v: (-degs[v], v))
-        quad_mask = (1 << v1) | (1 << v2) | (1 << v3) | (1 << v4)
-        hit = None
-        for y in range(n):
-            if not (quad_mask >> y) & 1 and (rows[y] & quad_mask).bit_count() >= 2:
-                hit = y
-                break
-        if hit is not None:
-            # a and b are joined to hit: centre a, independent edges
-            # hit-b and c-d
-            a, b, c, d = sorted((v1, v2, v3, v4),
-                                key=lambda v: not (rows[hit] >> v) & 1)
-            return (g, (hit, c, b, d, a), CASE_DIRECT,
-                    f"complete quadruple {v1},{v2},{v3},{v4} and vertex {hit} "
+    quad = 0b1111
+    for y in range(4, g.n):
+        if (rows[y] & quad).bit_count() >= 2:
+            # a and b are joined to y: centre a, independent edges y-b
+            # and c-d
+            a, b, c, d = sorted(range(4), key=lambda v: not (rows[y] >> v) & 1)
+            return (g, (y, c, b, d, a), CASE_DIRECT,
+                    f"complete quadruple 0,1,2,3 and vertex {y} "
                     f"adjacent to two of it close the target in place")
-        # every outside vertex touches at most one quad vertex
-        if degs[v2] < 4:
-            continue
-        outside = ~quad_mask
-        y1_mask = rows[v1] & outside
-        y2_mask = rows[v2] & outside
-        if not y1_mask or not y2_mask:
-            continue
-        y1 = (y1_mask & -y1_mask).bit_length() - 1
-        y2 = (y2_mask & -y2_mask).bit_length() - 1
-        y3_mask = rows[y1] & ~(1 << v1) & ~(1 << y2)
-        if not y3_mask:
-            continue
-        y3 = (y3_mask & -y3_mask).bit_length() - 1
-        if (rows[y3] >> v1) & 1:
-            return (g, (y1, v2, y3, v3, v1), CASE_DIRECT,
-                    f"attachment path {v1}-{y1}-{y3} returns to the quadruple "
-                    f"at {v1}, closing the target in place")
-        g2 = theorem2_interchange(g, v1, v2, v3, v4, y1, y2, y3)
-        return (g2, (v3, v1, v4, y1, v2), CASE_INTERCHANGE,
-                f"interchange on quadruple {v1},{v2},{v3},{v4} with "
-                f"y1={y1}, y2={y2}, y3={y3}")
-    return None
+    # every outside vertex touches at most one quad vertex
+    y1_mask = rows[0] & ~quad
+    y2_mask = rows[1] & ~quad
+    if not y1_mask or not y2_mask:
+        return None
+    y1 = (y1_mask & -y1_mask).bit_length() - 1
+    y2 = (y2_mask & -y2_mask).bit_length() - 1
+    y3_mask = rows[y1] & ~1 & ~(1 << y2)
+    if not y3_mask:
+        return None
+    y3 = (y3_mask & -y3_mask).bit_length() - 1
+    if rows[y3] & 1:
+        return (g, (y1, 1, y3, 2, 0), CASE_DIRECT,
+                f"attachment path 0-{y1}-{y3} returns to the quadruple "
+                f"at 0, closing the target in place")
+    g2 = theorem2_interchange(g, 0, 1, 2, 3, y1, y2, y3)
+    return (g2, (2, 0, 3, y1, 1), CASE_INTERCHANGE,
+            f"interchange on quadruple 0,1,2,3 with "
+            f"y1={y1}, y2={y2}, y3={y3}")
 
 
 def _replay(seq: DegreeSequence,
@@ -295,7 +281,7 @@ def _replay(seq: DegreeSequence,
     # call passes a Kleitman-Wang residual, graphical by their lemma.
 
     if n == 5:
-        g = _greedy_realization(seq)
+        g = _realize_around(seq, [0] * 5, 0)
         emb = _base5_embedding(g)
         if emb is None:
             raise ReplayError(
@@ -375,24 +361,19 @@ def _replay(seq: DegreeSequence,
             "contains the target", encode_graph6(g)))
         return g, emb
 
-    # Main case: d(v2) >= 4 and minimum degree >= 3. Two realizations
-    # are offered to the completions: the greedy one, then, only when it
-    # does not cooperate, one built with K4 on the four largest degrees,
-    # which exists whenever any realization holds a complete quadruple.
-    for build in (_greedy_realization, _k4_on_top):
-        g = build(seq)
-        if g is None:
-            continue
-        done = _try_quad_completion(g)
-        if done is not None:
-            witness, emb, case, action = done
-            if not is_embedding(witness, bowtie, emb):
-                raise ReplayError(f"completion claimed by '{case}' does not "
-                                  f"contain the target", steps)
-            steps.append(ProofStep(case, tuple(seq), action,
-                                   encode_graph6(witness)))
-            return witness, emb
-    raise ReplayError(f"every proof case failed for {tuple(seq)}", steps)
+    # Main case: d(v2) >= 4 and minimum degree >= 3. The realization
+    # with K4 on the four largest degrees exists whenever any realization
+    # holds a complete quadruple, and the completion works on that one.
+    g = _k4_on_top(seq)
+    done = None if g is None else _complete_on_top(g)
+    if done is None:
+        raise ReplayError(f"every proof case failed for {tuple(seq)}", steps)
+    witness, emb, case, action = done
+    if not is_embedding(witness, bowtie, emb):
+        raise ReplayError(f"completion claimed by '{case}' does not "
+                          f"contain the target", steps)
+    steps.append(ProofStep(case, tuple(seq), action, encode_graph6(witness)))
+    return witness, emb
 
 
 def replay_theorem2(seq) -> ProofTrace:

@@ -79,12 +79,6 @@ def havel_hakimi_realize(seq) -> SmallGraph:
     _check_order(seq.n)
     if not is_graphical(seq):
         raise ContractError(f"sequence {tuple(seq)} is not graphical")
-    return _greedy_realization(seq)
-
-
-def _greedy_realization(seq: DegreeSequence) -> SmallGraph:
-    """Havel-Hakimi layoff for a sequence the caller has already found
-    graphical; the body of ``havel_hakimi_realize`` without its check."""
     return _realize_around(seq, [0] * seq.n, 0)
 
 
@@ -120,17 +114,19 @@ def is_potentially(seq, target: TargetPattern,
                    budget: int | None = None) -> WitnessResult:
     """Does some realization of seq contain the target F_m as a subgraph?
 
-    With fewer terms than m, or when the top degrees fail the necessary
-    condition (the m-4 largest at least m-1, the m-th largest at least
-    m-3), the answer is an immediate, authoritative no. Otherwise each
-    distinct diagonal pairing of the top-degree placement is tried on
-    degrees (module docstring); ``explored`` counts the pairings tried,
-    at most 3. A positive's witness is the placement that fit, checked
-    edge by edge before it is returned. ``budget`` caps the pairings;
-    when it runs out the negative verdict is marked non-authoritative
-    (exhausted False). The target must be ``km_minus_c4(m)``. The work
-    is polynomial in the length, so the only cap on it is the bitmask
-    width: more than ``MAX_VERTICES`` terms raise LimitError.
+    A sequence that is not graphical raises ContractError, whatever its
+    length. With fewer terms than m, or when the top degrees fail the
+    necessary condition (the m-4 largest at least m-1, the m-th largest
+    at least m-3), the answer is an immediate, authoritative no.
+    Otherwise each distinct diagonal pairing of the top-degree placement
+    is tried on degrees (module docstring); ``explored`` counts the
+    pairings tried, at most 3. A positive's witness is the placement
+    that fit, checked edge by edge before it is returned. ``budget``
+    caps the pairings; when it runs out the negative verdict is marked
+    non-authoritative (exhausted False). The target must be
+    ``km_minus_c4(m)``. The work is polynomial in the length, so the
+    only cap on it is the bitmask width: more than ``MAX_VERTICES``
+    terms raise LimitError.
     """
     m = target.m
     if not (isinstance(m, int) and 4 <= m <= MAX_VERTICES
@@ -138,10 +134,10 @@ def is_potentially(seq, target: TargetPattern,
         raise ContractError(f"target is not K_m minus a 4-cycle (m={m!r})")
     seq = DegreeSequence(seq)
     _check_order(seq.n)
-    if seq.n < m:
-        return WitnessResult(False, None, None, 0, True)
     if not is_graphical(seq):
         raise ContractError(f"sequence {tuple(seq)} is not graphical")
+    if seq.n < m:
+        return WitnessResult(False, None, None, 0, True)
     verdict, explored, exhausted, diagonals, used = \
         _decide_sequence(seq, m, budget)
     if not verdict:

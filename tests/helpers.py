@@ -29,7 +29,7 @@ from kmc4 import (DEFAULT_VERTEX_LIMIT, ContractError, DegreeSequence,
                   graphical_sequences_with_sum, havel_hakimi_realize,
                   is_graphical, sigma_lower_bound)
 from kmc4.graphs import _bits
-from kmc4.realizations import _decide_sequence, _greedy_realization, _lay_off
+from kmc4.realizations import _decide_sequence, _lay_off
 
 
 def cycle_graph(k: int) -> SmallGraph:
@@ -313,6 +313,15 @@ def _switch_neighbors(g: SmallGraph) -> list[SmallGraph]:
     return out
 
 
+class ClassCapError(LimitError):
+    """``enumerate_realizations`` met more classes than its cap;
+    ``classes`` is how many it had yielded."""
+
+    def __init__(self, message: str, classes: int):
+        super().__init__(message)
+        self.classes = classes
+
+
 def enumerate_realizations(seq, limit: int = DEFAULT_VERTEX_LIMIT,
                            max_classes: int | None = None,
                            order_seed: int | None = None):
@@ -327,15 +336,13 @@ def enumerate_realizations(seq, limit: int = DEFAULT_VERTEX_LIMIT,
     when expansion begins. ``order_seed`` shuffles expansion order (the
     class set must not depend on it). ``max_classes`` is a guard: the
     generator yields that many classes, and on finding one more raises
-    with the partial count.
+    ``ClassCapError``, which carries the count.
     """
     seq = DegreeSequence(seq)
-    if not is_graphical(seq):
-        raise ContractError(f"sequence {tuple(seq)} is not graphical")
+    g = havel_hakimi_realize(seq)  # ContractError when not graphical
     if seq.n > limit:
         raise LimitError(f"realization search limited to {limit} vertices (got {seq.n})")
     rng = Random(order_seed) if order_seed is not None else None
-    g = _greedy_realization(seq)
     yield g
     seen = {canonical_form(g, limit)}
     queue = deque([g])
@@ -347,9 +354,9 @@ def enumerate_realizations(seq, limit: int = DEFAULT_VERTEX_LIMIT,
             key = canonical_form(h, limit)
             if key not in seen:
                 if max_classes is not None and len(seen) >= max_classes:
-                    raise LimitError(
+                    raise ClassCapError(
                         f"realization classes exceed cap {max_classes}",
-                        partial=len(seen))
+                        len(seen))
                 seen.add(key)
                 queue.append(h)
                 yield h

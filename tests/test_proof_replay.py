@@ -15,6 +15,7 @@ import hashlib
 import json
 import re
 from itertools import combinations
+from random import Random
 
 import pytest
 from helpers import (brute_embedding_exists, eager_realizations,
@@ -36,7 +37,8 @@ from kmc4 import (
     ReplayError,
     SmallGraph,
     decode_graph6,
-    havel_hakimi_realize,
+    degree_sequence_of,
+    encode_graph6,
     is_graphical,
     is_potentially,
     km_minus_c4,
@@ -401,7 +403,7 @@ class TestConstructedCompletion:
     def test_each_completion_builds_a_valid_embedding(self, monkeypatch,
                                                       seq, action):
         returned = record_returns(monkeypatch, kmc4.proof_replay,
-                                  "_try_quad_completion")
+                                  "_complete_on_top")
         trace = replay_theorem2(seq)
         check_trace(seq, trace)
         [(witness, emb, case, text)] = [d for d in returned if d is not None]
@@ -413,7 +415,7 @@ class TestConstructedCompletion:
         assert_no_search()
 
     def test_wrong_embedding_is_caught(self, monkeypatch):
-        real = kmc4.proof_replay._try_quad_completion
+        real = kmc4.proof_replay._complete_on_top
 
         def swap_v1_v2(g):
             done = real(g)
@@ -422,35 +424,23 @@ class TestConstructedCompletion:
             witness, (v3, v1, v4, y1, v2), case, action = done
             return witness, (v3, v2, v4, y1, v1), case, action
 
-        monkeypatch.setattr(kmc4.proof_replay, "_try_quad_completion",
+        monkeypatch.setattr(kmc4.proof_replay, "_complete_on_top",
                             swap_v1_v2)
         with pytest.raises(ReplayError, match="completion claimed by "
                            "'interchange' does not contain the target"):
             replay_theorem2((4,) * 8)
 
-    def test_other_realizations_only_after_the_greedy_one(self, monkeypatch):
-        built = []
-        for name in ("_greedy_realization", "_k4_on_top"):
-            real = getattr(kmc4.proof_replay, name)
-
-            def recording(seq, name=name, real=real):
-                g = real(seq)
-                built.append((name, g))
-                return g
-
-            monkeypatch.setattr(kmc4.proof_replay, name, recording)
-        # the greedy realization cooperates: nothing else is built
-        check_trace((5, 5, 5, 5, 4, 4), replay_theorem2((5, 5, 5, 5, 4, 4)))
-        assert [name for name, _ in built] == ["_greedy_realization"]
-        # it does not: the K4 construction comes second, and its graph
-        # is the one the interchange starts from
-        built.clear()
-        trace = replay_theorem2((4,) * 8)
-        check_trace((4,) * 8, trace)
-        assert [name for name, _ in built] == ["_greedy_realization",
-                                               "_k4_on_top"]
-        assert built[0][1] == havel_hakimi_realize((4,) * 8)
-        assert has_k4_on_top(built[1][1])
+    def test_only_the_k4_construction_is_built(self, monkeypatch):
+        built = record_returns(monkeypatch, kmc4.proof_replay, "_k4_on_top")
+        assert not hasattr(kmc4.proof_replay, "_greedy_realization")
+        assert not hasattr(kmc4.realizations, "_greedy_realization")
+        for seq in ((5, 5, 5, 5, 4, 4), (4,) * 8):
+            built.clear()
+            trace = replay_theorem2(seq)
+            check_trace(seq, trace)
+            [g] = built
+            assert has_k4_on_top(g)
+        # its graph is the one the interchange starts from
         assert trace.steps[0].action == ("interchange on quadruple 0,1,2,3 "
                                          "with y1=4, y2=5, y3=6")
 
@@ -485,8 +475,12 @@ class TestConstructedCompletion:
         # that reach an exceptional sequence changed their action text,
         # and 28 of them their graphs, every graph checked against
         # perfbench/checks.py and the brute-force bowtie search first.
-        # Every case, action and graph of every threshold sequence on 6
-        # to 8 vertices is pinned.
+        # Re-frozen when the main case stopped trying the greedy realization
+        # first and completed only on vertices 0..3 of the K4 construction:
+        # 100 of the 820 traces here changed their graphs, 54 of them their
+        # action text too and 1 its case, each checked the same way and by
+        # check_trace first. Every case, action and graph of every threshold
+        # sequence on 6 to 8 vertices is pinned.
         digest = hashlib.sha256()
         count = 0
         for n in range(6, 9):
@@ -497,7 +491,7 @@ class TestConstructedCompletion:
                         digest.update(line.encode() + b"\n")
         assert count == 820
         assert digest.hexdigest() == (
-            "55f444165aa3620de2f40bba499dd34f37fb3be47eb103516ba966a92a3ecbf9")
+            "edeefe1d5397a1e075072992187f499da1fd9bca41f5de477565097e4c3d6b39")
 
 
 def has_k4_on_top(g):
@@ -541,34 +535,69 @@ class TestK4OnTop:
         assert missing == []
 
 
-# The threshold sequences on at most 9 vertices that are completed, at
-# some level of their deletion chain, from the K4 construction.
-K4_COMPLETED = {
-    (4, 4, 4, 4, 4, 4, 3, 3), (4, 4, 4, 4, 4, 4, 4, 4),
-    (5, 5, 3, 3, 3, 3, 3, 3), (5, 5, 5, 3, 3, 3, 3, 3),
-    (6, 4, 3, 3, 3, 3, 3, 3),
-    (4, 4, 4, 4, 4, 4, 4, 3, 1), (4, 4, 4, 4, 4, 4, 4, 4, 0),
-    (4, 4, 4, 4, 4, 4, 4, 4, 2), (4, 4, 4, 4, 4, 4, 4, 4, 4),
-    (5, 4, 4, 4, 3, 3, 3, 3, 3), (5, 4, 4, 4, 4, 4, 3, 3, 1),
-    (5, 4, 4, 4, 4, 4, 4, 3, 2), (5, 4, 4, 4, 4, 4, 4, 4, 1),
-    (5, 5, 4, 3, 3, 3, 3, 3, 3), (5, 5, 4, 4, 4, 3, 3, 3, 3),
-    (5, 5, 4, 4, 4, 4, 3, 3, 2), (5, 5, 4, 4, 4, 4, 4, 4, 2),
-    (5, 5, 4, 4, 4, 4, 4, 4, 4), (5, 5, 5, 4, 4, 4, 4, 4, 3),
-    (6, 4, 4, 3, 3, 3, 3, 3, 3), (6, 5, 3, 3, 3, 3, 3, 3, 3),
-    (6, 5, 5, 3, 3, 3, 3, 3, 1), (6, 6, 3, 3, 3, 3, 3, 3, 2),
-    (6, 6, 4, 3, 3, 3, 3, 3, 3), (6, 6, 5, 3, 3, 3, 3, 3, 2),
-    (7, 4, 3, 3, 3, 3, 3, 3, 3), (7, 4, 4, 3, 3, 3, 3, 3, 2),
-    (7, 5, 3, 3, 3, 3, 3, 3, 2), (7, 5, 4, 3, 3, 3, 3, 3, 3),
-    (8, 4, 4, 3, 3, 3, 3, 3, 3),
-}
+class TestMainCase:
+    """The main case builds one realization, with K4 on vertices 0..3,
+    and completes on that quadruple."""
+
+    def test_one_realization_and_the_top_quadruple(self, monkeypatch):
+        built = record_returns(monkeypatch, kmc4.proof_replay, "_k4_on_top")
+        real = kmc4.proof_replay._complete_on_top
+        given = []
+
+        def recording(g):
+            given.append(g)
+            return real(g)
+
+        monkeypatch.setattr(kmc4.proof_replay, "_complete_on_top", recording)
+        kinds = {}
+        count = 0
+        for seq in main_case_sequences(9):
+            count += 1
+            built.clear()
+            given.clear()
+            steps = []
+            g, emb = kmc4.proof_replay._replay(seq, steps)
+            [k4] = built
+            assert given == [k4] and has_k4_on_top(k4), seq
+            assert g.degrees() == tuple(seq)
+            assert embedding_is_valid(g, BOWTIE, emb), seq
+            [step] = steps
+            assert step.graph6 == encode_graph6(g)
+            kind = re.match(r"complete quadruple 0,1,2,3 and vertex \d+ "
+                            r"|attachment path 0-\d+-\d+ returns to the "
+                            r"quadruple at 0,|interchange on quadruple "
+                            r"0,1,2,3 with ", step.action)
+            assert kind, (seq, step.action)
+            kind = kind.group().split()[0]
+            kinds[kind] = kinds.get(kind, 0) + 1
+        assert count == 1093
+        assert kinds == {"complete": 1079, "attachment": 8, "interchange": 6}
+
+    def test_seeded_sample_of_14_to_32_vertices(self):
+        # degree sequences of random graphs with 2n - 2 to 3n - 2 edges:
+        # at or just above the threshold 4n - 4
+        rng = Random(2026)
+        for _ in range(300):
+            n = rng.randint(14, 32)
+            pairs = list(combinations(range(n), 2))
+            g = SmallGraph(n, rng.sample(pairs, 2 * n - 2 + rng.randint(0, n)))
+            seq = tuple(degree_sequence_of(g))
+            trace = replay_theorem2(seq)
+            check_trace(seq, trace)
+            assert {"interchange", "direct-adjacency"} & {
+                s.case for s in trace.steps}, seq
 
 
 class TestChangedTraces:
     def test_which_traces_use_the_k4_construction(self, monkeypatch):
+        # Every main case completes from the K4 construction: of the
+        # 3,771 threshold sequences on 5 to 9 vertices, the 3,430 whose
+        # deletion chain ends in the main case, 9 of them by the
+        # interchange.
         k4_graphs = record_returns(monkeypatch, kmc4.proof_replay,
                                    "_k4_on_top")
         returned = record_returns(monkeypatch, kmc4.proof_replay, "_replay")
-        real = kmc4.proof_replay._try_quad_completion
+        real = kmc4.proof_replay._complete_on_top
         completed_from = []
 
         def recording(g):
@@ -577,16 +606,23 @@ class TestChangedTraces:
                 completed_from.append(g)
             return done
 
-        monkeypatch.setattr(kmc4.proof_replay, "_try_quad_completion",
-                            recording)
+        monkeypatch.setattr(kmc4.proof_replay, "_complete_on_top", recording)
         served = set()
+        main_case = set()
+        interchanged = 0
+        count = 0
         for n in range(5, 10):
             for total in range(n * (n - 1), 4 * n - 5, -2):
                 for seq in graphical_sequences_with_sum(n, total):
+                    count += 1
                     for log in (k4_graphs, completed_from, returned):
                         log.clear()
                     trace = replay_theorem2(seq)
                     seq = tuple(seq)
+                    cases = {s.case for s in trace.steps}
+                    if cases & {"interchange", "direct-adjacency"}:
+                        main_case.add(seq)
+                    interchanged += "interchange" in cases
                     if any(g in k4_graphs for g in completed_from):
                         served.add(seq)
                         check_trace(seq, trace)
@@ -594,7 +630,9 @@ class TestChangedTraces:
                             assert embedding_is_valid(g, BOWTIE, emb), seq
                     assert not any(s.action.startswith("deviation:")
                                    for s in trace.steps), seq
-        assert served == K4_COMPLETED
+        assert count == 3771
+        assert served == main_case
+        assert (len(main_case), interchanged) == (3430, 9)
 
 
 class TestTraceFormats:

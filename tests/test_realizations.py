@@ -172,7 +172,7 @@ class TestEnumerateRealizations:
     def test_max_classes_guard_carries_partial_count(self):
         with pytest.raises(LimitError) as exc:
             list(enumerate_realizations((3,) * 6, max_classes=1))
-        assert exc.value.partial == 1
+        assert exc.value.classes == 1
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_space_complete_against_labeled_census(self, n):
@@ -607,7 +607,7 @@ class TestLazyStartKey:
         assert len(list(enumerate_realizations((3,) * 6, max_classes=2))) == 2
         with pytest.raises(LimitError) as exc:
             list(enumerate_realizations((4, 3, 3, 2, 2, 2), max_classes=3))
-        assert exc.value.partial == 3
+        assert exc.value.classes == 3
 
 
 class TestLazyDiscovery:
@@ -644,7 +644,7 @@ class TestLazyDiscovery:
         assert len({canonical_form(g) for g in got}) == cap
         with pytest.raises(LimitError) as exc:
             next(gen)
-        assert exc.value.partial == cap
+        assert exc.value.classes == cap
 
 
 class TestGraphicalityCheckedOnce:
@@ -683,6 +683,32 @@ class TestGraphicalityCheckedOnce:
         assert kmc4.cli.main(argv) == 2
         assert capsys.readouterr().err == \
             "error: sequence 3,3,1,1 is not graphical\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["potential", "3,3,1,1"],
+        ["--json", "--budget", "8", "potential", "3,3,1,1", "--m", "5"],
+        ["potential", "5,1,1,1", "--m", "6"],
+        ["--json", "potential", "3,3,3,3,3,1,1", "--m", "4"],
+        ["potential", "3,3,1,1", "--m", "3"],
+        ["potential", "3,3,1,1", "--m", "40"]])
+    def test_cli_potential_errors_unchanged(self, capsys, argv):
+        # fewer terms than m too, and ahead of a bad --m: a non-graphical
+        # query is reported as such
+        text = argv[argv.index("potential") + 1]
+        assert kmc4.cli.main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error: sequence {text} is not graphical\n")
+
+    @pytest.mark.parametrize("argv,code", [
+        (["potential", "4,4,3,3,2,2", "--m", "5"], 0),
+        (["--json", "--budget", "8", "potential", "4,4,3,3,2,2", "--m", "6"],
+         1),
+        (["potential", "2,2,2", "--m", "5"], 1)])
+    def test_cli_potential(self, monkeypatch, capsys, argv, code):
+        in_library = count_calls(monkeypatch, kmc4.realizations, "is_graphical")
+        in_cli = count_calls(monkeypatch, kmc4.cli, "is_graphical")
+        assert kmc4.cli.main(argv) == code
+        assert len(in_library) + len(in_cli) == 1
 
 
 class TestInterchange:
