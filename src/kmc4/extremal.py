@@ -7,15 +7,24 @@ closed form (2m-6)n - (m-3)(m-2) + 2 is a proven lower bound witnessed
 by the join of a complete graph on m-3 vertices with an independent set,
 and is conjectured (known for m in {4, 5}) to be the exact value. This
 module computes the bound, checks the witness, and determines the exact
-threshold at small n by a sweep over degree-sum levels. The sweep runs
-by induction on n: the paper's deletion step proves potential every
-sequence whose least term is small against the threshold one length
-down, and only the others are decided.
+threshold at small n by a sweep over degree-sum levels.
+
+The sweep runs by induction on n and inverts the failing list one
+length down. Lay a vertex of least degree d off an n-term sequence s
+with sum S onto the d largest other terms (Kleitman and Wang 1973): the
+residual r is graphical with n - 1 terms and sum S - 2d, and a
+realization of r holding the target extends to one of s. So with the
+threshold at n - 1 known, s is potential when S - 2d reaches it. When
+S - 2d sits two below it, s is potential unless r is one of the failing
+sequences at n - 1; those few r are lifted back, to every s whose
+residual they are, and only those s are decided. Only the sequences
+with S - 2d lower still are walked and decided.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import InputError, LimitError
 from .graphs import (SmallGraph, complete_graph, empty_graph, encode_graph6,
@@ -167,15 +176,29 @@ def _sigma_upward(m: int, n_hi: int, limit: int, progress):
     """Yield (n, exact threshold, failing sequences) for n = m..n_hi.
 
     Deletion lemma: lay a vertex of least degree d off a graphical
-    n-term sequence with sum S onto the d largest other terms
-    (Kleitman-Wang). What is left is graphical with n - 1 terms and sum
-    S - 2d, and a realization of it holding the target extends to one of
-    the whole sequence. So once the threshold s at n - 1 is known, every
-    sequence with S - 2d >= s is potential, and a level S need only walk
-    the sequences whose least term is above (S - s) / 2. Those include
-    every non-potential one, so the first failing level and its failing
-    sequences, in order, are those of the full sweep. At n = m nothing is
-    known below and the whole level is walked.
+    n-term sequence s with sum S onto the d largest other terms
+    (Kleitman and Wang 1973). The residual r is graphical with n - 1
+    terms and sum S - 2d, and a realization of r holding the target
+    extends to one of s: join a new vertex to the d lowered vertices.
+
+    Let below be the threshold at n - 1, so every graphical (n - 1)-term
+    sequence with sum at least below is potential, and the failing list
+    E(n - 1) holds every one with sum below - 2 that is not. A level S
+    then splits by the least term d of s:
+
+    - S - 2d >= below: r is potential, so s is; it is never built.
+    - S - 2d = below - 2, that is d = (S - below + 2) / 2: s is potential
+      unless r is in E(n - 1). So only the uplifts of each r in
+      E(n - 1) are decided (``_uplifts``), the sequences whose residual
+      is r; each is graphical, by the same join.
+    - S - 2d < below - 2: s is walked and decided, least terms from
+      (S - below) / 2 + 2 up.
+
+    Every non-potential sequence at S is decided, so the first failing
+    level and its failing sequences, merged into descending order, are
+    those of the full sweep. At n = m nothing is known below and the
+    whole level is walked. A progress line counts the walked sequences
+    and the uplifts apart; its pairings are those of both.
 
     Enumeration is the one exponential step of every threshold driver,
     so this is where ``limit`` guards it: n_hi above it raises LimitError
@@ -185,30 +208,71 @@ def _sigma_upward(m: int, n_hi: int, limit: int, progress):
         raise LimitError(f"exact threshold limited to {limit} vertices "
                          f"(got {n_hi})")
     below = None
+    failures: list[DegreeSequence] = []
     for n in range(m, n_hi + 1):
+        lifted_from, failures = failures, []
         level = n * (n - 1)
         while level >= 0:
-            floor = 0 if below is None else max(0, (level - below) // 2 + 1)
-            failures = []
-            count = pairings = 0
-            for s in graphical_sequences_with_sum(n, level, limit=limit,
-                                                  min_term=floor):
+            floor, lifts = 0, []
+            if below is not None:
+                d = (level - below + 2) // 2
+                floor = max(0, d + 1)
+                # n terms of at least d cannot sum below d * n
+                if 0 <= d and d * n <= level:
+                    lifts = [s for r in lifted_from for s in _uplifts(r, d)]
+            decided = pairings = 0
+            for s in chain(graphical_sequences_with_sum(n, level, limit=limit,
+                                                        min_term=floor),
+                           lifts):
                 verdict, explored, _, _, _ = _decide_sequence(s, m, None)
                 if not verdict:
                     failures.append(s)
-                count += 1
+                decided += 1
                 pairings += explored
             if progress is not None:
                 progress(f"m={m} n={n} sum={level} floor={floor}: "
-                         f"{count} sequences, {len(failures)} failing, "
-                         f"{pairings} pairings")
+                         f"{decided - len(lifts)} sequences, "
+                         f"{len(failures)} failing, {pairings} pairings, "
+                         f"{len(lifts)} uplifts")
             if failures:
+                failures.sort(reverse=True)
                 break
             level -= 2
         else:
             raise AssertionError("sweep hit level 0 with no failing sequence")
         below = level + 2
         yield n, below, failures
+
+
+def _uplifts(r: DegreeSequence, d: int):
+    """Every sequence with least term d whose Kleitman-Wang residual is r.
+
+    Such an s is r with d of its terms raised by one, every raised term
+    at least every unraised one and every term at least d, and d
+    appended. With t = r[d - 1], a raised set of d terms holds every term
+    above t + 1 and none below t - 1, so the choice is only how many to
+    raise of the terms equal to t + 1, t and t - 1 (a, b and c of them).
+    A raised t - 1 ties an unraised t, so c > 0 needs every t + 1 raised.
+    Distinct counts give distinct sequences. Needs 0 <= d <= len(r).
+    """
+    if d == 0:
+        yield tuple.__new__(DegreeSequence, r + (0,))
+        return
+    t = r[d - 1]
+    top = sum(x > t + 1 for x in r)
+    big, mid, low = r.count(t + 1), r.count(t), r.count(t - 1)
+    head = tuple(x + 1 for x in r[:top])
+    tail = r[top + big + mid + low:] + (d,)
+    need = d - top
+    for a in range(min(big, need), -1, -1):
+        for b in range(min(mid, need - a), -1, -1):
+            c = need - a - b
+            if c > low or (c and a < big):
+                continue
+            s = (head + (t + 2,) * a + (t + 1,) * (big - a + b)
+                 + (t,) * (mid - b + c) + (t - 1,) * (low - c) + tail)
+            if s[-2] >= d:
+                yield tuple.__new__(DegreeSequence, s)
 
 
 def _sigma_report(m: int, n: int, exact: int,

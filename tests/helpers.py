@@ -13,7 +13,9 @@ decides on degrees and only checks the embedding it builds. These live
 only here, with a few small constructors the library has no use for.
 ``sigma_by_full_sweep`` is the exact-threshold sweep without the
 induction on n, the reference for the one that skips what the deletion
-lemma proves.
+lemma proves, and ``uplifts_by_positions`` inverts the Kleitman-Wang
+lay-off by trying every set of raised positions, the reference for the
+sweep's uplifts.
 """
 
 from __future__ import annotations
@@ -632,6 +634,21 @@ def kleitman_wang_residual(seq) -> tuple[int, ...]:
     hit = {label for label, _ in others[:d]}
     degrees = [deg - (label in hit) for label, deg in others]
     return tuple(sorted(degrees, reverse=True))
+
+
+def uplifts_by_positions(r, d: int) -> set[tuple[int, ...]]:
+    """Every sequence with least term d whose Kleitman-Wang residual is r.
+
+    Such a sequence is r with some d terms raised by one and d appended,
+    so every set of d positions is raised in turn, and a candidate is kept
+    when its least term is d and ``kleitman_wang_residual`` gives r back.
+    """
+    found = set()
+    for raised in combinations(range(len(r)), d):
+        s = [x + (i in raised) for i, x in enumerate(r)] + [d]
+        if min(s) == d and kleitman_wang_residual(s) == tuple(r):
+            found.add(tuple(sorted(s, reverse=True)))
+    return found
 
 
 def embedding_is_valid(host: SmallGraph, pattern, emb) -> bool:

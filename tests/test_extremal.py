@@ -4,14 +4,16 @@ import re
 
 import pytest
 from helpers import (canonical_form, enumerate_realizations, find_embedding,
-                     graphical_sequences_by_filter, sigma_by_full_sweep)
+                     graphical_sequences_by_filter, is_graphical_quadratic,
+                     nonincreasing_tuples, sigma_by_full_sweep,
+                     uplifts_by_positions)
 
 from kmc4 import (InputError, LimitError, SmallGraph,
                   complete_graph, degree_sequence_of, empty_graph,
                   extremal_witness, join, km_minus_c4,
                   sigma_exact, sigma_lower_bound, verify_conjecture,
                   verify_theorem1)
-from kmc4.extremal import _clique_covers_edges
+from kmc4.extremal import _clique_covers_edges, _uplifts
 from kmc4.realizations import _decide_sequence
 
 # Exact thresholds confirmed by the exhaustive sweep, frozen here so a
@@ -47,11 +49,14 @@ TABLE_M7_M8 = {
 }
 
 # Beyond the default limit, from the sweep by induction on n; each
-# matches the formula.
-TABLE_N16 = {
+# matches the formula, and its one failing sequence is the witness's.
+TABLE_PAST_LIMIT = {
     (5, 16): (60, ((15,) * 2 + (2,) * 14,)),
     (6, 16): (86, ((15,) * 3 + (3,) * 13,)),
     (7, 16): (110, ((15,) * 4 + (4,) * 12,)),
+    (5, 24): (92, ((23,) * 2 + (2,) * 22,)),
+    (6, 20): (110, ((19,) * 3 + (3,) * 17,)),
+    (7, 18): (126, ((17,) * 4 + (4,) * 14,)),
 }
 
 
@@ -187,17 +192,21 @@ class TestSigmaExact:
         lines = []
         sigma_exact(5, 7, progress=lines.append)
         parsed = [re.fullmatch(r"m=5 n=(\d+) sum=(\d+) floor=(\d+): \d+ "
-                               r"sequences, (\d+) failing, \d+ pairings", ln)
+                               r"sequences, (\d+) failing, \d+ pairings, "
+                               r"(\d+) uplifts", ln)
                   for ln in lines]
         assert all(parsed)
         ns = [int(p[1]) for p in parsed]
         assert ns == sorted(ns) and set(ns) == {5, 6, 7}
-        assert all(p[3] == "0" for p in parsed if p[1] == "5")
-        # sigma(5, 5) = 16, so level 18 at n = 6 walks only least terms
-        # above (18 - 16) / 2; both failing sequences have least term 2
+        assert all(p[3] == "0" and p[5] == "0" for p in parsed if p[1] == "5")
+        # sigma(5, 5) = 16, so level 18 at n = 6 walks least terms from
+        # (18 - 16) / 2 + 2 = 3 and finds (3^6); least term 2 is left to
+        # the 3 uplifts of the failing list at n = 5, of which
+        # (5, 5, 2, 2, 2, 2) fails
         last_n6 = lines[len(ns) - ns[::-1].index(6) - 1]
-        assert last_n6.startswith("m=5 n=6 sum=18 floor=2: ")
+        assert last_n6.startswith("m=5 n=6 sum=18 floor=3: 1 sequences, ")
         assert ", 2 failing, " in last_n6
+        assert last_n6.endswith(", 3 uplifts")
 
     def test_json_dict(self):
         d = sigma_exact(5, 5).to_json_dict()
@@ -222,13 +231,25 @@ class TestSweepByInduction:
                     if 2 * seq[-1] <= total - s:
                         assert _decide_sequence(seq, m, None)[0], (m, seq)
 
-    @pytest.mark.parametrize("m,n", sorted(TABLE_N16))
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_uplifts_match_the_position_oracle(self, k):
+        # every graphical r with k terms and every least term d
+        for r in nonincreasing_tuples(k, k - 1):
+            if not is_graphical_quadratic(r):
+                continue
+            for d in range(k + 1):
+                got = list(_uplifts(r, d))
+                assert len(got) == len(set(got)), (r, d)
+                assert set(got) == uplifts_by_positions(r, d), (r, d)
+
+    @pytest.mark.parametrize("m,n", sorted(TABLE_PAST_LIMIT))
     def test_frozen_rows_beyond_the_default_limit(self, m, n):
-        want_exact, want_extremal = TABLE_N16[(m, n)]
-        report = sigma_exact(m, n, limit=16)
+        want_exact, want_extremal = TABLE_PAST_LIMIT[(m, n)]
+        report = sigma_exact(m, n, limit=n)
         assert report.exact == want_exact
         assert report.verdict == "matches"
         assert report.extremal_sequences == want_extremal
+        assert want_extremal == (extremal_witness(m, n)[1],)
 
 
 class TestVerifyConjecture:

@@ -725,6 +725,33 @@ class TestVerifyTheorem2Range:
             len(list(graphical_sequences_with_sum(n, 4 * n - 4)))
             for n in (5, 6, 7))
 
+    @pytest.mark.parametrize("corrupt", ["degrees", "embedding"])
+    def test_wrong_outcome_counts_as_a_replay_failure(self, monkeypatch,
+                                                      corrupt):
+        # the outcome checks live in replay_theorem2, which raises
+        # ReplayError on a wrong outcome; the range counts that error
+        real = kmc4.proof_replay._replay
+        target = DegreeSequence((5, 5, 4, 4, 3, 3))
+        corrupted = []
+
+        def wrong_outcome(seq, steps):
+            out, emb = real(seq, steps)
+            if seq != target:
+                return out, emb
+            if corrupt == "degrees":
+                out = SmallGraph(out.n, list(out.edges())[1:])
+            else:
+                emb = (emb[0],) * len(emb)
+            corrupted.append(seq)
+            return out, emb
+
+        monkeypatch.setattr(kmc4.proof_replay, "_replay", wrong_outcome)
+        report = verify_theorem2_range(6)
+        assert corrupted == [target]
+        assert [e["replay_failures"] for e in report.entries] == [0, 1]
+        assert [e["agreement_failures"] for e in report.entries] == [0, 0]
+        assert not report.passed
+
     def test_range_too_small(self):
         with pytest.raises(InputError):
             verify_theorem2_range(4)
