@@ -13,7 +13,7 @@ from .errors import ContractError, Graph6Error, InputError, LimitError
 from .extremal import (SigmaReport, Theorem1Report, extremal_witness,
                        sigma_exact, sigma_lower_bound, verify_conjecture,
                        verify_theorem1)
-from .graphs import (MAX_VERTICES, SmallGraph, TargetPattern, complete_graph,
+from .graphs import (SmallGraph, TargetPattern, complete_graph,
                      decode_graph6, degree_sequence_of, empty_graph,
                      encode_graph6, join, km_minus_c4)
 from .proof_replay import (BaseCaseReport, ProofStep, ProofTrace,
@@ -34,7 +34,6 @@ __all__ = [
     "Graph6Error",
     "InputError",
     "LimitError",
-    "MAX_VERTICES",
     "ProofStep",
     "ProofTrace",
     "ReplayError",

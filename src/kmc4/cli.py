@@ -4,7 +4,7 @@ Exit codes: 0 for a passing or true outcome, 1 for failing or false,
 2 for bad input or a size over a cap, 3 when the --budget cap ran out
 before a verdict of ``potential``. --limit caps only the enumerating
 commands (sigma, verify conjecture, verify theorem2); the others are
-polynomial and capped only at 32 vertices. Reports in --json mode
+polynomial and take any length. Reports in --json mode
 (and the always-JSON sigma report) are the only bytes on stdout;
 progress and error text go to stderr. Identical arguments and limits
 reproduce byte-identical output.
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .errors import ContractError, Graph6Error, InputError, LimitError
 from .extremal import (SigmaReport, extremal_witness, sigma_exact,
                        sigma_lower_bound, verify_conjecture, verify_theorem1)
-from .graphs import MAX_VERTICES, encode_graph6, km_minus_c4
+from .graphs import encode_graph6, km_minus_c4
 from .proof_replay import (ReplayError, replay_theorem2, verify_base_cases,
                            verify_theorem2_range)
 from .realizations import havel_hakimi_realize, is_potentially
@@ -46,9 +46,8 @@ class RunConfig:
 
 
 def _resolve_limit(value: int) -> int:
-    if not 1 <= value <= MAX_VERTICES:
-        raise InputError(
-            f"vertex limit must be in 1..{MAX_VERTICES}, got {value}")
+    if value < 1:
+        raise InputError(f"vertex limit must be at least 1, got {value}")
     return value
 
 
@@ -245,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="N",
                    help=f"sequence length cap for sigma, verify conjecture "
                         f"and verify theorem2 (default {DEFAULT_VERTEX_LIMIT},"
-                        f" at most {MAX_VERTICES})")
+                        f" at least 1); the other commands take any length")
     p.add_argument("--budget", type=int, default=None, metavar="K",
                    help="cap on the placement pairings potential tries "
                         "(at most three); a negative verdict cut short "

@@ -107,7 +107,7 @@ def verify_theorem1(m: int, n: int) -> Theorem1Report:
     alone: a sequence has exactly one labeled realization exactly when
     it is a threshold sequence (Hammer, Ibaraki and Simeone 1978), and
     then ``realization_classes`` is 1; otherwise it is 2. Nothing is
-    searched, so n is capped only by ``MAX_VERTICES``.
+    searched, so no n is refused.
     """
     g, seq = extremal_witness(m, n)
     return Theorem1Report(

@@ -1,8 +1,9 @@
-"""Labeled simple graphs on at most 32 vertices.
+"""Labeled simple graphs.
 
-Adjacency is stored as one integer bitmask per vertex, which keeps every
-row in a single machine word and makes neighborhood intersection, degree
-counts, and edge toggles cheap. On top of the type live the pattern
+Adjacency is stored as one integer bitmask per vertex, bit v for an edge
+to vertex v, which makes neighborhood intersection, degree counts, and
+edge toggles cheap; a row is as wide as the graph, so nothing caps the
+order. On top of the type live the pattern
 constructions (complete and empty graphs, joins, the complete graph
 minus a 4-cycle), the check of a subgraph embedding, and the graph6
 text codec.
@@ -13,16 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, lru_cache
 
-from .errors import Graph6Error, InputError, LimitError
+from .errors import Graph6Error, InputError
 from .sequences import DegreeSequence
-
-MAX_VERTICES = 32
-
-
-def _check_order(n: int) -> None:
-    """Raise LimitError when n vertices do not fit the bitmask rows."""
-    if n > MAX_VERTICES:
-        raise LimitError(f"graphs limited to {MAX_VERTICES} vertices (got {n})")
 
 
 def _bits(mask: int):
@@ -41,7 +34,6 @@ class SmallGraph:
     def __init__(self, n: int, edges=()):
         if not isinstance(n, int) or n < 0:
             raise InputError(f"vertex count must be a nonnegative integer, got {n!r}")
-        _check_order(n)
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -107,7 +99,6 @@ class TargetPattern:
 def complete_graph(k: int) -> SmallGraph:
     if not isinstance(k, int) or k < 0:
         raise InputError(f"order must be a nonnegative integer, got {k!r}")
-    _check_order(k)
     full = (1 << k) - 1
     return SmallGraph._from_rows(k, [full ^ (1 << v) for v in range(k)])
 
@@ -115,14 +106,12 @@ def complete_graph(k: int) -> SmallGraph:
 def empty_graph(k: int) -> SmallGraph:
     if not isinstance(k, int) or k < 0:
         raise InputError(f"order must be a nonnegative integer, got {k!r}")
-    _check_order(k)
     return SmallGraph._from_rows(k, [0] * k)
 
 
 def join(g1: SmallGraph, g2: SmallGraph) -> SmallGraph:
     """Disjoint union plus all cross edges; g1's vertices come first."""
     n = g1.n + g2.n
-    _check_order(n)
     high = ((1 << g2.n) - 1) << g1.n
     low = (1 << g1.n) - 1
     rows = [row | high for row in g1.rows]
@@ -194,8 +183,18 @@ def _pattern_edges(pattern: SmallGraph) -> tuple[tuple[int, int], ...]:
 _REV6 = tuple(int(f"{x:06b}"[::-1], 2) for x in range(64))
 
 
+def _graph6_size(n: int) -> str:
+    """The graph6 size header: one byte up to 62 vertices, ``~`` and 18
+    bits up to 258,047, ``~~`` and 36 bits beyond, six bits a byte."""
+    if n < 63:
+        return chr(63 + n)
+    prefix, width = ("~", 18) if n < 258048 else ("~~", 36)
+    return prefix + "".join([chr(63 + ((n >> s) & 63))
+                             for s in range(width - 6, -1, -6)])
+
+
 def encode_graph6(g: SmallGraph) -> str:
-    """Standard header-free graph6 text for a graph on at most 62 vertices."""
+    """Standard graph6 text, without the optional ``>>graph6<<`` prefix."""
     n = g.n
     rows = g.rows
     rev = _REV6
@@ -218,41 +217,60 @@ def encode_graph6(g: SmallGraph) -> str:
     nbits = n * (n - 1) // 2
     pad = -nbits % 6
     acc <<= pad
-    return chr(63 + n) + "".join([chr(63 + ((acc >> s) & 63))
-                                  for s in range(nbits + pad - 6, -1, -6)])
+    return _graph6_size(n) + "".join([chr(63 + ((acc >> s) & 63))
+                                      for s in range(nbits + pad - 6, -1, -6)])
+
+
+def _decode_size(s: str) -> tuple[int, int]:
+    """The vertex count in the size header of graph6 text s, and the
+    offset where the body starts. A long header must be the one
+    ``_graph6_size`` writes for its count."""
+    start, width, least = ((0, 1, 0) if s[0] != "~"
+                           else (2, 6, 258048) if s[1:2] == "~"
+                           else (1, 3, 63))
+    digits = s[start:start + width]
+    if len(digits) < width:
+        raise Graph6Error(f"size header needs {width} bytes after "
+                          f"{s[:start]!r}", offset=len(s))
+    n = 0
+    for k, ch in enumerate(digits):
+        value = ord(ch) - 63
+        if not 0 <= value < 64:
+            raise Graph6Error(f"invalid size byte {ch!r}", offset=start + k)
+        n = (n << 6) | value
+    if n < least:
+        raise Graph6Error(f"{n} vertices take a shorter size header",
+                          offset=0)
+    return n, start + width
 
 
 def decode_graph6(text: str) -> SmallGraph:
     """Inverse of encode_graph6; strict about length and padding.
 
     Accepts an optional ``>>graph6<<`` prefix. Errors carry the byte
-    offset of the offending character.
+    offset of the offending character, counted after any prefix. The
+    body's length is checked against the size header before any row is
+    built.
     """
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
     if not s:
         raise Graph6Error("empty graph6 string", offset=0)
-    c0 = ord(s[0])
-    if c0 == 126:
-        raise Graph6Error("multi-byte vertex counts not supported", offset=0)
-    if not (63 <= c0 <= 125):
-        raise Graph6Error(f"invalid size byte {s[0]!r}", offset=0)
-    n = c0 - 63
-    _check_order(n)
-    need = (n * (n - 1) // 2 + 5) // 6
-    body = s[1:]
+    n, start = _decode_size(s)
+    total_bits = n * (n - 1) // 2
+    need = (total_bits + 5) // 6
+    body = s[start:]
     if len(body) != need:
         raise Graph6Error(f"expected {need} data bytes, found {len(body)}",
-                          offset=1 + min(len(body), need))
+                          offset=start + min(len(body), need))
     rows = [0] * n
     bit_index = 0
-    total_bits = n * (n - 1) // 2
     pairs = [(i, j) for j in range(1, n) for i in range(j)]
     for k, ch in enumerate(body):
         value = ord(ch) - 63
         if not (0 <= value < 64):
-            raise Graph6Error(f"invalid data byte {ch!r}", offset=1 + k)
+            raise Graph6Error(f"invalid data byte {ch!r}", offset=start + k)
         for b in range(5, -1, -1):
             bit = (value >> b) & 1
             if bit_index < total_bits:
@@ -261,6 +279,6 @@ def decode_graph6(text: str) -> SmallGraph:
                     rows[i] |= 1 << j
                     rows[j] |= 1 << i
             elif bit:
-                raise Graph6Error("nonzero padding bits", offset=1 + k)
+                raise Graph6Error("nonzero padding bits", offset=start + k)
             bit_index += 1
     return SmallGraph._from_rows(n, rows)

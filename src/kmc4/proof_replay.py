@@ -20,7 +20,7 @@ and once it exists the completion always succeeds. (4^6) and (4^7) have
 no complete quadruple in any realization, so they sit in the table
 instead. That every other main-case sequence has one is checked, not
 proved: exhaustively through 11 vertices by ``verify theorem2`` in CI,
-and on seeded samples of 14 to 32 vertices in the tests. A main-case
+and on seeded samples of 14 to 80 vertices in the tests. A main-case
 sequence without one raises ``ReplayError`` (exit 1 on the command
 line). The replay never yields a wrong witness, since every outcome is
 re-checked against the input.
@@ -49,8 +49,8 @@ import json
 from dataclasses import dataclass
 
 from .errors import InputError
-from .graphs import (SmallGraph, _check_order, degree_sequence_of,
-                     encode_graph6, is_embedding, km_minus_c4)
+from .graphs import (SmallGraph, degree_sequence_of, encode_graph6,
+                     is_embedding, km_minus_c4)
 from .realizations import (_decide_sequence, _k4_on_top, _realize_around,
                            is_potentially, theorem2_interchange)
 from .sequences import (DEFAULT_VERTEX_LIMIT, DegreeSequence,
@@ -178,18 +178,20 @@ def verify_base_cases(family_ns=(8,)) -> BaseCaseReport:
 def _attach_back(witness: SmallGraph, attach_degrees: list[int],
                  steps) -> SmallGraph:
     """Add one vertex joined to distinct vertices whose current degrees
-    match ``attach_degrees``; adding edges cannot destroy an embedded
-    subgraph, but validity is still re-checked by the caller."""
-    buckets: dict[int, list[int]] = {}
-    for v in range(witness.n):
-        buckets.setdefault(witness.degree(v), []).append(v)
+    match ``attach_degrees``, the lowest-index ones first; adding edges
+    cannot destroy an embedded subgraph, but validity is still
+    re-checked by the caller."""
+    degrees = list(map(int.bit_count, witness.rows))
     chosen = []
     for want in sorted(attach_degrees, reverse=True):
-        pool = buckets.get(want)
-        if not pool:
+        # a repeated degree continues past the last pick
+        start = chosen[-1] + 1 if chosen and degrees[chosen[-1]] == want else 0
+        try:
+            chosen.append(degrees.index(want, start))
+        except ValueError:
             raise ReplayError(
-                f"no vertex of degree {want} left to re-attach to", steps)
-        chosen.append(pool.pop(0))
+                f"no vertex of degree {want} left to re-attach to",
+                steps) from None
     new_v = witness.n
     rows = list(witness.rows) + [0]
     for u in chosen:
@@ -388,7 +390,6 @@ def replay_theorem2(seq) -> ProofTrace:
     n = seq.n
     if n < 5:
         raise InputError(f"replay needs n >= 5, got n={n}")
-    _check_order(n)
     if not is_graphical(seq):
         raise InputError(f"sequence {tuple(seq)} is not graphical")
     if sum(seq) < 4 * n - 4:

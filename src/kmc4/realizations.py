@@ -46,8 +46,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .errors import ContractError
-from .graphs import (MAX_VERTICES, SmallGraph, TargetPattern, _check_order,
-                     is_embedding, km_minus_c4)
+from .graphs import SmallGraph, TargetPattern, is_embedding, km_minus_c4
 from .sequences import DegreeSequence, _erdos_gallai, is_graphical
 
 
@@ -76,38 +75,9 @@ def havel_hakimi_realize(seq) -> SmallGraph:
     Vertex i of the result has degree seq[i] exactly.
     """
     seq = DegreeSequence(seq)
-    _check_order(seq.n)
     if not is_graphical(seq):
         raise ContractError(f"sequence {tuple(seq)} is not graphical")
     return _realize_around(seq, [0] * seq.n, 0)
-
-
-def _lay_off(rows: list[int], keys: list[int]) -> bool:
-    """Havel-Hakimi on the vertices named in ``keys``.
-
-    Each vertex v with residual demand r is one packed key
-    ``(r << 5) | (31 - v)``, so a plain descending sort orders by largest
-    residual, then lowest index. The largest is joined to the next
-    largest ones until every residual is zero; the edges go into
-    ``rows``. Returns False when a vertex runs out of targets, that is
-    when the residuals are not graphical.
-    """
-    keys = [key for key in keys if key >= 32]
-    while keys:
-        keys.sort(reverse=True)
-        top = keys[0]
-        k = top >> 5
-        if k >= len(keys):
-            return False
-        u = 31 - (top & 31)
-        for i in range(1, k + 1):
-            key = keys[i]
-            v = 31 - (key & 31)
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-            keys[i] = key - 32
-        keys = [key for key in keys[1:] if key >= 32]
-    return True
 
 
 def is_potentially(seq, target: TargetPattern,
@@ -124,16 +94,14 @@ def is_potentially(seq, target: TargetPattern,
     that fit, checked edge by edge before it is returned. ``budget``
     caps the pairings; when it runs out the negative verdict is marked
     non-authoritative (exhausted False). The target must be
-    ``km_minus_c4(m)``. The work is polynomial in the length, so the
-    only cap on it is the bitmask width: more than ``MAX_VERTICES``
-    terms raise LimitError.
+    ``km_minus_c4(m)``. The work is polynomial in the length, and no
+    length is refused.
     """
     m = target.m
-    if not (isinstance(m, int) and 4 <= m <= MAX_VERTICES
+    if not (isinstance(m, int) and 4 <= m == target.pattern.n
             and target.pattern == km_minus_c4(m).pattern):
         raise ContractError(f"target is not K_m minus a 4-cycle (m={m!r})")
     seq = DegreeSequence(seq)
-    _check_order(seq.n)
     if not is_graphical(seq):
         raise ContractError(f"sequence {tuple(seq)} is not graphical")
     if seq.n < m:
@@ -250,10 +218,12 @@ def _lay_off_degrees(out, needs) -> list[int] | None:
     placed vertex's outside demand in ``needs`` is laid off onto the
     largest of them, or None when a demand is negative or finds too few
     positive residuals."""
+    if needs and min(needs) < 0:
+        return None
     out = list(out)
     for k in needs:
         if k:
-            if k < 0 or k > len(out) or not out[k - 1]:
+            if k > len(out) or not out[k - 1]:
                 return None
             for i in range(k):
                 out[i] -= 1
@@ -307,28 +277,40 @@ def _realize_around(seq: DegreeSequence, rows: list[int],
     0..placed-1, into a realization of seq, or None when a lay-off runs
     short.
 
-    Each placed vertex in turn is laid off onto the largest outside
-    residuals, lowest index first among equals; Havel-Hakimi then
-    realizes what is left outside.
+    Each placed vertex in index order is laid off onto the largest
+    outside residuals; then Havel-Hakimi lays the largest residual off
+    onto the next largest until none is left. Ties go to the lowest
+    index: vertex v with residual r is the key ``(r << w) | (2^w-1-v)``,
+    w the bit length of n, so a descending sort gives that order and
+    puts the spent vertices (r = 0) last, where they are dropped.
     """
-    keys = [(seq[w] << 5) | (31 - w) for w in range(placed, seq.n)]
-    for v in range(placed):
-        need = seq[v] - rows[v].bit_count()
-        if need:
-            if need < 0 or need > len(keys):
-                return None
-            keys.sort(reverse=True)
-            if keys[need - 1] < 32:
-                return None
-            for i in range(need):
-                key = keys[i]
-                w = 31 - (key & 31)
-                rows[v] |= 1 << w
-                rows[w] |= 1 << v
-                keys[i] = key - 32
-    if not _lay_off(rows, keys):
-        return None
-    return SmallGraph._from_rows(seq.n, rows)
+    n = seq.n
+    w = n.bit_length()
+    unit = 1 << w
+    low = unit - 1
+    keys = [(seq[v] << w) | (low - v) for v in range(placed, n)]
+    nxt = 0
+    while True:
+        keys.sort(reverse=True)
+        while keys and keys[-1] < unit:
+            keys.pop()
+        if nxt < placed:
+            u, need = nxt, seq[nxt] - rows[nxt].bit_count()
+            nxt += 1
+        elif keys:
+            top = keys.pop(0)
+            u, need = low - (top & low), top >> w
+        else:
+            break
+        if need < 0 or need > len(keys):
+            return None
+        for i in range(need):
+            key = keys[i]
+            v = low - (key & low)
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+            keys[i] = key - unit
+    return SmallGraph._from_rows(n, rows)
 
 
 def _is_witness(seq: DegreeSequence, target: TargetPattern,

@@ -31,7 +31,7 @@ from kmc4 import (DEFAULT_VERTEX_LIMIT, ContractError, DegreeSequence,
                   graphical_sequences_with_sum, havel_hakimi_realize,
                   is_graphical, sigma_lower_bound)
 from kmc4.graphs import _bits
-from kmc4.realizations import _decide_sequence, _lay_off
+from kmc4.realizations import _decide_sequence
 
 
 def cycle_graph(k: int) -> SmallGraph:
@@ -604,9 +604,18 @@ def find_embedding_unplanned(host: SmallGraph, pattern):
 
 def encode_graph6_by_bits(g: SmallGraph) -> str:
     """graph6 text built one bit at a time, in the order the format
-    lists the pairs: (0,1), then (0,2), (1,2), then (0,3), ..."""
+    lists the pairs: (0,1), then (0,2), (1,2), then (0,3), ...; the
+    size header is n itself up to 62, else ``~`` and n in 18 bits up to
+    258,047, else ``~~`` and n in 36 bits, each cut into 6-bit bytes."""
     n = g.n
-    out = [chr(63 + n)]
+    if n <= 62:
+        out = [chr(63 + n)]
+    else:
+        width = 18 if n <= 258047 else 36
+        bits = [(n >> (width - 1 - i)) & 1 for i in range(width)]
+        out = ["~" * (width // 18)]
+        for i in range(0, width, 6):
+            out.append(chr(63 + int("".join(map(str, bits[i:i + 6])), 2)))
     acc = 0
     nbits = 0
     for j in range(1, n):
@@ -673,8 +682,10 @@ def row_by_row_placement(seq, m: int, diagonals, used: int):
     0..m-1 with the given diagonals and the cycle edges in ``used`` (bit
     i for edge i of the cycle p-r-q-s-p of diagonals (p, q), (r, s)),
     built row by row and finished by laying each placed vertex off onto
-    the largest outside residuals; (None, None) when a lay-off runs
-    short."""
+    the largest outside residuals, then by Havel-Hakimi on the outside
+    vertices, ties to the lowest index; (None, None) when a lay-off runs
+    short. Residuals are kept per vertex and ordered as (residual,
+    index) pairs, with no packed sort keys."""
     n = len(seq)
     (p, q), (r, s) = diagonals
     core = (1 << (m - 4)) - 1
@@ -689,23 +700,30 @@ def row_by_row_placement(seq, m: int, diagonals, used: int):
         if (used >> bit) & 1:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-    keys = [(seq[w] << 5) | (31 - w) for w in range(m, n)]
+    residual = {w: seq[w] for w in range(m, n)}
+
+    def join_largest(u, k):
+        # the k outside vertices other than u with the largest positive
+        # residuals, lowest index first among equals
+        targets = sorted(((-d, w) for w, d in residual.items()
+                          if d > 0 and w != u))[:k]
+        if len(targets) < k:
+            return False
+        for _, w in targets:
+            rows[u] |= 1 << w
+            rows[w] |= 1 << u
+            residual[w] -= 1
+        return True
+
     for v in range(m):
         need = seq[v] - rows[v].bit_count()
-        if need < 0 or need > len(keys):
+        if need < 0 or not join_largest(v, need):
             return None, None
-        if need:
-            keys.sort(reverse=True)
-            if keys[need - 1] < 32:
-                return None, None
-            for i in range(need):
-                key = keys[i]
-                w = 31 - (key & 31)
-                rows[v] |= 1 << w
-                rows[w] |= 1 << v
-                keys[i] = key - 32
-    if not _lay_off(rows, keys):
-        return None, None
+    while any(residual.values()):
+        u = max(residual, key=lambda w: (residual[w], -w))
+        need, residual[u] = residual[u], 0
+        if not join_largest(u, need):
+            return None, None
     return SmallGraph._from_rows(n, rows), (p, r, q, s) + tuple(range(m - 4))
 
 

@@ -15,7 +15,8 @@ import sys
 from pathlib import Path
 
 import pytest
-from helpers import find_embedding, pairing_decision
+from helpers import (embedding_is_valid, encode_graph6_by_bits,
+                     find_embedding, pairing_decision)
 from jsonschema import validate
 
 import kmc4
@@ -125,13 +126,14 @@ class TestRealize:
         assert "not graphical" in err
 
     def test_over_limit(self, capsys):
-        # --limit does not apply: 32 terms are realized, 33 are refused
-        code, out, _ = run_cli(capsys, "--limit", "4", "realize", "2^32")
-        assert code == 0
-        assert decode_graph6(out.strip()).degrees() == (2,) * 32
-        code, _, err = run_cli(capsys, "realize", "2^33")
-        assert code == 2
-        assert err == "error: graphs limited to 32 vertices (got 33)\n"
+        # --limit does not apply, and no length is refused
+        for n in (32, 33, 64):
+            code, out, _ = run_cli(capsys, "--limit", "4", "realize",
+                                   f"2^{n}")
+            assert code == 0
+            g = decode_graph6(out.strip())
+            assert encode_graph6_by_bits(g) == out.strip()
+            assert g.degrees() == (2,) * n
 
 
 class TestPotential:
@@ -177,13 +179,16 @@ class TestPotential:
         assert rec["explored"] == 1
 
     def test_up_to_the_bitmask_width(self, capsys):
-        code, out, _ = run_cli(capsys, "--limit", "4", "potential", "4^32",
-                               "--m", "5")
-        assert code == 0
-        assert decode_graph6(out.strip()).degrees() == (4,) * 32
-        code, out, err = run_cli(capsys, "potential", "4^33", "--m", "5")
-        assert (code, out) == (2, "")
-        assert err == "error: graphs limited to 32 vertices (got 33)\n"
+        # rows are as wide as the graph, so no length is refused
+        for n in (32, 33, 64):
+            code, out, _ = run_cli(capsys, "--limit", "4", "--json",
+                                   "potential", f"4^{n}", "--m", "5")
+            assert code == 0
+            rec = json.loads(out)
+            g = decode_graph6(rec["witness"])
+            assert encode_graph6_by_bits(g) == rec["witness"]
+            assert g.degrees() == (4,) * n
+            assert embedding_is_valid(g, km_minus_c4(5), rec["embedding"])
 
     def test_other_target_size(self, capsys):
         # The degree sequence of the m=6 pattern itself must be potential.
@@ -258,6 +263,22 @@ class TestSigma:
         assert run_cli(capsys, "--budget", "0", "sigma",
                        "--m", "5", "--n", "6") == plain
 
+    def test_witness_past_32_vertices(self, capsys):
+        # the one failing sequence at (5, 34) is realized as its witness,
+        # which must realize it and hold no F_5
+        code, out, _ = run_cli(capsys, "--limit", "34", "sigma",
+                               "--m", "5", "--n", "34")
+        assert code == 0
+        rec = json.loads(out)
+        validate(rec, SIGMA_SCHEMA)
+        assert (rec["exact"], rec["verdict"]) == (132, "matches")
+        assert rec["extremal_sequences"] == [[33, 33] + [2] * 32]
+        [text] = rec["witnesses"]
+        g = decode_graph6(text)
+        assert encode_graph6_by_bits(g) == text
+        assert g.degrees() == (33, 33) + (2,) * 32
+        assert find_embedding(g, km_minus_c4(5)) is None
+
 
 class TestWitness:
     def test_bare_graph6(self, capsys):
@@ -304,12 +325,16 @@ class TestReplay:
         assert "error:" in err
 
     def test_up_to_the_bitmask_width(self, capsys):
-        code, out, _ = run_cli(capsys, "--limit", "4", "replay", "4^32")
-        assert code == 0
-        assert out.startswith("1. ")
-        code, out, err = run_cli(capsys, "replay", "4^33")
-        assert (code, out) == (2, "")
-        assert err == "error: graphs limited to 32 vertices (got 33)\n"
+        # rows are as wide as the graph, so no length is refused
+        for n in (32, 33, 64):
+            code, out, _ = run_cli(capsys, "--limit", "4", "--json",
+                                   "replay", f"4^{n}")
+            assert code == 0
+            last = json.loads(out.splitlines()[-1])
+            g = decode_graph6(last["graph6"])
+            assert encode_graph6_by_bits(g) == last["graph6"]
+            assert g.degrees() == (4,) * n
+            assert find_embedding(g, km_minus_c4(5)) is not None
 
     def test_deterministic(self, capsys):
         first = run_cli(capsys, "--json", "replay", "4,4,4,4,4,4,4,4")
@@ -406,9 +431,15 @@ class TestCachedParser:
 
 class TestLimitsAndEnvironment:
     def test_limit_out_of_range(self, capsys):
-        code, _, err = run_cli(capsys, "--limit", "40", "graphical", "2,1,1")
+        code, _, err = run_cli(capsys, "--limit", "0", "graphical", "2,1,1")
         assert code == 2
-        assert "error:" in err
+        assert err == "error: vertex limit must be at least 1, got 0\n"
+        # no upper end: 33 and 64 are limits like any other
+        for limit in ("33", "64"):
+            code, out, _ = run_cli(capsys, "--limit", limit, "sigma",
+                                   "--m", "4", "--n", "5")
+            assert code == 0
+            assert json.loads(out)["exact"] == 10
 
 
 class TestArgumentErrors:

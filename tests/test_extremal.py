@@ -3,16 +3,16 @@ from __future__ import annotations
 import re
 
 import pytest
-from helpers import (canonical_form, enumerate_realizations, find_embedding,
+from helpers import (canonical_form, encode_graph6_by_bits,
+                     enumerate_realizations, find_embedding,
                      graphical_sequences_by_filter, is_graphical_quadratic,
                      nonincreasing_tuples, sigma_by_full_sweep,
                      uplifts_by_positions)
 
-from kmc4 import (InputError, LimitError, SmallGraph,
-                  complete_graph, degree_sequence_of, empty_graph,
-                  extremal_witness, join, km_minus_c4,
-                  sigma_exact, sigma_lower_bound, verify_conjecture,
-                  verify_theorem1)
+from kmc4 import (InputError, LimitError, SmallGraph, complete_graph,
+                  decode_graph6, degree_sequence_of, empty_graph,
+                  extremal_witness, join, km_minus_c4, sigma_exact,
+                  sigma_lower_bound, verify_conjecture, verify_theorem1)
 from kmc4.extremal import _clique_covers_edges, _uplifts
 from kmc4.realizations import _decide_sequence
 
@@ -57,6 +57,7 @@ TABLE_PAST_LIMIT = {
     (5, 24): (92, ((23,) * 2 + (2,) * 22,)),
     (6, 20): (110, ((19,) * 3 + (3,) * 17,)),
     (7, 18): (126, ((17,) * 4 + (4,) * 14,)),
+    (5, 34): (132, ((33,) * 2 + (2,) * 32,)),
 }
 
 
@@ -122,15 +123,22 @@ class TestVerifyTheorem1:
                 assert report.realization_classes == walked == 1, (m, n)
 
     def test_every_point_up_to_the_bitmask_width(self):
-        # nothing is searched, so no enumeration limit applies
-        for m in range(4, 33):
-            for n in range(m, 33):
+        # nothing is searched, so no enumeration limit applies; 64
+        # vertices take graph6's long size header
+        for m in range(4, 65):
+            for n in range(m, 65):
                 assert verify_theorem1(m, n).passed, (m, n)
 
     def test_vertex_limit(self):
-        with pytest.raises(LimitError, match=re.escape(
-                "graphs limited to 32 vertices (got 33)")):
-            verify_theorem1(5, 33)
+        # no length is refused: the witness at 33 and 64 vertices is the
+        # construction, and holds no F_5
+        for n in (33, 64):
+            report = verify_theorem1(5, n)
+            assert report.passed
+            g = decode_graph6(report.witness_graph6)
+            assert encode_graph6_by_bits(g) == report.witness_graph6
+            assert g.degrees() == (n - 1, n - 1) + (2,) * (n - 2)
+            assert find_embedding(g, km_minus_c4(5)) is None
 
     def test_cover_check_agrees_with_the_embedding_search(self):
         for m in range(4, 10):

@@ -11,8 +11,8 @@ from helpers import (brute_embedding_exists, canonical_form, complement,
                      find_embedding_unplanned, parse_edge_text, random_graph,
                      relabel)
 
-from kmc4 import (DegreeSequence, Graph6Error, InputError, LimitError,
-                  SmallGraph, TargetPattern, complete_graph, decode_graph6,
+from kmc4 import (DegreeSequence, Graph6Error, InputError, SmallGraph,
+                  TargetPattern, complete_graph, decode_graph6,
                   degree_sequence_of, empty_graph, encode_graph6, join,
                   km_minus_c4)
 from kmc4.graphs import is_embedding
@@ -49,8 +49,13 @@ class TestSmallGraph:
             SmallGraph(3, [(0, 3)])
 
     def test_rejects_oversize(self):
-        with pytest.raises(LimitError):
-            SmallGraph(33)
+        # rows are as wide as the graph: 33 and 64 vertices are accepted
+        for n in (33, 64):
+            edges = [(0, n - 1), (5, 32), (n - 3, n - 2)]
+            g = SmallGraph(n, edges)
+            assert g.n == n and g.edges() == edges
+            assert g.has_edge(n - 1, 0) and not g.has_edge(0, 5)
+            assert encode_graph6_by_bits(g) == encode_graph6(g)
 
 
 class TestConstructors:
@@ -99,8 +104,13 @@ class TestConstructors:
         assert g.has_edge(0, 1) and g.has_edge(0, 2) and g.has_edge(1, 2)
 
     def test_join_overflow(self):
-        with pytest.raises(LimitError):
-            join(complete_graph(20), complete_graph(16))
+        # 36 and 64 vertices: the join of two cliques is a clique
+        for a, b in ((20, 16), (32, 32)):
+            g = join(complete_graph(a), complete_graph(b))
+            n = a + b
+            assert g.n == n and g.edge_count == n * (n - 1) // 2
+            assert all(g.has_edge(u, v) for u in range(n)
+                       for v in range(n) if u != v)
 
 
 class TestTargetPattern:
@@ -459,6 +469,42 @@ class TestGraph6:
                 assert text == encode_graph6_by_bits(g), g
                 assert decode_graph6(text) == g
 
+    @pytest.mark.parametrize("n", [33, 62, 63, 64, 100])
+    def test_seeded_graphs_past_32_vertices_match_bitwise_encoder(self, n):
+        rng = Random(n)
+        for _ in range(10):
+            g = random_graph(n, rng.random(), rng)
+            text = encode_graph6(g)
+            assert text == encode_graph6_by_bits(g), g
+            assert text.startswith("~") == (n >= 63)
+            assert decode_graph6(text) == g
+
+    @pytest.mark.parametrize("header,n", [
+        ("~??~", 63), ("~@@@", 4161), ("~}~~", 258047),
+        ("~~???~??", 258048), ("~~@?????", 2 ** 30),
+        ("~~~~~~~~", 2 ** 36 - 1)])
+    def test_long_header_over_a_short_body(self, header, n):
+        # the size is read and the body's length checked before any row
+        # is built
+        need = (n * (n - 1) // 2 + 5) // 6
+        with pytest.raises(Graph6Error, match=f"expected {need} data bytes, "
+                           f"found 1") as exc:
+            decode_graph6(header + "?")
+        assert exc.value.offset == len(header) + 1
+
+    @pytest.mark.parametrize("text,offset", [
+        ("~???", 0),        # 0 vertices take the one-byte header
+        ("~??}", 0),        # so do 62
+        ("~~???}~~", 0),    # 258047 take the 18-bit header
+        ("~??", 3),         # too few header bytes
+        ("~~????", 6),
+        ("~?\x10?", 2),     # a header byte out of range
+        ("~~??\x7f???", 4)])
+    def test_bad_long_header(self, text, offset):
+        with pytest.raises(Graph6Error) as exc:
+            decode_graph6(text)
+        assert exc.value.offset == offset
+
     def test_round_trip_seeded(self):
         rng = Random(23)
         for _ in range(300):
@@ -475,10 +521,6 @@ class TestGraph6:
             decode_graph6(chr(62) + "_")
         assert exc.value.offset == 0
 
-    def test_multibyte_count_unsupported(self):
-        with pytest.raises(Graph6Error):
-            decode_graph6("~??")
-
     def test_truncated_body(self):
         with pytest.raises(Graph6Error):
             decode_graph6("D~")
@@ -494,7 +536,13 @@ class TestGraph6:
         assert exc.value.offset == 1
 
     def test_oversize_count(self):
-        with pytest.raises(LimitError):
+        # 33 vertices fit the one-byte header, 64 take the long one
+        rng = Random(33)
+        for n in (33, 64):
+            g = random_graph(n, 0.5, rng)
+            assert decode_graph6(encode_graph6_by_bits(g)) == g
+        # a one-byte header for 33 vertices needs 88 data bytes
+        with pytest.raises(Graph6Error, match="expected 88 data bytes"):
             decode_graph6(chr(63 + 33))
 
     def test_bad_data_byte(self):

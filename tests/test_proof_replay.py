@@ -31,7 +31,6 @@ from kmc4 import (
     BaseCaseReport,
     DegreeSequence,
     InputError,
-    LimitError,
     ProofStep,
     ProofTrace,
     ReplayError,
@@ -145,11 +144,11 @@ class TestReplayPreconditions:
             replay_theorem2((4, 4, 2, 2, 2, 2))
 
     def test_vertex_limit(self):
-        seq = (4,) * 33
-        assert is_graphical(seq)
-        with pytest.raises(LimitError, match=re.escape(
-                "graphs limited to 32 vertices (got 33)")):
-            replay_theorem2(seq)
+        # no length is refused: 33 and 64 terms are replayed
+        for n in (33, 64):
+            seq = (4,) * n
+            assert is_graphical_quadratic(seq)
+            check_trace(seq, replay_theorem2(seq))
 
     @pytest.mark.parametrize("n", range(13, 33))
     def test_beyond_the_enumeration_limit(self, n):
@@ -586,6 +585,18 @@ class TestMainCase:
             check_trace(seq, trace)
             assert {"interchange", "direct-adjacency"} & {
                 s.case for s in trace.steps}, seq
+
+    def test_seeded_sample_of_33_to_80_vertices(self):
+        # the same kind of sample past 32 vertices, where graph6 takes
+        # its long size header from 63 on
+        rng = Random(3380)
+        for _ in range(30):
+            n = rng.randint(33, 80)
+            pairs = list(combinations(range(n), 2))
+            g = SmallGraph(n, rng.sample(pairs, 2 * n - 2 + rng.randint(0, n)))
+            seq = tuple(degree_sequence_of(g))
+            trace = replay_theorem2(seq)
+            check_trace(seq, trace)
 
 
 class TestChangedTraces:

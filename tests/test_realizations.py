@@ -8,7 +8,8 @@ from random import Random
 import pytest
 import helpers
 from helpers import (canonical_form, cycle_graph, eager_realizations,
-                     embedding_is_valid, enumerate_graphical_sequences,
+                     embedding_is_valid, encode_graph6_by_bits,
+                     enumerate_graphical_sequences,
                      enumerate_realizations, gray_code_degree_map,
                      find_embedding, greedy_realization_by_scan,
                      pairing_decision, random_graph, relabel,
@@ -81,9 +82,56 @@ class TestHavelHakimi:
     replay_theorem2,
 ], ids=["havel_hakimi_realize", "is_potentially", "replay_theorem2"])
 def test_more_terms_than_the_bitmask_width(call):
-    with pytest.raises(LimitError, match=re.escape(
-            "graphs limited to 32 vertices (got 33)")):
-        call((4,) * 33)
+    # rows are as wide as the graph, so 33 and 64 terms are answered
+    for n in (33, 64):
+        out = call((4,) * n)
+        if isinstance(out, SmallGraph):
+            g, emb = out, None
+        elif isinstance(out, WitnessResult):
+            assert out.verdict
+            g, emb = out.witness, out.embedding
+        else:
+            g, emb = out.outcome, out.embedding
+        assert g.degrees() == (4,) * n
+        assert encode_graph6_by_bits(g) == encode_graph6(g)
+        if emb is not None:
+            assert embedding_is_valid(g, BOWTIE, emb)
+
+
+class TestPastThirtyTwoVertices:
+    """Degree sequences of seeded random graphs on 33 to 80 vertices."""
+
+    @staticmethod
+    def graphs(count):
+        rng = Random(3380)
+        for _ in range(count):
+            n = rng.randint(33, 80)
+            yield random_graph(n, rng.uniform(0.02, 0.5), rng)
+
+    def test_havel_hakimi_realizes_the_sequence(self):
+        for base in self.graphs(40):
+            seq = degree_sequence_of(base)
+            g = havel_hakimi_realize(seq)
+            assert g.degrees() == tuple(seq)
+            assert g == greedy_realization_by_scan(seq)
+
+    def test_witnesses_for_m_4_to_8(self):
+        # each graph realizes its own sequence, so an F_m found in it by
+        # the test-only search makes the verdict positive
+        verdicts = set()
+        for base in self.graphs(20):
+            seq = degree_sequence_of(base)
+            for m in range(4, 9):
+                target = km_minus_c4(m)
+                res = is_potentially(seq, target)
+                verdicts.add(res.verdict)
+                if res.verdict:
+                    assert res.witness.degrees() == tuple(seq)
+                    assert embedding_is_valid(res.witness, target,
+                                              res.embedding)
+                else:
+                    assert find_embedding(base, target) is None, (seq, m)
+        assert verdicts == {True, False}
 
 
 class TestTwoSwitch:
