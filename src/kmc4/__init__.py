@@ -18,9 +18,9 @@ from .graphs import (SmallGraph, TargetPattern, complete_graph,
                      encode_graph6, join, km_minus_c4)
 from .proof_replay import (BaseCaseReport, ProofStep, ProofTrace,
                            ReplayError, Theorem2RangeReport, replay_theorem2,
-                           verify_base_cases, verify_theorem2_range)
-from .realizations import (WitnessResult, havel_hakimi_realize,
-                           is_potentially, theorem2_interchange)
+                           theorem2_interchange, verify_base_cases,
+                           verify_theorem2_range)
+from .realizations import WitnessResult, havel_hakimi_realize, is_potentially
 from .sequences import (DEFAULT_VERTEX_LIMIT, DegreeSequence,
                         graphical_sequences_with_sum, is_graphical)
 

@@ -45,9 +45,9 @@ class RunConfig:
         return self.output_mode == "json"
 
 
-def _resolve_limit(value: int) -> int:
-    if value < 1:
-        raise InputError(f"vertex limit must be at least 1, got {value}")
+def _at_least(value: int | None, floor: int, name: str) -> int | None:
+    if value is not None and value < floor:
+        raise InputError(f"{name} must be at least {floor}, got {value}")
     return value
 
 
@@ -246,9 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
                         f"and verify theorem2 (default {DEFAULT_VERTEX_LIMIT},"
                         f" at least 1); the other commands take any length")
     p.add_argument("--budget", type=int, default=None, metavar="K",
-                   help="cap on the placement pairings potential tries "
-                        "(at most three); a negative verdict cut short "
-                        "this way exits 3")
+                   help="cap on the placement pairings a potential "
+                        "verdict may take (at least 0; none takes more than "
+                        "three); a decision that needs more exits 3")
     p.add_argument("--progress", action="store_true",
                    help="progress lines on stderr")
     sub = p.add_subparsers(dest="command", required=True)
@@ -321,8 +321,8 @@ def run(argv=None) -> int:
     if args.progress:
         def progress(msg):
             print(msg, file=sys.stderr, flush=True)
-    cfg = RunConfig(vertex_limit=_resolve_limit(args.limit),
-                    realization_budget=args.budget,
+    cfg = RunConfig(vertex_limit=_at_least(args.limit, 1, "vertex limit"),
+                    realization_budget=_at_least(args.budget, 0, "budget"),
                     output_mode="json" if args.json else "text",
                     progress=progress)
     return args.func(args, cfg)

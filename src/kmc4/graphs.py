@@ -264,21 +264,24 @@ def decode_graph6(text: str) -> SmallGraph:
     if len(body) != need:
         raise Graph6Error(f"expected {need} data bytes, found {len(body)}",
                           offset=start + min(len(body), need))
-    rows = [0] * n
-    bit_index = 0
-    pairs = [(i, j) for j in range(1, n) for i in range(j)]
     for k, ch in enumerate(body):
-        value = ord(ch) - 63
-        if not (0 <= value < 64):
+        if not 63 <= ord(ch) < 127:
             raise Graph6Error(f"invalid data byte {ch!r}", offset=start + k)
-        for b in range(5, -1, -1):
-            bit = (value >> b) & 1
-            if bit_index < total_bits:
-                if bit:
-                    i, j = pairs[bit_index]
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-            elif bit:
-                raise Graph6Error("nonzero padding bits", offset=start + k)
-            bit_index += 1
+    bits = "".join([format(ord(ch) - 63, "06b") for ch in body])
+    if "1" in bits[total_bits:]:
+        raise Graph6Error("nonzero padding bits", offset=start + need - 1)
+    # Column j is the pairs (0, j), ..., (j - 1, j): j bits, one per row
+    # above j, in row order.
+    rows = [0] * n
+    pos = 0
+    for j in range(1, n):
+        col = bits[pos:pos + j]
+        pos += j
+        i = col.find("1")
+        if i < 0:
+            continue
+        rows[j] = int(col[::-1], 2)
+        while i >= 0:
+            rows[i] |= 1 << j
+            i = col.find("1", i + 1)
     return SmallGraph._from_rows(n, rows)

@@ -16,14 +16,17 @@ vertex touching two of it, along an attachment path back to the
 largest, or by the three-edge interchange. Some realization holds a
 complete quadruple exactly when this one exists (the clique case of the
 placement argument in ``realizations``), so nothing is searched for,
-and once it exists the completion always succeeds. (4^6) and (4^7) have
-no complete quadruple in any realization, so they sit in the table
-instead. That every other main-case sequence has one is checked, not
-proved: exhaustively through 11 vertices by ``verify theorem2`` in CI,
-and on seeded samples of 14 to 80 vertices in the tests. A main-case
-sequence without one raises ``ReplayError`` (exit 1 on the command
-line). The replay never yields a wrong witness, since every outcome is
-re-checked against the input.
+and once it exists the completion always succeeds. Every main-case
+sequence has least term at least 3. For n >= 8 it therefore meets
+d_4 >= 3 and d_8 >= 2, the r = 3 case of the condition of Yin and Li
+(2005) for a realization containing K_{r+1}: d_{r+1} >= r and
+d_{2r+2} >= r - 1. So a complete quadruple exists: cited (Yin and Li
+2005), and checked through n = 12. At n = 6 and 7 the only main-case
+sequences without one are (4,4,3,3,3,3), (4^6) and (4^7), an
+exhaustive check in the tests; these three make up the table. A
+main-case sequence without a K4 realization would raise
+``ReplayError`` (exit 1 on the command line). The replay never yields
+a wrong witness, since every outcome is re-checked against the input.
 
 The deletion case works on degrees alone. A vertex of least degree
 d <= 2 is laid off onto the d largest other terms (Kleitman and Wang),
@@ -48,11 +51,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import ContractError, InputError
 from .graphs import (SmallGraph, degree_sequence_of, encode_graph6,
                      is_embedding, km_minus_c4)
 from .realizations import (_decide_sequence, _k4_on_top, _realize_around,
-                           is_potentially, theorem2_interchange)
+                           is_potentially)
 from .sequences import (DEFAULT_VERTEX_LIMIT, DegreeSequence,
                         graphical_sequences_with_sum, is_graphical)
 
@@ -63,21 +66,11 @@ CASE_FAMILY = "d(v2)=3 sequence"
 CASE_INTERCHANGE = "interchange"
 CASE_DIRECT = "direct-adjacency"
 
-# The sequences the induction cannot reduce, decided by ``is_potentially``,
-# as (n, sequence) in the order ``verify base-cases`` reports them. No
-# realization of (4^6) or (4^7) has a complete quadruple, so the main
-# case has nothing to complete for either.
-_EXCEPTIONAL_CASES = (
-    (6, DegreeSequence((5, 3, 3, 3, 3, 3))),
-    (6, DegreeSequence((4, 4, 3, 3, 3, 3))),
-    (6, DegreeSequence((5, 5, 5, 5, 5, 5))),
-    (6, DegreeSequence((4, 4, 4, 4, 4, 4))),
-    (7, DegreeSequence((6, 3, 3, 3, 3, 3, 3))),
-    (7, DegreeSequence((5, 4, 3, 3, 3, 3, 3))),
-    (7, DegreeSequence((4, 4, 4, 3, 3, 3, 3))),
-    (7, DegreeSequence((4, 4, 4, 4, 4, 4, 4))),
-)
-_EXCEPTIONAL = frozenset(seq for _, seq in _EXCEPTIONAL_CASES)
+# The main-case sequences with no K4 realization, so with nothing for
+# the main case to complete, decided by ``is_potentially`` instead; in
+# the order ``verify base-cases`` reports them.
+_EXCEPTIONAL_CASES = (DegreeSequence((4, 4, 3, 3, 3, 3)),
+                      DegreeSequence((4,) * 6), DegreeSequence((4,) * 7))
 
 
 class ReplayError(RuntimeError):
@@ -131,13 +124,12 @@ def base_case_sequences(family_n: int | None = None
                         ) -> list[tuple[int, DegreeSequence]]:
     """The fixed sequences the induction bottoms out on, plus the
     hub-plus-cycle family instantiated at ``family_n`` when given."""
-    fixed = list(_EXCEPTIONAL_CASES)
+    fixed = [(seq.n, seq) for seq in _EXCEPTIONAL_CASES]
     if family_n is not None:
         if family_n < 5:
             raise InputError(f"family needs n >= 5, got {family_n}")
-        fam = DegreeSequence((family_n - 1,) + (3,) * (family_n - 1))
-        if (family_n, fam) not in fixed:
-            fixed.append((family_n, fam))
+        fixed.append((family_n, DegreeSequence(
+            (family_n - 1,) + (3,) * (family_n - 1))))
     return fixed
 
 
@@ -223,6 +215,45 @@ def _base5_embedding(g: SmallGraph) -> tuple[int, ...] | None:
         if (rows[p] >> q) & 1 and (rows[r] >> s) & 1:
             return (p, r, q, s, c)
     return None
+
+
+def theorem2_interchange(g: SmallGraph, v1: int, v2: int, v3: int, v4: int,
+                         y1: int, y2: int, y3: int) -> SmallGraph:
+    """Three-edge interchange used in the inductive step for the m=5 target.
+
+    Requires a complete quadruple v1..v4, the attachments v1-y1 and
+    v2-y2, the outside edge y1-y3, and the non-edges y1-v2, y3-v1,
+    y2-v4. Removes y1-y3, v1-v4, v2-y2 and inserts y1-v2, y3-v1, y2-v4,
+    which preserves every degree and completes a bowtie on
+    {v1,v2,v3,v4,y1} (center v2, independent edges v3-v4 and v1-y1).
+    """
+    names = {"v1": v1, "v2": v2, "v3": v3, "v4": v4,
+             "y1": y1, "y2": y2, "y3": y3}
+    for label, v in names.items():
+        if not (0 <= v < g.n):
+            raise ContractError(f"vertex {label}={v} out of range for n={g.n}")
+    if len(set(names.values())) != 7:
+        raise ContractError(f"the seven vertices are not distinct: {names}")
+    quad = (v1, v2, v3, v4)
+    for i in range(4):
+        for j in range(i + 1, 4):
+            if not g.has_edge(quad[i], quad[j]):
+                raise ContractError(
+                    f"v1..v4 do not induce a complete quadruple: "
+                    f"missing edge {quad[i]}-{quad[j]}")
+    for label, (u, v) in (("v1-y1", (v1, y1)), ("v2-y2", (v2, y2)),
+                          ("y1-y3", (y1, y3))):
+        if not g.has_edge(u, v):
+            raise ContractError(f"required edge {label} ({u}-{v}) is absent")
+    for label, (u, v) in (("y1-v2", (y1, v2)), ("y3-v1", (y3, v1)),
+                          ("y2-v4", (y2, v4))):
+        if g.has_edge(u, v):
+            raise ContractError(f"required non-edge {label} ({u}-{v}) is present")
+    rows = list(g.rows)
+    for u, v in ((y1, y3), (v1, v4), (v2, y2), (y1, v2), (y3, v1), (y2, v4)):
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+    return SmallGraph._from_rows(g.n, rows)
 
 
 def _complete_on_top(g: SmallGraph):
@@ -323,7 +354,7 @@ def _replay(seq: DegreeSequence,
             f"{sorted(attach, reverse=True)}", encode_graph6(out)))
         return out, emb
 
-    if seq in _EXCEPTIONAL:
+    if seq in _EXCEPTIONAL_CASES:
         res = is_potentially(seq, bowtie)
         if not res.verdict:
             raise ReplayError(
@@ -450,7 +481,7 @@ def verify_theorem2_range(n_max: int, limit: int = DEFAULT_VERTEX_LIMIT,
                 except ReplayError:
                     replay_failures += 1
                 # the sweep has certified every level from exact up
-                if level < exact and not _decide_sequence(seq, 5, None)[0]:
+                if level < exact and not _decide_sequence(seq, 5)[0]:
                     agreement_failures += 1
             level -= 2
         if progress is not None:

@@ -92,22 +92,26 @@ def is_potentially(seq, target: TargetPattern,
     is tried on degrees (module docstring); ``explored`` counts the
     pairings tried, at most 3. A positive's witness is the placement
     that fit, checked edge by edge before it is returned. ``budget``
-    caps the pairings; when it runs out the negative verdict is marked
-    non-authoritative (exhausted False). The target must be
-    ``km_minus_c4(m)``. The work is polynomial in the length, and no
-    length is refused.
+    caps the pairings, at least 0: a decision that took more is
+    reported as a negative after ``budget`` pairings, marked
+    non-authoritative (exhausted False), and no placement is built. The
+    target must be ``km_minus_c4(m)``. The work is polynomial in the
+    length, and no length is refused.
     """
     m = target.m
     if not (isinstance(m, int) and 4 <= m == target.pattern.n
             and target.pattern == km_minus_c4(m).pattern):
         raise ContractError(f"target is not K_m minus a 4-cycle (m={m!r})")
+    if budget is not None and budget < 0:
+        raise ContractError(f"budget must be at least 0, got {budget}")
     seq = DegreeSequence(seq)
     if not is_graphical(seq):
         raise ContractError(f"sequence {tuple(seq)} is not graphical")
     if seq.n < m:
         return WitnessResult(False, None, None, 0, True)
-    verdict, explored, exhausted, diagonals, used = \
-        _decide_sequence(seq, m, budget)
+    verdict, explored, exhausted, diagonals, used = _decide_sequence(seq, m)
+    if budget is not None and explored > budget:
+        return WitnessResult(False, None, None, budget, False)
     if not verdict:
         return WitnessResult(False, None, None, explored, exhausted)
     g, emb = _placement(seq, m, diagonals, used)
@@ -117,7 +121,7 @@ def is_potentially(seq, target: TargetPattern,
     return WitnessResult(True, g, emb, explored, False)
 
 
-def _decide_sequence(seq: DegreeSequence, m: int, budget: int | None):
+def _decide_sequence(seq: DegreeSequence, m: int):
     """The decision on degrees alone: (verdict, pairings explored,
     exhausted, diagonals, used), where a positive names the pairing and
     the cycle-edge subset that fit, and a negative has None for both.
@@ -127,8 +131,7 @@ def _decide_sequence(seq: DegreeSequence, m: int, budget: int | None):
     pairing; a core that does not fit rules out every pairing at once.
     Each distinct pairing then tries its cycle-edge subsets, most edges
     first. K_m (subset 15, every cycle edge) is the same placement in
-    every pairing, so only the first tries it. ``budget`` caps the
-    pairings, at most 3.
+    every pairing, so only the first tries it.
     """
     if (m > 4 and seq[m - 5] < m - 1) or seq[m - 1] < m - 3:
         return False, 0, True, None, None
@@ -136,8 +139,6 @@ def _decide_sequence(seq: DegreeSequence, m: int, budget: int | None):
     out = None
     order = _MOST_EDGES
     for diagonals in _distinct_pairings(seq, m):
-        if budget is not None and explored >= budget:
-            return False, explored, False, None, None
         explored += 1
         if out is None:
             out = _core_residual(seq, m)
@@ -318,49 +319,3 @@ def _is_witness(seq: DegreeSequence, target: TargetPattern,
     """Does g realize seq and carry every pattern edge under emb?"""
     return g.degrees() == tuple(seq) and is_embedding(g, target, emb)
 
-
-def theorem2_interchange(g: SmallGraph, v1: int, v2: int, v3: int, v4: int,
-                         y1: int, y2: int, y3: int) -> SmallGraph:
-    """Three-edge interchange used in the inductive step for the m=5 target.
-
-    Requires a complete quadruple v1..v4, the attachments v1-y1 and
-    v2-y2, the outside edge y1-y3, and the non-edges y1-v2, y3-v1,
-    y2-v4. Removes y1-y3, v1-v4, v2-y2 and inserts y1-v2, y3-v1, y2-v4,
-    which preserves every degree and completes a bowtie on
-    {v1,v2,v3,v4,y1} (center v2, independent edges v3-v4 and v1-y1).
-    """
-    names = {"v1": v1, "v2": v2, "v3": v3, "v4": v4,
-             "y1": y1, "y2": y2, "y3": y3}
-    for label, v in names.items():
-        if not (0 <= v < g.n):
-            raise ContractError(f"vertex {label}={v} out of range for n={g.n}")
-    if len(set(names.values())) != 7:
-        raise ContractError(f"the seven vertices are not distinct: {names}")
-    quad = (v1, v2, v3, v4)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if not g.has_edge(quad[i], quad[j]):
-                raise ContractError(
-                    f"v1..v4 do not induce a complete quadruple: "
-                    f"missing edge {quad[i]}-{quad[j]}")
-    for label, (u, v) in (("v1-y1", (v1, y1)), ("v2-y2", (v2, y2)),
-                          ("y1-y3", (y1, y3))):
-        if not g.has_edge(u, v):
-            raise ContractError(f"required edge {label} ({u}-{v}) is absent")
-    for label, (u, v) in (("y1-v2", (y1, v2)), ("y3-v1", (y3, v1)),
-                          ("y2-v4", (y2, v4))):
-        if g.has_edge(u, v):
-            raise ContractError(f"required non-edge {label} ({u}-{v}) is present")
-    rows = list(g.rows)
-
-    def toggle(u, v):
-        rows[u] ^= 1 << v
-        rows[v] ^= 1 << u
-
-    toggle(y1, y3)
-    toggle(v1, v4)
-    toggle(v2, y2)
-    toggle(y1, v2)
-    toggle(y3, v1)
-    toggle(y2, v4)
-    return SmallGraph._from_rows(g.n, rows)

@@ -820,7 +820,7 @@ def sigma_by_full_sweep(m: int, n: int) -> SigmaReport:
     level = n * (n - 1)
     while level >= 0:
         failures = [s for s in graphical_sequences_with_sum(n, level)
-                    if not _decide_sequence(s, m, None)[0]]
+                    if not _decide_sequence(s, m)[0]]
         if failures:
             exact = level + 2
             verdict = ("matches" if exact == bound

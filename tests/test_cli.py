@@ -442,6 +442,14 @@ class TestLimitsAndEnvironment:
             assert json.loads(out)["exact"] == 10
 
 
+    @pytest.mark.parametrize("seq", ["4,2,2,2,2", "1,1"])
+    def test_negative_budget_refused(self, capsys, seq):
+        code, out, err = run_cli(capsys, "--budget", "-1", "potential", seq)
+        assert code == 2
+        assert out == ""
+        assert err == "error: budget must be at least 0, got -1\n"
+
+
 class TestArgumentErrors:
     def test_unknown_flag(self, capsys):
         code, _, err = run_cli(capsys, "--frobnicate", "graphical", "2,1,1")

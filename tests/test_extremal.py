@@ -237,7 +237,7 @@ class TestSweepByInduction:
             for seq in graphical_sequences_by_filter(n, total):
                 for m, s in below.items():
                     if 2 * seq[-1] <= total - s:
-                        assert _decide_sequence(seq, m, None)[0], (m, seq)
+                        assert _decide_sequence(seq, m)[0], (m, seq)
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_uplifts_match_the_position_oracle(self, k):

@@ -13,8 +13,8 @@ from helpers import (brute_embedding_exists, canonical_form, complement,
 
 from kmc4 import (DegreeSequence, Graph6Error, InputError, SmallGraph,
                   TargetPattern, complete_graph, decode_graph6,
-                  degree_sequence_of, empty_graph, encode_graph6, join,
-                  km_minus_c4)
+                  degree_sequence_of, empty_graph, encode_graph6,
+                  havel_hakimi_realize, join, km_minus_c4)
 from kmc4.graphs import is_embedding
 
 
@@ -478,6 +478,13 @@ class TestGraph6:
             assert text == encode_graph6_by_bits(g), g
             assert text.startswith("~") == (n >= 63)
             assert decode_graph6(text) == g
+
+    def test_round_trip_of_600_vertices(self):
+        # the decoder reads the body column by column
+        g = havel_hakimi_realize((4,) * 600)
+        text = encode_graph6(g)
+        assert text == encode_graph6_by_bits(g)
+        assert decode_graph6(text) == g
 
     @pytest.mark.parametrize("header,n", [
         ("~??~", 63), ("~@@@", 4161), ("~}~~", 258047),

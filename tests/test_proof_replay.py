@@ -21,7 +21,7 @@ import pytest
 from helpers import (brute_embedding_exists, eager_realizations,
                      embedding_is_valid, find_embedding,
                      is_graphical_quadratic, kleitman_wang_residual,
-                     two_switch)
+                     labeled_realizations, nonincreasing_tuples, two_switch)
 
 import kmc4.extremal
 import kmc4.graphs
@@ -60,6 +60,17 @@ CASES = {
     "direct-adjacency",
 }
 
+# Six sequences the replay once took from its exceptional table, and the
+# case each takes now
+FORMER_TABLE = {
+    (5, 3, 3, 3, 3, 3): "d(v2)=3 sequence",
+    (4, 4, 3, 3, 3, 3): "exceptional-sequence",
+    (5, 5, 5, 5, 5, 5): "direct-adjacency",
+    (6, 3, 3, 3, 3, 3, 3): "d(v2)=3 sequence",
+    (5, 4, 3, 3, 3, 3, 3): "direct-adjacency",
+    (4, 4, 4, 3, 3, 3, 3): "interchange",
+}
+
 
 def check_trace(seq, trace):
     """Full validity audit of a replay trace against its input sequence."""
@@ -80,10 +91,13 @@ def check_trace(seq, trace):
 
 class TestBaseCaseSequences:
     def test_fixed_cases(self):
+        # the three main-case sequences with no K4 realization; (5,3^5)
+        # and (4,4,4,3^4) replay through the family case and the
+        # interchange instead
         got = base_case_sequences()
-        assert (6, (5, 3, 3, 3, 3, 3)) in got
-        assert (7, (4, 4, 4, 3, 3, 3, 3)) in got
-        assert len(got) == 8
+        assert got == [(6, (4, 4, 3, 3, 3, 3)), (6, (4,) * 6), (7, (4,) * 7)]
+        assert (6, (5, 3, 3, 3, 3, 3)) not in got
+        assert (7, (4, 4, 4, 3, 3, 3, 3)) not in got
         for n, seq in got:
             assert n == len(seq)
             assert is_graphical(seq)
@@ -94,11 +108,14 @@ class TestBaseCaseSequences:
         assert (8, (7, 3, 3, 3, 3, 3, 3, 3)) in got
 
     def test_family_dedup(self):
+        # (6, (5, 3, 3, 3, 3, 3)) is no longer a fixed case, so the
+        # six-vertex family member is appended; the report lists a
+        # member asked for twice once
         base = base_case_sequences()
-        # (6, (5, 3, 3, 3, 3, 3)) is already one of the fixed cases, so
-        # asking for the six-vertex family member adds nothing.
         fam = base_case_sequences(family_n=6)
-        assert sorted(fam) == sorted(base)
+        assert fam == base + [(6, (5, 3, 3, 3, 3, 3))]
+        report = verify_base_cases(family_ns=(6, 6))
+        assert [(e["n"], tuple(e["sequence"])) for e in report.entries] == fam
 
     def test_family_too_short(self):
         with pytest.raises(InputError):
@@ -226,21 +243,14 @@ class TestCaseBranches:
         assert len(full) == 2
         assert all(s.case == "d_n≤2 deletion" for s in full)
 
-    @pytest.mark.parametrize(
-        "seq",
-        [
-            (5, 3, 3, 3, 3, 3),
-            (4, 4, 3, 3, 3, 3),
-            (5, 5, 5, 5, 5, 5),
-            (6, 3, 3, 3, 3, 3, 3),
-            (5, 4, 3, 3, 3, 3, 3),
-            (4, 4, 4, 3, 3, 3, 3),
-        ],
-    )
+    @pytest.mark.parametrize("seq", list(FORMER_TABLE))
     def test_exceptional_sequences(self, seq):
+        # Of the former table, only (4,4,3^4) has no K4 realization; the
+        # others replay through the family case or complete on the K4
+        # construction.
         trace = replay_theorem2(seq)
         check_trace(seq, trace)
-        assert [s.case for s in trace.steps] == ["exceptional-sequence"]
+        assert [s.case for s in trace.steps] == [FORMER_TABLE[seq]]
 
     @pytest.mark.parametrize("n", [8, 9])
     def test_second_degree_three_family(self, n):
@@ -478,8 +488,13 @@ class TestConstructedCompletion:
         # first and completed only on vertices 0..3 of the K4 construction:
         # 100 of the 820 traces here changed their graphs, 54 of them their
         # action text too and 1 its case, each checked the same way and by
-        # check_trace first. Every case, action and graph of every threshold
-        # sequence on 6 to 8 vertices is pinned.
+        # check_trace first. Re-frozen when the exceptional table shrank
+        # to the three sequences with no K4 realization: the 27 traces
+        # here that reached (5,3^5), (5^6), (6,3^6), (5,4,3^5) or
+        # (4,4,4,3^4) changed their leaf case and action, and 13 of them
+        # their graphs, each checked the same way first. Every case,
+        # action and graph of every threshold sequence on 6 to 8 vertices
+        # is pinned.
         digest = hashlib.sha256()
         count = 0
         for n in range(6, 9):
@@ -490,7 +505,7 @@ class TestConstructedCompletion:
                         digest.update(line.encode() + b"\n")
         assert count == 820
         assert digest.hexdigest() == (
-            "edeefe1d5397a1e075072992187f499da1fd9bca41f5de477565097e4c3d6b39")
+            "73f21a2ee093a8bfc8c09ad073d4afc3d5777cdc3dac35720b015bc8810b315c")
 
 
 def has_k4_on_top(g):
@@ -512,7 +527,7 @@ def main_case_sequences(n_max):
         for total in range(n * (n - 1), 3 * n - 1, -2):
             for seq in graphical_sequences_with_sum(n, total):
                 if (seq[-1] >= 3 and seq[1] >= 4
-                        and seq not in kmc4.proof_replay._EXCEPTIONAL):
+                        and seq not in kmc4.proof_replay._EXCEPTIONAL_CASES):
                     yield seq
 
 
@@ -530,8 +545,61 @@ class TestK4OnTop:
             else:
                 assert g.degrees() == tuple(seq)
                 assert has_k4_on_top(g)
-        assert count == 1093
+        assert count == 1096
         assert missing == []
+
+    def test_only_the_table_lacks_a_k4_at_6_and_7_vertices(self):
+        # every sequence the main case can meet on 6 or 7 vertices, table
+        # included: the three table sequences are the only ones with no
+        # K4 realization, by the brute-force labeled walk as well
+        missing = []
+        count = 0
+        for n in (6, 7):
+            for total in range(n * (n - 1), 4 * n - 5, -2):
+                for seq in graphical_sequences_with_sum(n, total):
+                    if seq[-1] >= 3 and seq[1] >= 4:
+                        count += 1
+                        if _k4_on_top(seq) is None:
+                            missing.append(tuple(seq))
+        assert count == 62
+        assert missing == [(4,) * 6, (4, 4, 3, 3, 3, 3), (4,) * 7]
+        assert set(missing) == set(kmc4.proof_replay._EXCEPTIONAL_CASES)
+        for seq in missing:
+            assert not any(has_k4(g) for g in labeled_realizations(seq)), seq
+
+
+class TestDegreeCondition:
+    """The r = 3 case of Yin and Li's (2005) condition: a graphical
+    sequence with d_4 >= 3 and d_8 >= 2 has a realization containing
+    K4. Every main-case sequence on 8 or more vertices meets it, since
+    its least term is at least 3."""
+
+    @staticmethod
+    def meets(seq):
+        return seq[3] >= 3 and seq[7] >= 2
+
+    def test_k4_construction_through_10_vertices(self):
+        count = 0
+        for n in (8, 9, 10):
+            for total in range(n * (n - 1), -1, -2):
+                for seq in graphical_sequences_with_sum(n, total):
+                    if self.meets(seq):
+                        count += 1
+                        g = _k4_on_top(seq)
+                        assert g is not None, seq
+                        assert g.degrees() == tuple(seq)
+                        assert has_k4_on_top(g)
+        assert count == 17022
+
+    def test_against_labeled_realizations_at_8_vertices(self):
+        # sequences and realizations both found by brute force
+        count = 0
+        for seq in nonincreasing_tuples(8, 7):
+            if is_graphical_quadratic(seq) and self.meets(seq):
+                count += 1
+                assert any(has_k4(g) for g in labeled_realizations(seq)), seq
+                assert _k4_on_top(DegreeSequence(seq)) is not None, seq
+        assert count == 458
 
 
 class TestMainCase:
@@ -569,8 +637,10 @@ class TestMainCase:
             assert kind, (seq, step.action)
             kind = kind.group().split()[0]
             kinds[kind] = kinds.get(kind, 0) + 1
-        assert count == 1093
-        assert kinds == {"complete": 1079, "attachment": 8, "interchange": 6}
+        assert count == 1096
+        # (5^6), (5,4,3^5) and (4,4,4,3^4) left the exceptional table and
+        # took one of each kind
+        assert kinds == {"complete": 1080, "attachment": 9, "interchange": 7}
 
     def test_seeded_sample_of_14_to_32_vertices(self):
         # degree sequences of random graphs with 2n - 2 to 3n - 2 edges:
@@ -602,9 +672,10 @@ class TestMainCase:
 class TestChangedTraces:
     def test_which_traces_use_the_k4_construction(self, monkeypatch):
         # Every main case completes from the K4 construction: of the
-        # 3,771 threshold sequences on 5 to 9 vertices, the 3,430 whose
-        # deletion chain ends in the main case, 9 of them by the
-        # interchange.
+        # 3,771 threshold sequences on 5 to 9 vertices, the 3,490 whose
+        # deletion chain ends in the main case, 21 of them by the
+        # interchange. 60 of them, 12 by the interchange, ended in the
+        # exceptional table while it held eight sequences.
         k4_graphs = record_returns(monkeypatch, kmc4.proof_replay,
                                    "_k4_on_top")
         returned = record_returns(monkeypatch, kmc4.proof_replay, "_replay")
@@ -643,7 +714,7 @@ class TestChangedTraces:
                                    for s in trace.steps), seq
         assert count == 3771
         assert served == main_case
-        assert (len(main_case), interchanged) == (3430, 9)
+        assert (len(main_case), interchanged) == (3490, 21)
 
 
 class TestTraceFormats:

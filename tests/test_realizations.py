@@ -257,6 +257,21 @@ class TestIsPotentially:
         res = is_potentially(SECOND_PAIRING, BOWTIE, budget=0)
         assert res == WitnessResult(False, None, None, 0, False)
 
+    def test_capped_positive_builds_no_placement(self, monkeypatch):
+        # the decision reaches a positive at its second pairing; a budget
+        # of one reports the cut-off without building the witness
+        def refuse(*args):
+            raise AssertionError("placement built")
+
+        monkeypatch.setattr(kmc4.realizations, "_placement", refuse)
+        res = is_potentially(SECOND_PAIRING, BOWTIE, budget=1)
+        assert res == WitnessResult(False, None, None, 1, False)
+
+    @pytest.mark.parametrize("seq", [(4, 2, 2, 2, 2), (1, 1)])
+    def test_negative_budget_is_refused(self, seq):
+        with pytest.raises(ContractError, match="budget must be at least 0"):
+            is_potentially(seq, BOWTIE, budget=-1)
+
     @pytest.mark.parametrize("n", range(13, 33))
     def test_beyond_the_enumeration_limit(self, n):
         # the extremal sequence is an authoritative negative for every m
@@ -414,7 +429,7 @@ class TestDecideSequence:
         # K_m is the only realization of (m-1)^m: the first pairing with
         # subset 15, every cycle edge
         assert kmc4.realizations._decide_sequence(
-            DegreeSequence([m - 1] * m), m, None) == \
+            DegreeSequence([m - 1] * m), m) == \
             (True, 1, False, kmc4.realizations._pairings(m)[0], 15)
 
     @pytest.mark.parametrize("seq,m,budget,want", [
@@ -435,8 +450,9 @@ class TestDecideSequence:
         ((5, 5, 5, 4, 3, 3, 3), 6, None, (False, 2, True)),
     ])
     def test_budget_counts_pairings(self, seq, m, budget, want):
-        assert kmc4.realizations._decide_sequence(
-            DegreeSequence(seq), m, budget)[:3] == want
+        # the decision tries every pairing; is_potentially caps the count
+        res = is_potentially(seq, km_minus_c4(m), budget=budget)
+        assert (res.verdict, res.explored, res.exhausted) == want
 
     @pytest.mark.parametrize("m", [4, 5, 6])
     def test_placement_matches_the_row_by_row_build(self, m):
