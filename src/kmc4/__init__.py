@@ -9,22 +9,41 @@ conjectured equality for larger m.
 
 from __future__ import annotations
 
-from .errors import ContractError, Graph6Error, InputError, LimitError
+from .errors import (ContractError, Graph6Error, InputError, LimitError,
+                     ReplayError)
 from .extremal import (SigmaReport, Theorem1Report, extremal_witness,
                        sigma_exact, sigma_lower_bound, verify_conjecture,
                        verify_theorem1)
 from .graphs import (SmallGraph, TargetPattern, complete_graph,
                      decode_graph6, degree_sequence_of, empty_graph,
                      encode_graph6, join, km_minus_c4)
-from .proof_replay import (BaseCaseReport, ProofStep, ProofTrace,
-                           ReplayError, Theorem2RangeReport, replay_theorem2,
-                           theorem2_interchange, verify_base_cases,
-                           verify_theorem2_range)
 from .realizations import WitnessResult, havel_hakimi_realize, is_potentially
 from .sequences import (DEFAULT_VERTEX_LIMIT, DegreeSequence,
                         graphical_sequences_with_sum, is_graphical)
 
 __version__ = "0.1.0"
+
+# Names of ``proof_replay``, the largest module, which only the replay
+# and its verify drivers need: it is imported on the first access to
+# any of them (PEP 562), and that access binds them all here.
+_REPLAY_NAMES = ("BaseCaseReport", "ProofStep", "ProofTrace",
+                 "Theorem2RangeReport", "replay_theorem2",
+                 "theorem2_interchange", "verify_base_cases",
+                 "verify_theorem2_range")
+
+
+def __getattr__(name: str):
+    if name not in _REPLAY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import proof_replay
+
+    for replay_name in _REPLAY_NAMES:
+        globals()[replay_name] = getattr(proof_replay, replay_name)
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_REPLAY_NAMES))
 
 __all__ = [
     "BaseCaseReport",

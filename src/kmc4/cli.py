@@ -16,14 +16,13 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import ContractError, Graph6Error, InputError, LimitError
+from .errors import (ContractError, Graph6Error, InputError, LimitError,
+                     ReplayError)
 from .extremal import (SigmaReport, extremal_witness, sigma_exact,
                        sigma_lower_bound, verify_conjecture, verify_theorem1)
 from .graphs import encode_graph6, km_minus_c4
-from .proof_replay import (ReplayError, replay_theorem2, verify_base_cases,
-                           verify_theorem2_range)
 from .realizations import havel_hakimi_realize, is_potentially
 from .sequences import DEFAULT_VERTEX_LIMIT, DegreeSequence, is_graphical
 
@@ -33,8 +32,7 @@ EXIT_INPUT = 2
 EXIT_INCONCLUSIVE = 3
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     vertex_limit: int = DEFAULT_VERTEX_LIMIT
     realization_budget: int | None = None
     output_mode: str = "text"  # text | json
@@ -144,6 +142,8 @@ def cmd_witness(args, cfg: RunConfig) -> int:
 
 
 def cmd_replay(args, cfg: RunConfig) -> int:
+    from .proof_replay import replay_theorem2
+
     seq = DegreeSequence.from_text(args.sequence)
     trace = replay_theorem2(seq)
     if cfg.json_output:
@@ -183,6 +183,8 @@ def cmd_verify_theorem1(args, cfg: RunConfig) -> int:
 
 
 def cmd_verify_theorem2(args, cfg: RunConfig) -> int:
+    from .proof_replay import verify_theorem2_range
+
     report = verify_theorem2_range(args.n_max, limit=cfg.vertex_limit,
                                    progress=cfg.progress)
     if cfg.json_output:
@@ -216,6 +218,8 @@ def cmd_verify_conjecture(args, cfg: RunConfig) -> int:
 
 
 def cmd_verify_base_cases(args, cfg: RunConfig) -> int:
+    from .proof_replay import verify_base_cases
+
     family = tuple(args.family_n) if args.family_n else (8,)
     report = verify_base_cases(family)
     if cfg.json_output:

@@ -19,3 +19,11 @@ class Graph6Error(ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte {offset})")
         self.offset = offset
+
+
+class ReplayError(RuntimeError):
+    """Every proof case failed; carries the partial trace for diagnosis."""
+
+    def __init__(self, message: str, steps=None):
+        super().__init__(message)
+        self.steps = list(steps or [])

@@ -23,8 +23,8 @@ with S - 2d lower still are walked and decided.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from .errors import InputError, LimitError
 from .graphs import (SmallGraph, complete_graph, empty_graph, encode_graph6,
@@ -59,8 +59,7 @@ def extremal_witness(m: int, n: int) -> tuple[SmallGraph, DegreeSequence]:
     return g, seq
 
 
-@dataclass
-class Theorem1Report:
+class Theorem1Report(NamedTuple):
     """Checks behind the lower bound at one (m, n).
 
     ``realization_classes`` is 1 when the witness sequence is a
@@ -128,8 +127,7 @@ def _clique_covers_edges(g: SmallGraph, m: int) -> bool:
     return all(row & ~clique == 0 for row in g.rows[m - 3:])
 
 
-@dataclass
-class SigmaReport:
+class SigmaReport(NamedTuple):
     """Exact-threshold result at one (m, n), compared with the formula."""
 
     m: int

@@ -11,8 +11,9 @@ text codec.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from binascii import b2a_base64
 from functools import cache, lru_cache
+from typing import NamedTuple
 
 from .errors import Graph6Error, InputError
 from .sequences import DegreeSequence
@@ -88,8 +89,7 @@ class SmallGraph:
         return f"SmallGraph({self.n}, {self.edges()})"
 
 
-@dataclass(frozen=True)
-class TargetPattern:
+class TargetPattern(NamedTuple):
     """A fixed subgraph to hunt for inside realizations."""
 
     m: int
@@ -182,6 +182,11 @@ def _pattern_edges(pattern: SmallGraph) -> tuple[tuple[int, int], ...]:
 # _REV6[x] is the 6-bit value x with its bits in reverse order.
 _REV6 = tuple(int(f"{x:06b}"[::-1], 2) for x in range(64))
 
+# Each base64 digit byte, for value v, to the graph6 byte 63 + v.
+_BASE64_TO_GRAPH6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
+    bytes(range(63, 127)))
+
 
 def _graph6_size(n: int) -> str:
     """The graph6 size header: one byte up to 62 vertices, ``~`` and 18
@@ -194,31 +199,36 @@ def _graph6_size(n: int) -> str:
 
 
 def encode_graph6(g: SmallGraph) -> str:
-    """Standard graph6 text, without the optional ``>>graph6<<`` prefix."""
+    """Standard graph6 text, without the optional ``>>graph6<<`` prefix,
+    in time linear in its length."""
     n = g.n
     rows = g.rows
-    rev = _REV6
-    acc = 0
-    for j in range(1, n):
-        # Column j is the pairs (0, j), ..., (j - 1, j) in that order: the
-        # low j bits of row j reversed, read off the table six at a time.
-        x = rows[j] & ((1 << j) - 1)
-        if j <= 6:
-            col = rev[x] >> (6 - j)
-        elif j <= 12:
-            col = (rev[x & 63] << (j - 6)) | (rev[x >> 6] >> (12 - j))
-        else:
-            col = 0
-            for _ in range(-(-j // 6)):
-                col = (col << 6) | rev[x & 63]
-                x >>= 6
-            col >>= -j % 6
-        acc = (acc << j) | col
+    # Column j is the pairs (0, j), ..., (j - 1, j) in that order: the
+    # low j bits of row j reversed. The body is the columns in turn.
+    if n <= 13:
+        # every column fits two lookups in the table, six bits each
+        rev = _REV6
+        acc = 0
+        for j in range(1, n):
+            x = rows[j] & ((1 << j) - 1)
+            if j <= 6:
+                col = rev[x] >> (6 - j)
+            else:
+                col = (rev[x & 63] << (j - 6)) | (rev[x >> 6] >> (12 - j))
+            acc = (acc << j) | col
+    else:
+        # shifting one integer per column would copy it n times
+        acc = int("".join([format(rows[j] & ((1 << j) - 1), f"0{j}b")[::-1]
+                           for j in range(1, n)]), 2)
+    # Base64 reads the same 6-bit groups, high bits first, in time
+    # linear in the bits; padded to whole 24-bit groups it writes no
+    # "=", and its alphabet maps onto graph6's bytes 63..126.
     nbits = n * (n - 1) // 2
-    pad = -nbits % 6
-    acc <<= pad
-    return _graph6_size(n) + "".join([chr(63 + ((acc >> s) & 63))
-                                      for s in range(nbits + pad - 6, -1, -6)])
+    pad = -nbits % 24
+    body = b2a_base64((acc << pad).to_bytes((nbits + pad) // 8, "big"),
+                      newline=False)
+    return (_graph6_size(n)
+            + body[:-(-nbits // 6)].translate(_BASE64_TO_GRAPH6).decode())
 
 
 def _decode_size(s: str) -> tuple[int, int]:

@@ -49,9 +49,9 @@ edge instead of searching.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import ContractError, InputError
+from .errors import ContractError, InputError, ReplayError
 from .graphs import (SmallGraph, degree_sequence_of, encode_graph6,
                      is_embedding, km_minus_c4)
 from .realizations import (_decide_sequence, _k4_on_top, _realize_around,
@@ -73,16 +73,7 @@ _EXCEPTIONAL_CASES = (DegreeSequence((4, 4, 3, 3, 3, 3)),
                       DegreeSequence((4,) * 6), DegreeSequence((4,) * 7))
 
 
-class ReplayError(RuntimeError):
-    """Every proof case failed; carries the partial trace for diagnosis."""
-
-    def __init__(self, message: str, steps=None):
-        super().__init__(message)
-        self.steps = list(steps or [])
-
-
-@dataclass
-class ProofStep:
+class ProofStep(NamedTuple):
     case: str
     sequence: tuple[int, ...]
     action: str
@@ -93,8 +84,7 @@ class ProofStep:
                 "action": self.action, "graph6": self.graph6}
 
 
-@dataclass
-class ProofTrace:
+class ProofTrace(NamedTuple):
     """Ordered case decisions ending in a validated witness, with the
     bowtie's embedding in it (host vertex per pattern vertex)."""
 
@@ -133,8 +123,7 @@ def base_case_sequences(family_n: int | None = None
     return fixed
 
 
-@dataclass
-class BaseCaseReport:
+class BaseCaseReport(NamedTuple):
     entries: list[dict]
 
     @property
@@ -437,8 +426,7 @@ def replay_theorem2(seq) -> ProofTrace:
     return ProofTrace(steps, out, emb)
 
 
-@dataclass
-class Theorem2RangeReport:
+class Theorem2RangeReport(NamedTuple):
     entries: list[dict]
 
     @property

@@ -42,16 +42,15 @@ embedding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .errors import ContractError
 from .graphs import SmallGraph, TargetPattern, is_embedding, km_minus_c4
 from .sequences import DegreeSequence, _erdos_gallai, is_graphical
 
 
-@dataclass
-class WitnessResult:
+class WitnessResult(NamedTuple):
     """Outcome of a potential-subgraph decision.
 
     ``verdict`` True comes with the witness realization and the embedding

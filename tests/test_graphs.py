@@ -480,11 +480,13 @@ class TestGraph6:
             assert decode_graph6(text) == g
 
     def test_round_trip_of_600_vertices(self):
-        # the decoder reads the body column by column
-        g = havel_hakimi_realize((4,) * 600)
-        text = encode_graph6(g)
-        assert text == encode_graph6_by_bits(g)
-        assert decode_graph6(text) == g
+        # the decoder reads the body column by column, and the encoder
+        # reads it off one integer in linear time
+        for n in (600, 2000):
+            g = havel_hakimi_realize((4,) * n)
+            text = encode_graph6(g)
+            assert text == encode_graph6_by_bits(g)
+            assert decode_graph6(text) == g
 
     @pytest.mark.parametrize("header,n", [
         ("~??~", 63), ("~@@@", 4161), ("~}~~", 258047),

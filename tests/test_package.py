@@ -1,0 +1,111 @@
+"""The package surface: what ``import kmc4`` loads, and the result records.
+
+The replay module is imported on the first use of one of its names, and
+every result record is a named tuple with fixed fields and defaults.
+"""
+
+from __future__ import annotations
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import kmc4
+from kmc4 import (DEFAULT_VERTEX_LIMIT, BaseCaseReport, ProofStep, ProofTrace,
+                  SigmaReport, TargetPattern, Theorem1Report,
+                  Theorem2RangeReport, WitnessResult)
+from kmc4.cli import RunConfig
+
+
+def run_probe(body: str) -> str:
+    """stdout of ``body`` run in a fresh interpreter that imports kmc4
+    from this checkout."""
+    probe = ("import sys\n"
+             f"sys.path.insert(0, {str(Path(kmc4.__file__).parents[1])!r})\n"
+             + body)
+    return subprocess.run([sys.executable, "-c", probe], check=True,
+                          capture_output=True, text=True).stdout
+
+
+class TestImportSet:
+    def test_import_loads_neither_dataclasses_nor_the_replay(self):
+        out = run_probe("import kmc4, kmc4.cli\n"
+                        "print([m for m in ('dataclasses', 'kmc4.proof_replay')\n"
+                        "       if m in sys.modules])\n")
+        assert out == "[]\n"
+
+    def test_every_public_name_resolves_after_a_bare_import(self):
+        out = run_probe(
+            "import kmc4, kmc4.cli\n"
+            "missing = [n for n in kmc4.__all__ if not hasattr(kmc4, n)]\n"
+            "unlisted = sorted(set(kmc4.__all__) - set(dir(kmc4)))\n"
+            "print(missing, unlisted,\n"
+            "      kmc4.ReplayError is kmc4.proof_replay.ReplayError)\n")
+        assert out == "[] [] True\n"
+
+    def test_dir_lists_the_replay_names_before_they_load(self):
+        out = run_probe("import kmc4\n"
+                        "names = dir(kmc4)\n"
+                        "print(sorted(set(kmc4.__all__) - set(names)),\n"
+                        "      'kmc4.proof_replay' in sys.modules)\n")
+        assert out == "[] False\n"
+
+    def test_star_import(self):
+        out = run_probe("from kmc4 import *\n"
+                        "print(replay_theorem2((4, 4, 3, 3, 2)).depth,\n"
+                        "      ProofTrace.__module__)\n")
+        assert out == "1 kmc4.proof_replay\n"
+
+    def test_first_access_binds_every_replay_name(self):
+        out = run_probe("import kmc4\n"
+                        "kmc4.ProofStep\n"
+                        "print(sorted(n for n in kmc4._REPLAY_NAMES\n"
+                        "             if n not in vars(kmc4)))\n")
+        assert out == "[]\n"
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+            kmc4.nope
+
+
+class TestRecords:
+    # The fields and defaults each record had as a dataclass, in order.
+    FIELDS = [
+        (TargetPattern, ("m", "pattern"), {}),
+        (WitnessResult,
+         ("verdict", "witness", "embedding", "explored", "exhausted"), {}),
+        (RunConfig,
+         ("vertex_limit", "realization_budget", "output_mode", "progress"),
+         {"vertex_limit": DEFAULT_VERTEX_LIMIT, "realization_budget": None,
+          "output_mode": "text", "progress": None}),
+        (SigmaReport,
+         ("m", "n", "lower_bound", "exact", "verdict", "extremal_sequences",
+          "witnesses"),
+         {"extremal_sequences": (), "witnesses": ()}),
+        (Theorem1Report,
+         ("m", "n", "sequence", "witness_graph6", "pattern_free",
+          "realization_classes", "sum_is_bound_minus_two"), {}),
+        (ProofStep, ("case", "sequence", "action", "graph6"),
+         {"graph6": None}),
+        (ProofTrace, ("steps", "outcome", "embedding"), {}),
+        (BaseCaseReport, ("entries",), {}),
+        (Theorem2RangeReport, ("entries",), {}),
+    ]
+
+    @pytest.mark.parametrize("record,fields,defaults", FIELDS,
+                             ids=[r.__name__ for r, _, _ in FIELDS])
+    def test_fields_and_defaults(self, record, fields, defaults):
+        assert record._fields == fields
+        assert record._field_defaults == defaults
+
+    def test_records_are_immutable_tuples_with_keyword_reprs(self):
+        step = ProofStep("interchange", (4,) * 6, "x")
+        assert step == ("interchange", (4,) * 6, "x", None)
+        assert repr(step) == ("ProofStep(case='interchange', "
+                              "sequence=(4, 4, 4, 4, 4, 4), action='x', "
+                              "graph6=None)")
+        with pytest.raises(AttributeError):
+            step.graph6 = "E"
+        assert RunConfig(output_mode="json").json_output
