@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 for a passing or true outcome, 1 for failing or false,
-2 for bad input or a size over a cap, 3 when the --budget cap ran out
-before a verdict of ``potential``. --limit caps only the enumerating
+2 for bad input or a size over a cap. --limit caps only the enumerating
 commands (sigma, verify conjecture, verify theorem2); the others are
-polynomial and take any length. Reports in --json mode
+polynomial and take any length. --budget is accepted and ignored, with
+a notice on stderr: every verdict is exact. Reports in --json mode
 (and the always-JSON sigma report) are the only bytes on stdout;
 progress and error text go to stderr. Identical arguments and limits
 reproduce byte-identical output.
@@ -29,24 +29,16 @@ from .sequences import DEFAULT_VERTEX_LIMIT, DegreeSequence, is_graphical
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
-EXIT_INCONCLUSIVE = 3
 
 
 class RunConfig(NamedTuple):
     vertex_limit: int = DEFAULT_VERTEX_LIMIT
-    realization_budget: int | None = None
     output_mode: str = "text"  # text | json
     progress: object = None  # callable taking one message string, or None
 
     @property
     def json_output(self) -> bool:
         return self.output_mode == "json"
-
-
-def _at_least(value: int | None, floor: int, name: str) -> int | None:
-    if value is not None and value < floor:
-        raise InputError(f"{name} must be at least {floor}, got {value}")
-    return value
 
 
 def _emit(obj) -> None:
@@ -82,7 +74,7 @@ def cmd_potential(args, cfg: RunConfig) -> int:
     seq = DegreeSequence.from_text(args.sequence)
     try:
         target = km_minus_c4(args.m)
-        res = is_potentially(seq, target, budget=cfg.realization_budget)
+        res = is_potentially(seq, target)
     except (InputError, ContractError, LimitError):
         # is_potentially runs Erdos-Gallai; only a failed query runs it
         # again, so that a sequence that is not graphical is reported
@@ -99,17 +91,13 @@ def cmd_potential(args, cfg: RunConfig) -> int:
             "witness": encode_graph6(res.witness) if res.witness else None,
             "embedding": list(res.embedding) if res.embedding else None,
             "explored": res.explored,
-            "exhausted": res.exhausted,
+            "exhausted": not res.verdict,
         })
     elif res.verdict:
         print(encode_graph6(res.witness))
-    elif res.exhausted:
-        print(f"not potential: exhausted {res.explored} candidates")
     else:
-        print(f"inconclusive: budget ran out after {res.explored} candidates")
-    if res.verdict:
-        return EXIT_PASS
-    return EXIT_FAIL if res.exhausted else EXIT_INCONCLUSIVE
+        print(f"not potential: exhausted {res.explored} candidates")
+    return EXIT_PASS if res.verdict else EXIT_FAIL
 
 
 def cmd_sigma(args, cfg: RunConfig) -> int:
@@ -205,6 +193,8 @@ def cmd_verify_conjecture(args, cfg: RunConfig) -> int:
     reports = verify_conjecture(args.m, (args.m, args.n_max),
                                 limit=cfg.vertex_limit,
                                 progress=cfg.progress)
+    if not reports:
+        raise InputError(f"empty grid: no n in [{args.m}, {args.n_max}]")
     passed = all(r.verdict == "matches" for r in reports)
     if cfg.json_output:
         _emit({"reports": [r.to_json_dict() for r in reports],
@@ -249,10 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"sequence length cap for sigma, verify conjecture "
                         f"and verify theorem2 (default {DEFAULT_VERTEX_LIMIT},"
                         f" at least 1); the other commands take any length")
-    p.add_argument("--budget", type=int, default=None, metavar="K",
-                   help="cap on the placement pairings a potential "
-                        "verdict may take (at least 0; none takes more than "
-                        "three); a decision that needs more exits 3")
+    # accepted and ignored: every verdict is exact (module docstring)
+    p.add_argument("--budget", type=int, default=None, help=argparse.SUPPRESS)
     p.add_argument("--progress", action="store_true",
                    help="progress lines on stderr")
     sub = p.add_subparsers(dest="command", required=True)
@@ -325,8 +313,12 @@ def run(argv=None) -> int:
     if args.progress:
         def progress(msg):
             print(msg, file=sys.stderr, flush=True)
-    cfg = RunConfig(vertex_limit=_at_least(args.limit, 1, "vertex limit"),
-                    realization_budget=_at_least(args.budget, 0, "budget"),
+    if args.limit < 1:
+        raise InputError(f"vertex limit must be at least 1, got {args.limit}")
+    if args.budget is not None:
+        print("kmc4: --budget is ignored; every verdict is exact",
+              file=sys.stderr)
+    cfg = RunConfig(vertex_limit=args.limit,
                     output_mode="json" if args.json else "text",
                     progress=progress)
     return args.func(args, cfg)

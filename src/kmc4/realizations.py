@@ -34,10 +34,11 @@ subset fits when, after the inside degrees are subtracted, each placed
 vertex can be laid off onto the largest outside degrees and the sorted
 outside residual passes Erdos-Gallai. K_m, the one subset every pairing
 shares, is tried first and once; the other subsets follow, most edges
-first. A negative is authoritative whenever every pairing was tried.
-A positive names the pairing and subset that fit, and ``_placement``
-builds the rows of that one placement into the witness, with its
-embedding.
+first. A negative comes only after every distinct pairing failed, or
+after a failure that rules out all of them at once, so every verdict is
+exact. A positive names the pairing and subset that fit, and
+``_placement`` builds the rows of that one placement into the witness,
+with its embedding.
 """
 
 from __future__ import annotations
@@ -55,15 +56,13 @@ class WitnessResult(NamedTuple):
 
     ``verdict`` True comes with the witness realization and the embedding
     (host vertex per pattern vertex). ``explored`` counts the placement
-    pairings tried. ``exhausted`` records whether every pairing was
-    tried; a False verdict is authoritative only when it is set.
+    pairings tried. Every verdict, False as well as True, is exact.
     """
 
     verdict: bool
     witness: SmallGraph | None
     embedding: tuple[int, ...] | None
     explored: int
-    exhausted: bool
 
 
 def havel_hakimi_realize(seq) -> SmallGraph:
@@ -79,21 +78,17 @@ def havel_hakimi_realize(seq) -> SmallGraph:
     return _realize_around(seq, [0] * seq.n, 0)
 
 
-def is_potentially(seq, target: TargetPattern,
-                   budget: int | None = None) -> WitnessResult:
+def is_potentially(seq, target: TargetPattern) -> WitnessResult:
     """Does some realization of seq contain the target F_m as a subgraph?
 
     A sequence that is not graphical raises ContractError, whatever its
     length. With fewer terms than m, or when the top degrees fail the
     necessary condition (the m-4 largest at least m-1, the m-th largest
-    at least m-3), the answer is an immediate, authoritative no.
-    Otherwise each distinct diagonal pairing of the top-degree placement
-    is tried on degrees (module docstring); ``explored`` counts the
-    pairings tried, at most 3. A positive's witness is the placement
-    that fit, checked edge by edge before it is returned. ``budget``
-    caps the pairings, at least 0: a decision that took more is
-    reported as a negative after ``budget`` pairings, marked
-    non-authoritative (exhausted False), and no placement is built. The
+    at least m-3), the answer is an immediate no. Otherwise each
+    distinct diagonal pairing of the top-degree placement is tried on
+    degrees (module docstring); ``explored`` counts the pairings tried,
+    at most 3, and every verdict is exact. A positive's witness is the
+    placement that fit, checked edge by edge before it is returned. The
     target must be ``km_minus_c4(m)``. The work is polynomial in the
     length, and no length is refused.
     """
@@ -101,29 +96,25 @@ def is_potentially(seq, target: TargetPattern,
     if not (isinstance(m, int) and 4 <= m == target.pattern.n
             and target.pattern == km_minus_c4(m).pattern):
         raise ContractError(f"target is not K_m minus a 4-cycle (m={m!r})")
-    if budget is not None and budget < 0:
-        raise ContractError(f"budget must be at least 0, got {budget}")
     seq = DegreeSequence(seq)
     if not is_graphical(seq):
         raise ContractError(f"sequence {tuple(seq)} is not graphical")
     if seq.n < m:
-        return WitnessResult(False, None, None, 0, True)
-    verdict, explored, exhausted, diagonals, used = _decide_sequence(seq, m)
-    if budget is not None and explored > budget:
-        return WitnessResult(False, None, None, budget, False)
+        return WitnessResult(False, None, None, 0)
+    verdict, explored, diagonals, used = _decide_sequence(seq, m)
     if not verdict:
-        return WitnessResult(False, None, None, explored, exhausted)
+        return WitnessResult(False, None, None, explored)
     g, emb = _placement(seq, m, diagonals, used)
     if not _is_witness(seq, target, g, emb):
         raise ContractError(f"placement witness for {tuple(seq)} "
                             f"fails its check")
-    return WitnessResult(True, g, emb, explored, False)
+    return WitnessResult(True, g, emb, explored)
 
 
 def _decide_sequence(seq: DegreeSequence, m: int):
     """The decision on degrees alone: (verdict, pairings explored,
-    exhausted, diagonals, used), where a positive names the pairing and
-    the cycle-edge subset that fit, and a negative has None for both.
+    diagonals, used), where a positive names the pairing and the
+    cycle-edge subset that fit, and a negative has None for both.
 
     seq must be a graphical DegreeSequence with at least m terms. After
     the necessary condition, the core is laid off once, with the first
@@ -133,7 +124,7 @@ def _decide_sequence(seq: DegreeSequence, m: int):
     every pairing, so only the first tries it.
     """
     if (m > 4 and seq[m - 5] < m - 1) or seq[m - 1] < m - 3:
-        return False, 0, True, None, None
+        return False, 0, None, None
     explored = 0
     out = None
     order = _MOST_EDGES
@@ -142,12 +133,12 @@ def _decide_sequence(seq: DegreeSequence, m: int):
         if out is None:
             out = _core_residual(seq, m)
             if out is None:
-                return False, explored, True, None, None
+                return False, explored, None, None
         used = _first_fit(seq, m, out, diagonals, order)
         if used is not None:
-            return True, explored, False, diagonals, used
+            return True, explored, diagonals, used
         order = _MOST_EDGES[1:]
-    return False, explored, True, None, None
+    return False, explored, None, None
 
 
 def _distinct_pairings(seq: DegreeSequence, m: int):

@@ -24,10 +24,11 @@ from collections import deque
 from functools import lru_cache
 from itertools import combinations, permutations
 from random import Random
+from typing import NamedTuple
 
 from kmc4 import (DEFAULT_VERTEX_LIMIT, ContractError, DegreeSequence,
                   InputError, LimitError, SigmaReport,
-                  SmallGraph, TargetPattern, WitnessResult, encode_graph6,
+                  SmallGraph, TargetPattern, encode_graph6,
                   graphical_sequences_with_sum, havel_hakimi_realize,
                   is_graphical, sigma_lower_bound)
 from kmc4.graphs import _bits
@@ -494,6 +495,17 @@ def eager_realizations(seq, order_seed=None):
         g = queue.popleft()
 
 
+class ClassSearchResult(NamedTuple):
+    """Outcome of ``search_potentially``: a False verdict is
+    authoritative only when ``exhausted`` is set."""
+
+    verdict: bool
+    witness: SmallGraph | None
+    embedding: tuple[int, ...] | None
+    explored: int
+    exhausted: bool
+
+
 def search_potentially(seq, target, limit=12, budget=None, order_seed=None):
     """Does some realization contain the target? Decided by walking the
     realization classes and stopping at the first witness.
@@ -502,16 +514,16 @@ def search_potentially(seq, target, limit=12, budget=None, order_seed=None):
     short that way returns a non-authoritative negative."""
     seq = DegreeSequence(seq)
     if seq.n < target.m:
-        return WitnessResult(False, None, None, 0, True)
+        return ClassSearchResult(False, None, None, 0, True)
     explored = 0
     for g in enumerate_realizations(seq, limit=limit, order_seed=order_seed):
         if budget is not None and explored >= budget:
-            return WitnessResult(False, None, None, explored, False)
+            return ClassSearchResult(False, None, None, explored, False)
         explored += 1
         emb = find_embedding(g, target)
         if emb is not None:
-            return WitnessResult(True, g, emb, explored, False)
-    return WitnessResult(False, None, None, explored, True)
+            return ClassSearchResult(True, g, emb, explored, False)
+    return ClassSearchResult(False, None, None, explored, True)
 
 
 def greedy_realization_by_scan(seq) -> SmallGraph:
@@ -778,9 +790,9 @@ def top_layouts(seq, m: int):
     return pairings, core_held, held
 
 
-def pairing_decision(seq, m: int, budget=None) -> set:
+def pairing_decision(seq, m: int) -> set:
     """What the pairing-only decision may answer, from ``top_layouts``:
-    the set of allowed (verdict, pairings explored, exhausted).
+    the set of allowed (verdict, pairings explored).
 
     Pairings equal up to swapping vertices of equal degree ask the same
     question, so the first of each degree pattern is tried, in order. A
@@ -788,9 +800,7 @@ def pairing_decision(seq, m: int, budget=None) -> set:
     negative tries none when there are fewer than m terms or the top m
     degrees cannot carry F_m's own degrees, (m-1)^(m-4) and (m-3)^4;
     otherwise it tries every distinct pairing, or may stop after the
-    first when no realization holds the core. ``budget`` caps the
-    pairings tried, and a decision it cuts short is a negative that is
-    not exhausted.
+    first when no realization holds the core.
     """
     fm = [m - 1] * (m - 4) + [m - 3] * 4
     if len(seq) < m or any(seq[i] < fm[i] for i in range(m)):
@@ -808,8 +818,7 @@ def pairing_decision(seq, m: int, budget=None) -> set:
             stops = [(hits[0], True)]
         else:
             stops = [(len(distinct), False)] + ([] if core_held else [(1, False)])
-    return {(False, budget, False) if budget is not None and budget < k
-            else (verdict, k, not verdict) for k, verdict in stops}
+    return {(verdict, k) for k, verdict in stops}
 
 
 def sigma_by_full_sweep(m: int, n: int) -> SigmaReport:

@@ -145,18 +145,22 @@ class TestPotential:
 
     def test_negative_exhausted(self, capsys):
         # one pairing up to equal degrees, and no realization holds it
-        assert pairing_decision((5, 5, 2, 2, 2, 2), 5) == {(False, 1, True)}
+        assert pairing_decision((5, 5, 2, 2, 2, 2), 5) == {(False, 1)}
         code, out, _ = run_cli(capsys, "potential", "5,5,2,2,2,2", "--m", "5")
         assert code == 1
         assert out == "not potential: exhausted 1 candidates\n"
 
-    def test_budget_runs_out(self, capsys):
-        # only the second of two pairings holds the bowtie
-        assert pairing_decision((4, 4, 3, 2, 2, 1), 5, 1) == {(False, 1, False)}
-        code, out, _ = run_cli(capsys, "--budget", "1",
-                               "potential", "4,4,3,2,2,1", "--m", "5")
-        assert code == 3
-        assert out == "inconclusive: budget ran out after 1 candidates\n"
+    @pytest.mark.parametrize("budget", ["0", "1", "2", "8", "-1"])
+    @pytest.mark.parametrize("mode", [[], ["--json"]])
+    def test_budget_is_ignored(self, capsys, mode, budget):
+        # only the second of two pairings holds the bowtie; no K stops
+        # the decision before it, and stdout is that of the plain run
+        assert pairing_decision((4, 4, 3, 2, 2, 1), 5) == {(True, 2)}
+        argv = ["potential", "4,4,3,2,2,1", "--m", "5"]
+        plain = run_cli(capsys, *mode, *argv)
+        assert plain[0] == 0 and plain[2] == ""
+        assert run_cli(capsys, *mode, "--budget", budget, *argv) == (
+            0, plain[1], "kmc4: --budget is ignored; every verdict is exact\n")
 
     def test_json_schema(self, capsys):
         for argv in (
@@ -259,9 +263,10 @@ class TestSigma:
         assert first == second
 
     def test_budget_does_not_apply(self, capsys):
-        plain = run_cli(capsys, "sigma", "--m", "5", "--n", "6")
+        code, out, _ = run_cli(capsys, "sigma", "--m", "5", "--n", "6")
         assert run_cli(capsys, "--budget", "0", "sigma",
-                       "--m", "5", "--n", "6") == plain
+                       "--m", "5", "--n", "6") == (
+            code, out, "kmc4: --budget is ignored; every verdict is exact\n")
 
     def test_witness_past_32_vertices(self, capsys):
         # the one failing sequence at (5, 34) is realized as its witness,
@@ -376,6 +381,14 @@ class TestVerifySubcommands:
         assert rec["passed"] is True
         assert all(r["verdict"] == "matches" for r in rec["reports"])
 
+    @pytest.mark.parametrize("claim", ["theorem1", "conjecture"])
+    @pytest.mark.parametrize("mode", [[], ["--json"]])
+    def test_empty_grid_refused(self, capsys, mode, claim):
+        # no n in [m, n-max] is no pass
+        assert run_cli(capsys, *mode, "verify", claim, "--m", "6",
+                       "--n-max", "5") == (
+            2, "", "error: empty grid: no n in [6, 5]\n")
+
     def test_base_cases(self, capsys):
         code, out, _ = run_cli(capsys, "--json", "verify", "base-cases",
                                "--family-n", "6", "--family-n", "7")
@@ -411,7 +424,7 @@ class TestCachedParser:
         build_parser.cache_clear()
         in_a_row = [run_cli(capsys, *argv) for argv in self.RUNS]
         assert build_parser.cache_info().misses == 1
-        assert [code for code, _, _ in in_a_row] == [0, 0, 1, 1, 3, 1, 2, 0, 0, 0]
+        assert [code for code, _, _ in in_a_row] == [0, 0, 1, 1, 0, 1, 2, 0, 0, 0]
         for argv, got in zip(self.RUNS, in_a_row):
             build_parser.cache_clear()
             assert run_cli(capsys, *argv) == got, argv
@@ -440,14 +453,6 @@ class TestLimitsAndEnvironment:
                                    "--m", "4", "--n", "5")
             assert code == 0
             assert json.loads(out)["exact"] == 10
-
-
-    @pytest.mark.parametrize("seq", ["4,2,2,2,2", "1,1"])
-    def test_negative_budget_refused(self, capsys, seq):
-        code, out, err = run_cli(capsys, "--budget", "-1", "potential", seq)
-        assert code == 2
-        assert out == ""
-        assert err == "error: budget must be at least 0, got -1\n"
 
 
 class TestArgumentErrors:
@@ -480,6 +485,8 @@ class TestArgumentErrors:
                    for opt in action.option_strings}
         assert options == {"-h", "--help", "--json", "--limit", "--budget",
                            "--progress"}
+        # --budget is parsed and ignored, and --help does not offer it
+        assert "--budget" not in build_parser().format_help()
 
     def test_sigma_requires_m_and_n(self, capsys):
         code, _, _ = run_cli(capsys, "sigma", "--m", "5")

@@ -71,15 +71,13 @@ class TestImportSet:
 
 
 class TestRecords:
-    # The fields and defaults each record had as a dataclass, in order.
+    # The fields and defaults of each record, in order.
     FIELDS = [
         (TargetPattern, ("m", "pattern"), {}),
-        (WitnessResult,
-         ("verdict", "witness", "embedding", "explored", "exhausted"), {}),
-        (RunConfig,
-         ("vertex_limit", "realization_budget", "output_mode", "progress"),
-         {"vertex_limit": DEFAULT_VERTEX_LIMIT, "realization_budget": None,
-          "output_mode": "text", "progress": None}),
+        (WitnessResult, ("verdict", "witness", "embedding", "explored"), {}),
+        (RunConfig, ("vertex_limit", "output_mode", "progress"),
+         {"vertex_limit": DEFAULT_VERTEX_LIMIT, "output_mode": "text",
+          "progress": None}),
         (SigmaReport,
          ("m", "n", "lower_bound", "exact", "verdict", "extremal_sequences",
           "witnesses"),

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import re
 from itertools import combinations, permutations
 from random import Random
@@ -29,6 +30,26 @@ BOWTIE = km_minus_c4(5)
 # no realization holds the bowtie in the first, and one holds it in the
 # second (``pairing_decision`` checks both by brute force)
 SECOND_PAIRING = (4, 4, 3, 2, 2, 1)
+
+
+BUDGET_NOTICE = "kmc4: --budget is ignored; every verdict is exact\n"
+
+
+def report_under_budget(capsys, seq, m: int, budget) -> tuple:
+    """(verdict, explored) from ``kmc4 --json [--budget K] potential``,
+    after checking that the report marks exactly a negative exhausted,
+    that the exit code follows the verdict, and that stderr holds only
+    the notice an ignored --budget prints."""
+    argv = ["--json", "potential", ",".join(map(str, seq)), "--m", str(m)]
+    if budget is not None:
+        argv[1:1] = ["--budget", str(budget)]
+    code = kmc4.cli.main(argv)
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert report["exhausted"] is not report["verdict"]
+    assert code == (0 if report["verdict"] else 1)
+    assert err == ("" if budget is None else BUDGET_NOTICE)
+    return report["verdict"], report["explored"]
 
 
 def two_k4_matching() -> SmallGraph:
@@ -235,7 +256,7 @@ class TestEnumerateRealizations:
 class TestIsPotentially:
     def test_witness_and_embedding_are_consistent(self):
         res = is_potentially((4, 2, 2, 2, 2), BOWTIE)
-        assert res.verdict and res.exhausted is False
+        assert res.verdict and res.explored == 1
         assert degree_sequence_of(res.witness) == (4, 2, 2, 2, 2)
         assert len(set(res.embedding)) == 5
         for a, b in BOWTIE.pattern.edges():
@@ -243,33 +264,27 @@ class TestIsPotentially:
 
     def test_too_few_terms_is_authoritative_no(self):
         res = is_potentially((3, 3, 3, 3), BOWTIE)
-        assert res == WitnessResult(False, None, None, 0, True)
+        assert res == WitnessResult(False, None, None, 0)
 
-    def test_negative_without_budget_is_exhausted(self):
+    def test_negative_without_budget_is_exhausted(self, capsys):
+        # the one distinct pairing is tried, and the JSON report marks
+        # the negative exhausted
         res = is_potentially((5, 5, 2, 2, 2, 2), BOWTIE)
-        assert not res.verdict and res.exhausted and res.explored >= 1
+        assert res == WitnessResult(False, None, None, 1)
+        assert report_under_budget(capsys, (5, 5, 2, 2, 2, 2), 5, None) == \
+            (False, 1)
 
-    def test_budget_marks_non_authoritative(self):
-        res = is_potentially(SECOND_PAIRING, BOWTIE, budget=1)
-        assert not res.verdict and not res.exhausted and res.explored == 1
-
-    def test_zero_budget(self):
-        res = is_potentially(SECOND_PAIRING, BOWTIE, budget=0)
-        assert res == WitnessResult(False, None, None, 0, False)
-
-    def test_capped_positive_builds_no_placement(self, monkeypatch):
-        # the decision reaches a positive at its second pairing; a budget
-        # of one reports the cut-off without building the witness
-        def refuse(*args):
-            raise AssertionError("placement built")
-
-        monkeypatch.setattr(kmc4.realizations, "_placement", refuse)
-        res = is_potentially(SECOND_PAIRING, BOWTIE, budget=1)
-        assert res == WitnessResult(False, None, None, 1, False)
+    def test_zero_budget(self, capsys):
+        # --budget 0 reaches the library as no cap at all: the report is
+        # the positive the decision finds at its second pairing
+        res = is_potentially(SECOND_PAIRING, BOWTIE)
+        assert (res.verdict, res.explored) == (True, 2)
+        assert report_under_budget(capsys, SECOND_PAIRING, 5, 0) == (True, 2)
 
     @pytest.mark.parametrize("seq", [(4, 2, 2, 2, 2), (1, 1)])
     def test_negative_budget_is_refused(self, seq):
-        with pytest.raises(ContractError, match="budget must be at least 0"):
+        # the library takes no budget at all, negative or not
+        with pytest.raises(TypeError, match="budget"):
             is_potentially(seq, BOWTIE, budget=-1)
 
     @pytest.mark.parametrize("n", range(13, 33))
@@ -278,7 +293,7 @@ class TestIsPotentially:
         for m in (4, n // 2, n):
             _, seq = extremal_witness(m, n)
             res = is_potentially(seq, km_minus_c4(m))
-            assert not res.verdict and res.exhausted, (m, seq)
+            assert not res.verdict, (m, seq)
         # one more edge inside the independent set makes it positive: the
         # edge and a clique vertex with an independent neighbour are the
         # two diagonals
@@ -304,25 +319,26 @@ class TestIsPotentially:
 class TestExactDecision:
     @pytest.mark.parametrize("m,n", [(m, n) for m in range(4, 8)
                                      for n in range(m, 8)] + [(4, 8), (5, 8)])
-    def test_agrees_with_class_search(self, m, n):
+    def test_agrees_with_class_search(self, capsys, m, n):
+        # and the JSON report marks exactly the negatives exhausted
         target = km_minus_c4(m)
         for seq in enumerate_graphical_sequences(n):
             res = is_potentially(seq, target)
             assert res.verdict == search_potentially(seq, target).verdict, seq
-            assert res.exhausted is not res.verdict, seq
+            assert report_under_budget(capsys, seq, m, None) == \
+                (res.verdict, res.explored), seq
             assert res.explored <= 3
 
     @pytest.mark.parametrize("n", range(4, 8))
     def test_explored_pairings_agree_with_brute_force(self, n):
-        # every graphical sequence, every m and budget: the verdict and
-        # the pairings counted are those of the brute-force placement
-        # oracle over every labeled realization
+        # every graphical sequence and every m: the verdict and the
+        # pairings counted are those of the brute-force placement oracle
+        # over every labeled realization
         for seq in enumerate_graphical_sequences(n):
             for m in range(4, n + 1):
-                for budget in (None, 0, 1, 2):
-                    res = is_potentially(seq, km_minus_c4(m), budget=budget)
-                    assert (res.verdict, res.explored, res.exhausted) in \
-                        pairing_decision(seq, m, budget), (seq, m, budget)
+                res = is_potentially(seq, km_minus_c4(m))
+                assert (res.verdict, res.explored) in \
+                    pairing_decision(seq, m), (seq, m)
 
     @pytest.mark.parametrize("m", [4, 5, 6, 7])
     def test_placement_witnesses(self, m):
@@ -357,31 +373,34 @@ class TestExactDecision:
 
     @pytest.mark.parametrize("seq,m,budget,want", [
         # fewer terms than m, or the necessary condition fails: no pairing
-        ((3, 3, 3, 3), 5, 0, (False, 0, True)),
-        ((3,) * 6, 5, 0, (False, 0, True)),
-        ((3,) * 6, 5, None, (False, 0, True)),
+        ((3, 3, 3, 3), 5, 0, (False, 0)),
+        ((3,) * 6, 5, 0, (False, 0)),
+        ((3,) * 6, 5, None, (False, 0)),
         # one pairing up to equal degrees, and it fits
-        ((4, 2, 2, 2, 2), 5, 0, (False, 0, False)),
-        ((4, 2, 2, 2, 2), 5, 1, (True, 1, False)),
-        ((4, 2, 2, 2, 2), 5, None, (True, 1, False)),
+        ((4, 2, 2, 2, 2), 5, 0, (True, 1)),
+        ((4, 2, 2, 2, 2), 5, 1, (True, 1)),
+        ((4, 2, 2, 2, 2), 5, None, (True, 1)),
         # two pairings; the first misses and the second fits
-        (SECOND_PAIRING, 5, 0, (False, 0, False)),
-        (SECOND_PAIRING, 5, 1, (False, 1, False)),
-        (SECOND_PAIRING, 5, 2, (True, 2, False)),
-        (SECOND_PAIRING, 5, None, (True, 2, False)),
+        (SECOND_PAIRING, 5, 0, (True, 2)),
+        (SECOND_PAIRING, 5, 1, (True, 2)),
+        (SECOND_PAIRING, 5, 2, (True, 2)),
+        (SECOND_PAIRING, 5, None, (True, 2)),
         # one pairing up to equal degrees, and it misses
-        ((5, 5, 2, 2, 2, 2), 5, 1, (False, 1, True)),
-        ((5, 5, 2, 2, 2, 2), 5, 2, (False, 1, True)),
-        ((5, 5, 2, 2, 2, 2), 5, None, (False, 1, True)),
+        ((5, 5, 2, 2, 2, 2), 5, 1, (False, 1)),
+        ((5, 5, 2, 2, 2, 2), 5, 2, (False, 1)),
+        ((5, 5, 2, 2, 2, 2), 5, None, (False, 1)),
         # two pairings, both miss
-        ((5, 5, 5, 4, 3, 3, 3), 6, 2, (False, 2, True)),
-        ((5, 5, 5, 4, 3, 3, 3), 6, 3, (False, 2, True)),
-        ((5, 5, 5, 4, 3, 3, 3), 6, None, (False, 2, True)),
+        ((5, 5, 5, 4, 3, 3, 3), 6, 2, (False, 2)),
+        ((5, 5, 5, 4, 3, 3, 3), 6, 3, (False, 2)),
+        ((5, 5, 5, 4, 3, 3, 3), 6, None, (False, 2)),
     ])
-    def test_budget_counts_candidates(self, seq, m, budget, want):
-        assert want in pairing_decision(seq, m, budget)
-        res = is_potentially(seq, km_minus_c4(m), budget=budget)
-        assert (res.verdict, res.explored, res.exhausted) == want
+    def test_budget_counts_candidates(self, capsys, seq, m, budget, want):
+        # the candidates counted are the exact decision's under any
+        # --budget K, which caps nothing
+        assert want in pairing_decision(seq, m)
+        res = is_potentially(seq, km_minus_c4(m))
+        assert (res.verdict, res.explored) == want
+        assert report_under_budget(capsys, seq, m, budget) == want
 
     @pytest.mark.parametrize("m", [4, 5, 6])
     def test_seed_does_not_change_the_verdict(self, m, monkeypatch):
@@ -395,8 +414,7 @@ class TestExactDecision:
                     with monkeypatch.context() as mp:
                         shuffle_pairings(mp, seed)
                         res = is_potentially(seq, target)
-                    assert (res.verdict, res.exhausted) == \
-                        (want, not want), (seq, seed)
+                    assert res.verdict == want, (seq, seed)
 
     def test_seed_orders_the_pairings(self, monkeypatch):
         # only the second pairing in the fixed order fits; a seed that
@@ -430,29 +448,31 @@ class TestDecideSequence:
         # subset 15, every cycle edge
         assert kmc4.realizations._decide_sequence(
             DegreeSequence([m - 1] * m), m) == \
-            (True, 1, False, kmc4.realizations._pairings(m)[0], 15)
+            (True, 1, kmc4.realizations._pairings(m)[0], 15)
 
     @pytest.mark.parametrize("seq,m,budget,want", [
         # the necessary condition fails: no pairing
-        ((3,) * 6, 5, 0, (False, 0, True)),
-        ((3,) * 6, 5, None, (False, 0, True)),
+        ((3,) * 6, 5, 0, (False, 0)),
+        ((3,) * 6, 5, None, (False, 0)),
         # three pairings; the first fails and the second fits
-        ((4, 3, 2, 1, 1, 1), 4, 0, (False, 0, False)),
-        ((4, 3, 2, 1, 1, 1), 4, 1, (False, 1, False)),
-        ((4, 3, 2, 1, 1, 1), 4, 2, (True, 2, False)),
-        ((4, 3, 2, 1, 1, 1), 4, 3, (True, 2, False)),
-        ((4, 3, 2, 1, 1, 1), 4, None, (True, 2, False)),
+        ((4, 3, 2, 1, 1, 1), 4, 0, (True, 2)),
+        ((4, 3, 2, 1, 1, 1), 4, 1, (True, 2)),
+        ((4, 3, 2, 1, 1, 1), 4, 2, (True, 2)),
+        ((4, 3, 2, 1, 1, 1), 4, 3, (True, 2)),
+        ((4, 3, 2, 1, 1, 1), 4, None, (True, 2)),
         # two pairings, both fail
-        ((5, 5, 5, 4, 3, 3, 3), 6, 0, (False, 0, False)),
-        ((5, 5, 5, 4, 3, 3, 3), 6, 1, (False, 1, False)),
-        ((5, 5, 5, 4, 3, 3, 3), 6, 2, (False, 2, True)),
-        ((5, 5, 5, 4, 3, 3, 3), 6, 3, (False, 2, True)),
-        ((5, 5, 5, 4, 3, 3, 3), 6, None, (False, 2, True)),
+        ((5, 5, 5, 4, 3, 3, 3), 6, 0, (False, 2)),
+        ((5, 5, 5, 4, 3, 3, 3), 6, 1, (False, 2)),
+        ((5, 5, 5, 4, 3, 3, 3), 6, 2, (False, 2)),
+        ((5, 5, 5, 4, 3, 3, 3), 6, 3, (False, 2)),
+        ((5, 5, 5, 4, 3, 3, 3), 6, None, (False, 2)),
     ])
-    def test_budget_counts_pairings(self, seq, m, budget, want):
-        # the decision tries every pairing; is_potentially caps the count
-        res = is_potentially(seq, km_minus_c4(m), budget=budget)
-        assert (res.verdict, res.explored, res.exhausted) == want
+    def test_budget_counts_pairings(self, capsys, seq, m, budget, want):
+        # the decision counts every pairing it tries, and --budget K
+        # cuts none of them
+        assert kmc4.realizations._decide_sequence(
+            DegreeSequence(seq), m)[:2] == want
+        assert report_under_budget(capsys, seq, m, budget) == want
 
     @pytest.mark.parametrize("m", [4, 5, 6])
     def test_placement_matches_the_row_by_row_build(self, m):
@@ -549,8 +569,7 @@ class TestTopEmbedding:
     @pytest.mark.parametrize("m", [4, 8])
     def test_no_complete_pairing(self, m):
         # some realization holds the core, none holds F_m on the top
-        # degrees in any pairing: every distinct pairing is tried, and
-        # the negative is authoritative
+        # degrees in any pairing: every distinct pairing is tried
         seq = {4: (3, 1, 1, 1), 8: (8, 8, 7, 7, 7, 6, 5, 5, 5)}[m]
         _, core_held, held = top_layouts(seq, m)
         assert core_held and held == set()
@@ -558,7 +577,7 @@ class TestTopEmbedding:
             DegreeSequence(seq), m)))
         assert tried == {4: 1, 8: 2}[m]
         assert is_potentially(seq, km_minus_c4(m)) == \
-            WitnessResult(False, None, None, tried, True)
+            WitnessResult(False, None, None, tried)
 
     def test_positive_needs_no_search(self):
         for module in (kmc4.graphs, kmc4.realizations, kmc4.extremal,
@@ -757,11 +776,13 @@ class TestGraphicalityCheckedOnce:
         ["potential", "3,3,1,1", "--m", "40"]])
     def test_cli_potential_errors_unchanged(self, capsys, argv):
         # fewer terms than m too, and ahead of a bad --m: a non-graphical
-        # query is reported as such
+        # query is reported as such, after the notice an ignored --budget
+        # prints
         text = argv[argv.index("potential") + 1]
+        notice = BUDGET_NOTICE if "--budget" in argv else ""
         assert kmc4.cli.main(argv) == 2
         assert capsys.readouterr() == (
-            "", f"error: sequence {text} is not graphical\n")
+            "", f"{notice}error: sequence {text} is not graphical\n")
 
     @pytest.mark.parametrize("argv,code", [
         (["potential", "4,4,3,3,2,2", "--m", "5"], 0),
