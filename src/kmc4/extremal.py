@@ -198,6 +198,12 @@ def _sigma_upward(m: int, n_hi: int, limit: int, progress):
     whole level is walked. A progress line counts the walked sequences
     and the uplifts apart; its pairings are those of both.
 
+    No s at S has a least term below d, and n terms of at least d sum to
+    d * n or more; so a level with d * n > S, that is S > n(below - 2) /
+    (n - 2), holds nothing to walk or lift. For n > m the scan starts at
+    the highest even level at or below both that and n(n - 1), and
+    prints no progress line for the empty levels above it.
+
     Enumeration is the one exponential step of every threshold driver,
     so this is where ``limit`` guards it: n_hi above it raises LimitError
     before any level is walked. The caller checks m and n_hi.
@@ -210,13 +216,16 @@ def _sigma_upward(m: int, n_hi: int, limit: int, progress):
     for n in range(m, n_hi + 1):
         lifted_from, failures = failures, []
         level = n * (n - 1)
+        if below is not None:
+            # the highest level with d * n <= level; each lower level
+            # keeps it, so 0 <= d < n wherever _uplifts is called
+            level = min(level, n * (below - 2) // (n - 2)) // 2 * 2
         while level >= 0:
             floor, lifts = 0, []
             if below is not None:
                 d = (level - below + 2) // 2
                 floor = max(0, d + 1)
-                # n terms of at least d cannot sum below d * n
-                if 0 <= d and d * n <= level:
+                if d >= 0:
                     lifts = [s for r in lifted_from for s in _uplifts(r, d)]
             decided = pairings = 0
             for s in chain(graphical_sequences_with_sum(n, level, limit=limit,

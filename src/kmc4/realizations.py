@@ -21,7 +21,7 @@ The 2-switch settles where F_m may sit:
 - What remains is a choice of pairing and cycle edges: how the 4 cycle
   vertices pair into diagonals (at most 3 ways, fewer up to equal
   degrees), and which of the 4 cycle edges the rest of the graph uses
-  (16 subsets).
+  (16 subsets, fewer once degree arithmetic rules some out).
 - Everything else is an exact lay-off (Kleitman and Wang, 1973). Every
   other edge of a placed vertex goes outside. Outside vertices may be
   joined to anything, so laying each placed vertex off onto the largest
@@ -32,13 +32,17 @@ So after a top-degree necessary condition, the decision tries at most
 three pairings on degrees alone, with no adjacency rows. A cycle-edge
 subset fits when, after the inside degrees are subtracted, each placed
 vertex can be laid off onto the largest outside degrees and the sorted
-outside residual passes Erdos-Gallai. K_m, the one subset every pairing
-shares, is tried first and once; the other subsets follow, most edges
-first. A negative comes only after every distinct pairing failed, or
-after a failure that rules out all of them at once, so every verdict is
-exact. A positive names the pairing and subset that fit, and
-``_placement`` builds the rows of that one placement into the witness,
-with its embedding.
+outside residual passes Erdos-Gallai. A cycle vertex x has spare degree
+seq[x] - (m - 3) once the core and its diagonal are placed. A subset is
+skipped before any lay-off when it gives some x more cycle edges than
+that, or when the outside residual it leaves would sum below 0 or above
+what the outside vertices can carry among themselves; neither can fit
+(``_first_fit``). K_m, the one subset every pairing shares, is tried
+first and once; the other subsets follow, most edges first. A negative
+comes only after every distinct pairing failed, or after a failure that
+rules out all of them at once, so every verdict is exact. A positive
+names the pairing and subset that fit, and ``_placement`` builds the
+rows of that one placement into the witness, with its embedding.
 """
 
 from __future__ import annotations
@@ -192,12 +196,29 @@ def _core_residual(seq: DegreeSequence, m: int) -> list[int] | None:
 def _first_fit(seq: DegreeSequence, m: int, out: list[int], diagonals,
                order) -> int | None:
     """The first cycle-edge subset in ``order`` with which the cycle
-    vertices of ``diagonals`` fit on the core residual ``out``, or None."""
+    vertices of ``diagonals`` fit on the core residual ``out``, or None.
+
+    Two tests on degrees skip a subset before any lay-off, and each
+    skips only subsets that cannot fit, so the first one that fits is
+    the same as when every subset is laid off:
+
+    - its cycle degree at p, r, q or s exceeds that vertex's spare
+      degree, which would leave the vertex a negative outside demand;
+    - the outside residual it leaves would sum below 0, more demand than
+      ``out`` holds, or above L(L - 1), more than its L vertices carry
+      among themselves. With e cycle edges that sum is 2e - extra, extra
+      being the spare degrees' sum less the sum of ``out``.
+    """
     (p, q), (r, s) = diagonals
     spare = m - 3  # the core and the diagonal
     a, b, c, d = seq[p] - spare, seq[r] - spare, seq[q] - spare, seq[s] - spare
+    extra = a + b + c + d - sum(out)
+    most = extra + len(out) * (len(out) - 1)
     for used in order:
         ep, er, eq, es = _CYCLE_DEGREES[used]
+        if (ep > a or er > b or eq > c or es > d
+                or not extra <= 2 * used.bit_count() <= most):
+            continue
         rest = _lay_off_degrees(out, (a - ep, b - er, c - eq, d - es))
         if rest is not None and _erdos_gallai(rest):
             return used
@@ -208,13 +229,13 @@ def _lay_off_degrees(out, needs) -> list[int] | None:
     """A new list: the nonincreasing outside residuals ``out`` after each
     placed vertex's outside demand in ``needs`` is laid off onto the
     largest of them, or None when a demand is negative or finds too few
-    positive residuals."""
-    if needs and min(needs) < 0:
-        return None
+    positive residuals. ``_first_fit`` never hands it a negative demand;
+    ``_core_residual`` does on a sequence whose core degrees fall below
+    m - 1."""
     out = list(out)
     for k in needs:
         if k:
-            if k > len(out) or not out[k - 1]:
+            if not 0 < k <= len(out) or not out[k - 1]:
                 return None
             for i in range(k):
                 out[i] -= 1

@@ -9,6 +9,7 @@ from helpers import (canonical_form, encode_graph6_by_bits,
                      nonincreasing_tuples, sigma_by_full_sweep,
                      uplifts_by_positions)
 
+import kmc4.realizations
 from kmc4 import (InputError, LimitError, SmallGraph, complete_graph,
                   decode_graph6, degree_sequence_of, empty_graph,
                   extremal_witness, join, km_minus_c4, sigma_exact,
@@ -258,6 +259,41 @@ class TestSweepByInduction:
         assert report.verdict == "matches"
         assert report.extremal_sequences == want_extremal
         assert want_extremal == (extremal_witness(m, n)[1],)
+
+
+class TestSweepSkipsWhatDegreesRuleOut:
+    def test_counts_of_the_sweep_workload(self, monkeypatch):
+        # sigma_exact(m, 9) for m = 4, 5, 6: no cycle-edge subset that
+        # degree arithmetic rules out reaches a lay-off, none of those
+        # that do gets a negative demand, and no level that can hold
+        # nothing is scanned
+        demands = []
+        real = kmc4.realizations._lay_off_degrees
+
+        def counted(out, needs):
+            demands.append(tuple(needs))
+            return real(out, needs)
+
+        monkeypatch.setattr(kmc4.realizations, "_lay_off_degrees", counted)
+        lines = []
+        for m in (4, 5, 6):
+            sigma_exact(m, 9, progress=lines.append)
+        assert len(demands) == 117
+        assert all(k >= 0 for needs in demands for k in needs)
+        assert len(lines) == 38
+
+    @pytest.mark.parametrize("m", range(4, 9))
+    def test_no_level_above_the_start(self, m):
+        # a level S at n > m holds something only when the least term d
+        # it would lift, (S - sigma(n - 1) + 2) / 2, has d * n <= S
+        lines = []
+        exact = {r.n: r.exact for r in
+                 verify_conjecture(m, (m, 11), progress=lines.append)}
+        for line in lines:
+            n, level = map(int, re.match(r"m=\d+ n=(\d+) sum=(\d+) ",
+                                         line).groups())
+            if n > m:
+                assert level * (n - 2) <= n * (exact[n - 1] - 2), line
 
 
 class TestVerifyConjecture:

@@ -474,6 +474,32 @@ class TestDecideSequence:
             DegreeSequence(seq), m)[:2] == want
         assert report_under_budget(capsys, seq, m, budget) == want
 
+    @pytest.mark.parametrize("m", [4, 5, 6, 7])
+    def test_first_fit_matches_the_row_by_row_reference(self, m):
+        # skipping the subsets that degree arithmetic rules out changes
+        # no decision: the same pairings are counted, and the same first
+        # subset fits, as when the row-by-row build tries every subset
+        for n in range(m, 9):
+            for seq in enumerate_graphical_sequences(n):
+                assert kmc4.realizations._decide_sequence(seq, m) == \
+                    first_fit_by_rows(seq, m), seq
+
+    @pytest.mark.parametrize("needs", [(-1,), (2, -1), (0, -2, 1),
+                                       (1, 1, 0, -1)])
+    def test_negative_demand_is_refused(self, needs):
+        # wherever it sits among demands that fit on their own
+        out = [3, 3, 2, 2, 1]
+        assert kmc4.realizations._lay_off_degrees(
+            out, [max(k, 0) for k in needs]) is not None
+        assert kmc4.realizations._lay_off_degrees(out, needs) is None
+
+    @pytest.mark.parametrize("seq,m", [((3,) * 6, 5), ((4,) * 7, 6),
+                                       ((5, 4, 4, 4, 3, 3, 3), 6)])
+    def test_core_below_m_minus_1_has_no_residual(self, seq, m):
+        # a core vertex joined to the other m - 1 placed vertices needs
+        # degree m - 1; the last case fails on its second core vertex
+        assert kmc4.realizations._core_residual(DegreeSequence(seq), m) is None
+
     @pytest.mark.parametrize("m", [4, 5, 6])
     def test_placement_matches_the_row_by_row_build(self, m):
         # a subset fits on degrees exactly when the row-by-row build goes
@@ -497,6 +523,41 @@ class TestDecideSequence:
                                 (seq, diagonals, used)
                             built += 1
         assert 0 < built < compared
+
+
+def first_fit_by_rows(seq, m: int) -> tuple:
+    """Reference for ``_decide_sequence``: on each distinct pairing, the
+    first subset of ``_MOST_EDGES`` (of ``_MOST_EDGES[1:]`` after the
+    first pairing) that ``row_by_row_placement`` builds, with every
+    subset tried; a core that cannot be laid off ends the search after
+    one pairing."""
+    if (m > 4 and seq[m - 5] < m - 1) or seq[m - 1] < m - 3:
+        return False, 0, None, None
+    order = kmc4.realizations._MOST_EDGES
+    explored = 0
+    for diagonals in kmc4.realizations._distinct_pairings(seq, m):
+        explored += 1
+        for used in order:
+            if row_by_row_placement(seq, m, diagonals, used)[0] is not None:
+                return True, explored, diagonals, used
+        if not core_lays_off(seq, m):
+            return False, explored, None, None
+        order = kmc4.realizations._MOST_EDGES[1:]
+    return False, explored, None, None
+
+
+def core_lays_off(seq, m: int) -> bool:
+    """Can each core vertex in turn, joined to the other m - 1 placed
+    vertices, join the rest of its degree to that many distinct outside
+    vertices of positive residual? The core degrees are at least m - 1."""
+    out = list(seq[m:])
+    for v in range(m - 4):
+        out.sort(reverse=True)
+        k = seq[v] - (m - 1)
+        if k > len(out) or (k and not out[k - 1]):
+            return False
+        out[:k] = [x - 1 for x in out[:k]]
+    return True
 
 
 class TestRealizeAround:
