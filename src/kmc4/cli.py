@@ -75,7 +75,7 @@ def cmd_potential(args, cfg: RunConfig) -> int:
     try:
         target = km_minus_c4(args.m)
         res = is_potentially(seq, target)
-    except (InputError, ContractError, LimitError):
+    except (InputError, ContractError):
         # is_potentially runs Erdos-Gallai; only a failed query runs it
         # again, so that a sequence that is not graphical is reported
         # ahead of any other fault

@@ -121,23 +121,22 @@ def _decide_sequence(seq: DegreeSequence, m: int):
     cycle-edge subset that fit, and a negative has None for both.
 
     seq must be a graphical DegreeSequence with at least m terms. After
-    the necessary condition, the core is laid off once, with the first
-    pairing; a core that does not fit rules out every pairing at once.
-    Each distinct pairing then tries its cycle-edge subsets, most edges
-    first. K_m (subset 15, every cycle edge) is the same placement in
-    every pairing, so only the first tries it.
+    the necessary condition, the core is laid off once, before any
+    pairing; a core that does not fit rules out every pairing at once,
+    and counts as one pairing explored. Each distinct pairing then tries
+    its cycle-edge subsets, most edges first. K_m (subset 15, every
+    cycle edge) is the same placement in every pairing, so only the
+    first tries it.
     """
     if (m > 4 and seq[m - 5] < m - 1) or seq[m - 1] < m - 3:
         return False, 0, None, None
+    out = _core_residual(seq, m)
+    if out is None:
+        return False, 1, None, None
     explored = 0
-    out = None
     order = _MOST_EDGES
     for diagonals in _distinct_pairings(seq, m):
         explored += 1
-        if out is None:
-            out = _core_residual(seq, m)
-            if out is None:
-                return False, explored, None, None
         used = _first_fit(seq, m, out, diagonals, order)
         if used is not None:
             return True, explored, diagonals, used

@@ -22,7 +22,8 @@ from collections.abc import Iterable, Iterator
 from .errors import InputError, LimitError
 
 # Enumeration guard: the number of graphical sequences grows exponentially
-# in n, and an exact threshold sweep decides every one above its answer.
+# in n, and the threshold sweep and the replay range walk them level by
+# level.
 DEFAULT_VERTEX_LIMIT = 12
 
 

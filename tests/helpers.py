@@ -1,30 +1,36 @@
 """Oracles for the tests, built from first principles.
 
-Most of what is here recomputes ground truth by brute force over raw
-edge sets and bitmasks, independent of the library's decision
-machinery, so the two can be compared honestly. The 2-switch class
-search is the exhaustive oracle for realizations:
-``enumerate_realizations`` walks every isomorphism class of
-realizations of a sequence, keyed by ``canonical_form``, which the
-library never does, and ``search_potentially`` and
-``eager_realizations`` are built on it. ``find_embedding`` is the
-subgraph search those oracles read a realization with; the library
-decides on degrees and only checks the embedding it builds. These live
-only here, with a few small constructors the library has no use for.
-``sigma_by_full_sweep`` is the exact-threshold sweep without the
-induction on n, the reference for the one that skips what the deletion
-lemma proves, and ``uplifts_by_positions`` inverts the Kleitman-Wang
-lay-off by trying every set of raised positions, the reference for the
-sweep's uplifts.
+Most recompute ground truth without the library's decision machinery,
+so the two can be compared honestly:
+
+- brute force over raw edge sets and bitmasks: ``gray_code_degree_map``
+  visits every labeled graph on n vertices, ``labeled_realizations``
+  every labeled realization of a sequence, and ``top_layouts`` and
+  ``pairing_decision`` read off them what the pairing-only decision may
+  answer;
+- ``find_embedding``, a backtracking subgraph search, and
+  ``brute_embedding_exists`` and ``brute_isomorphic``, which try every
+  vertex map;
+- ``sigma_by_full_sweep``, the exact-threshold sweep without the
+  induction on n (it decides with the library's ``_decide_sequence``),
+  the reference for the one that skips what the deletion lemma proves,
+  and ``uplifts_by_positions``, which inverts the
+  Kleitman-Wang lay-off by trying every set of raised positions, the
+  reference for the sweep's uplifts;
+- second implementations of the primitives (Havel-Hakimi by scanning,
+  Erdos-Gallai summed afresh, graph6 bit by bit, the row-by-row
+  placement), ``two_switch``, which the replay tests use as a
+  mutation, and a few small constructors the library has no use for.
+
+The exact "potentially F_m-graphic" oracle for sequences past brute
+force's reach is ``ffactor``, which imports nothing from kmc4.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from functools import lru_cache
 from itertools import combinations, permutations
 from random import Random
-from typing import NamedTuple
 
 from kmc4 import (DEFAULT_VERTEX_LIMIT, ContractError, DegreeSequence,
                   InputError, LimitError, SigmaReport,
@@ -106,121 +112,6 @@ def contains_subgraph(host: SmallGraph, pattern) -> bool:
     return find_embedding(host, pattern) is not None
 
 
-def _refine_colors(nbrs) -> list[int]:
-    """Iterated neighbor-multiset refinement starting from degrees.
-
-    ``nbrs`` holds each vertex's neighbor list. Color ids are ranks of
-    sorted signature keys, so the final coloring is invariant under
-    relabeling. A discrete coloring cannot split further, so refinement
-    stops there without another round.
-    """
-    degs = [len(nb) for nb in nbrs]
-    sig = sorted(set(degs))
-    rank = {d: i for i, d in enumerate(sig)}
-    colors = [rank[d] for d in degs]
-    ncells = len(sig)
-    while ncells < len(nbrs):
-        sigs = [(c, tuple(sorted([colors[u] for u in nb])))
-                for c, nb in zip(colors, nbrs)]
-        keys = sorted(set(sigs))
-        if len(keys) == ncells:
-            break
-        rank2 = {s: i for i, s in enumerate(keys)}
-        colors = [rank2[s] for s in sigs]
-        ncells = len(keys)
-    return colors
-
-
-def canonical_form(g: SmallGraph, limit: int = DEFAULT_VERTEX_LIMIT) -> bytes:
-    """Canonical byte string: equal exactly for isomorphic graphs.
-
-    Minimum adjacency encoding over all vertex orderings compatible with
-    the refined degree partition, found by branch-and-bound. Twins
-    (vertices whose neighbourhoods agree apart from each other) are
-    interchanged by an automorphism that fixes every other vertex, so at
-    each position only one unplaced member of a twin class is tried: the
-    skipped subtrees are images of the tried one and hold the same
-    encodings. The search space is therefore the product of the cell
-    factorials after each cell is quotiented by its twin classes, which
-    makes complete, empty, star and complete multipartite graphs cheap;
-    the limit guards the worst case of large cells without twins.
-    """
-    n = g.n
-    if n > limit:
-        raise LimitError(f"canonical form limited to {limit} vertices (got {n})")
-    if n == 0:
-        return b"\x00"
-    rows = g.rows
-    nbrs = [list(_bits(r)) for r in rows]
-    colors = _refine_colors(nbrs)
-    by_color: dict[int, list[int]] = {}
-    for v in range(n):
-        by_color.setdefault(colors[v], []).append(v)
-    blocks = [by_color[c] for c in sorted(by_color)]
-
-    # twin[v] is the least vertex of v's twin class. Non-adjacent twins
-    # share their open neighbourhood and adjacent ones their closed one;
-    # a class of three or more is all of one kind, so the first vertex
-    # seen with v's open or closed row is the least member of v's class.
-    twin = []
-    first_open: dict[int, int] = {}
-    first_closed: dict[int, int] = {}
-    for v, row in enumerate(rows):
-        u = first_open.setdefault(row, v)
-        if u == v:
-            u = first_closed.setdefault(row | 1 << v, v)
-        twin.append(u)
-
-    block_at_pos: list[int] = []
-    for i, blk in enumerate(blocks):
-        block_at_pos.extend([i] * len(blk))
-    INF = 1 << (n + 1)
-    best = [INF] * n
-    cur = [0] * n
-    placed = [False] * n
-    # adjacency bits of each vertex toward already placed positions
-    adjbits = [0] * n
-
-    def descend(pos: int):
-        if pos == n:
-            best[:] = cur
-            return
-        cands = []
-        classes = 0
-        for v in blocks[block_at_pos[pos]]:
-            if not placed[v] and not (classes >> twin[v]) & 1:
-                classes |= 1 << twin[v]
-                cands.append(v)
-        cands.sort(key=adjbits.__getitem__)
-        bit = 1 << pos
-        for v in cands:
-            chunk = adjbits[v]
-            if chunk > best[pos]:
-                break
-            if chunk < best[pos]:
-                best[pos] = chunk
-                for k in range(pos + 1, n):
-                    best[k] = INF
-            cur[pos] = chunk
-            placed[v] = True
-            touched = [w for w in nbrs[v] if not placed[w]]
-            for w in touched:
-                adjbits[w] |= bit
-            descend(pos + 1)
-            for w in touched:
-                adjbits[w] ^= bit
-            placed[v] = False
-
-    descend(0)
-    acc = 0
-    shift = 0
-    for pos, chunk in enumerate(best):
-        acc |= chunk << shift
-        shift += pos
-    nbytes = max(1, (shift + 7) // 8)
-    return bytes([n]) + acc.to_bytes(nbytes, "little")
-
-
 def parse_edge_text(text: str, n: int | None = None) -> SmallGraph:
     """Build a graph from ``u-v`` pairs separated by spaces or commas.
 
@@ -291,80 +182,6 @@ def _switched(g: SmallGraph, a: int, b: int, c: int, d: int) -> SmallGraph:
     return SmallGraph._from_rows(g.n, rows)
 
 
-def _switch_neighbors(g: SmallGraph) -> list[SmallGraph]:
-    """All graphs one valid 2-switch away, in a fixed order, deduplicated."""
-    rows = g.rows
-    edges = g.edges()
-    out = []
-    seen = set()
-    for i in range(len(edges)):
-        a, b = edges[i]
-        for j in range(i + 1, len(edges)):
-            c, d = edges[j]
-            if c == a or c == b or d == a or d == b:
-                continue
-            if not ((rows[a] >> c) & 1) and not ((rows[b] >> d) & 1):
-                h = _switched(g, a, b, c, d)
-                if h.rows not in seen:
-                    seen.add(h.rows)
-                    out.append(h)
-            if not ((rows[a] >> d) & 1) and not ((rows[b] >> c) & 1):
-                h = _switched(g, a, b, d, c)
-                if h.rows not in seen:
-                    seen.add(h.rows)
-                    out.append(h)
-    return out
-
-
-class ClassCapError(LimitError):
-    """``enumerate_realizations`` met more classes than its cap;
-    ``classes`` is how many it had yielded."""
-
-    def __init__(self, message: str, classes: int):
-        super().__init__(message)
-        self.classes = classes
-
-
-def enumerate_realizations(seq, limit: int = DEFAULT_VERTEX_LIMIT,
-                           max_classes: int | None = None,
-                           order_seed: int | None = None):
-    """One representative per isomorphism class of realizations.
-
-    Breadth-first closure of the greedy realization under 2-switches,
-    deduplicated by canonical form. Classes are yielded in discovery
-    order: the greedy start first, then each neighbour as soon as its
-    key turns out to be new, so the queue holds classes already yielded
-    but not yet expanded. A caller that stops early has keyed only the
-    neighbours scanned before it stopped; the start itself is keyed
-    when expansion begins. ``order_seed`` shuffles expansion order (the
-    class set must not depend on it). ``max_classes`` is a guard: the
-    generator yields that many classes, and on finding one more raises
-    ``ClassCapError``, which carries the count.
-    """
-    seq = DegreeSequence(seq)
-    g = havel_hakimi_realize(seq)  # ContractError when not graphical
-    if seq.n > limit:
-        raise LimitError(f"realization search limited to {limit} vertices (got {seq.n})")
-    rng = Random(order_seed) if order_seed is not None else None
-    yield g
-    seen = {canonical_form(g, limit)}
-    queue = deque([g])
-    while queue:
-        nbrs = _switch_neighbors(queue.popleft())
-        if rng is not None:
-            rng.shuffle(nbrs)
-        for h in nbrs:
-            key = canonical_form(h, limit)
-            if key not in seen:
-                if max_classes is not None and len(seen) >= max_classes:
-                    raise ClassCapError(
-                        f"realization classes exceed cap {max_classes}",
-                        len(seen))
-                seen.add(key)
-                queue.append(h)
-                yield h
-
-
 @lru_cache(maxsize=None)
 def gray_code_degree_map(n: int) -> dict[tuple[int, ...], bool]:
     """Visit every labeled graph on n vertices once.
@@ -429,6 +246,18 @@ def brute_embedding_exists(host: SmallGraph, pattern: SmallGraph) -> bool:
     return False
 
 
+def brute_isomorphic(a: SmallGraph, b: SmallGraph) -> bool:
+    """Isomorphism test by trying every vertex permutation."""
+    if a.n != b.n or a.edge_count != b.edge_count:
+        return False
+    eb = set(b.edges())
+    for perm in permutations(range(a.n)):
+        if all((min(perm[u], perm[v]), max(perm[u], perm[v])) in eb
+               for u, v in a.edges()):
+            return True
+    return False
+
+
 def random_graph(n: int, p: float, rng: Random) -> SmallGraph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if rng.random() < p]
@@ -467,63 +296,6 @@ def is_graphical_quadratic(seq) -> bool:
         if prefix > k * (k - 1) + sum(min(x, k) for x in d[k:]):
             return False
     return True
-
-
-def eager_realizations(seq, order_seed=None):
-    """Realization classes by the breadth-first closure that keys every
-    2-switch neighbour of a class before it yields the next class.
-
-    It uses the library's canonical form and neighbour order, so it
-    pins the order in which classes are yielded; the labeled census
-    tests check the class set itself."""
-    rng = Random(order_seed) if order_seed is not None else None
-    g = havel_hakimi_realize(seq)
-    seen = {canonical_form(g)}
-    queue = deque()
-    while True:
-        yield g
-        nbrs = _switch_neighbors(g)
-        if rng is not None:
-            rng.shuffle(nbrs)
-        for h in nbrs:
-            key = canonical_form(h)
-            if key not in seen:
-                seen.add(key)
-                queue.append(h)
-        if not queue:
-            return
-        g = queue.popleft()
-
-
-class ClassSearchResult(NamedTuple):
-    """Outcome of ``search_potentially``: a False verdict is
-    authoritative only when ``exhausted`` is set."""
-
-    verdict: bool
-    witness: SmallGraph | None
-    embedding: tuple[int, ...] | None
-    explored: int
-    exhausted: bool
-
-
-def search_potentially(seq, target, limit=12, budget=None, order_seed=None):
-    """Does some realization contain the target? Decided by walking the
-    realization classes and stopping at the first witness.
-
-    ``explored`` counts classes; ``budget`` caps them, and a search cut
-    short that way returns a non-authoritative negative."""
-    seq = DegreeSequence(seq)
-    if seq.n < target.m:
-        return ClassSearchResult(False, None, None, 0, True)
-    explored = 0
-    for g in enumerate_realizations(seq, limit=limit, order_seed=order_seed):
-        if budget is not None and explored >= budget:
-            return ClassSearchResult(False, None, None, explored, False)
-        explored += 1
-        emb = find_embedding(g, target)
-        if emb is not None:
-            return ClassSearchResult(True, g, emb, explored, False)
-    return ClassSearchResult(False, None, None, explored, True)
 
 
 def greedy_realization_by_scan(seq) -> SmallGraph:

@@ -3,16 +3,17 @@ from __future__ import annotations
 import re
 
 import pytest
-from helpers import (canonical_form, encode_graph6_by_bits,
-                     enumerate_realizations, find_embedding,
+from ffactor import potentially
+from helpers import (encode_graph6_by_bits, find_embedding,
                      graphical_sequences_by_filter, is_graphical_quadratic,
-                     nonincreasing_tuples, sigma_by_full_sweep,
-                     uplifts_by_positions)
+                     labeled_realizations, nonincreasing_tuples,
+                     sigma_by_full_sweep, uplifts_by_positions)
 
 import kmc4.realizations
 from kmc4 import (InputError, LimitError, SmallGraph, complete_graph,
                   decode_graph6, degree_sequence_of, empty_graph,
-                  extremal_witness, join, km_minus_c4, sigma_exact,
+                  extremal_witness, graphical_sequences_with_sum,
+                  is_potentially, join, km_minus_c4, sigma_exact,
                   sigma_lower_bound, verify_conjecture, verify_theorem1)
 from kmc4.extremal import _clique_covers_edges, _uplifts
 from kmc4.realizations import _decide_sequence
@@ -85,8 +86,7 @@ class TestExtremalWitness:
         g, seq = extremal_witness(5, 8)
         assert seq == (7, 7) + (2,) * 6
         assert degree_sequence_of(g) == seq
-        assert canonical_form(g) == canonical_form(
-            join(complete_graph(2), empty_graph(6)))
+        assert g == join(complete_graph(2), empty_graph(6))
 
     def test_sum_two_below_bound(self):
         for m in range(4, 8):
@@ -117,11 +117,13 @@ class TestVerifyTheorem1:
                 assert report.passed, (m, n)
 
     def test_classes_match_the_class_walk(self):
+        # one class because one labeled realization, by brute force; the
+        # 2-switch class walk the name recalls is retired
         for m in range(4, 10):
             for n in range(m, 10):
                 report = verify_theorem1(m, n)
-                walked = sum(1 for _ in enumerate_realizations(report.sequence))
-                assert report.realization_classes == walked == 1, (m, n)
+                labeled = sum(1 for _ in labeled_realizations(report.sequence))
+                assert report.realization_classes == labeled == 1, (m, n)
 
     def test_every_point_up_to_the_bitmask_width(self):
         # nothing is searched, so no enumeration limit applies; 64
@@ -259,6 +261,38 @@ class TestSweepByInduction:
         assert report.verdict == "matches"
         assert report.extremal_sequences == want_extremal
         assert want_extremal == (extremal_witness(m, n)[1],)
+
+
+class TestAgainstTheFFactorOracle:
+    """Thresholds checked by ``ffactor``, which shares no code with kmc4
+    and runs no sweep."""
+
+    @pytest.mark.parametrize("m,n,failing", [
+        (m, n, seq) for (m, n), (_, failures)
+        in sorted(TABLE_PAST_LIMIT.items()) for seq in failures]
+        + [(10, 18, (12,) * 18)])
+    def test_failing_sequence_past_the_limit(self, m, n, failing):
+        # (12^18) is the one failing sequence of sigma(10, 18) = 218
+        assert len(failing) == n
+        assert not potentially(failing, m)
+
+    @pytest.mark.parametrize("m,n,exact", [(7, 10, 64), (8, 12, 100)])
+    def test_both_threshold_levels(self, m, n, exact):
+        # every sequence on the levels exact - 2 and exact: the oracle
+        # agrees with the decision, fails some on the lower level, and
+        # passes the whole upper one
+        target = km_minus_c4(m)
+        failing = {}
+        for level in (exact - 2, exact):
+            failing[level] = []
+            for seq in graphical_sequences_with_sum(n, level):
+                verdict = potentially(seq, m)
+                assert is_potentially(seq, target).verdict == verdict, seq
+                if not verdict:
+                    failing[level].append(seq)
+        assert failing[exact - 2] and not failing[exact]
+        if (m, n) in TABLE_M7_M8:
+            assert tuple(failing[exact - 2]) == TABLE_M7_M8[(m, n)][1]
 
 
 class TestSweepSkipsWhatDegreesRuleOut:

@@ -18,10 +18,11 @@ from itertools import combinations
 from random import Random
 
 import pytest
-from helpers import (brute_embedding_exists, eager_realizations,
-                     embedding_is_valid, find_embedding,
-                     is_graphical_quadratic, kleitman_wang_residual,
-                     labeled_realizations, nonincreasing_tuples, two_switch)
+from ffactor import has_k4_realization
+from helpers import (brute_embedding_exists, embedding_is_valid,
+                     find_embedding, is_graphical_quadratic,
+                     kleitman_wang_residual, labeled_realizations,
+                     nonincreasing_tuples, two_switch)
 
 import kmc4.extremal
 import kmc4.graphs
@@ -533,13 +534,14 @@ def main_case_sequences(n_max):
 
 class TestK4OnTop:
     def test_exact_against_the_class_walk(self):
+        # against the f-factor oracle's K4 mode, which replaced the
+        # 2-switch class walk this test is named for
         count = 0
         missing = []
         for seq in main_case_sequences(9):
             count += 1
             g = _k4_on_top(seq)
-            exists = any(has_k4(h) for h in eager_realizations(seq))
-            assert (g is not None) == exists, seq
+            assert (g is not None) == has_k4_realization(seq), seq
             if g is None:
                 missing.append(tuple(seq))
             else:
@@ -566,6 +568,7 @@ class TestK4OnTop:
         assert set(missing) == set(kmc4.proof_replay._EXCEPTIONAL_CASES)
         for seq in missing:
             assert not any(has_k4(g) for g in labeled_realizations(seq)), seq
+            assert not has_k4_realization(seq), seq
 
 
 class TestDegreeCondition:

@@ -1,25 +1,22 @@
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from itertools import combinations, permutations
 from random import Random
 
 import pytest
-import helpers
-from helpers import (canonical_form, cycle_graph, eager_realizations,
-                     embedding_is_valid, encode_graph6_by_bits,
-                     enumerate_graphical_sequences,
-                     enumerate_realizations, gray_code_degree_map,
-                     find_embedding, greedy_realization_by_scan,
-                     pairing_decision, random_graph, relabel,
-                     row_by_row_placement, search_potentially, top_layouts,
+from ffactor import potentially
+from helpers import (brute_isomorphic, embedding_is_valid,
+                     encode_graph6_by_bits, enumerate_graphical_sequences,
+                     find_embedding, gray_code_degree_map,
+                     greedy_realization_by_scan, pairing_decision,
+                     random_graph, relabel, row_by_row_placement, top_layouts,
                      two_switch)
 
 import kmc4.cli
 import kmc4.realizations
-from kmc4 import (ContractError, DegreeSequence, LimitError, SmallGraph,
+from kmc4 import (ContractError, DegreeSequence, SmallGraph,
                   TargetPattern, WitnessResult, complete_graph,
                   degree_sequence_of, empty_graph, encode_graph6,
                   extremal_witness, havel_hakimi_realize, is_potentially,
@@ -63,17 +60,16 @@ def two_k4_matching() -> SmallGraph:
 class TestHavelHakimi:
     def test_bowtie_sequence(self):
         g = havel_hakimi_realize((4, 2, 2, 2, 2))
-        assert canonical_form(g) == canonical_form(BOWTIE.pattern)
+        assert brute_isomorphic(g, BOWTIE.pattern)
 
     def test_two_triangles(self):
         g = havel_hakimi_realize((2,) * 6)
         want = SmallGraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
-        assert canonical_form(g) == canonical_form(want)
+        assert g == want
 
     def test_double_hub(self):
         g = havel_hakimi_realize((5, 5, 2, 2, 2, 2))
-        want = join(complete_graph(2), empty_graph(4))
-        assert canonical_form(g) == canonical_form(want)
+        assert g == join(complete_graph(2), empty_graph(4))
 
     def test_vertex_i_gets_degree_i(self):
         rng = Random(31)
@@ -199,60 +195,6 @@ class TestTwoSwitch:
             two_switch(g, 0, 1, 2, 4)
 
 
-class TestEnumerateRealizations:
-    def test_two_regular_six_classes(self):
-        got = {canonical_form(g) for g in enumerate_realizations((2,) * 6)}
-        two_triangles = SmallGraph(6, [(0, 1), (1, 2), (2, 0),
-                                       (3, 4), (4, 5), (5, 3)])
-        assert got == {canonical_form(cycle_graph(6)),
-                       canonical_form(two_triangles)}
-
-    def test_first_yield_is_greedy_realization(self):
-        seq = (4, 4, 3, 3, 2, 2)
-        first = next(enumerate_realizations(seq))
-        assert first == havel_hakimi_realize(seq)
-
-    def test_all_yields_realize_and_are_distinct(self):
-        seq = (4, 4, 3, 3, 2, 2)
-        seen = set()
-        for g in enumerate_realizations(seq):
-            assert degree_sequence_of(g) == DegreeSequence(seq)
-            key = canonical_form(g)
-            assert key not in seen
-            seen.add(key)
-        assert len(seen) >= 2
-
-    def test_class_set_independent_of_seed(self):
-        seq = (4, 3, 3, 2, 2, 2)
-        base = {canonical_form(g) for g in enumerate_realizations(seq)}
-        for seed in (1, 2, 3):
-            shuffled = {canonical_form(g)
-                        for g in enumerate_realizations(seq, order_seed=seed)}
-            assert shuffled == base
-
-    def test_rejects_non_graphical(self):
-        with pytest.raises(ContractError):
-            list(enumerate_realizations((3, 3, 1, 1)))
-
-    def test_vertex_limit(self):
-        with pytest.raises(LimitError):
-            list(enumerate_realizations((1, 1) * 7, limit=12))
-
-    def test_max_classes_guard_carries_partial_count(self):
-        with pytest.raises(LimitError) as exc:
-            list(enumerate_realizations((3,) * 6, max_classes=1))
-        assert exc.value.classes == 1
-
-    @pytest.mark.parametrize("n", [4, 5, 6])
-    def test_space_complete_against_labeled_census(self, n):
-        # of all sorted degree tuples over every labeled n-vertex graph,
-        # each must be fully covered: some realization in the enumerated
-        # space has a bowtie exactly when some labeled graph does
-        for seq, has in gray_code_degree_map(n).items():
-            res = is_potentially(seq, BOWTIE)
-            assert res.verdict == has, seq
-
-
 class TestIsPotentially:
     def test_witness_and_embedding_are_consistent(self):
         res = is_potentially((4, 2, 2, 2, 2), BOWTIE)
@@ -261,6 +203,17 @@ class TestIsPotentially:
         assert len(set(res.embedding)) == 5
         for a, b in BOWTIE.pattern.edges():
             assert res.witness.has_edge(res.embedding[a], res.embedding[b])
+        res = is_potentially((5, 4, 4, 3, 3, 3, 2, 2, 2), BOWTIE)
+        assert res.verdict and res.explored == 1
+        assert embedding_is_valid(res.witness, BOWTIE, res.embedding)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_bowtie_against_labeled_census(self, n):
+        # some realization has a bowtie exactly when some labeled graph
+        # with those sorted degrees does
+        for seq, has in gray_code_degree_map(n).items():
+            res = is_potentially(seq, BOWTIE)
+            assert res.verdict == has, seq
 
     def test_too_few_terms_is_authoritative_no(self):
         res = is_potentially((3, 3, 3, 3), BOWTIE)
@@ -318,13 +271,16 @@ class TestIsPotentially:
 
 class TestExactDecision:
     @pytest.mark.parametrize("m,n", [(m, n) for m in range(4, 8)
-                                     for n in range(m, 8)] + [(4, 8), (5, 8)])
+                                     for n in range(m, 8)]
+                             + [(4, 8), (5, 8), (5, 9)])
     def test_agrees_with_class_search(self, capsys, m, n):
-        # and the JSON report marks exactly the negatives exhausted
+        # against the f-factor oracle, which replaced the 2-switch class
+        # walk this test is named for; and the JSON report marks exactly
+        # the negatives exhausted
         target = km_minus_c4(m)
         for seq in enumerate_graphical_sequences(n):
             res = is_potentially(seq, target)
-            assert res.verdict == search_potentially(seq, target).verdict, seq
+            assert res.verdict == potentially(seq, m), seq
             assert report_under_budget(capsys, seq, m, None) == \
                 (res.verdict, res.explored), seq
             assert res.explored <= 3
@@ -409,7 +365,7 @@ class TestExactDecision:
         target = km_minus_c4(m)
         for n in range(m, 8):
             for seq in enumerate_graphical_sequences(n):
-                want = search_potentially(seq, target).verdict
+                want = potentially(seq, m)
                 for seed in (1, 2, 3):
                     with monkeypatch.context() as mp:
                         shuffle_pairings(mp, seed)
@@ -677,133 +633,18 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
-# Search traces recorded at commit 9e31535, when the start realization was
-# keyed before it was yielded. Keys: (sequence, order_seed). Short runs keep
-# the graph6 of every yielded class in order; long runs keep the class
-# count and the first 16 hex digits of the SHA-256 of the space-joined list.
-FROZEN_ORDER = {
-    ((3,) * 6, None): ["EuWw", "E]ow"],
-    ((3,) * 6, 7): ["EuWw", "Es\\o"],
-    ((2,) * 7, 1): ["FoCZ?", "FoCi_"],
-    ((4, 3, 3, 2, 2, 2), None): ["E|`G", "E\\r?", "EzaG", "Etp_"],
-    ((4, 3, 3, 2, 2, 2), 1): ["E|`G", "Etp_", "E\\r?", "E{d_"],
-    ((4, 3, 3, 2, 2, 2), 7): ["E|`G", "Elj?", "E{d_", "Etp_"],
-}
-FROZEN_DIGEST = {
-    ((4, 4, 3, 3, 3, 3, 2, 2), None): (117, "12dcc5f694273d3a"),
-    ((4, 4, 3, 3, 3, 3, 2, 2), 7): (117, "9003fd808ee2b54d"),
-    ((3, 3, 3, 3, 2, 2, 2, 2), 1): (28, "4dba5951e9f256f6"),
-}
-# (sequence, m, budget, order_seed) -> (verdict, explored, exhausted, witness)
-FROZEN_POTENTIAL = [
-    ((4, 4, 3, 3, 3, 3, 2, 2), 5, None, None, (True, 7, False, "GmbHP_")),
-    ((4, 4, 3, 3, 3, 3, 2, 2), 5, None, 3, (True, 3, False, "G}HG[_")),
-    ((4, 4, 3, 3, 3, 3, 2, 2), 5, 2, None, (False, 2, False, None)),
-    ((4, 4, 3, 3, 3, 3, 2, 2), 6, None, None, (False, 117, True, None)),
-    ((3, 3, 3, 3, 2, 2, 2, 2), 5, None, 3, (False, 28, True, None)),
-    ((3,) * 6, 5, 1, None, (False, 1, False, None)),
-    ((3,) * 6, 5, 2, 3, (False, 2, True, None)),
-]
-
-
-class TestLazyStartKey:
-    def test_first_realization_needs_no_canonical_form(self, monkeypatch):
-        calls = count_calls(monkeypatch, helpers, "canonical_form")
-        first = next(enumerate_realizations((4, 4, 3, 3, 3, 3, 2, 2)))
-        assert first == havel_hakimi_realize((4, 4, 3, 3, 3, 3, 2, 2))
-        assert calls == []
-
-    def test_first_class_positive_needs_no_canonical_form(self):
-        # the library has no canonical form to key a class with
-        assert not hasattr(kmc4.realizations, "canonical_form")
-        res = is_potentially((5, 4, 4, 3, 3, 3, 2, 2, 2), BOWTIE)
-        assert res.verdict and res.explored == 1
-
-    def test_expansion_keys_the_start_once(self, monkeypatch):
-        calls = count_calls(monkeypatch, helpers, "canonical_form")
-        gen = enumerate_realizations((3,) * 6)
-        start = next(gen)
-        next(gen)
-        assert calls[0][0] == start
-        assert sum(1 for args in calls if args[0] == start) == 1
-
-    @pytest.mark.parametrize("seq,seed", sorted(FROZEN_ORDER, key=repr))
-    def test_frozen_class_order(self, seq, seed):
-        got = [encode_graph6(g)
-               for g in enumerate_realizations(seq, order_seed=seed)]
-        assert got == FROZEN_ORDER[(seq, seed)]
-
-    @pytest.mark.parametrize("seq,seed", sorted(FROZEN_DIGEST, key=repr))
-    def test_frozen_class_digest(self, seq, seed):
-        got = [encode_graph6(g)
-               for g in enumerate_realizations(seq, order_seed=seed)]
-        digest = hashlib.sha256(" ".join(got).encode()).hexdigest()[:16]
-        assert (len(got), digest) == FROZEN_DIGEST[(seq, seed)]
-
-    @pytest.mark.parametrize("seq,m,budget,seed,want", FROZEN_POTENTIAL)
-    def test_frozen_potential_results(self, seq, m, budget, seed, want):
-        res = search_potentially(seq, km_minus_c4(m), budget=budget,
-                                 order_seed=seed)
-        witness = encode_graph6(res.witness) if res.witness else None
-        assert (res.verdict, res.explored, res.exhausted, witness) == want
-
-    def test_max_classes_counts_the_start(self):
-        assert len(list(enumerate_realizations((3,) * 6, max_classes=2))) == 2
-        with pytest.raises(LimitError) as exc:
-            list(enumerate_realizations((4, 3, 3, 2, 2, 2), max_classes=3))
-        assert exc.value.classes == 3
-
-
-class TestLazyDiscovery:
-    @pytest.mark.parametrize("seed", [None, 3])
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
-    def test_same_order_as_eager_search(self, n, seed):
-        for seq in enumerate_graphical_sequences(n):
-            got = [encode_graph6(g)
-                   for g in enumerate_realizations(seq, order_seed=seed)]
-            want = [encode_graph6(g)
-                    for g in eager_realizations(seq, order_seed=seed)]
-            assert got == want, seq
-
-    # (sequence, m, budget) -> canonical forms computed by the class search;
-    # a search that keyed every neighbour before yielding made 242, 85,
-    # 13 and 4,661.
-    @pytest.mark.parametrize("seq,m,budget,want", [
-        ((4, 4, 3, 3, 3, 3, 2, 2), 5, None, 8),
-        ((4, 4, 3, 3, 3, 3, 2, 2), 5, 2, 3),
-        ((3,) * 6, 5, 1, 2),
-        ((4, 4, 3, 3, 3, 3, 2, 2), 6, None, 4661),
-    ])
-    def test_keys_only_what_the_caller_reaches(self, monkeypatch, seq, m,
-                                               budget, want):
-        calls = count_calls(monkeypatch, helpers, "canonical_form")
-        search_potentially(seq, km_minus_c4(m), budget=budget)
-        assert len(calls) == want
-
-    @pytest.mark.parametrize("seq,cap", [
-        ((3,) * 6, 1), ((4, 3, 3, 2, 2, 2), 3), ((4, 4, 3, 3, 3, 3, 2, 2), 50)])
-    def test_max_classes_yields_the_cap_then_raises(self, seq, cap):
-        gen = enumerate_realizations(seq, max_classes=cap)
-        got = [next(gen) for _ in range(cap)]
-        assert len({canonical_form(g) for g in got}) == cap
-        with pytest.raises(LimitError) as exc:
-            next(gen)
-        assert exc.value.classes == cap
-
-
 class TestGraphicalityCheckedOnce:
     NOT_GRAPHICAL = re.escape("sequence (3, 3, 1, 1) is not graphical")
 
     @pytest.mark.parametrize("run", [
         lambda: havel_hakimi_realize((4, 4, 3, 3, 2, 2)),
-        lambda: list(enumerate_realizations((4, 4, 3, 3, 2, 2))),
+        lambda: is_potentially((4, 4, 3, 3, 2, 2), km_minus_c4(5)),
         lambda: is_potentially((4, 4, 3, 3, 2, 2), km_minus_c4(6)),
     ])
     def test_library_entry_points(self, monkeypatch, run):
         calls = count_calls(monkeypatch, kmc4.realizations, "is_graphical")
-        in_oracle = count_calls(monkeypatch, helpers, "is_graphical")
         run()
-        assert len(calls) + len(in_oracle) == 1
+        assert len(calls) == 1
 
     def test_cli_realize(self, monkeypatch, capsys):
         in_library = count_calls(monkeypatch, kmc4.realizations, "is_graphical")
@@ -814,8 +655,8 @@ class TestGraphicalityCheckedOnce:
 
     @pytest.mark.parametrize("run", [
         lambda: havel_hakimi_realize((3, 3, 1, 1)),
-        lambda: next(enumerate_realizations((3, 3, 1, 1))),
         lambda: is_potentially((3, 3, 1, 1), km_minus_c4(4)),
+        lambda: is_potentially((3, 3, 1, 1), km_minus_c4(5)),
     ])
     def test_library_errors_unchanged(self, run):
         with pytest.raises(ContractError, match=self.NOT_GRAPHICAL):

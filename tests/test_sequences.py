@@ -3,16 +3,17 @@ from __future__ import annotations
 import copy
 import pickle
 import re
+from itertools import islice
 
 import pytest
-from helpers import (_switch_neighbors, enumerate_graphical_sequences,
+from helpers import (enumerate_graphical_sequences,
                      graphical_sequences_by_filter, gray_code_degree_map,
-                     is_graphical_quadratic, nonincreasing_tuples)
+                     is_graphical_quadratic, labeled_realizations,
+                     nonincreasing_tuples)
 
 import kmc4.sequences
 from kmc4 import (DegreeSequence, InputError, LimitError,
-                  graphical_sequences_with_sum, havel_hakimi_realize,
-                  is_graphical)
+                  graphical_sequences_with_sum, is_graphical)
 from kmc4.sequences import _is_threshold
 
 
@@ -156,13 +157,13 @@ class TestIsGraphical:
 
 class TestIsThreshold:
     def test_unique_realization_exactly_when_no_switch(self):
-        # A sequence has one labeled realization exactly when its greedy
-        # realization admits no 2-switch.
+        # A sequence is a threshold sequence exactly when it has one
+        # labeled realization; they are counted by brute force, up to two.
         checked = 0
         threshold = 0
         for n in range(1, 10):
             for seq in enumerate_graphical_sequences(n):
-                unique = not _switch_neighbors(havel_hakimi_realize(seq))
+                unique = len(list(islice(labeled_realizations(seq), 2))) == 1
                 assert _is_threshold(seq) == unique, seq
                 checked += 1
                 threshold += unique
