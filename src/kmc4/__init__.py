@@ -14,9 +14,9 @@ from .errors import (ContractError, Graph6Error, InputError, LimitError,
 from .extremal import (SigmaReport, Theorem1Report, extremal_witness,
                        sigma_exact, sigma_lower_bound, verify_conjecture,
                        verify_theorem1)
-from .graphs import (SmallGraph, TargetPattern, complete_graph,
-                     decode_graph6, degree_sequence_of, empty_graph,
-                     encode_graph6, join, km_minus_c4)
+from .graphs import (SmallGraph, complete_graph, decode_graph6,
+                     degree_sequence_of, empty_graph, encode_graph6, join,
+                     km_minus_c4)
 from .realizations import WitnessResult, havel_hakimi_realize, is_potentially
 from .sequences import (DEFAULT_VERTEX_LIMIT, DegreeSequence,
                         graphical_sequences_with_sum, is_graphical)
@@ -58,7 +58,6 @@ __all__ = [
     "ReplayError",
     "SigmaReport",
     "SmallGraph",
-    "TargetPattern",
     "Theorem1Report",
     "Theorem2RangeReport",
     "WitnessResult",

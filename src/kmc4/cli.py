@@ -16,7 +16,6 @@ import argparse
 import functools
 import json
 import sys
-from typing import NamedTuple
 
 from .errors import (ContractError, Graph6Error, InputError, LimitError,
                      ReplayError)
@@ -31,38 +30,28 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 
 
-class RunConfig(NamedTuple):
-    vertex_limit: int = DEFAULT_VERTEX_LIMIT
-    output_mode: str = "text"  # text | json
-    progress: object = None  # callable taking one message string, or None
-
-    @property
-    def json_output(self) -> bool:
-        return self.output_mode == "json"
-
-
 def _emit(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def cmd_graphical(args, cfg: RunConfig) -> int:
+def cmd_graphical(args) -> int:
     seq = DegreeSequence.from_text(args.sequence)
     ok = is_graphical(seq)
-    if cfg.json_output:
+    if args.json:
         _emit({"sequence": list(seq), "graphical": ok})
     else:
         print("graphical" if ok else "not graphical")
     return EXIT_PASS if ok else EXIT_FAIL
 
 
-def cmd_realize(args, cfg: RunConfig) -> int:
+def cmd_realize(args) -> int:
     seq = DegreeSequence.from_text(args.sequence)
     try:
         g = havel_hakimi_realize(seq)
     except ContractError:
         raise InputError(
             f"sequence {seq.to_text()} is not graphical") from None
-    if cfg.json_output:
+    if args.json:
         _emit({"sequence": list(seq), "graph6": encode_graph6(g),
                "edges": g.edge_count})
     else:
@@ -70,7 +59,7 @@ def cmd_realize(args, cfg: RunConfig) -> int:
     return EXIT_PASS
 
 
-def cmd_potential(args, cfg: RunConfig) -> int:
+def cmd_potential(args) -> int:
     seq = DegreeSequence.from_text(args.sequence)
     try:
         target = km_minus_c4(args.m)
@@ -83,7 +72,7 @@ def cmd_potential(args, cfg: RunConfig) -> int:
             raise
         raise InputError(
             f"sequence {seq.to_text()} is not graphical") from None
-    if cfg.json_output:
+    if args.json:
         _emit({
             "sequence": list(seq),
             "m": args.m,
@@ -100,22 +89,22 @@ def cmd_potential(args, cfg: RunConfig) -> int:
     return EXIT_PASS if res.verdict else EXIT_FAIL
 
 
-def cmd_sigma(args, cfg: RunConfig) -> int:
+def cmd_sigma(args) -> int:
     # This subcommand is a report generator; it always emits JSON.
     bound = sigma_lower_bound(args.m, args.n)
     if args.bound:
         _emit(SigmaReport(m=args.m, n=args.n, lower_bound=bound,
                           exact=None, verdict="not_computed").to_json_dict())
         return EXIT_PASS
-    report = sigma_exact(args.m, args.n, limit=cfg.vertex_limit,
-                         progress=cfg.progress)
+    report = sigma_exact(args.m, args.n, limit=args.limit,
+                         progress=args.progress)
     _emit(report.to_json_dict())
     return EXIT_PASS if report.verdict == "matches" else EXIT_FAIL
 
 
-def cmd_witness(args, cfg: RunConfig) -> int:
+def cmd_witness(args) -> int:
     g, seq = extremal_witness(args.m, args.n)
-    if cfg.json_output:
+    if args.json:
         _emit({
             "m": args.m,
             "n": args.n,
@@ -129,12 +118,12 @@ def cmd_witness(args, cfg: RunConfig) -> int:
     return EXIT_PASS
 
 
-def cmd_replay(args, cfg: RunConfig) -> int:
+def cmd_replay(args) -> int:
     from .proof_replay import replay_theorem2
 
     seq = DegreeSequence.from_text(args.sequence)
     trace = replay_theorem2(seq)
-    if cfg.json_output:
+    if args.json:
         for line in trace.to_json_lines():
             print(line)
     else:
@@ -142,7 +131,7 @@ def cmd_replay(args, cfg: RunConfig) -> int:
     return EXIT_PASS
 
 
-def cmd_verify_theorem1(args, cfg: RunConfig) -> int:
+def cmd_verify_theorem1(args) -> int:
     if args.n_max < 4:
         raise InputError(f"need --n-max >= 4, got {args.n_max}")
     if args.m is not None and args.m < 4:
@@ -152,12 +141,12 @@ def cmd_verify_theorem1(args, cfg: RunConfig) -> int:
     for m in ms:
         for n in range(m, args.n_max + 1):
             reports.append(verify_theorem1(m, n))
-            if cfg.progress is not None:
-                cfg.progress(f"checked lower bound at m={m} n={n}")
+            if args.progress is not None:
+                args.progress(f"checked lower bound at m={m} n={n}")
     if not reports:
         raise InputError(f"empty grid: no n in [{args.m}, {args.n_max}]")
     passed = all(r.passed for r in reports)
-    if cfg.json_output:
+    if args.json:
         _emit({"reports": [r.to_json_dict() for r in reports],
                "passed": passed})
     else:
@@ -170,12 +159,12 @@ def cmd_verify_theorem1(args, cfg: RunConfig) -> int:
     return EXIT_PASS if passed else EXIT_FAIL
 
 
-def cmd_verify_theorem2(args, cfg: RunConfig) -> int:
+def cmd_verify_theorem2(args) -> int:
     from .proof_replay import verify_theorem2_range
 
-    report = verify_theorem2_range(args.n_max, limit=cfg.vertex_limit,
-                                   progress=cfg.progress)
-    if cfg.json_output:
+    report = verify_theorem2_range(args.n_max, limit=args.limit,
+                                   progress=args.progress)
+    if args.json:
         _emit(report.to_json_dict())
     else:
         for e in report.entries:
@@ -187,16 +176,14 @@ def cmd_verify_theorem2(args, cfg: RunConfig) -> int:
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
-def cmd_verify_conjecture(args, cfg: RunConfig) -> int:
-    if args.m is None:
-        raise InputError("verify conjecture needs --m")
+def cmd_verify_conjecture(args) -> int:
     reports = verify_conjecture(args.m, (args.m, args.n_max),
-                                limit=cfg.vertex_limit,
-                                progress=cfg.progress)
+                                limit=args.limit,
+                                progress=args.progress)
     if not reports:
         raise InputError(f"empty grid: no n in [{args.m}, {args.n_max}]")
     passed = all(r.verdict == "matches" for r in reports)
-    if cfg.json_output:
+    if args.json:
         _emit({"reports": [r.to_json_dict() for r in reports],
                "passed": passed})
     else:
@@ -207,12 +194,12 @@ def cmd_verify_conjecture(args, cfg: RunConfig) -> int:
     return EXIT_PASS if passed else EXIT_FAIL
 
 
-def cmd_verify_base_cases(args, cfg: RunConfig) -> int:
+def cmd_verify_base_cases(args) -> int:
     from .proof_replay import verify_base_cases
 
     family = tuple(args.family_n) if args.family_n else (8,)
     report = verify_base_cases(family)
-    if cfg.json_output:
+    if args.json:
         _emit(report.to_json_dict())
     else:
         for e in report.entries:
@@ -309,19 +296,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    progress = None
-    if args.progress:
-        def progress(msg):
-            print(msg, file=sys.stderr, flush=True)
+    # from here on, a callable taking one progress message, or None
+    args.progress = (functools.partial(print, file=sys.stderr, flush=True)
+                     if args.progress else None)
     if args.limit < 1:
         raise InputError(f"vertex limit must be at least 1, got {args.limit}")
     if args.budget is not None:
         print("kmc4: --budget is ignored; every verdict is exact",
               file=sys.stderr)
-    cfg = RunConfig(vertex_limit=args.limit,
-                    output_mode="json" if args.json else "text",
-                    progress=progress)
-    return args.func(args, cfg)
+    return args.func(args)
 
 
 def main(argv=None) -> int:

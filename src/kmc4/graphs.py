@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from binascii import b2a_base64
 from functools import cache, lru_cache
-from typing import NamedTuple
 
 from .errors import Graph6Error, InputError
 from .sequences import DegreeSequence
@@ -89,13 +88,6 @@ class SmallGraph:
         return f"SmallGraph({self.n}, {self.edges()})"
 
 
-class TargetPattern(NamedTuple):
-    """A fixed subgraph to hunt for inside realizations."""
-
-    m: int
-    pattern: SmallGraph
-
-
 def complete_graph(k: int) -> SmallGraph:
     if not isinstance(k, int) or k < 0:
         raise InputError(f"order must be a nonnegative integer, got {k!r}")
@@ -119,12 +111,13 @@ def join(g1: SmallGraph, g2: SmallGraph) -> SmallGraph:
     return SmallGraph._from_rows(n, rows)
 
 
-def km_minus_c4(m: int) -> TargetPattern:
+def km_minus_c4(m: int) -> SmallGraph:
     """Complete graph on m vertices with the four edges of a 4-cycle removed.
 
     The cycle runs through vertices 0,1,2,3, so those keep only their
     diagonal partner plus everything outside the cycle. Isomorphic to the
     join of a complete graph on m-4 vertices with two independent edges.
+    The graph is built once per m, and every call returns that object.
     """
     if not isinstance(m, int) or m < 4:
         raise InputError(f"pattern needs m >= 4, got {m!r}")
@@ -132,13 +125,13 @@ def km_minus_c4(m: int) -> TargetPattern:
 
 
 @cache
-def _km_minus_c4(m: int) -> TargetPattern:
+def _km_minus_c4(m: int) -> SmallGraph:
     g = complete_graph(m)
     rows = list(g.rows)
     for u, v in ((0, 1), (1, 2), (2, 3), (3, 0)):
         rows[u] ^= 1 << v
         rows[v] ^= 1 << u
-    return TargetPattern(m, SmallGraph._from_rows(m, rows))
+    return SmallGraph._from_rows(m, rows)
 
 
 def degree_sequence_of(g: SmallGraph) -> DegreeSequence:
@@ -153,12 +146,9 @@ def degree_sequence_of(g: SmallGraph) -> DegreeSequence:
 # Embedding check
 # ----------------------------------------------------------------------
 
-def is_embedding(host: SmallGraph, pattern, emb) -> bool:
+def is_embedding(host: SmallGraph, pattern: SmallGraph, emb) -> bool:
     """Is emb (host vertex per pattern vertex) an injective map sending
-    every pattern edge onto a host edge? The pattern may be a SmallGraph
-    or a TargetPattern."""
-    if isinstance(pattern, TargetPattern):
-        pattern = pattern.pattern
+    every pattern edge onto a host edge?"""
     if len(emb) != pattern.n or len(set(emb)) != pattern.n:
         return False
     if emb and (min(emb) < 0 or max(emb) >= host.n):

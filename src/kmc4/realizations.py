@@ -51,7 +51,7 @@ from functools import cache
 from typing import NamedTuple
 
 from .errors import ContractError
-from .graphs import SmallGraph, TargetPattern, is_embedding, km_minus_c4
+from .graphs import SmallGraph, is_embedding, km_minus_c4
 from .sequences import DegreeSequence, _erdos_gallai, is_graphical
 
 
@@ -82,7 +82,7 @@ def havel_hakimi_realize(seq) -> SmallGraph:
     return _realize_around(seq, [0] * seq.n, 0)
 
 
-def is_potentially(seq, target: TargetPattern) -> WitnessResult:
+def is_potentially(seq, target: SmallGraph) -> WitnessResult:
     """Does some realization of seq contain the target F_m as a subgraph?
 
     A sequence that is not graphical raises ContractError, whatever its
@@ -93,13 +93,14 @@ def is_potentially(seq, target: TargetPattern) -> WitnessResult:
     degrees (module docstring); ``explored`` counts the pairings tried,
     at most 3, and every verdict is exact. A positive's witness is the
     placement that fit, checked edge by edge before it is returned. The
-    target must be ``km_minus_c4(m)``. The work is polynomial in the
+    target must be ``km_minus_c4(m)``, the SmallGraph F_m of order m;
+    anything else raises ContractError. The work is polynomial in the
     length, and no length is refused.
     """
-    m = target.m
-    if not (isinstance(m, int) and 4 <= m == target.pattern.n
-            and target.pattern == km_minus_c4(m).pattern):
-        raise ContractError(f"target is not K_m minus a 4-cycle (m={m!r})")
+    if not (isinstance(target, SmallGraph) and target.n >= 4
+            and target == km_minus_c4(target.n)):
+        raise ContractError("target is not K_m minus a 4-cycle")
+    m = target.n
     seq = DegreeSequence(seq)
     if not is_graphical(seq):
         raise ContractError(f"sequence {tuple(seq)} is not graphical")
@@ -324,7 +325,7 @@ def _realize_around(seq: DegreeSequence, rows: list[int],
     return SmallGraph._from_rows(n, rows)
 
 
-def _is_witness(seq: DegreeSequence, target: TargetPattern,
+def _is_witness(seq: DegreeSequence, target: SmallGraph,
                 g: SmallGraph, emb: tuple[int, ...]) -> bool:
     """Does g realize seq and carry every pattern edge under emb?"""
     return g.degrees() == tuple(seq) and is_embedding(g, target, emb)

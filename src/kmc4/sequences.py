@@ -32,9 +32,9 @@ class DegreeSequence(tuple):
 
     Construction sorts the values descending, so two sequences with the
     same multiset of degrees compare equal. Everything else is plain
-    tuple behaviour. A value that is already exactly of this type is
-    returned as it is, without sorting or checking it again, and a
-    pickled one is rebuilt the same way.
+    tuple behaviour, pickling and copying included. A value that is
+    already exactly of this type is returned as it is, without sorting
+    or checking it again.
     """
 
     __slots__ = ()
@@ -51,11 +51,6 @@ class DegreeSequence(tuple):
             if t < 0:
                 raise InputError(f"negative degree {t}")
         return tuple.__new__(cls, terms)
-
-    def __reduce__(self):
-        # Rebuild without sorting or checking again: the terms already are
-        # a valid sequence.
-        return tuple.__new__, (DegreeSequence, tuple(self))
 
     @property
     def n(self) -> int:

@@ -34,7 +34,7 @@ from random import Random
 
 from kmc4 import (DEFAULT_VERTEX_LIMIT, ContractError, DegreeSequence,
                   InputError, LimitError, SigmaReport,
-                  SmallGraph, TargetPattern, encode_graph6,
+                  SmallGraph, encode_graph6,
                   graphical_sequences_with_sum, havel_hakimi_realize,
                   is_graphical, sigma_lower_bound)
 from kmc4.graphs import _bits
@@ -59,11 +59,8 @@ def find_embedding(host: SmallGraph, pattern) -> tuple[int, ...] | None:
     Pattern vertices are placed in decreasing-degree order with degree
     feasibility pruning; host candidates are tried in ascending index, so
     the embedding found is deterministic. Returns a tuple indexed by
-    pattern vertex, or None. The pattern may be a SmallGraph or a
-    TargetPattern.
+    pattern vertex, or None.
     """
-    if isinstance(pattern, TargetPattern):
-        pattern = pattern.pattern
     pn, hn = pattern.n, host.n
     if pn > hn:
         return None
@@ -354,8 +351,6 @@ def find_embedding_unplanned(host: SmallGraph, pattern):
     the pattern's vertex order and neighbour lists worked out afresh on
     every call: pattern vertices by decreasing degree, host candidates
     by ascending index."""
-    if isinstance(pattern, TargetPattern):
-        pattern = pattern.pattern
     pn, hn = pattern.n, host.n
     if pn > hn:
         return None
@@ -447,8 +442,6 @@ def uplifts_by_positions(r, d: int) -> set[tuple[int, ...]]:
 def embedding_is_valid(host: SmallGraph, pattern, emb) -> bool:
     """Is emb an injective map into host's vertices under which every
     pattern edge is a host edge? Read straight off the bitmask rows."""
-    if isinstance(pattern, TargetPattern):
-        pattern = pattern.pattern
     if len(emb) != pattern.n or len(set(emb)) != len(emb):
         return False
     if any(not 0 <= v < host.n for v in emb):

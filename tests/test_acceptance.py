@@ -91,7 +91,7 @@ def test_acceptance_4_five_vertex_edge_census():
         if len(edges) < 7:
             continue
         g = SmallGraph(5, edges)
-        has = brute_embedding_exists(g, BOWTIE.pattern)
+        has = brute_embedding_exists(g, BOWTIE)
         if len(edges) >= 8 and not has:
             dense_bad.append(mask)
         if len(edges) == 7 and not has:
@@ -136,7 +136,7 @@ def test_acceptance_7_property_suites():
 
     # (b) embedding search vs brute-force injections
     rng = random.Random(1009)
-    patterns = [km_minus_c4(4).pattern, BOWTIE.pattern,
+    patterns = [km_minus_c4(4), BOWTIE,
                 SmallGraph(3, [(0, 1), (1, 2)])]
     for _ in range(150):
         host = random_graph(rng.randint(4, 7), rng.random(), rng)

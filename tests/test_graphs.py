@@ -11,9 +11,9 @@ from helpers import (brute_embedding_exists, brute_isomorphic, complement,
                      relabel)
 
 from kmc4 import (DegreeSequence, Graph6Error, InputError, SmallGraph,
-                  TargetPattern, complete_graph, decode_graph6,
-                  degree_sequence_of, empty_graph, encode_graph6,
-                  havel_hakimi_realize, join, km_minus_c4)
+                  complete_graph, decode_graph6, degree_sequence_of,
+                  empty_graph, encode_graph6, havel_hakimi_realize, join,
+                  km_minus_c4)
 from kmc4.graphs import is_embedding
 
 
@@ -115,43 +115,47 @@ class TestConstructors:
 class TestTargetPattern:
     def test_m4_is_two_independent_edges(self):
         t = km_minus_c4(4)
-        assert t.m == 4
-        assert t.pattern.edge_count == 2
-        assert degree_sequence_of(t.pattern) == (1, 1, 1, 1)
-        assert brute_isomorphic(t.pattern, two_independent_edges())
+        assert t.n == 4
+        assert t.edge_count == 2
+        assert degree_sequence_of(t) == (1, 1, 1, 1)
+        assert brute_isomorphic(t, two_independent_edges())
 
     def test_m5_is_bowtie(self):
         t = km_minus_c4(5)
-        assert degree_sequence_of(t.pattern) == (4, 2, 2, 2, 2)
-        assert t.pattern.edge_count == 6
+        assert t.n == 5
+        assert degree_sequence_of(t) == (4, 2, 2, 2, 2)
+        assert t.edge_count == 6
         # removing the cycle edges leaves the diagonals
-        assert not t.pattern.has_edge(0, 1)
-        assert t.pattern.has_edge(0, 2) and t.pattern.has_edge(1, 3)
+        assert not t.has_edge(0, 1)
+        assert t.has_edge(0, 2) and t.has_edge(1, 3)
 
     def test_m6_shape(self):
         t = km_minus_c4(6)
-        assert degree_sequence_of(t.pattern) == (5, 5, 3, 3, 3, 3)
-        assert t.pattern.edge_count == 11
+        assert t.n == 6
+        assert degree_sequence_of(t) == (5, 5, 3, 3, 3, 3)
+        assert t.edge_count == 11
 
     @pytest.mark.parametrize("m", [5, 6, 7])
     def test_join_characterization(self, m):
         built = join(complete_graph(m - 4), two_independent_edges())
-        assert brute_isomorphic(built, km_minus_c4(m).pattern)
+        assert brute_isomorphic(built, km_minus_c4(m))
 
     def test_rejects_small_m(self):
         with pytest.raises(InputError):
             km_minus_c4(3)
 
-    def test_is_dataclass_with_fields(self):
-        t = km_minus_c4(5)
-        assert isinstance(t, TargetPattern)
-        assert t.pattern.n == t.m
+    def test_is_the_same_graph_of_order_m_on_each_call(self):
+        for m in (4, 5, 9):
+            t = km_minus_c4(m)
+            assert type(t) is SmallGraph
+            assert t.n == m and t.edge_count == m * (m - 1) // 2 - 4
+            assert km_minus_c4(m) is t
 
 
 class TestFindEmbedding:
     def test_embedding_is_valid_when_found(self):
         rng = Random(11)
-        bow = km_minus_c4(5).pattern
+        bow = km_minus_c4(5)
         found = 0
         for _ in range(200):
             host = random_graph(7, rng.uniform(0.3, 0.9), rng)
@@ -183,7 +187,7 @@ class TestFindEmbedding:
 
     def test_contains_subgraph_matches(self):
         rng = Random(17)
-        bow = km_minus_c4(5).pattern
+        bow = km_minus_c4(5)
         for _ in range(80):
             host = random_graph(6, rng.uniform(0.3, 0.9), rng)
             assert contains_subgraph(host, bow) == (
@@ -213,7 +217,7 @@ class TestEmbeddingPlan:
         assert 200 < hits < 1900
 
     def test_patterns_of_one_order_keep_their_own_plans(self):
-        bow = km_minus_c4(5).pattern
+        bow = km_minus_c4(5)
         # the same bowtie with its centre moved, and a non-isomorphic
         # pattern with as many vertices and edges
         moved = relabel(bow, [1, 2, 3, 4, 0])

@@ -1,11 +1,14 @@
-"""The package surface: what ``import kmc4`` loads, and the result records.
+"""The package surface: what ``import kmc4`` loads, the result records,
+and the imports of each source module.
 
-The replay module is imported on the first use of one of its names, and
-every result record is a named tuple with fixed fields and defaults.
+The replay module is imported on the first use of one of its names,
+every result record is a named tuple with fixed fields and defaults, and
+no module imports a name it never uses.
 """
 
 from __future__ import annotations
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -13,10 +16,8 @@ from pathlib import Path
 import pytest
 
 import kmc4
-from kmc4 import (DEFAULT_VERTEX_LIMIT, BaseCaseReport, ProofStep, ProofTrace,
-                  SigmaReport, TargetPattern, Theorem1Report,
-                  Theorem2RangeReport, WitnessResult)
-from kmc4.cli import RunConfig
+from kmc4 import (BaseCaseReport, ProofStep, ProofTrace, SigmaReport,
+                  Theorem1Report, Theorem2RangeReport, WitnessResult)
 
 
 def run_probe(body: str) -> str:
@@ -73,11 +74,7 @@ class TestImportSet:
 class TestRecords:
     # The fields and defaults of each record, in order.
     FIELDS = [
-        (TargetPattern, ("m", "pattern"), {}),
         (WitnessResult, ("verdict", "witness", "embedding", "explored"), {}),
-        (RunConfig, ("vertex_limit", "output_mode", "progress"),
-         {"vertex_limit": DEFAULT_VERTEX_LIMIT, "output_mode": "text",
-          "progress": None}),
         (SigmaReport,
          ("m", "n", "lower_bound", "exact", "verdict", "extremal_sequences",
           "witnesses"),
@@ -106,4 +103,53 @@ class TestRecords:
                               "graph6=None)")
         with pytest.raises(AttributeError):
             step.graph6 = "E"
-        assert RunConfig(output_mode="json").json_output
+
+
+class TestImportsAreUsed:
+    """Every name a module of ``src/kmc4`` imports is used in it, and
+    every name ``__init__`` imports at module level is in ``__all__``."""
+
+    @staticmethod
+    def stray_imports(source: str, is_package_init: bool) -> list[str]:
+        tree = ast.parse(source)
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        exported = set()
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__"
+                            for t in node.targets)):
+                exported = set(ast.literal_eval(node.value))
+        stray = []
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            top_level = node in tree.body
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if is_package_init and top_level:
+                    if name not in exported:
+                        stray.append(f"{name} (line {node.lineno}, "
+                                     f"not in __all__)")
+                elif name not in used:
+                    stray.append(f"{name} (line {node.lineno})")
+        return stray
+
+    @pytest.mark.parametrize(
+        "path", sorted(Path(kmc4.__file__).parent.glob("*.py")),
+        ids=lambda path: path.name)
+    def test_module(self, path):
+        assert self.stray_imports(path.read_text(),
+                                  path.name == "__init__.py") == []
+
+    def test_finds_a_stray_import(self):
+        source = ("from typing import NamedTuple\n"
+                  "import json, sys\n"
+                  "print(json.dumps(1))\n")
+        assert self.stray_imports(source, False) == [
+            "NamedTuple (line 1)", "sys (line 2)"]
+        assert self.stray_imports("from .graphs import join, SmallGraph\n"
+                                  "__all__ = ['join']\n", True) == [
+            "SmallGraph (line 1, not in __all__)"]

@@ -195,7 +195,7 @@ class TestCaseBranches:
             g = SmallGraph(5, [e for i, e in enumerate(pairs)
                                if (mask >> i) & 1])
             emb = _base5_embedding(g)
-            exists = brute_embedding_exists(g, BOWTIE.pattern)
+            exists = brute_embedding_exists(g, BOWTIE)
             assert (emb is not None) == exists, g.edges()
             if emb is not None:
                 assert embedding_is_valid(g, BOWTIE, emb), (g.edges(), emb)
@@ -382,7 +382,7 @@ class TestCarriedEmbedding:
         def drop_embedded_edge(witness, attach_degrees, steps):
             out = real_attach(witness, attach_degrees, steps)
             emb = returned[-1][1]
-            for a, b in BOWTIE.pattern.edges():
+            for a, b in BOWTIE.edges():
                 x, y = emb[a], emb[b]
                 for u, w in out.edges():
                     for c, d in ((u, w), (w, u)):

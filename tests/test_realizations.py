@@ -16,11 +16,11 @@ from helpers import (brute_isomorphic, embedding_is_valid,
 
 import kmc4.cli
 import kmc4.realizations
-from kmc4 import (ContractError, DegreeSequence, SmallGraph,
-                  TargetPattern, WitnessResult, complete_graph,
-                  degree_sequence_of, empty_graph, encode_graph6,
-                  extremal_witness, havel_hakimi_realize, is_potentially,
-                  join, km_minus_c4, replay_theorem2, theorem2_interchange)
+from kmc4 import (ContractError, DegreeSequence, SmallGraph, WitnessResult,
+                  complete_graph, degree_sequence_of, empty_graph,
+                  encode_graph6, extremal_witness, havel_hakimi_realize,
+                  is_potentially, join, km_minus_c4, replay_theorem2,
+                  theorem2_interchange)
 
 BOWTIE = km_minus_c4(5)
 # passes the necessary condition for m = 5 and has two distinct pairings;
@@ -60,7 +60,7 @@ def two_k4_matching() -> SmallGraph:
 class TestHavelHakimi:
     def test_bowtie_sequence(self):
         g = havel_hakimi_realize((4, 2, 2, 2, 2))
-        assert brute_isomorphic(g, BOWTIE.pattern)
+        assert brute_isomorphic(g, BOWTIE)
 
     def test_two_triangles(self):
         g = havel_hakimi_realize((2,) * 6)
@@ -201,7 +201,7 @@ class TestIsPotentially:
         assert res.verdict and res.explored == 1
         assert degree_sequence_of(res.witness) == (4, 2, 2, 2, 2)
         assert len(set(res.embedding)) == 5
-        for a, b in BOWTIE.pattern.edges():
+        for a, b in BOWTIE.edges():
             assert res.witness.has_edge(res.embedding[a], res.embedding[b])
         res = is_potentially((5, 4, 4, 3, 3, 3, 2, 2, 2), BOWTIE)
         assert res.verdict and res.explored == 1
@@ -324,7 +324,7 @@ class TestExactDecision:
         res = is_potentially(SECOND_PAIRING, BOWTIE)
         assert (res.verdict, res.explored) == (True, 2)
         assert res.witness.degrees() == SECOND_PAIRING
-        for a, b in BOWTIE.pattern.edges():
+        for a, b in BOWTIE.edges():
             assert res.witness.has_edge(res.embedding[a], res.embedding[b])
 
     @pytest.mark.parametrize("seq,m,budget,want", [
@@ -384,10 +384,14 @@ class TestExactDecision:
         assert res.embedding[:4] == (1, 2, 3, 4)
 
     @pytest.mark.parametrize("target", [
-        TargetPattern(5, complete_graph(5)),
-        TargetPattern(6, km_minus_c4(5).pattern),
-        TargetPattern(3, complete_graph(3)),
-        TargetPattern(5, relabel(BOWTIE.pattern, [4, 0, 1, 2, 3])),
+        complete_graph(5),
+        complete_graph(3),
+        relabel(BOWTIE, [4, 0, 1, 2, 3]),
+        # the bowtie and an isolated vertex: order 6, but not F_6 (its
+        # join with one vertex would be F_6 itself)
+        SmallGraph(6, BOWTIE.edges()),
+        5,
+        (5, km_minus_c4(5)),
     ])
     def test_rejects_foreign_targets(self, target):
         with pytest.raises(ContractError, match="4-cycle"):
