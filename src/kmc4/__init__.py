@@ -9,14 +9,12 @@ conjectured equality for larger m.
 
 from __future__ import annotations
 
-from .errors import (ContractError, Graph6Error, InputError, LimitError,
-                     ReplayError)
+from .errors import ContractError, InputError, LimitError, ReplayError
 from .extremal import (SigmaReport, Theorem1Report, extremal_witness,
                        sigma_exact, sigma_lower_bound, verify_conjecture,
                        verify_theorem1)
-from .graphs import (SmallGraph, complete_graph, decode_graph6,
-                     degree_sequence_of, empty_graph, encode_graph6, join,
-                     km_minus_c4)
+from .graphs import (SmallGraph, complete_graph, degree_sequence_of,
+                     empty_graph, encode_graph6, join, km_minus_c4)
 from .realizations import WitnessResult, havel_hakimi_realize, is_potentially
 from .sequences import (DEFAULT_VERTEX_LIMIT, DegreeSequence,
                         graphical_sequences_with_sum, is_graphical)
@@ -50,7 +48,6 @@ __all__ = [
     "ContractError",
     "DEFAULT_VERTEX_LIMIT",
     "DegreeSequence",
-    "Graph6Error",
     "InputError",
     "LimitError",
     "ProofStep",
@@ -62,7 +59,6 @@ __all__ = [
     "Theorem2RangeReport",
     "WitnessResult",
     "complete_graph",
-    "decode_graph6",
     "degree_sequence_of",
     "empty_graph",
     "encode_graph6",

@@ -17,8 +17,7 @@ import functools
 import json
 import sys
 
-from .errors import (ContractError, Graph6Error, InputError, LimitError,
-                     ReplayError)
+from .errors import ContractError, InputError, LimitError, ReplayError
 from .extremal import (SigmaReport, extremal_witness, sigma_exact,
                        sigma_lower_bound, verify_conjecture, verify_theorem1)
 from .graphs import encode_graph6, km_minus_c4
@@ -318,7 +317,7 @@ def main(argv=None) -> int:
     except ReplayError as exc:
         print(f"replay failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (InputError, ContractError, Graph6Error, LimitError) as exc:
+    except (InputError, ContractError, LimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -13,14 +13,6 @@ class LimitError(RuntimeError):
     """A computation would exceed a configured resource guard."""
 
 
-class Graph6Error(ValueError):
-    """Malformed graph6 text; carries the failing byte offset."""
-
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (byte {offset})")
-        self.offset = offset
-
-
 class ReplayError(RuntimeError):
     """Every proof case failed; carries the partial trace for diagnosis."""
 

@@ -6,7 +6,7 @@ edge toggles cheap; a row is as wide as the graph, so nothing caps the
 order. On top of the type live the pattern
 constructions (complete and empty graphs, joins, the complete graph
 minus a 4-cycle), the check of a subgraph embedding, and the graph6
-text codec.
+text writer. Nothing here reads graph6 back; networkx and nauty do.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from binascii import b2a_base64
 from functools import cache, lru_cache
 
-from .errors import Graph6Error, InputError
+from .errors import InputError
 from .sequences import DegreeSequence
 
 
@@ -219,69 +219,3 @@ def encode_graph6(g: SmallGraph) -> str:
                       newline=False)
     return (_graph6_size(n)
             + body[:-(-nbits // 6)].translate(_BASE64_TO_GRAPH6).decode())
-
-
-def _decode_size(s: str) -> tuple[int, int]:
-    """The vertex count in the size header of graph6 text s, and the
-    offset where the body starts. A long header must be the one
-    ``_graph6_size`` writes for its count."""
-    start, width, least = ((0, 1, 0) if s[0] != "~"
-                           else (2, 6, 258048) if s[1:2] == "~"
-                           else (1, 3, 63))
-    digits = s[start:start + width]
-    if len(digits) < width:
-        raise Graph6Error(f"size header needs {width} bytes after "
-                          f"{s[:start]!r}", offset=len(s))
-    n = 0
-    for k, ch in enumerate(digits):
-        value = ord(ch) - 63
-        if not 0 <= value < 64:
-            raise Graph6Error(f"invalid size byte {ch!r}", offset=start + k)
-        n = (n << 6) | value
-    if n < least:
-        raise Graph6Error(f"{n} vertices take a shorter size header",
-                          offset=0)
-    return n, start + width
-
-
-def decode_graph6(text: str) -> SmallGraph:
-    """Inverse of encode_graph6; strict about length and padding.
-
-    Accepts an optional ``>>graph6<<`` prefix. Errors carry the byte
-    offset of the offending character, counted after any prefix. The
-    body's length is checked against the size header before any row is
-    built.
-    """
-    s = text.strip()
-    if s.startswith(">>graph6<<"):
-        s = s[len(">>graph6<<"):]
-    if not s:
-        raise Graph6Error("empty graph6 string", offset=0)
-    n, start = _decode_size(s)
-    total_bits = n * (n - 1) // 2
-    need = (total_bits + 5) // 6
-    body = s[start:]
-    if len(body) != need:
-        raise Graph6Error(f"expected {need} data bytes, found {len(body)}",
-                          offset=start + min(len(body), need))
-    for k, ch in enumerate(body):
-        if not 63 <= ord(ch) < 127:
-            raise Graph6Error(f"invalid data byte {ch!r}", offset=start + k)
-    bits = "".join([format(ord(ch) - 63, "06b") for ch in body])
-    if "1" in bits[total_bits:]:
-        raise Graph6Error("nonzero padding bits", offset=start + need - 1)
-    # Column j is the pairs (0, j), ..., (j - 1, j): j bits, one per row
-    # above j, in row order.
-    rows = [0] * n
-    pos = 0
-    for j in range(1, n):
-        col = bits[pos:pos + j]
-        pos += j
-        i = col.find("1")
-        if i < 0:
-            continue
-        rows[j] = int(col[::-1], 2)
-        while i >= 0:
-            rows[i] |= 1 << j
-            i = col.find("1", i + 1)
-    return SmallGraph._from_rows(n, rows)

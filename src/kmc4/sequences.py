@@ -78,19 +78,9 @@ class DegreeSequence(tuple):
             values.extend([value] * reps)
         return cls(values)
 
-    def to_text(self, power: bool = False) -> str:
-        """Render as comma-separated terms, collapsing runs when ``power``."""
-        if not power:
-            return ",".join(str(t) for t in self)
-        parts = []
-        i = 0
-        while i < len(self):
-            j = i
-            while j < len(self) and self[j] == self[i]:
-                j += 1
-            parts.append(f"{self[i]}^{j - i}" if j - i > 1 else str(self[i]))
-            i = j
-        return ",".join(parts)
+    def to_text(self) -> str:
+        """Render as comma-separated terms."""
+        return ",".join(str(t) for t in self)
 
 
 def is_graphical(seq: Iterable[int]) -> bool:

@@ -20,7 +20,9 @@ so the two can be compared honestly:
 - second implementations of the primitives (Havel-Hakimi by scanning,
   Erdos-Gallai summed afresh, graph6 bit by bit, the row-by-row
   placement), ``two_switch``, which the replay tests use as a
-  mutation, and a few small constructors the library has no use for.
+  mutation, and a few small constructors the library has no use for;
+- ``decode_graph6``, which reads graph6 with networkx: kmc4 only
+  writes the format.
 
 The exact "potentially F_m-graphic" oracle for sequences past brute
 force's reach is ``ffactor``, which imports nothing from kmc4.
@@ -31,6 +33,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, permutations
 from random import Random
+
+import networkx
 
 from kmc4 import (DEFAULT_VERTEX_LIMIT, ContractError, DegreeSequence,
                   InputError, LimitError, SigmaReport,
@@ -409,6 +413,12 @@ def encode_graph6_by_bits(g: SmallGraph) -> str:
     if nbits:
         out.append(chr(63 + (acc << (6 - nbits))))
     return "".join(out)
+
+
+def decode_graph6(text: str) -> SmallGraph:
+    """The graph networkx reads from graph6 text, vertices in its order."""
+    g = networkx.from_graph6_bytes(text.encode())
+    return SmallGraph(g.number_of_nodes(), g.edges())
 
 
 def kleitman_wang_residual(seq) -> tuple[int, ...]:

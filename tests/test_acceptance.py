@@ -18,7 +18,6 @@ from itertools import combinations
 
 from kmc4 import (
     SmallGraph,
-    decode_graph6,
     encode_graph6,
     is_graphical,
     km_minus_c4,
@@ -33,6 +32,7 @@ from kmc4.cli import main
 
 from helpers import (
     brute_embedding_exists,
+    decode_graph6,
     find_embedding,
     gray_code_degree_map,
     nonincreasing_tuples,

@@ -15,12 +15,12 @@ import sys
 from pathlib import Path
 
 import pytest
-from helpers import (embedding_is_valid, encode_graph6_by_bits,
-                     find_embedding, pairing_decision)
+from helpers import (decode_graph6, embedding_is_valid,
+                     encode_graph6_by_bits, find_embedding, pairing_decision)
 from jsonschema import validate
 
 import kmc4
-from kmc4 import decode_graph6, extremal_witness, encode_graph6, km_minus_c4
+from kmc4 import extremal_witness, encode_graph6, km_minus_c4
 from kmc4.cli import build_parser, main
 
 SIGMA_SCHEMA = {

@@ -4,17 +4,17 @@ import re
 
 import pytest
 from ffactor import potentially
-from helpers import (encode_graph6_by_bits, find_embedding,
+from helpers import (decode_graph6, encode_graph6_by_bits, find_embedding,
                      graphical_sequences_by_filter, is_graphical_quadratic,
                      labeled_realizations, nonincreasing_tuples,
                      sigma_by_full_sweep, uplifts_by_positions)
 
 import kmc4.realizations
 from kmc4 import (InputError, LimitError, SmallGraph, complete_graph,
-                  decode_graph6, degree_sequence_of, empty_graph,
-                  extremal_witness, graphical_sequences_with_sum,
-                  is_potentially, join, km_minus_c4, sigma_exact,
-                  sigma_lower_bound, verify_conjecture, verify_theorem1)
+                  degree_sequence_of, empty_graph, extremal_witness,
+                  graphical_sequences_with_sum, is_potentially, join,
+                  km_minus_c4, sigma_exact, sigma_lower_bound,
+                  verify_conjecture, verify_theorem1)
 from kmc4.extremal import _clique_covers_edges, _uplifts
 from kmc4.realizations import _decide_sequence
 
@@ -270,9 +270,14 @@ class TestAgainstTheFFactorOracle:
     @pytest.mark.parametrize("m,n,failing", [
         (m, n, seq) for (m, n), (_, failures)
         in sorted(TABLE_PAST_LIMIT.items()) for seq in failures]
-        + [(10, 18, (12,) * 18)])
+        + [(10, 18, (12,) * 18)]
+        + [(m, n, seq) for (m, n), (_, failures)
+           in sorted(TABLE_M7_M8.items()) if (m, n) != (7, 10)
+           for seq in failures])
     def test_failing_sequence_past_the_limit(self, m, n, failing):
-        # (12^18) is the one failing sequence of sigma(10, 18) = 218
+        # (12^18) is the one failing sequence of sigma(10, 18) = 218; the
+        # rows after it are TABLE_M7_M8's, inside the limit, all but
+        # (7, 10), which test_both_threshold_levels covers
         assert len(failing) == n
         assert not potentially(failing, m)
 

@@ -5,15 +5,14 @@ from random import Random
 
 import pytest
 from helpers import (brute_embedding_exists, brute_isomorphic, complement,
-                     contains_subgraph, cycle_graph, embedding_is_valid,
-                     encode_graph6_by_bits, find_embedding,
-                     find_embedding_unplanned, parse_edge_text, random_graph,
-                     relabel)
+                     contains_subgraph, cycle_graph, decode_graph6,
+                     embedding_is_valid, encode_graph6_by_bits,
+                     find_embedding, find_embedding_unplanned,
+                     parse_edge_text, random_graph, relabel)
 
-from kmc4 import (DegreeSequence, Graph6Error, InputError, SmallGraph,
-                  complete_graph, decode_graph6, degree_sequence_of,
-                  empty_graph, encode_graph6, havel_hakimi_realize, join,
-                  km_minus_c4)
+from kmc4 import (DegreeSequence, InputError, SmallGraph, complete_graph,
+                  degree_sequence_of, empty_graph, encode_graph6,
+                  havel_hakimi_realize, join, km_minus_c4)
 from kmc4.graphs import is_embedding
 
 
@@ -301,6 +300,9 @@ def all_graphs(n):
 
 
 class TestGraph6:
+    """The encoder against the bit-by-bit one and, past the exhaustive
+    sizes, against networkx's reader."""
+
     def test_known_encodings(self):
         assert encode_graph6(empty_graph(0)) == "?"
         assert encode_graph6(empty_graph(1)) == "@"
@@ -308,20 +310,13 @@ class TestGraph6:
         assert encode_graph6(empty_graph(2)) == "A?"
         assert encode_graph6(complete_graph(5)) == "D~{"
 
-    def test_known_decodings(self):
-        assert decode_graph6("A_") == complete_graph(2)
-        assert decode_graph6(">>graph6<<A_") == complete_graph(2)
-        assert decode_graph6("D~{") == complete_graph(5)
-
     def test_every_graph_to_six_vertices_matches_bitwise_encoder(self):
         for n in range(7):
             pairs = [(i, j) for j in range(1, n) for i in range(j)]
             for mask in range(1 << len(pairs)):
                 g = SmallGraph(n, [e for k, e in enumerate(pairs)
                                    if (mask >> k) & 1])
-                text = encode_graph6(g)
-                assert text == encode_graph6_by_bits(g), g
-                assert decode_graph6(text) == g
+                assert encode_graph6(g) == encode_graph6_by_bits(g), g
 
     def test_seeded_graphs_to_32_vertices_match_bitwise_encoder(self):
         rng = Random(61)
@@ -343,39 +338,12 @@ class TestGraph6:
             assert decode_graph6(text) == g
 
     def test_round_trip_of_600_vertices(self):
-        # the decoder reads the body column by column, and the encoder
-        # reads it off one integer in linear time
+        # the encoder reads the body off one integer in linear time
         for n in (600, 2000):
             g = havel_hakimi_realize((4,) * n)
             text = encode_graph6(g)
             assert text == encode_graph6_by_bits(g)
             assert decode_graph6(text) == g
-
-    @pytest.mark.parametrize("header,n", [
-        ("~??~", 63), ("~@@@", 4161), ("~}~~", 258047),
-        ("~~???~??", 258048), ("~~@?????", 2 ** 30),
-        ("~~~~~~~~", 2 ** 36 - 1)])
-    def test_long_header_over_a_short_body(self, header, n):
-        # the size is read and the body's length checked before any row
-        # is built
-        need = (n * (n - 1) // 2 + 5) // 6
-        with pytest.raises(Graph6Error, match=f"expected {need} data bytes, "
-                           f"found 1") as exc:
-            decode_graph6(header + "?")
-        assert exc.value.offset == len(header) + 1
-
-    @pytest.mark.parametrize("text,offset", [
-        ("~???", 0),        # 0 vertices take the one-byte header
-        ("~??}", 0),        # so do 62
-        ("~~???}~~", 0),    # 258047 take the 18-bit header
-        ("~??", 3),         # too few header bytes
-        ("~~????", 6),
-        ("~?\x10?", 2),     # a header byte out of range
-        ("~~??\x7f???", 4)])
-    def test_bad_long_header(self, text, offset):
-        with pytest.raises(Graph6Error) as exc:
-            decode_graph6(text)
-        assert exc.value.offset == offset
 
     def test_round_trip_seeded(self):
         rng = Random(23)
@@ -384,43 +352,12 @@ class TestGraph6:
             g = random_graph(n, rng.random(), rng)
             assert decode_graph6(encode_graph6(g)) == g
 
-    def test_empty_string(self):
-        with pytest.raises(Graph6Error):
-            decode_graph6("")
-
-    def test_bad_size_byte(self):
-        with pytest.raises(Graph6Error) as exc:
-            decode_graph6(chr(62) + "_")
-        assert exc.value.offset == 0
-
-    def test_truncated_body(self):
-        with pytest.raises(Graph6Error):
-            decode_graph6("D~")
-
-    def test_trailing_junk(self):
-        with pytest.raises(Graph6Error):
-            decode_graph6("A__")
-
-    def test_nonzero_padding(self):
-        # one vertex pair, so five of the six data bits are padding
-        with pytest.raises(Graph6Error) as exc:
-            decode_graph6("A" + chr(63 + 1))
-        assert exc.value.offset == 1
-
     def test_oversize_count(self):
         # 33 vertices fit the one-byte header, 64 take the long one
         rng = Random(33)
         for n in (33, 64):
             g = random_graph(n, 0.5, rng)
             assert decode_graph6(encode_graph6_by_bits(g)) == g
-        # a one-byte header for 33 vertices needs 88 data bytes
-        with pytest.raises(Graph6Error, match="expected 88 data bytes"):
-            decode_graph6(chr(63 + 33))
-
-    def test_bad_data_byte(self):
-        with pytest.raises(Graph6Error) as exc:
-            decode_graph6("D" + chr(10) + "?")
-        assert exc.value.offset == 1
 
 
 class TestParseEdgeText:

