@@ -50,10 +50,7 @@ def extremal_witness(m: int, n: int) -> tuple[SmallGraph, DegreeSequence]:
     vertices: degree sequence ((n-1)^(m-3), (m-3)^(n-m+3)) with degree
     sum exactly two below the lower bound.
     """
-    if m < 4:
-        raise InputError(f"target needs m >= 4, got {m}")
-    if n < m:
-        raise InputError(f"need n >= m, got n={n} < m={m}")
+    sigma_lower_bound(m, n)  # raises unless 4 <= m <= n
     g = join(complete_graph(m - 3), empty_graph(n - m + 3))
     seq = DegreeSequence([n - 1] * (m - 3) + [m - 3] * (n - m + 3))
     return g, seq

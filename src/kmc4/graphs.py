@@ -56,9 +56,6 @@ class SmallGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.rows[u] >> v) & 1)
 
-    def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
-
     def degrees(self) -> tuple[int, ...]:
         return tuple(map(int.bit_count, self.rows))
 
@@ -73,9 +70,6 @@ class SmallGraph:
             for off in _bits(row):
                 out.append((u, u + 1 + off))
         return out
-
-    def neighbors(self, v: int):
-        return _bits(self.rows[v])
 
     def __eq__(self, other):
         return (isinstance(other, SmallGraph)

@@ -8,9 +8,10 @@ so the two can be compared honestly:
   every labeled realization of a sequence, and ``top_layouts`` and
   ``pairing_decision`` read off them what the pairing-only decision may
   answer;
-- ``find_embedding``, a backtracking subgraph search, and
-  ``brute_embedding_exists`` and ``brute_isomorphic``, which try every
-  vertex map;
+- ``brute_embedding_exists`` and ``brute_isomorphic``, which try every
+  vertex map, and ``find_embedding``, a backtracking subgraph search
+  checked against the first: the fast oracle where trying every map
+  is too slow;
 - ``sigma_by_full_sweep``, the exact-threshold sweep without the
   induction on n (it decides with the library's ``_decide_sequence``),
   the reference for the one that skips what the deletion lemma proves,
@@ -20,7 +21,8 @@ so the two can be compared honestly:
 - second implementations of the primitives (Havel-Hakimi by scanning,
   Erdos-Gallai summed afresh, graph6 bit by bit, the row-by-row
   placement), ``two_switch``, which the replay tests use as a
-  mutation, and a few small constructors the library has no use for;
+  mutation, and ``complement``, ``relabel`` and ``random_graph``,
+  constructors the library has no use for;
 - ``decode_graph6``, which reads graph6 with networkx: kmc4 only
   writes the format.
 
@@ -45,12 +47,6 @@ from kmc4.graphs import _bits
 from kmc4.realizations import _decide_sequence
 
 
-def cycle_graph(k: int) -> SmallGraph:
-    if k < 3:
-        raise InputError(f"a cycle needs at least 3 vertices, got {k}")
-    return SmallGraph(k, [(i, (i + 1) % k) for i in range(k)])
-
-
 def complement(g: SmallGraph) -> SmallGraph:
     full = (1 << g.n) - 1
     return SmallGraph._from_rows(
@@ -70,7 +66,12 @@ def find_embedding(host: SmallGraph, pattern) -> tuple[int, ...] | None:
         return None
     if pn == 0:
         return ()
-    order, pdeg, placed_nbrs = _embedding_plan(pattern)
+    pdegs = pattern.degrees()
+    order = sorted(range(pn), key=lambda v: (-pdegs[v], v))
+    pdeg = [pdegs[v] for v in order]
+    # for each pattern vertex, those placed before it that it is adjacent to
+    placed_nbrs = [[u for u in order[:k] if pattern.has_edge(pv, u)]
+                   for k, pv in enumerate(order)]
     hdeg = host.degrees()
     hrows = host.rows
     full = (1 << hn) - 1
@@ -93,46 +94,6 @@ def find_embedding(host: SmallGraph, pattern) -> tuple[int, ...] | None:
     if place(0, 0):
         return tuple(assign)
     return None
-
-
-@lru_cache(maxsize=64)
-def _embedding_plan(pattern: SmallGraph):
-    """The host-independent half of ``find_embedding``: pattern vertices
-    in decreasing-degree order (ties by index), the degree of each, and
-    for each the pattern vertices placed before it that it is adjacent
-    to."""
-    order = sorted(range(pattern.n), key=lambda v: (-pattern.degree(v), v))
-    pdeg = tuple(pattern.degree(v) for v in order)
-    placed_nbrs = tuple(
-        tuple(u for u in order[:k] if pattern.has_edge(pv, u))
-        for k, pv in enumerate(order))
-    return tuple(order), pdeg, placed_nbrs
-
-
-def contains_subgraph(host: SmallGraph, pattern) -> bool:
-    return find_embedding(host, pattern) is not None
-
-
-def parse_edge_text(text: str, n: int | None = None) -> SmallGraph:
-    """Build a graph from ``u-v`` pairs separated by spaces or commas.
-
-    Vertex count defaults to one past the largest endpoint mentioned.
-    """
-    edges = []
-    hi = -1
-    for tok in text.replace(",", " ").split():
-        a, sep, b = tok.partition("-")
-        if not sep:
-            raise InputError(f"bad edge token {tok!r}, expected u-v")
-        try:
-            u, v = int(a), int(b)
-        except ValueError:
-            raise InputError(f"bad edge token {tok!r}") from None
-        edges.append((u, v))
-        hi = max(hi, u, v)
-    if n is None:
-        n = hi + 1
-    return SmallGraph(n, edges)
 
 
 def enumerate_graphical_sequences(n: int, min_sum: int = 0,
@@ -348,41 +309,6 @@ def graphical_sequences_by_filter(n: int, total: int, limit: int = 12):
     for terms in bounded(n, total, n - 1):
         if is_graphical(terms):
             yield DegreeSequence(terms)
-
-
-def find_embedding_unplanned(host: SmallGraph, pattern):
-    """First injective map sending pattern edges onto host edges, with
-    the pattern's vertex order and neighbour lists worked out afresh on
-    every call: pattern vertices by decreasing degree, host candidates
-    by ascending index."""
-    pn, hn = pattern.n, host.n
-    if pn > hn:
-        return None
-    if pn == 0:
-        return ()
-    order = sorted(range(pn), key=lambda v: (-pattern.degree(v), v))
-    pdeg = [pattern.degree(v) for v in order]
-    placed_nbrs = [[j for j in range(k) if pattern.has_edge(pv, order[j])]
-                   for k, pv in enumerate(order)]
-    hdeg = host.degrees()
-    assign = [-1] * pn
-
-    def place(k: int, used: int) -> bool:
-        if k == pn:
-            return True
-        cand = ((1 << hn) - 1) & ~used
-        for j in placed_nbrs[k]:
-            cand &= host.rows[assign[order[j]]]
-        for hv in range(hn):
-            if (cand >> hv) & 1 and hdeg[hv] >= pdeg[k]:
-                assign[order[k]] = hv
-                if place(k + 1, used | (1 << hv)):
-                    return True
-        return False
-
-    if place(0, 0):
-        return tuple(assign)
-    return None
 
 
 def encode_graph6_by_bits(g: SmallGraph) -> str:

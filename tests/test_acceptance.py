@@ -111,14 +111,14 @@ def test_acceptance_5_induction_base_cases():
 
 
 def test_acceptance_6_replay_agreement():
-    """Constructive replay succeeds and agrees with the realization
-    search on every 6- and 7-term sequence at or above 4n-4."""
+    """The exact threshold is 4n-4 for n = 5..7, and constructive replay
+    builds a checked witness for every sequence at or above it."""
     rep = verify_theorem2_range(7)
     ok = (rep.passed
-          and all(e["replay_failures"] == 0 for e in rep.entries)
-          and all(e["agreement_failures"] == 0 for e in rep.entries))
+          and all(e["exact_ok"] for e in rep.entries)
+          and all(e["replay_failures"] == 0 for e in rep.entries))
     checked = sum(e["sequences_checked"] for e in rep.entries)
-    report(f"acceptance 6: replay agrees with search on all {checked} "
+    report(f"acceptance 6: replay builds a witness for all {checked} "
            "threshold sequences for n<=7", ok)
     assert ok, rep.to_json_dict()
 

@@ -72,13 +72,17 @@ class TestLowerBound:
     def test_values(self, m, n, want):
         assert sigma_lower_bound(m, n) == want
 
+    # extremal_witness checks its arguments through sigma_lower_bound
     def test_rejects_small_m(self):
-        with pytest.raises(InputError):
-            sigma_lower_bound(3, 5)
+        for f in (sigma_lower_bound, extremal_witness):
+            with pytest.raises(InputError, match=r"^target needs m >= 4, got 3$"):
+                f(3, 5)
 
     def test_rejects_n_below_m(self):
-        with pytest.raises(InputError):
-            sigma_lower_bound(5, 4)
+        for f in (sigma_lower_bound, extremal_witness):
+            with pytest.raises(InputError,
+                               match=r"^need n >= m, got n=4 < m=5$"):
+                f(5, 4)
 
 
 class TestExtremalWitness:

@@ -1,19 +1,16 @@
 from __future__ import annotations
 
-from itertools import combinations
 from random import Random
 
 import pytest
 from helpers import (brute_embedding_exists, brute_isomorphic, complement,
-                     contains_subgraph, cycle_graph, decode_graph6,
-                     embedding_is_valid, encode_graph6_by_bits,
-                     find_embedding, find_embedding_unplanned,
-                     parse_edge_text, random_graph, relabel)
+                     decode_graph6, embedding_is_valid,
+                     encode_graph6_by_bits, find_embedding, random_graph)
 
 from kmc4 import (DegreeSequence, InputError, SmallGraph, complete_graph,
                   degree_sequence_of, empty_graph, encode_graph6,
                   havel_hakimi_realize, join, km_minus_c4)
-from kmc4.graphs import is_embedding
+from kmc4.graphs import _bits, is_embedding
 
 
 def two_independent_edges() -> SmallGraph:
@@ -26,11 +23,11 @@ class TestSmallGraph:
         assert g.n == 4
         assert g.has_edge(0, 1) and g.has_edge(1, 0)
         assert not g.has_edge(0, 2)
-        assert g.degree(1) == 2
+        assert g.rows[1].bit_count() == 2
         assert tuple(g.degrees()) == (1, 2, 1, 0)
         assert g.edge_count == 2
         assert g.edges() == [(0, 1), (1, 2)]
-        assert list(g.neighbors(1)) == [0, 2]
+        assert list(_bits(g.rows[1])) == [0, 2]
 
     def test_equality_and_hash(self):
         a = SmallGraph(3, [(0, 1)])
@@ -65,16 +62,6 @@ class TestConstructors:
     def test_empty(self):
         assert empty_graph(5).edge_count == 0
 
-    def test_cycle(self):
-        g = cycle_graph(5)
-        assert g.degrees() == (2,) * 5
-        assert g.edge_count == 5
-        with pytest.raises(InputError):
-            cycle_graph(2)
-
-    def test_triangle_is_complete(self):
-        assert cycle_graph(3) == complete_graph(3)
-
     def test_complement(self):
         assert complement(complete_graph(5)) == empty_graph(5)
         assert complement(empty_graph(5)) == complete_graph(5)
@@ -92,7 +79,7 @@ class TestConstructors:
             g = random_graph(rng.randint(1, 12), rng.random(), rng)
             seq = degree_sequence_of(g)
             assert type(seq) is DegreeSequence
-            assert seq == tuple(sorted((len(list(g.neighbors(v)))
+            assert seq == tuple(sorted((len(list(_bits(g.rows[v])))
                                         for v in range(g.n)), reverse=True))
         with pytest.raises(InputError, match="no degree sequence"):
             degree_sequence_of(empty_graph(0))
@@ -176,57 +163,10 @@ class TestFindEmbedding:
             got = find_embedding(host, pattern) is not None
             assert got == brute_embedding_exists(host, pattern)
 
-    def test_accepts_target_pattern_wrapper(self):
-        host = complete_graph(5)
-        assert find_embedding(host, km_minus_c4(5)) is not None
-        assert contains_subgraph(host, km_minus_c4(5))
-
     def test_no_room(self):
         assert find_embedding(complete_graph(4), km_minus_c4(5)) is None
-
-    def test_contains_subgraph_matches(self):
-        rng = Random(17)
-        bow = km_minus_c4(5)
-        for _ in range(80):
-            host = random_graph(6, rng.uniform(0.3, 0.9), rng)
-            assert contains_subgraph(host, bow) == (
-                find_embedding(host, bow) is not None)
-
-
-class TestEmbeddingPlan:
-    """``find_embedding`` with its cached pattern plan against the same
-    search with the plan worked out on every call."""
-
-    def test_every_small_labeled_host(self):
-        hosts = [host for n in range(7) for host in all_graphs(n)]
-        for pattern in (km_minus_c4(4), km_minus_c4(5)):
-            assert ([find_embedding(host, pattern) for host in hosts]
-                    == [find_embedding_unplanned(host, pattern) for host in hosts])
-
-    def test_random_hosts(self):
-        rng = Random(29)
-        patterns = [km_minus_c4(m) for m in range(4, 8)]
-        hits = 0
-        for _ in range(500):
-            host = random_graph(rng.randint(7, 10), rng.uniform(0.3, 0.95), rng)
-            for pattern in patterns:
-                emb = find_embedding(host, pattern)
-                assert emb == find_embedding_unplanned(host, pattern), host
-                hits += emb is not None
-        assert 200 < hits < 1900
-
-    def test_patterns_of_one_order_keep_their_own_plans(self):
-        bow = km_minus_c4(5)
-        # the same bowtie with its centre moved, and a non-isomorphic
-        # pattern with as many vertices and edges
-        moved = relabel(bow, [1, 2, 3, 4, 0])
-        k23 = SmallGraph(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)])
-        rng = Random(31)
-        for _ in range(200):
-            host = random_graph(rng.randint(5, 8), rng.uniform(0.4, 0.95), rng)
-            for pattern in (bow, moved, k23, moved, bow):
-                assert (find_embedding(host, pattern)
-                        == find_embedding_unplanned(host, pattern)), host
+        # one vertex more and it fits
+        assert find_embedding(complete_graph(5), km_minus_c4(5)) is not None
 
 
 class TestIsEmbedding:
@@ -292,13 +232,6 @@ class TestKmMinusC4Cache:
             km_minus_c4(bad)
 
 
-def all_graphs(n):
-    pairs = list(combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        yield SmallGraph(n, [pairs[i] for i in range(len(pairs))
-                             if (mask >> i) & 1])
-
-
 class TestGraph6:
     """The encoder against the bit-by-bit one and, past the exhaustive
     sizes, against networkx's reader."""
@@ -359,20 +292,3 @@ class TestGraph6:
             g = random_graph(n, 0.5, rng)
             assert decode_graph6(encode_graph6_by_bits(g)) == g
 
-
-class TestParseEdgeText:
-    def test_spaces_and_commas(self):
-        g = parse_edge_text("0-1, 1-2 2-0")
-        assert g == cycle_graph(3)
-
-    def test_vertex_count_inferred(self):
-        assert parse_edge_text("0-4").n == 5
-
-    def test_explicit_count(self):
-        assert parse_edge_text("0-1", n=6).n == 6
-
-    def test_bad_tokens(self):
-        with pytest.raises(InputError):
-            parse_edge_text("01")
-        with pytest.raises(InputError):
-            parse_edge_text("0-x")

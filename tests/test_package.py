@@ -1,5 +1,5 @@
 """The package surface: what ``import kmc4`` loads, the result records,
-and the imports of each source module.
+and the imports of each source module and test oracle module.
 
 The replay module is imported on the first use of one of its names,
 every result record is a named tuple with fixed fields and defaults, and
@@ -106,8 +106,9 @@ class TestRecords:
 
 
 class TestImportsAreUsed:
-    """Every name a module of ``src/kmc4`` imports is used in it, and
-    every name ``__init__`` imports at module level is in ``__all__``."""
+    """Every name a module of ``src/kmc4`` or a test oracle module
+    imports is used in it, and every name ``__init__`` imports at module
+    level is in ``__all__``."""
 
     @staticmethod
     def stray_imports(source: str, is_package_init: bool) -> list[str]:
@@ -143,6 +144,11 @@ class TestImportsAreUsed:
     def test_module(self, path):
         assert self.stray_imports(path.read_text(),
                                   path.name == "__init__.py") == []
+
+    @pytest.mark.parametrize("name", ["helpers.py", "ffactor.py"])
+    def test_oracle_module(self, name):
+        path = Path(__file__).parent / name
+        assert self.stray_imports(path.read_text(), False) == []
 
     def test_finds_a_stray_import(self):
         source = ("from typing import NamedTuple\n"

@@ -783,29 +783,7 @@ class TestVerifyTheorem2Range:
             assert entry["exact"] == 4 * entry["n"] - 4
             assert entry["exact_ok"] is True
             assert entry["replay_failures"] == 0
-            assert entry["agreement_failures"] == 0
             assert entry["sequences_checked"] > 0
-
-    def test_agreement_decides_only_below_the_sweep(self, monkeypatch):
-        # the sweep has certified every level from its exact threshold
-        # up, so only levels below it are decided again
-        decided = record_returns(monkeypatch, kmc4.proof_replay,
-                                 "_decide_sequence")
-        assert verify_theorem2_range(7).passed
-        assert decided == []
-        real = kmc4.extremal._sigma_upward
-
-        def two_higher(*args):
-            for n, exact, failures in real(*args):
-                yield n, exact + 2, failures
-
-        monkeypatch.setattr(kmc4.extremal, "_sigma_upward", two_higher)
-        report = verify_theorem2_range(7)
-        assert not report.passed
-        assert [e["agreement_failures"] for e in report.entries] == [0, 0, 0]
-        assert len(decided) == sum(
-            len(list(graphical_sequences_with_sum(n, 4 * n - 4)))
-            for n in (5, 6, 7))
 
     @pytest.mark.parametrize("corrupt", ["degrees", "embedding"])
     def test_wrong_outcome_counts_as_a_replay_failure(self, monkeypatch,
@@ -831,7 +809,6 @@ class TestVerifyTheorem2Range:
         report = verify_theorem2_range(6)
         assert corrupted == [target]
         assert [e["replay_failures"] for e in report.entries] == [0, 1]
-        assert [e["agreement_failures"] for e in report.entries] == [0, 0]
         assert not report.passed
 
     def test_range_too_small(self):

@@ -21,6 +21,7 @@ from kmc4 import (ContractError, DegreeSequence, SmallGraph, WitnessResult,
                   encode_graph6, extremal_witness, havel_hakimi_realize,
                   is_potentially, join, km_minus_c4, replay_theorem2,
                   theorem2_interchange)
+from kmc4.graphs import _bits
 
 BOWTIE = km_minus_c4(5)
 # passes the necessary condition for m = 5 and has two distinct pairings;
@@ -751,13 +752,13 @@ class TestInterchange:
                     continue
                 for v1, v2, v3, v4 in permutations(quad):
                     ok = False
-                    for y1 in (set(g.neighbors(v1)) - set(quad)):
+                    for y1 in (set(_bits(g.rows[v1])) - set(quad)):
                         if g.has_edge(y1, v2):
                             continue
-                        for y2 in (set(g.neighbors(v2)) - set(quad) - {y1}):
+                        for y2 in (set(_bits(g.rows[v2])) - set(quad) - {y1}):
                             if g.has_edge(y2, v4):
                                 continue
-                            for y3 in set(g.neighbors(y1)) - {v1, y2}:
+                            for y3 in set(_bits(g.rows[y1])) - {v1, y2}:
                                 if y3 in quad or y3 == y1 or g.has_edge(y3, v1):
                                     continue
                                 picked = (v1, v2, v3, v4, y1, y2, y3)
