@@ -9,7 +9,7 @@ conjectured equality for larger m.
 
 from __future__ import annotations
 
-from .errors import ContractError, InputError, LimitError, ReplayError
+from .errors import InputError, LimitError, ReplayError
 from .extremal import (SigmaReport, Theorem1Report, extremal_witness,
                        sigma_exact, sigma_lower_bound, verify_conjecture,
                        verify_theorem1)
@@ -45,7 +45,6 @@ def __dir__() -> list[str]:
 
 __all__ = [
     "BaseCaseReport",
-    "ContractError",
     "DEFAULT_VERTEX_LIMIT",
     "DegreeSequence",
     "InputError",

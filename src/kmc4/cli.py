@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 for a passing or true outcome, 1 for failing or false,
-2 for bad input or a size over a cap. --limit caps only the enumerating
+Exit codes: 0 for a passing or true outcome, 1 for failing or false
+(a failed replay too), 2 for bad input (InputError, with the library's
+own message) or a size over a cap (LimitError). An AssertionError is a
+bug in the library and is not caught. --limit caps only the enumerating
 commands (sigma, verify conjecture, verify theorem2); the others are
 polynomial and take any length. --budget is accepted and ignored, with
 a notice on stderr: every verdict is exact. Reports in --json mode
@@ -17,7 +19,7 @@ import functools
 import json
 import sys
 
-from .errors import ContractError, InputError, LimitError, ReplayError
+from .errors import InputError, LimitError, ReplayError
 from .extremal import (SigmaReport, extremal_witness, sigma_exact,
                        sigma_lower_bound, verify_conjecture, verify_theorem1)
 from .graphs import encode_graph6, km_minus_c4
@@ -33,6 +35,20 @@ def _emit(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
+def _print_report(args, report: dict, lines) -> int:
+    """Print a verify report, the JSON ``report`` under --json, else each
+    of ``lines`` and then PASS or FAIL by its "passed" key, and return
+    its exit code."""
+    passed = report["passed"]
+    if args.json:
+        _emit(report)
+    else:
+        for line in lines:
+            print(line)
+        print("PASS" if passed else "FAIL")
+    return EXIT_PASS if passed else EXIT_FAIL
+
+
 def cmd_graphical(args) -> int:
     seq = DegreeSequence.from_text(args.sequence)
     ok = is_graphical(seq)
@@ -45,11 +61,7 @@ def cmd_graphical(args) -> int:
 
 def cmd_realize(args) -> int:
     seq = DegreeSequence.from_text(args.sequence)
-    try:
-        g = havel_hakimi_realize(seq)
-    except ContractError:
-        raise InputError(
-            f"sequence {seq.to_text()} is not graphical") from None
+    g = havel_hakimi_realize(seq)
     if args.json:
         _emit({"sequence": list(seq), "graph6": encode_graph6(g),
                "edges": g.edge_count})
@@ -62,15 +74,14 @@ def cmd_potential(args) -> int:
     seq = DegreeSequence.from_text(args.sequence)
     try:
         target = km_minus_c4(args.m)
-        res = is_potentially(seq, target)
-    except (InputError, ContractError):
-        # is_potentially runs Erdos-Gallai; only a failed query runs it
-        # again, so that a sequence that is not graphical is reported
-        # ahead of any other fault
+    except InputError:
+        # a sequence that is not graphical is reported ahead of a bad
+        # --m; is_potentially runs Erdos-Gallai itself otherwise
         if is_graphical(seq):
             raise
         raise InputError(
             f"sequence {seq.to_text()} is not graphical") from None
+    res = is_potentially(seq, target)
     if args.json:
         _emit({
             "sequence": list(seq),
@@ -144,18 +155,13 @@ def cmd_verify_theorem1(args) -> int:
                 args.progress(f"checked lower bound at m={m} n={n}")
     if not reports:
         raise InputError(f"empty grid: no n in [{args.m}, {args.n_max}]")
-    passed = all(r.passed for r in reports)
-    if args.json:
-        _emit({"reports": [r.to_json_dict() for r in reports],
-               "passed": passed})
-    else:
-        for r in reports:
-            print(f"m={r.m} n={r.n}: pattern-free {r.pattern_free}, "
-                  f"classes {r.realization_classes}, "
-                  f"sum-check {r.sum_is_bound_minus_two} -> "
-                  f"{'ok' if r.passed else 'FAIL'}")
-        print("PASS" if passed else "FAIL")
-    return EXIT_PASS if passed else EXIT_FAIL
+    return _print_report(
+        args, {"reports": [r.to_json_dict() for r in reports],
+               "passed": all(r.passed for r in reports)},
+        (f"m={r.m} n={r.n}: pattern-free {r.pattern_free}, "
+         f"classes {r.realization_classes}, "
+         f"sum-check {r.sum_is_bound_minus_two} -> "
+         f"{'ok' if r.passed else 'FAIL'}" for r in reports))
 
 
 def cmd_verify_theorem2(args) -> int:
@@ -163,15 +169,11 @@ def cmd_verify_theorem2(args) -> int:
 
     report = verify_theorem2_range(args.n_max, limit=args.limit,
                                    progress=args.progress)
-    if args.json:
-        _emit(report.to_json_dict())
-    else:
-        for e in report.entries:
-            print(f"n={e['n']}: exact {e['exact']} (expected {e['expected']}), "
-                  f"{e['sequences_checked']} sequences replayed, "
-                  f"{e['replay_failures']} replay failures")
-        print("PASS" if report.passed else "FAIL")
-    return EXIT_PASS if report.passed else EXIT_FAIL
+    return _print_report(
+        args, report.to_json_dict(),
+        (f"n={e['n']}: exact {e['exact']} (expected {e['expected']}), "
+         f"{e['sequences_checked']} sequences replayed, "
+         f"{e['replay_failures']} replay failures" for e in report.entries))
 
 
 def cmd_verify_conjecture(args) -> int:
@@ -180,16 +182,11 @@ def cmd_verify_conjecture(args) -> int:
                                 progress=args.progress)
     if not reports:
         raise InputError(f"empty grid: no n in [{args.m}, {args.n_max}]")
-    passed = all(r.verdict == "matches" for r in reports)
-    if args.json:
-        _emit({"reports": [r.to_json_dict() for r in reports],
-               "passed": passed})
-    else:
-        for r in reports:
-            print(f"m={r.m} n={r.n}: exact {r.exact}, formula {r.lower_bound}, "
-                  f"verdict {r.verdict}")
-        print("PASS" if passed else "FAIL")
-    return EXIT_PASS if passed else EXIT_FAIL
+    return _print_report(
+        args, {"reports": [r.to_json_dict() for r in reports],
+               "passed": all(r.verdict == "matches" for r in reports)},
+        (f"m={r.m} n={r.n}: exact {r.exact}, formula {r.lower_bound}, "
+         f"verdict {r.verdict}" for r in reports))
 
 
 def cmd_verify_base_cases(args) -> int:
@@ -197,15 +194,11 @@ def cmd_verify_base_cases(args) -> int:
 
     family = tuple(args.family_n) if args.family_n else (8,)
     report = verify_base_cases(family)
-    if args.json:
-        _emit(report.to_json_dict())
-    else:
-        for e in report.entries:
-            seq = DegreeSequence(e["sequence"]).to_text()
-            tag = e["witness"] if e["potential"] else "NO WITNESS"
-            print(f"n={e['n']} ({seq}): {tag}")
-        print("PASS" if report.passed else "FAIL")
-    return EXIT_PASS if report.passed else EXIT_FAIL
+    return _print_report(
+        args, report.to_json_dict(),
+        (f"n={e['n']} ({DegreeSequence(e['sequence']).to_text()}): "
+         f"{e['witness'] if e['potential'] else 'NO WITNESS'}"
+         for e in report.entries))
 
 
 @functools.cache
@@ -316,7 +309,7 @@ def main(argv=None) -> int:
     except ReplayError as exc:
         print(f"replay failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (InputError, ContractError, LimitError) as exc:
+    except (InputError, LimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -5,10 +5,6 @@ class InputError(ValueError):
     """Caller-supplied values violate an operation's contract."""
 
 
-class ContractError(ValueError):
-    """A precondition on arguments or state does not hold."""
-
-
 class LimitError(RuntimeError):
     """A computation would exceed a configured resource guard."""
 

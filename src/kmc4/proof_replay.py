@@ -51,7 +51,7 @@ from __future__ import annotations
 import json
 from typing import NamedTuple
 
-from .errors import ContractError, InputError, ReplayError
+from .errors import InputError, ReplayError
 from .graphs import (SmallGraph, degree_sequence_of, encode_graph6,
                      is_embedding, km_minus_c4)
 from .realizations import _k4_on_top, _realize_around, is_potentially
@@ -214,29 +214,30 @@ def theorem2_interchange(g: SmallGraph, v1: int, v2: int, v3: int, v4: int,
     y2-v4. Removes y1-y3, v1-v4, v2-y2 and inserts y1-v2, y3-v1, y2-v4,
     which preserves every degree and completes a bowtie on
     {v1,v2,v3,v4,y1} (center v2, independent edges v3-v4 and v1-y1).
+    A precondition that does not hold raises InputError naming it.
     """
     names = {"v1": v1, "v2": v2, "v3": v3, "v4": v4,
              "y1": y1, "y2": y2, "y3": y3}
     for label, v in names.items():
         if not (0 <= v < g.n):
-            raise ContractError(f"vertex {label}={v} out of range for n={g.n}")
+            raise InputError(f"vertex {label}={v} out of range for n={g.n}")
     if len(set(names.values())) != 7:
-        raise ContractError(f"the seven vertices are not distinct: {names}")
+        raise InputError(f"the seven vertices are not distinct: {names}")
     quad = (v1, v2, v3, v4)
     for i in range(4):
         for j in range(i + 1, 4):
             if not g.has_edge(quad[i], quad[j]):
-                raise ContractError(
+                raise InputError(
                     f"v1..v4 do not induce a complete quadruple: "
                     f"missing edge {quad[i]}-{quad[j]}")
     for label, (u, v) in (("v1-y1", (v1, y1)), ("v2-y2", (v2, y2)),
                           ("y1-y3", (y1, y3))):
         if not g.has_edge(u, v):
-            raise ContractError(f"required edge {label} ({u}-{v}) is absent")
+            raise InputError(f"required edge {label} ({u}-{v}) is absent")
     for label, (u, v) in (("y1-v2", (y1, v2)), ("y3-v1", (y3, v1)),
                           ("y2-v4", (y2, v4))):
         if g.has_edge(u, v):
-            raise ContractError(f"required non-edge {label} ({u}-{v}) is present")
+            raise InputError(f"required non-edge {label} ({u}-{v}) is present")
     rows = list(g.rows)
     for u, v in ((y1, y3), (v1, v4), (v2, y2), (y1, v2), (y3, v1), (y2, v4)):
         rows[u] ^= 1 << v
@@ -410,7 +411,7 @@ def replay_theorem2(seq) -> ProofTrace:
     if n < 5:
         raise InputError(f"replay needs n >= 5, got n={n}")
     if not is_graphical(seq):
-        raise InputError(f"sequence {tuple(seq)} is not graphical")
+        raise InputError(f"sequence {seq.to_text()} is not graphical")
     if sum(seq) < 4 * n - 4:
         raise InputError(
             f"degree sum {sum(seq)} below threshold {4 * n - 4}")

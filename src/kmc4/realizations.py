@@ -50,7 +50,7 @@ from __future__ import annotations
 from functools import cache
 from typing import NamedTuple
 
-from .errors import ContractError
+from .errors import InputError
 from .graphs import SmallGraph, is_embedding, km_minus_c4
 from .sequences import DegreeSequence, _erdos_gallai, is_graphical
 
@@ -74,18 +74,19 @@ def havel_hakimi_realize(seq) -> SmallGraph:
 
     Repeatedly connects the vertex with the largest remaining demand to
     the next-largest remaining vertices, ties broken by original index.
-    Vertex i of the result has degree seq[i] exactly.
+    Vertex i of the result has degree seq[i] exactly. A sequence that
+    is not graphical raises InputError.
     """
     seq = DegreeSequence(seq)
     if not is_graphical(seq):
-        raise ContractError(f"sequence {tuple(seq)} is not graphical")
+        raise InputError(f"sequence {seq.to_text()} is not graphical")
     return _realize_around(seq, [0] * seq.n, 0)
 
 
 def is_potentially(seq, target: SmallGraph) -> WitnessResult:
     """Does some realization of seq contain the target F_m as a subgraph?
 
-    A sequence that is not graphical raises ContractError, whatever its
+    A sequence that is not graphical raises InputError, whatever its
     length. With fewer terms than m, or when the top degrees fail the
     necessary condition (the m-4 largest at least m-1, the m-th largest
     at least m-3), the answer is an immediate no. Otherwise each
@@ -94,16 +95,17 @@ def is_potentially(seq, target: SmallGraph) -> WitnessResult:
     at most 3, and every verdict is exact. A positive's witness is the
     placement that fit, checked edge by edge before it is returned. The
     target must be ``km_minus_c4(m)``, the SmallGraph F_m of order m;
-    anything else raises ContractError. The work is polynomial in the
-    length, and no length is refused.
+    anything else raises InputError. The work is polynomial in the
+    length, and no length is refused. A witness that fails its check is
+    a bug in this module and raises AssertionError.
     """
     if not (isinstance(target, SmallGraph) and target.n >= 4
             and target == km_minus_c4(target.n)):
-        raise ContractError("target is not K_m minus a 4-cycle")
+        raise InputError("target is not K_m minus a 4-cycle")
     m = target.n
     seq = DegreeSequence(seq)
     if not is_graphical(seq):
-        raise ContractError(f"sequence {tuple(seq)} is not graphical")
+        raise InputError(f"sequence {seq.to_text()} is not graphical")
     if seq.n < m:
         return WitnessResult(False, None, None, 0)
     verdict, explored, diagonals, used = _decide_sequence(seq, m)
@@ -111,8 +113,8 @@ def is_potentially(seq, target: SmallGraph) -> WitnessResult:
         return WitnessResult(False, None, None, explored)
     g, emb = _placement(seq, m, diagonals, used)
     if not _is_witness(seq, target, g, emb):
-        raise ContractError(f"placement witness for {tuple(seq)} "
-                            f"fails its check")
+        raise AssertionError(f"placement witness for {tuple(seq)} "
+                             f"fails its check")
     return WitnessResult(True, g, emb, explored)
 
 
@@ -265,8 +267,8 @@ def _placement(seq: DegreeSequence, m: int, diagonals, used: int):
             rows[v] |= 1 << u
     g = _realize_around(seq, rows, m)
     if g is None:
-        raise ContractError(f"placement for {tuple(seq)} ran out of "
-                            f"layoff targets")
+        raise AssertionError(f"placement for {tuple(seq)} ran out of "
+                             f"layoff targets")
     return g, (p, r, q, s) + tuple(range(m - 4))
 
 

@@ -32,15 +32,15 @@ force's reach is ``ffactor``, which imports nothing from kmc4.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import lru_cache
 from itertools import combinations, permutations
 from random import Random
 
 import networkx
 
-from kmc4 import (DEFAULT_VERTEX_LIMIT, ContractError, DegreeSequence,
-                  InputError, LimitError, SigmaReport,
-                  SmallGraph, encode_graph6,
+from kmc4 import (DEFAULT_VERTEX_LIMIT, DegreeSequence, InputError,
+                  LimitError, SigmaReport, SmallGraph, encode_graph6,
                   graphical_sequences_with_sum, havel_hakimi_realize,
                   is_graphical, sigma_lower_bound)
 from kmc4.graphs import _bits
@@ -123,15 +123,15 @@ def two_switch(g: SmallGraph, a: int, b: int, c: int, d: int) -> SmallGraph:
     the failing pair.
     """
     if len({a, b, c, d}) != 4:
-        raise ContractError(f"switch vertices ({a},{b},{c},{d}) are not distinct")
+        raise InputError(f"switch vertices ({a},{b},{c},{d}) are not distinct")
     for u, v in ((a, b), (c, d)):
         if not (0 <= u < g.n and 0 <= v < g.n):
-            raise ContractError(f"vertex pair ({u},{v}) out of range for n={g.n}")
+            raise InputError(f"vertex pair ({u},{v}) out of range for n={g.n}")
         if not g.has_edge(u, v):
-            raise ContractError(f"required edge {u}-{v} is absent")
+            raise InputError(f"required edge {u}-{v} is absent")
     for u, v in ((a, c), (b, d)):
         if g.has_edge(u, v):
-            raise ContractError(f"required non-edge {u}-{v} is present")
+            raise InputError(f"required non-edge {u}-{v} is present")
     return _switched(g, a, b, c, d)
 
 

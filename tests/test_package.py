@@ -1,16 +1,22 @@
 """The package surface: what ``import kmc4`` loads, the result records,
-and the imports of each source module and test oracle module.
+and the imports and annotations of each source module and test oracle
+module.
 
 The replay module is imported on the first use of one of its names,
-every result record is a named tuple with fixed fields and defaults, and
-no module imports a name it never uses.
+every result record is a named tuple with fixed fields and defaults, no
+module imports a name it never uses, and every annotation names
+something its module can resolve.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+import inspect
 import subprocess
 import sys
+import types
+import typing
 from pathlib import Path
 
 import pytest
@@ -159,3 +165,53 @@ class TestImportsAreUsed:
         assert self.stray_imports("from .graphs import join, SmallGraph\n"
                                   "__all__ = ['join']\n", True) == [
             "SmallGraph (line 1, not in __all__)"]
+
+
+class TestAnnotationsResolve:
+    """``typing.get_type_hints`` resolves on every function, method and
+    class of each module of ``src/kmc4`` and each test oracle module:
+    with postponed annotations, a name an annotation uses but the module
+    never imports fails only there."""
+
+    @staticmethod
+    def unresolved(module: types.ModuleType) -> list[str]:
+        annotated = []
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(obj):
+                annotated.append(obj)
+                for attr in vars(obj).values():
+                    attr = getattr(attr, "__func__", attr)
+                    attr = getattr(attr, "fget", attr)
+                    if inspect.isfunction(attr):
+                        annotated.append(attr)
+            elif callable(obj):
+                annotated.append(obj)
+        failed = []
+        for obj in annotated:
+            try:
+                typing.get_type_hints(obj)
+            except NameError as exc:
+                failed.append(f"{obj.__qualname__}: {exc}")
+        return failed
+
+    @pytest.mark.parametrize(
+        "name", ["kmc4"] + sorted(
+            f"kmc4.{path.stem}"
+            for path in Path(kmc4.__file__).parent.glob("*.py")
+            if path.stem != "__init__") + ["helpers", "ffactor"])
+    def test_module(self, name):
+        assert self.unresolved(importlib.import_module(name)) == []
+
+    def test_finds_an_unimported_name(self):
+        module = types.ModuleType("probe")
+        exec("from __future__ import annotations\n"
+             "def walk(n: int) -> Iterator[int]:\n"
+             "    yield n\n"
+             "class Box:\n"
+             "    def get(self) -> Missing: ...\n", vars(module))
+        assert self.unresolved(module) == [
+            "walk: name 'Iterator' is not defined",
+            "Box.get: name 'Missing' is not defined"]
+

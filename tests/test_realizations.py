@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-import re
 from itertools import combinations, permutations
 from random import Random
 
@@ -16,7 +15,7 @@ from helpers import (brute_isomorphic, embedding_is_valid,
 
 import kmc4.cli
 import kmc4.realizations
-from kmc4 import (ContractError, DegreeSequence, SmallGraph, WitnessResult,
+from kmc4 import (InputError, DegreeSequence, SmallGraph, WitnessResult,
                   complete_graph, degree_sequence_of, empty_graph,
                   encode_graph6, extremal_witness, havel_hakimi_realize,
                   is_potentially, join, km_minus_c4, replay_theorem2,
@@ -81,7 +80,7 @@ class TestHavelHakimi:
             assert g.degrees() == tuple(seq)
 
     def test_rejects_non_graphical(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(InputError):
             havel_hakimi_realize((3, 3, 1, 1))
 
     def test_same_graph_as_the_scanning_layoff(self):
@@ -178,21 +177,21 @@ class TestTwoSwitch:
 
     def test_rejects_duplicate_vertices(self):
         g = complete_graph(4)
-        with pytest.raises(ContractError):
+        with pytest.raises(InputError):
             two_switch(g, 0, 1, 1, 2)
 
     def test_rejects_missing_edge(self):
         g = SmallGraph(4, [(0, 1), (2, 3)])
-        with pytest.raises(ContractError, match="required edge"):
+        with pytest.raises(InputError, match="required edge"):
             two_switch(g, 0, 2, 1, 3)
 
     def test_rejects_present_non_edge(self):
-        with pytest.raises(ContractError, match="non-edge"):
+        with pytest.raises(InputError, match="non-edge"):
             two_switch(complete_graph(4), 0, 1, 2, 3)
 
     def test_rejects_out_of_range(self):
         g = SmallGraph(4, [(0, 1), (2, 3)])
-        with pytest.raises(ContractError):
+        with pytest.raises(InputError):
             two_switch(g, 0, 1, 2, 4)
 
 
@@ -395,7 +394,7 @@ class TestExactDecision:
         (5, km_minus_c4(5)),
     ])
     def test_rejects_foreign_targets(self, target):
-        with pytest.raises(ContractError, match="4-cycle"):
+        with pytest.raises(InputError, match="4-cycle"):
             is_potentially((4, 2, 2, 2, 2), target)
 
 
@@ -639,7 +638,7 @@ def count_calls(monkeypatch, module, name):
 
 
 class TestGraphicalityCheckedOnce:
-    NOT_GRAPHICAL = re.escape("sequence (3, 3, 1, 1) is not graphical")
+    NOT_GRAPHICAL = "^sequence 3,3,1,1 is not graphical$"
 
     @pytest.mark.parametrize("run", [
         lambda: havel_hakimi_realize((4, 4, 3, 3, 2, 2)),
@@ -664,15 +663,26 @@ class TestGraphicalityCheckedOnce:
         lambda: is_potentially((3, 3, 1, 1), km_minus_c4(5)),
     ])
     def test_library_errors_unchanged(self, run):
-        with pytest.raises(ContractError, match=self.NOT_GRAPHICAL):
+        with pytest.raises(InputError, match=self.NOT_GRAPHICAL):
             run()
 
+    def test_one_message_from_every_entry_point(self):
+        seq = (6, 6, 6, 6, 2, 2, 2, 2)
+        messages = []
+        for run in (havel_hakimi_realize, replay_theorem2,
+                    lambda seq: is_potentially(seq, BOWTIE)):
+            with pytest.raises(InputError) as err:
+                run(seq)
+            messages.append(str(err.value))
+        assert messages == ["sequence 6,6,6,6,2,2,2,2 is not graphical"] * 3
+
     @pytest.mark.parametrize("argv", [
-        ["realize", "3,3,1,1"], ["potential", "3,3,1,1", "--m", "4"]])
+        ["realize", "3,3,1,1"], ["potential", "3,3,1,1", "--m", "4"],
+        ["replay", "6,6,6,6,2,2,2,2"]])
     def test_cli_errors_unchanged(self, capsys, argv):
         assert kmc4.cli.main(argv) == 2
         assert capsys.readouterr().err == \
-            "error: sequence 3,3,1,1 is not graphical\n"
+            f"error: sequence {argv[1]} is not graphical\n"
 
     @pytest.mark.parametrize("argv", [
         ["potential", "3,3,1,1"],
@@ -703,6 +713,22 @@ class TestGraphicalityCheckedOnce:
         assert len(in_library) + len(in_cli) == 1
 
 
+class TestBrokenInvariant:
+    """A check that fails only on a bug in the library raises
+    AssertionError, which the command line does not turn into exit 2."""
+
+    @pytest.mark.parametrize("name,fake,message", [
+        ("_realize_around", lambda *args: None, "ran out of layoff targets"),
+        ("_is_witness", lambda *args: False, "fails its check")],
+        ids=["_realize_around", "_is_witness"])
+    def test_raises_assertion_error(self, monkeypatch, name, fake, message):
+        monkeypatch.setattr(kmc4.realizations, name, fake)
+        with pytest.raises(AssertionError, match=message):
+            is_potentially((4, 2, 2, 2, 2), BOWTIE)
+        with pytest.raises(AssertionError, match=message):
+            kmc4.cli.main(["potential", "4,2,2,2,2"])
+
+
 class TestInterchange:
     def test_known_instance(self):
         g = two_k4_matching()
@@ -721,24 +747,24 @@ class TestInterchange:
         assert g == two_k4_matching()
 
     def test_rejects_duplicate_vertices(self):
-        with pytest.raises(ContractError, match="distinct"):
+        with pytest.raises(InputError, match="distinct"):
             theorem2_interchange(two_k4_matching(), 0, 1, 2, 3, 4, 5, 4)
 
     def test_rejects_incomplete_quadruple(self):
-        with pytest.raises(ContractError, match="quadruple"):
+        with pytest.raises(InputError, match="quadruple"):
             theorem2_interchange(two_k4_matching(), 0, 1, 2, 4, 5, 6, 7)
 
     def test_rejects_missing_attachment_edge(self):
         # vertex 6 is not adjacent to 1, so v2-y2 is absent
-        with pytest.raises(ContractError, match="required edge v2-y2"):
+        with pytest.raises(InputError, match="required edge v2-y2"):
             theorem2_interchange(two_k4_matching(), 0, 1, 2, 3, 4, 6, 5)
 
     def test_rejects_present_non_edge(self):
-        with pytest.raises(ContractError, match="non-edge"):
+        with pytest.raises(InputError, match="non-edge"):
             theorem2_interchange(complete_graph(8), 0, 1, 2, 3, 4, 5, 6)
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ContractError, match="out of range"):
+        with pytest.raises(InputError, match="out of range"):
             theorem2_interchange(two_k4_matching(), 0, 1, 2, 3, 4, 5, 8)
 
     def test_seeded_valid_instances_preserve_degrees(self):
