@@ -13,8 +13,8 @@ from .errors import InputError, LimitError, ReplayError
 from .extremal import (SigmaReport, Theorem1Report, extremal_witness,
                        sigma_exact, sigma_lower_bound, verify_conjecture,
                        verify_theorem1)
-from .graphs import (SmallGraph, complete_graph, degree_sequence_of,
-                     empty_graph, encode_graph6, join, km_minus_c4)
+from .graphs import (SmallGraph, complete_graph, empty_graph, encode_graph6,
+                     join, km_minus_c4)
 from .realizations import WitnessResult, havel_hakimi_realize, is_potentially
 from .sequences import (DEFAULT_VERTEX_LIMIT, DegreeSequence,
                         graphical_sequences_with_sum, is_graphical)
@@ -58,7 +58,6 @@ __all__ = [
     "Theorem2RangeReport",
     "WitnessResult",
     "complete_graph",
-    "degree_sequence_of",
     "empty_graph",
     "encode_graph6",
     "extremal_witness",

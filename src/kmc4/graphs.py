@@ -15,7 +15,6 @@ from binascii import b2a_base64
 from functools import cache, lru_cache
 
 from .errors import InputError
-from .sequences import DegreeSequence
 
 
 def _bits(mask: int):
@@ -126,14 +125,6 @@ def _km_minus_c4(m: int) -> SmallGraph:
         rows[u] ^= 1 << v
         rows[v] ^= 1 << u
     return SmallGraph._from_rows(m, rows)
-
-
-def degree_sequence_of(g: SmallGraph) -> DegreeSequence:
-    if g.n == 0:
-        raise InputError("the empty graph has no degree sequence")
-    # Bit counts are nonnegative integers already; only the sort is needed.
-    return tuple.__new__(DegreeSequence,
-                         sorted(map(int.bit_count, g.rows), reverse=True))
 
 
 # ----------------------------------------------------------------------

@@ -33,8 +33,10 @@ d <= 2 is laid off onto the d largest other terms (Kleitman and Wang),
 which leaves a graphical residual with n - 1 terms and sum at least
 4(n - 1) - 4: the deletion lemma the threshold sweep in ``extremal``
 uses. The replay recurses on that residual and joins a new vertex to
-vertices whose degrees in the returned witness are the lowered terms,
-which realizes the sequence again; only that graph is recorded.
+the positions the lay-off lowered, which realizes the sequence again;
+only that graph is recorded. Every witness realizes its sequence
+vertex by vertex (vertex i has degree seq[i]), and each level checks
+that it does.
 
 Each leaf case yields its witness together with the bowtie's position
 in it: the 5-vertex base reads it off a vertex of degree 4 and a
@@ -52,9 +54,9 @@ import json
 from typing import NamedTuple
 
 from .errors import InputError, ReplayError
-from .graphs import (SmallGraph, degree_sequence_of, encode_graph6,
-                     is_embedding, km_minus_c4)
-from .realizations import _k4_on_top, _realize_around, is_potentially
+from .graphs import SmallGraph, encode_graph6, is_embedding, km_minus_c4
+from .realizations import (_k4_on_top, _lay_off_degrees, _realize_around,
+                           is_potentially)
 from .sequences import (DEFAULT_VERTEX_LIMIT, DegreeSequence,
                         graphical_sequences_with_sum, is_graphical)
 
@@ -155,28 +157,24 @@ def verify_base_cases(family_ns=(8,)) -> BaseCaseReport:
     return BaseCaseReport(entries)
 
 
-def _attach_back(witness: SmallGraph, attach_degrees: list[int],
-                 steps) -> SmallGraph:
-    """Add one vertex joined to distinct vertices whose current degrees
-    match ``attach_degrees``, the lowest-index ones first; adding edges
-    cannot destroy an embedded subgraph, but validity is still
-    re-checked by the caller."""
-    degrees = list(map(int.bit_count, witness.rows))
-    chosen = []
-    for want in sorted(attach_degrees, reverse=True):
-        # a repeated degree continues past the last pick
-        start = chosen[-1] + 1 if chosen and degrees[chosen[-1]] == want else 0
-        try:
-            chosen.append(degrees.index(want, start))
-        except ValueError:
-            raise ReplayError(
-                f"no vertex of degree {want} left to re-attach to",
-                steps) from None
-    new_v = witness.n
-    rows = list(witness.rows) + [0]
-    for u in chosen:
-        rows[u] |= 1 << new_v
-        rows[new_v] |= 1 << u
+def _attach_back(inner: SmallGraph, seq: DegreeSequence,
+                 residual: DegreeSequence) -> SmallGraph:
+    """Undo the lay-off of seq's last vertex: a new vertex joined to each
+    position u with ``seq[u] != residual[u]``.
+
+    ``inner`` realizes ``residual`` vertex by vertex, and ``residual``
+    is seq[:-1] with its first d = seq[-1] terms lowered by one and
+    re-sorted. Re-sorting moves each lowered term to the end of its
+    block of ties, so exactly d positions differ, each by one, and the
+    result realizes seq vertex by vertex. Adding edges cannot destroy
+    an embedded subgraph; the caller still checks both facts.
+    """
+    new_v = inner.n
+    rows = list(inner.rows) + [0]
+    for u in range(new_v):
+        if seq[u] != residual[u]:
+            rows[u] |= 1 << new_v
+            rows[new_v] |= 1 << u
     return SmallGraph._from_rows(new_v + 1, rows)
 
 
@@ -317,9 +315,8 @@ def _replay(seq: DegreeSequence,
 
     if seq[-1] <= 2:
         d = seq[-1]
-        attach = [t - 1 for t in seq[:d]]
-        residual = tuple.__new__(DegreeSequence, sorted(
-            attach + list(seq[d:n - 1]), reverse=True))
+        residual = tuple.__new__(DegreeSequence,
+                                 _lay_off_degrees(seq[:-1], (d,)))
         if sum(residual) < 4 * (n - 1) - 4:
             raise ReplayError(
                 f"residual sum {sum(residual)} below threshold "
@@ -330,17 +327,16 @@ def _replay(seq: DegreeSequence,
             f"{list(seq[:d])}; residual "
             f"({','.join(str(t) for t in residual)}) keeps the threshold"))
         inner, emb = _replay(residual, steps)
-        out = _attach_back(inner, attach, steps)
-        if degree_sequence_of(out) != seq:
-            raise ReplayError(
-                f"re-attachment realized {tuple(degree_sequence_of(out))} "
-                f"instead of {tuple(seq)}", steps)
+        out = _attach_back(inner, seq, residual)
+        if out.degrees() != seq:
+            raise ReplayError(f"re-attachment realized {out.degrees()} "
+                              f"instead of {tuple(seq)}", steps)
         if not is_embedding(out, bowtie, emb):
             raise ReplayError("re-attachment lost the embedded target", steps)
         steps.append(ProofStep(
             CASE_DELETION, tuple(seq),
             f"re-attached the deleted vertex to degrees "
-            f"{sorted(attach, reverse=True)}", encode_graph6(out)))
+            f"{[t - 1 for t in seq[:d]]}", encode_graph6(out)))
         return out, emb
 
     if seq in _EXCEPTIONAL_CASES:
@@ -417,10 +413,10 @@ def replay_theorem2(seq) -> ProofTrace:
             f"degree sum {sum(seq)} below threshold {4 * n - 4}")
     steps: list[ProofStep] = []
     out, emb = _replay(seq, steps)
-    if degree_sequence_of(out) != seq:
+    if out.degrees() != seq:
         raise ReplayError(
-            f"outcome realizes {tuple(degree_sequence_of(out))} "
-            f"instead of {tuple(seq)}", steps)
+            f"outcome realizes {out.degrees()} instead of {tuple(seq)}",
+            steps)
     if not is_embedding(out, km_minus_c4(5), emb):
         raise ReplayError("outcome does not contain the target", steps)
     return ProofTrace(steps, out, emb)

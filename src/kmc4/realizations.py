@@ -228,12 +228,15 @@ def _first_fit(seq: DegreeSequence, m: int, out: list[int], diagonals,
 
 
 def _lay_off_degrees(out, needs) -> list[int] | None:
-    """A new list: the nonincreasing outside residuals ``out`` after each
-    placed vertex's outside demand in ``needs`` is laid off onto the
-    largest of them, or None when a demand is negative or finds too few
-    positive residuals. ``_first_fit`` never hands it a negative demand;
-    ``_core_residual`` does on a sequence whose core degrees fall below
-    m - 1."""
+    """A new list: the nonincreasing residuals ``out`` after each demand
+    in ``needs`` is laid off onto the largest of them, or None when a
+    demand is negative or finds too few positive residuals. The callers
+    are ``_core_residual`` and ``_first_fit``, with each placed vertex's
+    outside demand, and the replay's deletion case in ``proof_replay``,
+    with the least degree. None hands it a negative demand:
+    ``_decide_sequence`` returns before ``_core_residual`` when a core
+    degree falls below m - 1, and ``_first_fit`` skips a subset that
+    would leave one."""
     out = list(out)
     for k in needs:
         if k:

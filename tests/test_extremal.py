@@ -10,8 +10,8 @@ from helpers import (decode_graph6, encode_graph6_by_bits, find_embedding,
                      sigma_by_full_sweep, uplifts_by_positions)
 
 import kmc4.realizations
-from kmc4 import (InputError, LimitError, SmallGraph, complete_graph,
-                  degree_sequence_of, empty_graph, extremal_witness,
+from kmc4 import (DegreeSequence, InputError, LimitError, SmallGraph,
+                  complete_graph, empty_graph, extremal_witness,
                   graphical_sequences_with_sum, is_potentially, join,
                   km_minus_c4, sigma_exact, sigma_lower_bound,
                   verify_conjecture, verify_theorem1)
@@ -89,7 +89,7 @@ class TestExtremalWitness:
     def test_shape(self):
         g, seq = extremal_witness(5, 8)
         assert seq == (7, 7) + (2,) * 6
-        assert degree_sequence_of(g) == seq
+        assert DegreeSequence(g.degrees()) == seq
         assert g == join(complete_graph(2), empty_graph(6))
 
     def test_sum_two_below_bound(self):

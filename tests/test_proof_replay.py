@@ -36,7 +36,6 @@ from kmc4 import (
     ProofTrace,
     ReplayError,
     SmallGraph,
-    degree_sequence_of,
     encode_graph6,
     is_graphical,
     is_potentially,
@@ -376,8 +375,8 @@ class TestCarriedEmbedding:
         real_attach = kmc4.proof_replay._attach_back
         switched = []
 
-        def drop_embedded_edge(witness, attach_degrees, steps):
-            out = real_attach(witness, attach_degrees, steps)
+        def drop_embedded_edge(inner, seq, residual):
+            out = real_attach(inner, seq, residual)
             emb = returned[-1][1]
             for a, b in BOWTIE.edges():
                 x, y = emb[a], emb[b]
@@ -398,6 +397,32 @@ class TestCarriedEmbedding:
         assert len(switched) == 1
         # a search would still have found a bowtie in the mutated graph
         assert find_embedding(switched[0], BOWTIE) is not None
+
+    def test_misplaced_reattachment_is_caught(self, monkeypatch):
+        # join the new vertex to 0 and 2 instead of 0 and 1: the degree
+        # multiset and the carried embedding still hold, but vertex 1
+        # no longer has degree seq[1]
+        seq = (5, 5, 4, 4, 2, 2, 2)
+        real_attach = kmc4.proof_replay._attach_back
+        misplaced = []
+
+        def join_0_and_2(inner, s, residual):
+            out = real_attach(inner, s, residual)
+            if s != seq:
+                return out
+            assert out.has_edge(6, 0) and out.has_edge(6, 1)
+            rows = list(out.rows)
+            for u in (1, 2):
+                rows[u] ^= 1 << 6
+                rows[6] ^= 1 << u
+            misplaced.append(SmallGraph._from_rows(7, rows))
+            return misplaced[-1]
+
+        monkeypatch.setattr(kmc4.proof_replay, "_attach_back", join_0_and_2)
+        with pytest.raises(ReplayError, match="re-attachment realized"):
+            replay_theorem2(seq)
+        assert len(misplaced) == 1
+        assert DegreeSequence(misplaced[0].degrees()) == seq
 
 
 class TestConstructedCompletion:
@@ -650,7 +675,7 @@ class TestMainCase:
             n = rng.randint(14, 32)
             pairs = list(combinations(range(n), 2))
             g = SmallGraph(n, rng.sample(pairs, 2 * n - 2 + rng.randint(0, n)))
-            seq = tuple(degree_sequence_of(g))
+            seq = tuple(DegreeSequence(g.degrees()))
             trace = replay_theorem2(seq)
             check_trace(seq, trace)
             assert {"interchange", "direct-adjacency"} & {
@@ -664,7 +689,7 @@ class TestMainCase:
             n = rng.randint(33, 80)
             pairs = list(combinations(range(n), 2))
             g = SmallGraph(n, rng.sample(pairs, 2 * n - 2 + rng.randint(0, n)))
-            seq = tuple(degree_sequence_of(g))
+            seq = tuple(DegreeSequence(g.degrees()))
             trace = replay_theorem2(seq)
             check_trace(seq, trace)
 
