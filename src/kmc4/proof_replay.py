@@ -7,8 +7,10 @@ argument: a direct 5-vertex base, deletion of a low-degree vertex and
 recursion, a small table of exceptional sequences, the hub-plus-cycle
 family forced when the second degree is 3, and otherwise a complete
 quadruple completed through a neighbor or a three-edge interchange.
-Each decision is recorded in a trace whose final graph is re-validated
-against the input sequence.
+Each decision is recorded in a trace. Every level's witness, leaves
+included, is checked once before its step is recorded, by the predicate
+``is_potentially`` uses: it must realize the level's sequence vertex by
+vertex and hold the bowtie at the embedding the level carries.
 
 The main case builds one realization, with K4 on the four largest
 degrees, and completes the bowtie on that quadruple: through an outside
@@ -26,7 +28,8 @@ sequences without one are (4,4,3,3,3,3), (4^6) and (4^7), an
 exhaustive check in the tests; these three make up the table. A
 main-case sequence without a K4 realization would raise
 ``ReplayError`` (exit 1 on the command line). The replay never yields
-a wrong witness, since every outcome is re-checked against the input.
+a wrong witness, since every level's witness is checked before it is
+recorded.
 
 The deletion case works on degrees alone. A vertex of least degree
 d <= 2 is laid off onto the d largest other terms (Kleitman and Wang),
@@ -35,8 +38,8 @@ which leaves a graphical residual with n - 1 terms and sum at least
 uses. The replay recurses on that residual and joins a new vertex to
 the positions the lay-off lowered, which realizes the sequence again;
 only that graph is recorded. Every witness realizes its sequence
-vertex by vertex (vertex i has degree seq[i]), and each level checks
-that it does.
+vertex by vertex (vertex i has degree seq[i]), and each level's check
+confirms that it does.
 
 Each leaf case yields its witness together with the bowtie's position
 in it: the 5-vertex base reads it off a vertex of degree 4 and a
@@ -44,8 +47,8 @@ pairing of the other four, the table case takes it from
 ``is_potentially``, and the hub-plus-cycle family and the quadruple
 completions have it by construction. Re-attaching a vertex only
 appends a vertex and adds edges, so that position carries up
-unchanged; every deletion level and the final outcome check it edge by
-edge instead of searching.
+unchanged; each level's check tests it edge by edge instead of
+searching.
 """
 
 from __future__ import annotations
@@ -54,9 +57,9 @@ import json
 from typing import NamedTuple
 
 from .errors import InputError, ReplayError
-from .graphs import SmallGraph, encode_graph6, is_embedding, km_minus_c4
-from .realizations import (_k4_on_top, _lay_off_degrees, _realize_around,
-                           is_potentially)
+from .graphs import SmallGraph, encode_graph6, km_minus_c4
+from .realizations import (_is_witness, _k4_on_top, _lay_off_degrees,
+                           _realize_around, is_potentially)
 from .sequences import (DEFAULT_VERTEX_LIMIT, DegreeSequence,
                         graphical_sequences_with_sum, is_graphical)
 
@@ -92,12 +95,6 @@ class ProofTrace(NamedTuple):
     steps: list[ProofStep]
     outcome: SmallGraph
     embedding: tuple[int, ...]
-
-    @property
-    def depth(self) -> int:
-        """Recursion depth: how many sequence lengths the replay visited."""
-        lengths = {len(s.sequence) for s in self.steps}
-        return max(lengths) - min(lengths) + 1
 
     def to_json_lines(self) -> list[str]:
         return [json.dumps(s.to_json_dict(), sort_keys=True) for s in self.steps]
@@ -167,7 +164,8 @@ def _attach_back(inner: SmallGraph, seq: DegreeSequence,
     re-sorted. Re-sorting moves each lowered term to the end of its
     block of ties, so exactly d positions differ, each by one, and the
     result realizes seq vertex by vertex. Adding edges cannot destroy
-    an embedded subgraph; the caller still checks both facts.
+    an embedded subgraph. ``_replay`` checks both facts on the result,
+    as it checks every level's witness, before recording it.
     """
     new_v = inner.n
     rows = list(inner.rows) + [0]
@@ -294,7 +292,9 @@ def _complete_on_top(g: SmallGraph):
 
 def _replay(seq: DegreeSequence,
             steps: list[ProofStep]) -> tuple[SmallGraph, tuple[int, ...]]:
-    """The witness for seq and the bowtie's embedding in it."""
+    """The witness for seq and the bowtie's embedding in it. Each case
+    builds them; one check after the cases confirms both before the
+    level's step is recorded."""
     n = seq.n
     bowtie = km_minus_c4(5)
     # seq is graphical: replay_theorem2 checked it, and every recursive
@@ -307,13 +307,11 @@ def _replay(seq: DegreeSequence,
             raise ReplayError(
                 f"5-vertex realization of {tuple(seq)} with "
                 f"{g.edge_count} edges misses the target", steps)
-        steps.append(ProofStep(
-            CASE_BASE5, tuple(seq),
-            f"greedy realization has {g.edge_count} >= 8 edges; "
-            f"target embedded at {list(emb)}", encode_graph6(g)))
-        return g, emb
+        case = CASE_BASE5
+        action = (f"greedy realization has {g.edge_count} >= 8 edges; "
+                  f"target embedded at {list(emb)}")
 
-    if seq[-1] <= 2:
+    elif seq[-1] <= 2:
         d = seq[-1]
         residual = tuple.__new__(DegreeSequence,
                                  _lay_off_degrees(seq[:-1], (d,)))
@@ -327,31 +325,23 @@ def _replay(seq: DegreeSequence,
             f"{list(seq[:d])}; residual "
             f"({','.join(str(t) for t in residual)}) keeps the threshold"))
         inner, emb = _replay(residual, steps)
-        out = _attach_back(inner, seq, residual)
-        if out.degrees() != seq:
-            raise ReplayError(f"re-attachment realized {out.degrees()} "
-                              f"instead of {tuple(seq)}", steps)
-        if not is_embedding(out, bowtie, emb):
-            raise ReplayError("re-attachment lost the embedded target", steps)
-        steps.append(ProofStep(
-            CASE_DELETION, tuple(seq),
-            f"re-attached the deleted vertex to degrees "
-            f"{[t - 1 for t in seq[:d]]}", encode_graph6(out)))
-        return out, emb
+        g = _attach_back(inner, seq, residual)
+        case = CASE_DELETION
+        action = (f"re-attached the deleted vertex to degrees "
+                  f"{[t - 1 for t in seq[:d]]}")
 
-    if seq in _EXCEPTIONAL_CASES:
+    elif seq in _EXCEPTIONAL_CASES:
         res = is_potentially(seq, bowtie)
         if not res.verdict:
             raise ReplayError(
                 f"exceptional sequence {tuple(seq)} has no realization "
                 f"containing the target", steps)
-        steps.append(ProofStep(
-            CASE_EXCEPTIONAL, tuple(seq),
-            f"table sequence; the top-degree placement holds the target "
-            f"at pairing {res.explored}", encode_graph6(res.witness)))
-        return res.witness, res.embedding
+        g, emb = res.witness, res.embedding
+        case = CASE_EXCEPTIONAL
+        action = (f"table sequence; the top-degree placement holds the "
+                  f"target at pairing {res.explored}")
 
-    if seq[1] == 3:
+    elif seq[1] == 3:
         expected = (n - 1,) + (3,) * (n - 1)
         if tuple(seq) != expected:
             raise ReplayError(
@@ -370,28 +360,27 @@ def _replay(seq: DegreeSequence,
         # the hub is the bowtie's center; rim edges 1-2 and 3-4 its two
         # independent edges
         emb = (1, 3, 2, 4, 0)
-        if not is_embedding(g, bowtie, emb):
-            raise ReplayError("hub-plus-cycle construction misses the target",
-                              steps)
-        steps.append(ProofStep(
-            CASE_FAMILY, tuple(seq),
-            "hub joined to a cycle realizes the forced sequence and "
-            "contains the target", encode_graph6(g)))
-        return g, emb
+        case = CASE_FAMILY
+        action = ("hub joined to a cycle realizes the forced sequence and "
+                  "contains the target")
 
-    # Main case: d(v2) >= 4 and minimum degree >= 3. The realization
-    # with K4 on the four largest degrees exists whenever any realization
-    # holds a complete quadruple, and the completion works on that one.
-    g = _k4_on_top(seq)
-    done = None if g is None else _complete_on_top(g)
-    if done is None:
-        raise ReplayError(f"every proof case failed for {tuple(seq)}", steps)
-    witness, emb, case, action = done
-    if not is_embedding(witness, bowtie, emb):
-        raise ReplayError(f"completion claimed by '{case}' does not "
-                          f"contain the target", steps)
-    steps.append(ProofStep(case, tuple(seq), action, encode_graph6(witness)))
-    return witness, emb
+    else:
+        # Main case: d(v2) >= 4 and minimum degree >= 3. The realization
+        # with K4 on the four largest degrees exists whenever any
+        # realization holds a complete quadruple, and the completion
+        # works on that one.
+        g = _k4_on_top(seq)
+        done = None if g is None else _complete_on_top(g)
+        if done is None:
+            raise ReplayError(f"every proof case failed for {tuple(seq)}",
+                              steps)
+        g, emb, case, action = done
+
+    if not _is_witness(seq, bowtie, g, emb):
+        raise ReplayError(f"'{case}' witness for {tuple(seq)} does not "
+                          f"realize it with the target embedded", steps)
+    steps.append(ProofStep(case, tuple(seq), action, encode_graph6(g)))
+    return g, emb
 
 
 def replay_theorem2(seq) -> ProofTrace:
@@ -399,8 +388,10 @@ def replay_theorem2(seq) -> ProofTrace:
 
     Preconditions: graphical, n >= 5, degree sum >= 4n-4. The returned
     trace ends in a graph that realizes the input sequence and contains
-    the bowtie; both facts are re-checked before returning, the second
-    on the embedding the replay carried, which the trace keeps.
+    the bowtie. Every level's witness, leaves included, was checked
+    once before its step was recorded, by the predicate
+    ``is_potentially`` uses, on the embedding the replay carried, which
+    the trace keeps.
     """
     seq = DegreeSequence(seq)
     n = seq.n
@@ -413,12 +404,6 @@ def replay_theorem2(seq) -> ProofTrace:
             f"degree sum {sum(seq)} below threshold {4 * n - 4}")
     steps: list[ProofStep] = []
     out, emb = _replay(seq, steps)
-    if out.degrees() != seq:
-        raise ReplayError(
-            f"outcome realizes {out.degrees()} instead of {tuple(seq)}",
-            steps)
-    if not is_embedding(out, km_minus_c4(5), emb):
-        raise ReplayError("outcome does not contain the target", steps)
     return ProofTrace(steps, out, emb)
 
 
@@ -440,10 +425,12 @@ def verify_theorem2_range(n_max: int, limit: int = DEFAULT_VERTEX_LIMIT,
 
     At each n the exact threshold must equal 4n-4, and the constructive
     replay must produce a valid witness for every graphical sequence at
-    or above 4n-4. ``replay_theorem2`` checks each witness's degrees,
-    and its bowtie edge by edge on the embedding its trace carries, and
-    raises ReplayError on a wrong one; each such error counts as a
-    replay failure. The thresholds come from one upward sweep over n;
+    or above 4n-4. ``replay_theorem2`` checks every level's witness,
+    leaves included, once before recording its step, with the predicate
+    ``is_potentially`` uses: its degrees vertex by vertex, and its
+    bowtie edge by edge on the embedding the level carries. It raises
+    ReplayError on a wrong one; each such error counts as a replay
+    failure. The thresholds come from one upward sweep over n;
     nothing is decided again here, since a threshold above 4n-4 already
     fails the report.
     """

@@ -71,6 +71,11 @@ FORMER_TABLE = {
 }
 
 
+def lengths_visited(trace):
+    """Recursion depth: how many sequence lengths the replay visited."""
+    return len({len(s.sequence) for s in trace.steps})
+
+
 def check_trace(seq, trace):
     """Full validity audit of a replay trace against its input sequence."""
     n = len(seq)
@@ -78,7 +83,7 @@ def check_trace(seq, trace):
     assert trace.outcome.degrees() == tuple(sorted(seq, reverse=True))
     assert find_embedding(trace.outcome, BOWTIE) is not None
     assert trace.steps, "a trace always records at least one step"
-    assert trace.depth <= n - 4
+    assert lengths_visited(trace) <= n - 4
     for step in trace.steps:
         assert step.case in CASES
         assert isinstance(step.sequence, tuple)
@@ -208,7 +213,7 @@ class TestCaseBranches:
         cases = [s.case for s in trace.steps]
         assert cases[0] == "d_n≤2 deletion"
         assert "q≥8 (n=5)" in cases
-        assert trace.depth == 2
+        assert lengths_visited(trace) == 2
 
     def test_deletion_chain_hits_depth_bound(self):
         seq = (7, 7, 4, 4, 4, 2, 2, 2)
@@ -216,7 +221,7 @@ class TestCaseBranches:
         check_trace(seq, trace)
         cases = [s.case for s in trace.steps]
         assert cases[:3] == ["d_n≤2 deletion"] * 3
-        assert trace.depth == len(seq) - 4
+        assert lengths_visited(trace) == len(seq) - 4
 
     def test_deletion_step_builds_no_graph(self):
         # the lay-off works on degrees: only the re-attached graph is
@@ -308,6 +313,12 @@ def record_returns(monkeypatch, module, name):
     return returned
 
 
+def witness_error(case, seq):
+    """The start of the ReplayError message of a level whose witness
+    fails its check, as a pattern."""
+    return re.escape(f"'{case}' witness for {tuple(seq)} does not realize")
+
+
 class TestCarriedEmbedding:
     @pytest.mark.parametrize("seq", [
         (4, 4, 3, 3, 2), (7, 7, 4, 4, 4, 2, 2, 2), (5, 3, 3, 3, 3, 3),
@@ -323,12 +334,12 @@ class TestCarriedEmbedding:
 
     def test_deletion_levels_do_not_search(self, monkeypatch):
         checked = record_returns(monkeypatch, kmc4.proof_replay,
-                                 "is_embedding")
+                                 "_is_witness")
         trace = replay_theorem2((7, 7, 4, 4, 4, 2, 2, 2))
         assert [s.case for s in trace.steps].count("d_n≤2 deletion") == 6
-        # the 5-vertex base case reads its bowtie off the degrees; the
-        # three re-attachments and the final check only check it, on
-        # the embedding the trace keeps
+        # the 5-vertex base case reads its bowtie off the degrees; its
+        # level and the three re-attachments only check it, once each,
+        # on the embedding the trace keeps
         assert_no_search()
         assert checked == [True] * 4
         assert embedding_is_valid(trace.outcome, BOWTIE, trace.embedding)
@@ -391,8 +402,10 @@ class TestCarriedEmbedding:
 
         monkeypatch.setattr(kmc4.proof_replay, "_attach_back",
                             drop_embedded_edge)
-        with pytest.raises(ReplayError,
-                           match="re-attachment lost the embedded target"):
+        # the first re-attachment, on the residual, is caught at its
+        # own level
+        with pytest.raises(ReplayError, match=witness_error(
+                "d_n≤2 deletion", (4, 4, 4, 4, 2, 2))):
             replay_theorem2((5, 5, 4, 4, 2, 2, 2))
         assert len(switched) == 1
         # a search would still have found a bowtie in the mutated graph
@@ -419,10 +432,45 @@ class TestCarriedEmbedding:
             return misplaced[-1]
 
         monkeypatch.setattr(kmc4.proof_replay, "_attach_back", join_0_and_2)
-        with pytest.raises(ReplayError, match="re-attachment realized"):
+        with pytest.raises(ReplayError,
+                           match=witness_error("d_n≤2 deletion", seq)):
             replay_theorem2(seq)
         assert len(misplaced) == 1
         assert DegreeSequence(misplaced[0].degrees()) == seq
+
+    def test_broken_base_embedding_is_caught_at_its_level(self, monkeypatch):
+        # swap the first two entries of the 5-vertex base's bowtie: the
+        # base level's own check refuses it, before its step is recorded
+        real = kmc4.proof_replay._base5_embedding
+
+        def swap_first_two(g):
+            p, r, *rest = real(g)
+            return (r, p, *rest)
+
+        monkeypatch.setattr(kmc4.proof_replay, "_base5_embedding",
+                            swap_first_two)
+        seq = (4, 4, 3, 3, 2)
+        with pytest.raises(ReplayError,
+                           match=witness_error("q≥8 (n=5)", seq)) as err:
+            replay_theorem2(seq)
+        assert err.value.steps == []
+
+    def test_non_injective_table_embedding_is_caught(self, monkeypatch):
+        # the table witness keeps its graph but maps two pattern
+        # vertices to one host vertex
+        real = kmc4.proof_replay.is_potentially
+
+        def collapse(seq, target):
+            res = real(seq, target)
+            return res._replace(embedding=(res.embedding[0],)
+                                + res.embedding[:-1])
+
+        monkeypatch.setattr(kmc4.proof_replay, "is_potentially", collapse)
+        seq = (4, 4, 3, 3, 3, 3)
+        with pytest.raises(ReplayError, match=witness_error(
+                "exceptional-sequence", seq)) as err:
+            replay_theorem2(seq)
+        assert err.value.steps == []
 
 
 class TestConstructedCompletion:
@@ -458,8 +506,8 @@ class TestConstructedCompletion:
 
         monkeypatch.setattr(kmc4.proof_replay, "_complete_on_top",
                             swap_v1_v2)
-        with pytest.raises(ReplayError, match="completion claimed by "
-                           "'interchange' does not contain the target"):
+        with pytest.raises(ReplayError,
+                           match=witness_error("interchange", (4,) * 8)):
             replay_theorem2((4,) * 8)
 
     def test_only_the_k4_construction_is_built(self, monkeypatch):
@@ -518,17 +566,28 @@ class TestConstructedCompletion:
         # their graphs, each checked the same way first. Every case,
         # action and graph of every threshold sequence on 6 to 8 vertices
         # is pinned.
-        digest = hashlib.sha256()
-        count = 0
-        for n in range(6, 9):
-            for total in range(n * (n - 1), 4 * n - 5, -2):
-                for seq in graphical_sequences_with_sum(n, total):
-                    count += 1
-                    for line in replay_theorem2(seq).to_json_lines():
-                        digest.update(line.encode() + b"\n")
-        assert count == 820
-        assert digest.hexdigest() == (
-            "73f21a2ee093a8bfc8c09ad073d4afc3d5777cdc3dac35720b015bc8810b315c")
+        assert trace_digest(range(6, 9)) == (820, (
+            "73f21a2ee093a8bfc8c09ad073d4afc3d5777cdc3dac35720b015bc8810b315c"))
+
+    def test_json_lines_frozen_for_9_vertices(self):
+        # with the 6-8 digest this pins every trace the benchmark's
+        # replay workload produces
+        assert trace_digest([9]) == (2947, (
+            "bf02d1863fdd924a69c300c5c4bd3e4b6bbc61267535c53aa1a6eaf380544c54"))
+
+
+def trace_digest(ns):
+    """(count, SHA-256 of the JSON lines) over every threshold sequence
+    on n vertices for each n in ns, in enumeration order."""
+    digest = hashlib.sha256()
+    count = 0
+    for n in ns:
+        for total in range(n * (n - 1), 4 * n - 5, -2):
+            for seq in graphical_sequences_with_sum(n, total):
+                count += 1
+                for line in replay_theorem2(seq).to_json_lines():
+                    digest.update(line.encode() + b"\n")
+    return count, digest.hexdigest()
 
 
 def has_k4_on_top(g):
@@ -777,7 +836,7 @@ class TestTraceFormats:
     def test_trace_is_dataclass_like(self):
         trace = replay_theorem2((4, 4, 3, 3, 2))
         assert isinstance(trace, ProofTrace)
-        assert trace.depth == 1
+        assert lengths_visited(trace) == 1
 
 
 class TestFullAgreement:
@@ -813,24 +872,26 @@ class TestVerifyTheorem2Range:
     @pytest.mark.parametrize("corrupt", ["degrees", "embedding"])
     def test_wrong_outcome_counts_as_a_replay_failure(self, monkeypatch,
                                                       corrupt):
-        # the outcome checks live in replay_theorem2, which raises
-        # ReplayError on a wrong outcome; the range counts that error
-        real = kmc4.proof_replay._replay
-        target = DegreeSequence((5, 5, 4, 4, 3, 3))
+        # each level's check lives in _replay, which raises ReplayError
+        # on a wrong witness; the range counts that error
+        real = kmc4.proof_replay._complete_on_top
+        target = (5, 5, 4, 4, 3, 3)
         corrupted = []
 
-        def wrong_outcome(seq, steps):
-            out, emb = real(seq, steps)
+        def wrong_outcome(g):
+            out, emb, case, action = real(g)
+            seq = g.degrees()
             if seq != target:
-                return out, emb
+                return out, emb, case, action
             if corrupt == "degrees":
                 out = SmallGraph(out.n, list(out.edges())[1:])
             else:
                 emb = (emb[0],) * len(emb)
             corrupted.append(seq)
-            return out, emb
+            return out, emb, case, action
 
-        monkeypatch.setattr(kmc4.proof_replay, "_replay", wrong_outcome)
+        monkeypatch.setattr(kmc4.proof_replay, "_complete_on_top",
+                            wrong_outcome)
         report = verify_theorem2_range(6)
         assert corrupted == [target]
         assert [e["replay_failures"] for e in report.entries] == [0, 1]

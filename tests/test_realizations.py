@@ -284,6 +284,28 @@ class TestExactDecision:
                 (res.verdict, res.explored), seq
             assert res.explored <= 3
 
+    def test_universal_vertex_lemma(self):
+        # F_m is one vertex joined to F_{m-1}. A sequence s with
+        # d1 = n - 1 has vertex 1 universal in every realization, and
+        # deleting it realizes s' = (d2 - 1, ..., dn - 1); so s is
+        # potentially F_m-graphic exactly when s' is potentially
+        # F_{m-1}-graphic, by either decider
+        count = positive = 0
+        for m in (5, 6, 7):
+            for n in range(m, 9):
+                for seq in enumerate_graphical_sequences(n):
+                    if seq[0] != n - 1:
+                        continue
+                    rest = tuple(t - 1 for t in seq[1:])
+                    want = is_potentially(rest, km_minus_c4(m - 1)).verdict
+                    assert potentially(rest, m - 1) == want, (rest, m - 1)
+                    assert is_potentially(seq, km_minus_c4(m)).verdict \
+                        == want, (seq, m)
+                    assert potentially(seq, m) == want, (seq, m)
+                    count += 1
+                    positive += want
+        assert (count, positive) == (1405, 838)
+
     @pytest.mark.parametrize("n", range(4, 8))
     def test_explored_pairings_agree_with_brute_force(self, n):
         # every graphical sequence and every m: the verdict and the
