@@ -10,14 +10,14 @@ conjectured equality for larger m.
 from __future__ import annotations
 
 from .errors import InputError, LimitError, ReplayError
-from .extremal import (SigmaReport, Theorem1Report, extremal_witness,
-                       sigma_exact, sigma_lower_bound, verify_conjecture,
-                       verify_theorem1)
+from .extremal import (DEFAULT_VERTEX_LIMIT, SigmaReport, Theorem1Report,
+                       extremal_witness, sigma_exact, sigma_lower_bound,
+                       verify_conjecture, verify_theorem1)
 from .graphs import (SmallGraph, complete_graph, empty_graph, encode_graph6,
                      join, km_minus_c4)
 from .realizations import WitnessResult, havel_hakimi_realize, is_potentially
-from .sequences import (DEFAULT_VERTEX_LIMIT, DegreeSequence,
-                        graphical_sequences_with_sum, is_graphical)
+from .sequences import (DegreeSequence, graphical_sequences_with_sum,
+                        is_graphical)
 
 __version__ = "0.1.0"
 

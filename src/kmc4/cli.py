@@ -20,11 +20,12 @@ import json
 import sys
 
 from .errors import InputError, LimitError, ReplayError
-from .extremal import (SigmaReport, extremal_witness, sigma_exact,
-                       sigma_lower_bound, verify_conjecture, verify_theorem1)
+from .extremal import (DEFAULT_VERTEX_LIMIT, SigmaReport, extremal_witness,
+                       sigma_exact, sigma_lower_bound, verify_conjecture,
+                       verify_theorem1)
 from .graphs import encode_graph6, km_minus_c4
 from .realizations import havel_hakimi_realize, is_potentially
-from .sequences import DEFAULT_VERTEX_LIMIT, DegreeSequence, is_graphical
+from .sequences import DegreeSequence, is_graphical
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -177,8 +178,7 @@ def cmd_verify_theorem2(args) -> int:
 
 
 def cmd_verify_conjecture(args) -> int:
-    reports = verify_conjecture(args.m, (args.m, args.n_max),
-                                limit=args.limit,
+    reports = verify_conjecture(args.m, args.n_max, limit=args.limit,
                                 progress=args.progress)
     if not reports:
         raise InputError(f"empty grid: no n in [{args.m}, {args.n_max}]")

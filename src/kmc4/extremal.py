@@ -30,8 +30,14 @@ from .errors import InputError, LimitError
 from .graphs import (SmallGraph, complete_graph, empty_graph, encode_graph6,
                      join)
 from .realizations import _decide_sequence, havel_hakimi_realize
-from .sequences import (DEFAULT_VERTEX_LIMIT, DegreeSequence, _is_threshold,
+from .sequences import (DegreeSequence, _is_threshold,
                         graphical_sequences_with_sum)
+
+# Default cap on the length of the sequences the threshold drivers walk,
+# whose number grows exponentially in n. ``_sigma_upward`` is the one
+# place it is checked: sigma_exact, verify_conjecture and
+# verify_theorem2_range walk a length only after that sweep reached it.
+DEFAULT_VERTEX_LIMIT = 12
 
 
 def sigma_lower_bound(m: int, n: int) -> int:
@@ -202,8 +208,10 @@ def _sigma_upward(m: int, n_hi: int, limit: int, progress):
     prints no progress line for the empty levels above it.
 
     Enumeration is the one exponential step of every threshold driver,
-    so this is where ``limit`` guards it: n_hi above it raises LimitError
-    before any level is walked. The caller checks m and n_hi.
+    and every driver walks its lengths only after this sweep has reached
+    them; so this is the one place ``limit`` guards: n_hi above it
+    raises LimitError before any level is walked. The caller checks m
+    and n_hi.
     """
     if n_hi > limit:
         raise LimitError(f"exact threshold limited to {limit} vertices "
@@ -225,7 +233,7 @@ def _sigma_upward(m: int, n_hi: int, limit: int, progress):
                 if d >= 0:
                     lifts = [s for r in lifted_from for s in _uplifts(r, d)]
             decided = pairings = 0
-            for s in chain(graphical_sequences_with_sum(n, level, limit=limit,
+            for s in chain(graphical_sequences_with_sum(n, level,
                                                         min_term=floor),
                            lifts):
                 verdict, explored, _, _ = _decide_sequence(s, m)
@@ -291,21 +299,17 @@ def _sigma_report(m: int, n: int, exact: int,
                        witnesses=witnesses)
 
 
-def verify_conjecture(m: int, n_range, limit: int = DEFAULT_VERTEX_LIMIT,
+def verify_conjecture(m: int, n_max: int, limit: int = DEFAULT_VERTEX_LIMIT,
                       progress=None) -> list[SigmaReport]:
-    """Exact thresholds across an inclusive interval of n.
+    """Exact thresholds for n = m..n_max, empty when n_max < m.
 
     Returns one report per n, all from one upward sweep; the caller
     decides what to make of the verdicts. Exact below the formula would
     contradict the witness construction and exceeding it would refute
     the conjectured equality.
     """
-    lo, hi = n_range
-    if lo < m:
-        raise InputError(f"range starts below m: {lo} < {m}")
-    if lo > hi:
+    if n_max < m:
         return []
-    sigma_lower_bound(m, lo)  # raises unless m >= 4
+    sigma_lower_bound(m, m)  # raises unless m >= 4
     return [_sigma_report(m, n, exact, failures)
-            for n, exact, failures in _sigma_upward(m, hi, limit, progress)
-            if n >= lo]
+            for n, exact, failures in _sigma_upward(m, n_max, limit, progress)]

@@ -58,10 +58,11 @@ from typing import NamedTuple
 
 from .errors import InputError, ReplayError
 from .graphs import SmallGraph, encode_graph6, km_minus_c4
-from .realizations import (_is_witness, _k4_on_top, _lay_off_degrees,
-                           _realize_around, is_potentially)
-from .sequences import (DEFAULT_VERTEX_LIMIT, DegreeSequence,
-                        graphical_sequences_with_sum, is_graphical)
+from .extremal import DEFAULT_VERTEX_LIMIT, _sigma_upward
+from .realizations import (_attach_back, _is_witness, _k4_on_top,
+                           _lay_off_degrees, _realize_around, is_potentially)
+from .sequences import (DegreeSequence, graphical_sequences_with_sum,
+                        is_graphical)
 
 CASE_BASE5 = "q≥8 (n=5)"
 CASE_DELETION = "d_n≤2 deletion"
@@ -108,19 +109,6 @@ class ProofTrace(NamedTuple):
         return "\n".join(lines)
 
 
-def base_case_sequences(family_n: int | None = None
-                        ) -> list[tuple[int, DegreeSequence]]:
-    """The fixed sequences the induction bottoms out on, plus the
-    hub-plus-cycle family instantiated at ``family_n`` when given."""
-    fixed = [(seq.n, seq) for seq in _EXCEPTIONAL_CASES]
-    if family_n is not None:
-        if family_n < 5:
-            raise InputError(f"family needs n >= 5, got {family_n}")
-        fixed.append((family_n, DegreeSequence(
-            (family_n - 1,) + (3,) * (family_n - 1))))
-    return fixed
-
-
 class BaseCaseReport(NamedTuple):
     entries: list[dict]
 
@@ -134,46 +122,31 @@ class BaseCaseReport(NamedTuple):
 
 def verify_base_cases(family_ns=(8,)) -> BaseCaseReport:
     """Confirm with ``is_potentially`` that every base-case sequence is
-    potentially bowtie-graphic, recording a witness for each."""
-    cases = base_case_sequences()
+    potentially bowtie-graphic, recording a witness for each.
+
+    The base cases are the fixed table sequences the induction bottoms
+    out on, then the hub-plus-cycle family ((n-1), 3^(n-1)) at each n of
+    ``family_ns`` in turn, each sequence listed once.
+    """
+    cases = list(_EXCEPTIONAL_CASES)
     for fn in family_ns:
-        for entry in base_case_sequences(fn):
-            if entry not in cases:
-                cases.append(entry)
+        if fn < 5:
+            raise InputError(f"family needs n >= 5, got {fn}")
+        seq = DegreeSequence((fn - 1,) + (3,) * (fn - 1))
+        if seq not in cases:
+            cases.append(seq)
     bowtie = km_minus_c4(5)
     entries = []
-    for n, seq in cases:
+    for seq in cases:
         res = is_potentially(seq, bowtie)
         entries.append({
-            "n": n,
+            "n": seq.n,
             "sequence": list(seq),
             "potential": res.verdict,
             "witness": encode_graph6(res.witness) if res.witness else None,
             "explored": res.explored,
         })
     return BaseCaseReport(entries)
-
-
-def _attach_back(inner: SmallGraph, seq: DegreeSequence,
-                 residual: DegreeSequence) -> SmallGraph:
-    """Undo the lay-off of seq's last vertex: a new vertex joined to each
-    position u with ``seq[u] != residual[u]``.
-
-    ``inner`` realizes ``residual`` vertex by vertex, and ``residual``
-    is seq[:-1] with its first d = seq[-1] terms lowered by one and
-    re-sorted. Re-sorting moves each lowered term to the end of its
-    block of ties, so exactly d positions differ, each by one, and the
-    result realizes seq vertex by vertex. Adding edges cannot destroy
-    an embedded subgraph. ``_replay`` checks both facts on the result,
-    as it checks every level's witness, before recording it.
-    """
-    new_v = inner.n
-    rows = list(inner.rows) + [0]
-    for u in range(new_v):
-        if seq[u] != residual[u]:
-            rows[u] |= 1 << new_v
-            rows[new_v] |= 1 << u
-    return SmallGraph._from_rows(new_v + 1, rows)
 
 
 def _base5_embedding(g: SmallGraph) -> tuple[int, ...] | None:
@@ -432,10 +405,10 @@ def verify_theorem2_range(n_max: int, limit: int = DEFAULT_VERTEX_LIMIT,
     ReplayError on a wrong one; each such error counts as a replay
     failure. The thresholds come from one upward sweep over n;
     nothing is decided again here, since a threshold above 4n-4 already
-    fails the report.
+    fails the report. Each length is replayed only after that sweep has
+    reached it, so the sweep's ``limit`` guard covers the replay too:
+    n_max above ``limit`` raises LimitError before anything is walked.
     """
-    from .extremal import _sigma_upward
-
     if n_max < 5:
         raise InputError(f"need n_max >= 5, got {n_max}")
     entries = []
@@ -445,7 +418,7 @@ def verify_theorem2_range(n_max: int, limit: int = DEFAULT_VERTEX_LIMIT,
         replay_failures = 0
         level = n * (n - 1)
         while level >= 4 * n - 4:
-            for seq in graphical_sequences_with_sum(n, level, limit=limit):
+            for seq in graphical_sequences_with_sum(n, level):
                 checked += 1
                 try:
                     replay_theorem2(seq)

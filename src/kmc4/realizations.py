@@ -233,7 +233,8 @@ def _lay_off_degrees(out, needs) -> list[int] | None:
     demand is negative or finds too few positive residuals. The callers
     are ``_core_residual`` and ``_first_fit``, with each placed vertex's
     outside demand, and the replay's deletion case in ``proof_replay``,
-    with the least degree. None hands it a negative demand:
+    with the least degree, whose lay-off ``_attach_back`` undoes on the
+    realization of the residual. None hands it a negative demand:
     ``_decide_sequence`` returns before ``_core_residual`` when a core
     degree falls below m - 1, and ``_first_fit`` skips a subset that
     would leave one."""
@@ -246,6 +247,29 @@ def _lay_off_degrees(out, needs) -> list[int] | None:
                 out[i] -= 1
             out.sort(reverse=True)
     return out
+
+
+def _attach_back(inner: SmallGraph, seq: DegreeSequence,
+                 residual: DegreeSequence) -> SmallGraph:
+    """Undo the lay-off of seq's last vertex: a new vertex joined to each
+    position u with ``seq[u] != residual[u]``.
+
+    ``inner`` realizes ``residual`` vertex by vertex, and ``residual``
+    is seq[:-1] with its first d = seq[-1] terms lowered by one and
+    re-sorted (``_lay_off_degrees``). Re-sorting moves each lowered term
+    to the end of its block of ties, so exactly d positions differ, each
+    by one, and the result realizes seq vertex by vertex. Adding edges
+    cannot destroy an embedded subgraph. The replay in ``proof_replay``
+    checks both facts on the result, as it checks every level's
+    witness, before recording it.
+    """
+    new_v = inner.n
+    rows = list(inner.rows) + [0]
+    for u in range(new_v):
+        if seq[u] != residual[u]:
+            rows[u] |= 1 << new_v
+            rows[new_v] |= 1 << u
+    return SmallGraph._from_rows(new_v + 1, rows)
 
 
 def _placement(seq: DegreeSequence, m: int, diagonals, used: int):

@@ -12,19 +12,16 @@ most non-graphical sequences are never built. Where a term is at most
 its position that prune is the exact inequality, so each leaf checks
 only the inequalities it left open, which keeps the output exact. An
 optional floor on every term narrows each term's range and leaves the
-order of the walk as it is.
+order of the walk as it is. The walk takes any length: the threshold
+sweep in ``extremal`` caps the lengths every driver walks, once, before
+any level is walked.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
-from .errors import InputError, LimitError
-
-# Enumeration guard: the number of graphical sequences grows exponentially
-# in n, and the threshold sweep and the replay range walk them level by
-# level.
-DEFAULT_VERTEX_LIMIT = 12
+from .errors import InputError
 
 
 class DegreeSequence(tuple):
@@ -141,8 +138,7 @@ def _is_threshold(d) -> bool:
     return True
 
 
-def graphical_sequences_with_sum(n: int, total: int,
-                                 limit: int = DEFAULT_VERTEX_LIMIT,
+def graphical_sequences_with_sum(n: int, total: int, *,
                                  min_term: int = 0) -> Iterator[DegreeSequence]:
     """All graphical n-term sequences with the exact degree sum given and
     every term at least ``min_term``, descending lexicographically. Odd
@@ -154,8 +150,6 @@ def graphical_sequences_with_sum(n: int, total: int,
     """
     if n < 1:
         raise InputError(f"need at least one term, got n={n}")
-    if n > limit:
-        raise LimitError(f"sequence enumeration limited to {limit} terms (got {n})")
     if total < 0 or total > n * (n - 1):
         raise InputError(f"degree sum {total} out of range for n={n}")
     if min_term < 0:

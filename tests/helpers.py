@@ -39,10 +39,9 @@ from random import Random
 
 import networkx
 
-from kmc4 import (DEFAULT_VERTEX_LIMIT, DegreeSequence, InputError,
-                  LimitError, SigmaReport, SmallGraph, encode_graph6,
-                  graphical_sequences_with_sum, havel_hakimi_realize,
-                  is_graphical, sigma_lower_bound)
+from kmc4 import (DegreeSequence, InputError, SigmaReport, SmallGraph,
+                  encode_graph6, graphical_sequences_with_sum,
+                  havel_hakimi_realize, is_graphical, sigma_lower_bound)
 from kmc4.graphs import _bits
 from kmc4.realizations import _decide_sequence
 
@@ -96,8 +95,8 @@ def find_embedding(host: SmallGraph, pattern) -> tuple[int, ...] | None:
     return None
 
 
-def enumerate_graphical_sequences(n: int, min_sum: int = 0,
-                                  limit: int = DEFAULT_VERTEX_LIMIT) -> Iterator[DegreeSequence]:
+def enumerate_graphical_sequences(n: int,
+                                  min_sum: int = 0) -> Iterator[DegreeSequence]:
     """Every graphical n-term sequence with degree sum >= min_sum, once each.
 
     Zero terms are allowed. Order is deterministic: degree sum descending,
@@ -106,13 +105,11 @@ def enumerate_graphical_sequences(n: int, min_sum: int = 0,
     """
     if n < 1:
         raise InputError(f"need at least one term, got n={n}")
-    if n > limit:
-        raise LimitError(f"sequence enumeration limited to {limit} terms (got {n})")
     if min_sum < 0 or min_sum > n * (n - 1):
         raise InputError(f"min_sum {min_sum} out of range for n={n}")
     total = n * (n - 1)
     while total >= min_sum:
-        yield from graphical_sequences_with_sum(n, total, limit)
+        yield from graphical_sequences_with_sum(n, total)
         total -= 2
 
 
@@ -284,14 +281,12 @@ def greedy_realization_by_scan(seq) -> SmallGraph:
     return SmallGraph._from_rows(n, rows)
 
 
-def graphical_sequences_by_filter(n: int, total: int, limit: int = 12):
+def graphical_sequences_by_filter(n: int, total: int):
     """Graphical n-term sequences with the given degree sum, by building
     every nonincreasing sequence with parts <= n-1 and that sum, in
     descending lexicographic order, and keeping the graphical ones."""
     if n < 1:
         raise InputError(f"need at least one term, got n={n}")
-    if n > limit:
-        raise LimitError(f"sequence enumeration limited to {limit} terms (got {n})")
     if total < 0 or total > n * (n - 1):
         raise InputError(f"degree sum {total} out of range for n={n}")
     if total % 2:

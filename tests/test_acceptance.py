@@ -178,7 +178,7 @@ def test_acceptance_8_six_vertex_target_sweep():
     """The m=6 sweep completes for n in 6..8 and never undercuts the
     closed-form bound.  Whether the bound is met with equality is
     recorded as evidence, not asserted."""
-    reports = verify_conjecture(6, (6, 8))
+    reports = verify_conjecture(6, 8)
     ok = (len(reports) == 3
           and all(r.exact is not None for r in reports)
           and all(r.exact >= sigma_lower_bound(6, r.n) for r in reports))

@@ -9,12 +9,14 @@ from helpers import (decode_graph6, encode_graph6_by_bits, find_embedding,
                      labeled_realizations, nonincreasing_tuples,
                      sigma_by_full_sweep, uplifts_by_positions)
 
+import kmc4.extremal
+import kmc4.proof_replay
 import kmc4.realizations
 from kmc4 import (DegreeSequence, InputError, LimitError, SmallGraph,
                   complete_graph, empty_graph, extremal_witness,
                   graphical_sequences_with_sum, is_potentially, join,
                   km_minus_c4, sigma_exact, sigma_lower_bound,
-                  verify_conjecture, verify_theorem1)
+                  verify_conjecture, verify_theorem1, verify_theorem2_range)
 from kmc4.extremal import _clique_covers_edges, _uplifts
 from kmc4.realizations import _decide_sequence
 
@@ -331,7 +333,7 @@ class TestSweepSkipsWhatDegreesRuleOut:
         # it would lift, (S - sigma(n - 1) + 2) / 2, has d * n <= S
         lines = []
         exact = {r.n: r.exact for r in
-                 verify_conjecture(m, (m, 11), progress=lines.append)}
+                 verify_conjecture(m, 11, progress=lines.append)}
         for line in lines:
             n, level = map(int, re.match(r"m=\d+ n=(\d+) sum=(\d+) ",
                                          line).groups())
@@ -341,15 +343,39 @@ class TestSweepSkipsWhatDegreesRuleOut:
 
 class TestVerifyConjecture:
     def test_m4_range(self):
-        reports = verify_conjecture(4, (4, 6))
+        reports = verify_conjecture(4, 6)
         assert [r.n for r in reports] == [4, 5, 6]
         assert all(r.verdict == "matches" for r in reports)
         assert all(r.exact == 2 * r.n for r in reports)
 
-    def test_rejects_range_below_m(self):
-        with pytest.raises(InputError):
-            verify_conjecture(5, (4, 6))
+    def test_empty_below_m(self):
+        # the reports start at n = m; an n_max below it leaves none,
+        # before m itself is checked
+        assert verify_conjecture(5, 4) == []
+        assert verify_conjecture(3, 2) == []
+        with pytest.raises(InputError, match="target needs m >= 4, got 3"):
+            verify_conjecture(3, 5)
 
     def test_vertex_limit(self):
         with pytest.raises(LimitError):
-            verify_conjecture(4, (4, 13), limit=12)
+            verify_conjecture(4, 13, limit=12)
+
+
+class TestOneLimitGuard:
+    """The sweep is the one place the vertex limit is checked: every
+    threshold driver raises its LimitError before a level is walked."""
+
+    @pytest.mark.parametrize("driver", [
+        lambda: sigma_exact(4, 13, limit=12),
+        lambda: verify_conjecture(4, 13, limit=12),
+        lambda: verify_theorem2_range(13, limit=12)],
+        ids=["sigma_exact", "verify_conjecture", "verify_theorem2_range"])
+    def test_raised_before_the_walk(self, monkeypatch, driver):
+        def walk(*args, **kwargs):
+            raise AssertionError("a sequence walk started")
+
+        for module in (kmc4.extremal, kmc4.proof_replay):
+            monkeypatch.setattr(module, "graphical_sequences_with_sum", walk)
+        with pytest.raises(LimitError, match=re.escape(
+                "exact threshold limited to 12 vertices (got 13)")):
+            driver()

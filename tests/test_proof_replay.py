@@ -44,7 +44,7 @@ from kmc4 import (
     verify_base_cases,
     verify_theorem2_range,
 )
-from kmc4.proof_replay import _base5_embedding, base_case_sequences
+from kmc4.proof_replay import _base5_embedding
 from kmc4.realizations import _k4_on_top
 from kmc4.sequences import graphical_sequences_with_sum
 
@@ -93,12 +93,18 @@ def check_trace(seq, trace):
             assert g.degrees() == tuple(sorted(step.sequence, reverse=True))
 
 
+def base_cases(family_ns):
+    """The (n, sequence) pairs ``verify_base_cases`` reports, in order."""
+    return [(e["n"], tuple(e["sequence"]))
+            for e in verify_base_cases(family_ns).entries]
+
+
 class TestBaseCaseSequences:
     def test_fixed_cases(self):
         # the three main-case sequences with no K4 realization; (5,3^5)
         # and (4,4,4,3^4) replay through the family case and the
         # interchange instead
-        got = base_case_sequences()
+        got = base_cases(())
         assert got == [(6, (4, 4, 3, 3, 3, 3)), (6, (4,) * 6), (7, (4,) * 7)]
         assert (6, (5, 3, 3, 3, 3, 3)) not in got
         assert (7, (4, 4, 4, 3, 3, 3, 3)) not in got
@@ -108,22 +114,22 @@ class TestBaseCaseSequences:
             assert sum(seq) >= 4 * n - 4
 
     def test_family_member_appended(self):
-        got = base_case_sequences(family_n=8)
-        assert (8, (7, 3, 3, 3, 3, 3, 3, 3)) in got
+        got = base_cases((8,))
+        assert got[-1] == (8, (7, 3, 3, 3, 3, 3, 3, 3))
 
     def test_family_dedup(self):
         # (6, (5, 3, 3, 3, 3, 3)) is no longer a fixed case, so the
         # six-vertex family member is appended; the report lists a
         # member asked for twice once
-        base = base_case_sequences()
-        fam = base_case_sequences(family_n=6)
-        assert fam == base + [(6, (5, 3, 3, 3, 3, 3))]
-        report = verify_base_cases(family_ns=(6, 6))
-        assert [(e["n"], tuple(e["sequence"])) for e in report.entries] == fam
+        fam = base_cases((6,))
+        assert fam == base_cases(()) + [(6, (5, 3, 3, 3, 3, 3))]
+        assert base_cases((6, 6)) == fam
+        assert base_cases((6, 7, 6)) == fam + [(7, (6,) + (3,) * 6)]
 
     def test_family_too_short(self):
-        with pytest.raises(InputError):
-            base_case_sequences(family_n=4)
+        with pytest.raises(InputError,
+                           match=re.escape("family needs n >= 5, got 4")):
+            verify_base_cases(family_ns=(8, 4))
 
 
 class TestVerifyBaseCases:
