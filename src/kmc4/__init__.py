@@ -9,7 +9,7 @@ conjectured equality for larger m.
 
 from __future__ import annotations
 
-from .errors import InputError, LimitError, ReplayError
+from .errors import InputError, ReplayError
 from .extremal import (DEFAULT_VERTEX_LIMIT, SigmaReport, Theorem1Report,
                        extremal_witness, sigma_exact, sigma_lower_bound,
                        verify_conjecture, verify_theorem1)
@@ -26,8 +26,7 @@ __version__ = "0.1.0"
 # any of them (PEP 562), and that access binds them all here.
 _REPLAY_NAMES = ("BaseCaseReport", "ProofStep", "ProofTrace",
                  "Theorem2RangeReport", "replay_theorem2",
-                 "theorem2_interchange", "verify_base_cases",
-                 "verify_theorem2_range")
+                 "verify_base_cases", "verify_theorem2_range")
 
 
 def __getattr__(name: str):
@@ -48,7 +47,6 @@ __all__ = [
     "DEFAULT_VERTEX_LIMIT",
     "DegreeSequence",
     "InputError",
-    "LimitError",
     "ProofStep",
     "ProofTrace",
     "ReplayError",
@@ -70,7 +68,6 @@ __all__ = [
     "replay_theorem2",
     "sigma_exact",
     "sigma_lower_bound",
-    "theorem2_interchange",
     "verify_base_cases",
     "verify_conjecture",
     "verify_theorem1",

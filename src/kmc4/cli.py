@@ -2,7 +2,7 @@
 
 Exit codes: 0 for a passing or true outcome, 1 for failing or false
 (a failed replay too), 2 for bad input (InputError, with the library's
-own message) or a size over a cap (LimitError). An AssertionError is a
+own message), a length over --limit included. An AssertionError is a
 bug in the library and is not caught. --limit caps only the enumerating
 commands (sigma, verify conjecture, verify theorem2); the others are
 polynomial and take any length. --budget is accepted and ignored, with
@@ -19,7 +19,7 @@ import functools
 import json
 import sys
 
-from .errors import InputError, LimitError, ReplayError
+from .errors import InputError, ReplayError
 from .extremal import (DEFAULT_VERTEX_LIMIT, SigmaReport, extremal_witness,
                        sigma_exact, sigma_lower_bound, verify_conjecture,
                        verify_theorem1)
@@ -309,7 +309,7 @@ def main(argv=None) -> int:
     except ReplayError as exc:
         print(f"replay failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (InputError, LimitError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -5,10 +5,6 @@ class InputError(ValueError):
     """Caller-supplied values violate an operation's contract."""
 
 
-class LimitError(RuntimeError):
-    """A computation would exceed a configured resource guard."""
-
-
 class ReplayError(RuntimeError):
     """Every proof case failed; carries the partial trace for diagnosis."""
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import NamedTuple
 
-from .errors import InputError, LimitError
+from .errors import InputError
 from .graphs import (SmallGraph, complete_graph, empty_graph, encode_graph6,
                      join)
 from .realizations import _decide_sequence, havel_hakimi_realize
@@ -210,11 +210,11 @@ def _sigma_upward(m: int, n_hi: int, limit: int, progress):
     Enumeration is the one exponential step of every threshold driver,
     and every driver walks its lengths only after this sweep has reached
     them; so this is the one place ``limit`` guards: n_hi above it
-    raises LimitError before any level is walked. The caller checks m
+    raises InputError before any level is walked. The caller checks m
     and n_hi.
     """
     if n_hi > limit:
-        raise LimitError(f"exact threshold limited to {limit} vertices "
+        raise InputError(f"exact threshold limited to {limit} vertices "
                          f"(got {n_hi})")
     below = None
     failures: list[DegreeSequence] = []

@@ -15,21 +15,21 @@ vertex and hold the bowtie at the embedding the level carries.
 The main case builds one realization, with K4 on the four largest
 degrees, and completes the bowtie on that quadruple: through an outside
 vertex touching two of it, along an attachment path back to the
-largest, or by the three-edge interchange. Some realization holds a
-complete quadruple exactly when this one exists (the clique case of the
-placement argument in ``realizations``), so nothing is searched for,
-and once it exists the completion always succeeds. Every main-case
-sequence has least term at least 3. For n >= 8 it therefore meets
-d_4 >= 3 and d_8 >= 2, the r = 3 case of the condition of Yin and Li
-(2005) for a realization containing K_{r+1}: d_{r+1} >= r and
+largest, or by the three-edge interchange ``_interchange``, which only
+toggles edges: the level's check is its only check. Some realization
+holds a complete quadruple exactly when this one exists (the clique
+case of the placement argument in ``realizations``), so nothing is
+searched for, and once it exists the completion always succeeds. Every
+main-case sequence has least term at least 3. For n >= 8 it therefore
+meets d_4 >= 3 and d_8 >= 2, the r = 3 case of the condition of Yin and
+Li (2005) for a realization containing K_{r+1}: d_{r+1} >= r and
 d_{2r+2} >= r - 1. So a complete quadruple exists: cited (Yin and Li
 2005), and checked through n = 12. At n = 6 and 7 the only main-case
-sequences without one are (4,4,3,3,3,3), (4^6) and (4^7), an
-exhaustive check in the tests; these three make up the table. A
-main-case sequence without a K4 realization would raise
-``ReplayError`` (exit 1 on the command line). The replay never yields
-a wrong witness, since every level's witness is checked before it is
-recorded.
+sequences without one are (4,4,3,3,3,3), (4^6) and (4^7), an exhaustive
+check in the tests; these three make up the table. A main-case sequence
+without a K4 realization would raise ``ReplayError`` (exit 1 on the
+command line). The replay never yields a wrong witness, since every
+level's witness is checked before it is recorded.
 
 The deletion case works on degrees alone. A vertex of least degree
 d <= 2 is laid off onto the d largest other terms (Kleitman and Wang),
@@ -43,11 +43,11 @@ confirms that it does.
 
 Each leaf case yields its witness together with the bowtie's position
 in it: the 5-vertex base reads it off a vertex of degree 4 and a
-pairing of the other four, the table case takes it from
-``is_potentially``, and the hub-plus-cycle family and the quadruple
-completions have it by construction. Re-attaching a vertex only
-appends a vertex and adds edges, so that position carries up
-unchanged; each level's check tests it edge by edge instead of
+pairing of the other four, the table case takes it from the top-degree
+placement ``is_potentially`` builds, and the hub-plus-cycle family and
+the quadruple completions have it by construction. Re-attaching a
+vertex only appends a vertex and adds edges, so that position carries
+up unchanged; each level's check tests it edge by edge instead of
 searching.
 """
 
@@ -59,8 +59,9 @@ from typing import NamedTuple
 from .errors import InputError, ReplayError
 from .graphs import SmallGraph, encode_graph6, km_minus_c4
 from .extremal import DEFAULT_VERTEX_LIMIT, _sigma_upward
-from .realizations import (_attach_back, _is_witness, _k4_on_top,
-                           _lay_off_degrees, _realize_around, is_potentially)
+from .realizations import (_attach_back, _decide_sequence, _is_witness,
+                           _k4_on_top, _lay_off_degrees, _placement,
+                           _realize_around, is_potentially)
 from .sequences import (DegreeSequence, graphical_sequences_with_sum,
                         is_graphical)
 
@@ -72,8 +73,8 @@ CASE_INTERCHANGE = "interchange"
 CASE_DIRECT = "direct-adjacency"
 
 # The main-case sequences with no K4 realization, so with nothing for
-# the main case to complete, decided by ``is_potentially`` instead; in
-# the order ``verify base-cases`` reports them.
+# the main case to complete, decided and placed as ``is_potentially``
+# does instead; in the order ``verify base-cases`` reports them.
 _EXCEPTIONAL_CASES = (DegreeSequence((4, 4, 3, 3, 3, 3)),
                       DegreeSequence((4,) * 6), DegreeSequence((4,) * 7))
 
@@ -174,39 +175,15 @@ def _base5_embedding(g: SmallGraph) -> tuple[int, ...] | None:
     return None
 
 
-def theorem2_interchange(g: SmallGraph, v1: int, v2: int, v3: int, v4: int,
-                         y1: int, y2: int, y3: int) -> SmallGraph:
-    """Three-edge interchange used in the inductive step for the m=5 target.
-
-    Requires a complete quadruple v1..v4, the attachments v1-y1 and
-    v2-y2, the outside edge y1-y3, and the non-edges y1-v2, y3-v1,
-    y2-v4. Removes y1-y3, v1-v4, v2-y2 and inserts y1-v2, y3-v1, y2-v4,
-    which preserves every degree and completes a bowtie on
-    {v1,v2,v3,v4,y1} (center v2, independent edges v3-v4 and v1-y1).
-    A precondition that does not hold raises InputError naming it.
+def _interchange(g: SmallGraph, v1: int, v2: int, v4: int,
+                 y1: int, y2: int, y3: int) -> SmallGraph:
+    """The main case's three-edge interchange: removes y1-y3, v1-v4 and
+    v2-y2 and inserts y1-v2, y3-v1 and y2-v4. On the vertices
+    ``_complete_on_top`` finds, this keeps every degree and completes a
+    bowtie on the quadruple v1..v4 and y1 (centre v2, independent edges
+    v3-v4 and v1-y1); v3 keeps its edges, so it is not passed. It only
+    toggles the six edges.
     """
-    names = {"v1": v1, "v2": v2, "v3": v3, "v4": v4,
-             "y1": y1, "y2": y2, "y3": y3}
-    for label, v in names.items():
-        if not (0 <= v < g.n):
-            raise InputError(f"vertex {label}={v} out of range for n={g.n}")
-    if len(set(names.values())) != 7:
-        raise InputError(f"the seven vertices are not distinct: {names}")
-    quad = (v1, v2, v3, v4)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if not g.has_edge(quad[i], quad[j]):
-                raise InputError(
-                    f"v1..v4 do not induce a complete quadruple: "
-                    f"missing edge {quad[i]}-{quad[j]}")
-    for label, (u, v) in (("v1-y1", (v1, y1)), ("v2-y2", (v2, y2)),
-                          ("y1-y3", (y1, y3))):
-        if not g.has_edge(u, v):
-            raise InputError(f"required edge {label} ({u}-{v}) is absent")
-    for label, (u, v) in (("y1-v2", (y1, v2)), ("y3-v1", (y3, v1)),
-                          ("y2-v4", (y2, v4))):
-        if g.has_edge(u, v):
-            raise InputError(f"required non-edge {label} ({u}-{v}) is present")
     rows = list(g.rows)
     for u, v in ((y1, y3), (v1, v4), (v2, y2), (y1, v2), (y3, v1), (y2, v4)):
         rows[u] ^= 1 << v
@@ -222,15 +199,18 @@ def _complete_on_top(g: SmallGraph):
     directly. Otherwise the attachments y1 of v1 and y2 of v2, and a
     neighbor y3 of y1 other than v1 and y2, are located; y3 adjacent to
     v1 closes the target along that path, and otherwise the three-edge
-    interchange applies. Returns (witness, embedding, case, action) or
-    None; the embedding is the bowtie each completion builds, in the
-    layout (p, r, q, s, centre) with independent edges p-q and r-s.
+    interchange ``_interchange`` applies. Returns (witness, embedding,
+    case, action) or None; the embedding is the bowtie each completion
+    builds, in the layout (p, r, q, s, centre) with independent edges
+    p-q and r-s.
 
     In the main case (second degree at least 4, least degree at least 3)
     the attachments always exist, and the seven vertices are distinct:
     v1 and v2 have a neighbor outside the quadruple, no outside vertex
     is joined to both, and y1, joined to v1 alone there, has two more
-    neighbors outside it.
+    neighbors outside it. So the interchange's edges and non-edges are
+    in place by construction; ``_interchange`` checks none of them, and
+    the level's check of its result is the only check.
     """
     rows = g.rows
     quad = 0b1111
@@ -257,7 +237,7 @@ def _complete_on_top(g: SmallGraph):
         return (g, (y1, 1, y3, 2, 0), CASE_DIRECT,
                 f"attachment path 0-{y1}-{y3} returns to the quadruple "
                 f"at 0, closing the target in place")
-    g2 = theorem2_interchange(g, 0, 1, 2, 3, y1, y2, y3)
+    g2 = _interchange(g, 0, 1, 3, y1, y2, y3)
     return (g2, (2, 0, 3, y1, 1), CASE_INTERCHANGE,
             f"interchange on quadruple 0,1,2,3 with "
             f"y1={y1}, y2={y2}, y3={y3}")
@@ -304,15 +284,15 @@ def _replay(seq: DegreeSequence,
                   f"{[t - 1 for t in seq[:d]]}")
 
     elif seq in _EXCEPTIONAL_CASES:
-        res = is_potentially(seq, bowtie)
-        if not res.verdict:
+        verdict, explored, diagonals, used = _decide_sequence(seq, 5)
+        if not verdict:
             raise ReplayError(
                 f"exceptional sequence {tuple(seq)} has no realization "
                 f"containing the target", steps)
-        g, emb = res.witness, res.embedding
+        g, emb = _placement(seq, 5, diagonals, used)
         case = CASE_EXCEPTIONAL
         action = (f"table sequence; the top-degree placement holds the "
-                  f"target at pairing {res.explored}")
+                  f"target at pairing {explored}")
 
     elif seq[1] == 3:
         expected = (n - 1,) + (3,) * (n - 1)
@@ -407,7 +387,7 @@ def verify_theorem2_range(n_max: int, limit: int = DEFAULT_VERTEX_LIMIT,
     nothing is decided again here, since a threshold above 4n-4 already
     fails the report. Each length is replayed only after that sweep has
     reached it, so the sweep's ``limit`` guard covers the replay too:
-    n_max above ``limit`` raises LimitError before anything is walked.
+    n_max above ``limit`` raises InputError before anything is walked.
     """
     if n_max < 5:
         raise InputError(f"need n_max >= 5, got {n_max}")

@@ -21,8 +21,8 @@ so the two can be compared honestly:
 - second implementations of the primitives (Havel-Hakimi by scanning,
   Erdos-Gallai summed afresh, graph6 bit by bit, the row-by-row
   placement), ``two_switch``, which the replay tests use as a
-  mutation, and ``complement``, ``relabel`` and ``random_graph``,
-  constructors the library has no use for;
+  mutation, and ``relabel`` and ``random_graph``, constructors the
+  library has no use for;
 - ``decode_graph6``, which reads graph6 with networkx: kmc4 only
   writes the format.
 
@@ -44,12 +44,6 @@ from kmc4 import (DegreeSequence, InputError, SigmaReport, SmallGraph,
                   havel_hakimi_realize, is_graphical, sigma_lower_bound)
 from kmc4.graphs import _bits
 from kmc4.realizations import _decide_sequence
-
-
-def complement(g: SmallGraph) -> SmallGraph:
-    full = (1 << g.n) - 1
-    return SmallGraph._from_rows(
-        g.n, [(full ^ row) & ~(1 << v) for v, row in enumerate(g.rows)])
 
 
 def find_embedding(host: SmallGraph, pattern) -> tuple[int, ...] | None:

@@ -454,6 +454,17 @@ class TestLimitsAndEnvironment:
             assert code == 0
             assert json.loads(out)["exact"] == 10
 
+    @pytest.mark.parametrize("argv", [
+        ("sigma", "--m", "5", "--n", "9"),
+        ("verify", "conjecture", "--m", "5", "--n-max", "9"),
+        ("verify", "theorem2", "--n-max", "9")],
+        ids=["sigma", "conjecture", "theorem2"])
+    def test_length_over_the_limit(self, capsys, argv):
+        code, out, err = run_cli(capsys, "--limit", "8", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: exact threshold limited to 8 vertices (got 9)\n"
+
 
 class TestArgumentErrors:
     def test_unknown_flag(self, capsys):

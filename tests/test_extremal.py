@@ -12,8 +12,8 @@ from helpers import (decode_graph6, encode_graph6_by_bits, find_embedding,
 import kmc4.extremal
 import kmc4.proof_replay
 import kmc4.realizations
-from kmc4 import (DegreeSequence, InputError, LimitError, SmallGraph,
-                  complete_graph, empty_graph, extremal_witness,
+from kmc4 import (DegreeSequence, InputError, SmallGraph, complete_graph,
+                  empty_graph, extremal_witness,
                   graphical_sequences_with_sum, is_potentially, join,
                   km_minus_c4, sigma_exact, sigma_lower_bound,
                   verify_conjecture, verify_theorem1, verify_theorem2_range)
@@ -197,7 +197,8 @@ class TestSigmaExact:
             assert sum(s) == report.exact - 2
 
     def test_vertex_limit(self):
-        with pytest.raises(LimitError):
+        with pytest.raises(InputError, match=re.escape(
+                "exact threshold limited to 12 vertices (got 13)")):
             sigma_exact(5, 13, limit=12)
 
     def test_progress_callback(self):
@@ -357,13 +358,14 @@ class TestVerifyConjecture:
             verify_conjecture(3, 5)
 
     def test_vertex_limit(self):
-        with pytest.raises(LimitError):
+        with pytest.raises(InputError, match=re.escape(
+                "exact threshold limited to 12 vertices (got 13)")):
             verify_conjecture(4, 13, limit=12)
 
 
 class TestOneLimitGuard:
     """The sweep is the one place the vertex limit is checked: every
-    threshold driver raises its LimitError before a level is walked."""
+    threshold driver raises its InputError before a level is walked."""
 
     @pytest.mark.parametrize("driver", [
         lambda: sigma_exact(4, 13, limit=12),
@@ -376,6 +378,6 @@ class TestOneLimitGuard:
 
         for module in (kmc4.extremal, kmc4.proof_replay):
             monkeypatch.setattr(module, "graphical_sequences_with_sum", walk)
-        with pytest.raises(LimitError, match=re.escape(
+        with pytest.raises(InputError, match=re.escape(
                 "exact threshold limited to 12 vertices (got 13)")):
             driver()

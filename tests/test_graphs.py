@@ -3,9 +3,9 @@ from __future__ import annotations
 from random import Random
 
 import pytest
-from helpers import (brute_embedding_exists, brute_isomorphic, complement,
-                     decode_graph6, embedding_is_valid,
-                     encode_graph6_by_bits, find_embedding, random_graph)
+from helpers import (brute_embedding_exists, brute_isomorphic, decode_graph6,
+                     embedding_is_valid, encode_graph6_by_bits,
+                     find_embedding, random_graph)
 
 from kmc4 import (DegreeSequence, InputError, SmallGraph, complete_graph,
                   empty_graph, encode_graph6, havel_hakimi_realize, join,
@@ -61,12 +61,6 @@ class TestConstructors:
 
     def test_empty(self):
         assert empty_graph(5).edge_count == 0
-
-    def test_complement(self):
-        assert complement(complete_graph(5)) == empty_graph(5)
-        assert complement(empty_graph(5)) == complete_graph(5)
-        g = SmallGraph(4, [(0, 1)])
-        assert complement(complement(g)) == g
 
     def test_join_degrees(self):
         g = join(complete_graph(2), empty_graph(4))

@@ -464,14 +464,13 @@ class TestCarriedEmbedding:
     def test_non_injective_table_embedding_is_caught(self, monkeypatch):
         # the table witness keeps its graph but maps two pattern
         # vertices to one host vertex
-        real = kmc4.proof_replay.is_potentially
+        real = kmc4.proof_replay._placement
 
-        def collapse(seq, target):
-            res = real(seq, target)
-            return res._replace(embedding=(res.embedding[0],)
-                                + res.embedding[:-1])
+        def collapse(*args):
+            g, emb = real(*args)
+            return g, (emb[0],) + emb[:-1]
 
-        monkeypatch.setattr(kmc4.proof_replay, "is_potentially", collapse)
+        monkeypatch.setattr(kmc4.proof_replay, "_placement", collapse)
         seq = (4, 4, 3, 3, 3, 3)
         with pytest.raises(ReplayError, match=witness_error(
                 "exceptional-sequence", seq)) as err:
@@ -515,6 +514,21 @@ class TestConstructedCompletion:
         with pytest.raises(ReplayError,
                            match=witness_error("interchange", (4,) * 8)):
             replay_theorem2((4,) * 8)
+
+    def test_wrong_interchange_is_caught(self, monkeypatch):
+        # an interchange that toggles nothing leaves the K4 construction,
+        # which misses the bowtie on the embedding the completion names;
+        # the level's check is the interchange's only check, so the
+        # replay fails and the range report counts it
+        monkeypatch.setattr(kmc4.proof_replay, "_interchange",
+                            lambda g, *vertices: g)
+        seq = (4, 4, 4, 3, 3, 3, 3)
+        with pytest.raises(ReplayError,
+                           match=witness_error("interchange", seq)) as err:
+            replay_theorem2(seq)
+        assert err.value.steps == []
+        report = verify_theorem2_range(7)
+        assert [e["replay_failures"] for e in report.entries] == [0, 0, 1]
 
     def test_only_the_k4_construction_is_built(self, monkeypatch):
         built = record_returns(monkeypatch, kmc4.proof_replay, "_k4_on_top")

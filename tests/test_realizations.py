@@ -18,8 +18,9 @@ import kmc4.realizations
 from kmc4 import (InputError, DegreeSequence, SmallGraph, WitnessResult,
                   complete_graph, empty_graph, encode_graph6,
                   extremal_witness, havel_hakimi_realize, is_potentially,
-                  join, km_minus_c4, replay_theorem2, theorem2_interchange)
+                  join, km_minus_c4, replay_theorem2)
 from kmc4.graphs import _bits
+from kmc4.proof_replay import _interchange
 
 BOWTIE = km_minus_c4(5)
 # passes the necessary condition for m = 5 and has two distinct pairings;
@@ -753,7 +754,7 @@ class TestBrokenInvariant:
 class TestInterchange:
     def test_known_instance(self):
         g = two_k4_matching()
-        h = theorem2_interchange(g, 0, 1, 2, 3, 4, 5, 6)
+        h = _interchange(g, 0, 1, 3, 4, 5, 6)
         assert sorted(h.degrees()) == sorted(g.degrees())
         # the move trades exactly three edges for three others
         assert h.edge_count == g.edge_count
@@ -764,29 +765,8 @@ class TestInterchange:
 
     def test_source_graph_untouched(self):
         g = two_k4_matching()
-        theorem2_interchange(g, 0, 1, 2, 3, 4, 5, 6)
+        _interchange(g, 0, 1, 3, 4, 5, 6)
         assert g == two_k4_matching()
-
-    def test_rejects_duplicate_vertices(self):
-        with pytest.raises(InputError, match="distinct"):
-            theorem2_interchange(two_k4_matching(), 0, 1, 2, 3, 4, 5, 4)
-
-    def test_rejects_incomplete_quadruple(self):
-        with pytest.raises(InputError, match="quadruple"):
-            theorem2_interchange(two_k4_matching(), 0, 1, 2, 4, 5, 6, 7)
-
-    def test_rejects_missing_attachment_edge(self):
-        # vertex 6 is not adjacent to 1, so v2-y2 is absent
-        with pytest.raises(InputError, match="required edge v2-y2"):
-            theorem2_interchange(two_k4_matching(), 0, 1, 2, 3, 4, 6, 5)
-
-    def test_rejects_present_non_edge(self):
-        with pytest.raises(InputError, match="non-edge"):
-            theorem2_interchange(complete_graph(8), 0, 1, 2, 3, 4, 5, 6)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(InputError, match="out of range"):
-            theorem2_interchange(two_k4_matching(), 0, 1, 2, 3, 4, 5, 8)
 
     def test_seeded_valid_instances_preserve_degrees(self):
         rng = Random(41)
@@ -821,7 +801,8 @@ class TestInterchange:
                     break
             if not picked:
                 continue
-            h = theorem2_interchange(g, *picked)
+            v1, v2, _, v4, y1, y2, y3 = picked
+            h = _interchange(g, v1, v2, v4, y1, y2, y3)
             assert sorted(h.degrees()) == sorted(g.degrees())
             assert find_embedding(h, BOWTIE) is not None
             done += 1
