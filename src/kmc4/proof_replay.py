@@ -200,9 +200,9 @@ def _complete_on_top(g: SmallGraph):
     neighbor y3 of y1 other than v1 and y2, are located; y3 adjacent to
     v1 closes the target along that path, and otherwise the three-edge
     interchange ``_interchange`` applies. Returns (witness, embedding,
-    case, action) or None; the embedding is the bowtie each completion
-    builds, in the layout (p, r, q, s, centre) with independent edges
-    p-q and r-s.
+    case, action); the embedding is the bowtie each completion builds,
+    in the layout (p, r, q, s, centre) with independent edges p-q and
+    r-s.
 
     In the main case (second degree at least 4, least degree at least 3)
     the attachments always exist, and the seven vertices are distinct:
@@ -225,13 +225,9 @@ def _complete_on_top(g: SmallGraph):
     # every outside vertex touches at most one quad vertex
     y1_mask = rows[0] & ~quad
     y2_mask = rows[1] & ~quad
-    if not y1_mask or not y2_mask:
-        return None
     y1 = (y1_mask & -y1_mask).bit_length() - 1
     y2 = (y2_mask & -y2_mask).bit_length() - 1
     y3_mask = rows[y1] & ~1 & ~(1 << y2)
-    if not y3_mask:
-        return None
     y3 = (y3_mask & -y3_mask).bit_length() - 1
     if rows[y3] & 1:
         return (g, (y1, 1, y3, 2, 0), CASE_DIRECT,
@@ -254,24 +250,19 @@ def _replay(seq: DegreeSequence,
     # call passes a Kleitman-Wang residual, graphical by their lemma.
 
     if n == 5:
+        # the sum is at least 16, so g has at least 8 edges, and
+        # _base5_embedding always finds the bowtie in such a graph
         g = _realize_around(seq, [0] * 5, 0)
         emb = _base5_embedding(g)
-        if emb is None:
-            raise ReplayError(
-                f"5-vertex realization of {tuple(seq)} with "
-                f"{g.edge_count} edges misses the target", steps)
         case = CASE_BASE5
         action = (f"greedy realization has {g.edge_count} >= 8 edges; "
                   f"target embedded at {list(emb)}")
 
     elif seq[-1] <= 2:
+        # the residual sums to sum(seq) - 2d >= 4n - 8 = 4(n - 1) - 4
         d = seq[-1]
         residual = tuple.__new__(DegreeSequence,
                                  _lay_off_degrees(seq[:-1], (d,)))
-        if sum(residual) < 4 * (n - 1) - 4:
-            raise ReplayError(
-                f"residual sum {sum(residual)} below threshold "
-                f"after deleting degree {d}", steps)
         steps.append(ProofStep(
             CASE_DELETION, tuple(seq),
             f"laid a vertex of degree {d} off onto degrees "
@@ -284,22 +275,16 @@ def _replay(seq: DegreeSequence,
                   f"{[t - 1 for t in seq[:d]]}")
 
     elif seq in _EXCEPTIONAL_CASES:
-        verdict, explored, diagonals, used = _decide_sequence(seq, 5)
-        if not verdict:
-            raise ReplayError(
-                f"exceptional sequence {tuple(seq)} has no realization "
-                f"containing the target", steps)
+        # each table sequence is potential, as verify_base_cases checks
+        _, explored, diagonals, used = _decide_sequence(seq, 5)
         g, emb = _placement(seq, 5, diagonals, used)
         case = CASE_EXCEPTIONAL
         action = (f"table sequence; the top-degree placement holds the "
                   f"target at pairing {explored}")
 
     elif seq[1] == 3:
-        expected = (n - 1,) + (3,) * (n - 1)
-        if tuple(seq) != expected:
-            raise ReplayError(
-                f"second degree 3 with sum {sum(seq)} should force "
-                f"{expected}, got {tuple(seq)}", steps)
+        # least term at least 3 and d_2 = 3 force 3^(n-1) after d_1, and
+        # then a sum of at least 4n - 4 forces d_1 = n - 1
         rows = [0] * n
         rim = list(range(1, n))
         for i, u in enumerate(rim):
@@ -323,11 +308,12 @@ def _replay(seq: DegreeSequence,
         # realization holds a complete quadruple, and the completion
         # works on that one.
         g = _k4_on_top(seq)
-        done = None if g is None else _complete_on_top(g)
-        if done is None:
-            raise ReplayError(f"every proof case failed for {tuple(seq)}",
-                              steps)
-        g, emb, case, action = done
+        if g is None:
+            raise ReplayError(
+                f"main-case sequence {tuple(seq)} has no realization "
+                f"containing K4, against the cited condition of Yin and "
+                f"Li (2005)", steps)
+        g, emb, case, action = _complete_on_top(g)
 
     if not _is_witness(seq, bowtie, g, emb):
         raise ReplayError(f"'{case}' witness for {tuple(seq)} does not "

@@ -38,11 +38,12 @@ skipped before any lay-off when it gives some x more cycle edges than
 that, or when the outside residual it leaves would sum below 0 or above
 what the outside vertices can carry among themselves; neither can fit
 (``_first_fit``). K_m, the one subset every pairing shares, is tried
-first and once; the other subsets follow, most edges first. A negative
-comes only after every distinct pairing failed, or after a failure that
-rules out all of them at once, so every verdict is exact. A positive
-names the pairing and subset that fit, and ``_placement`` builds the
-rows of that one placement into the witness, with its embedding.
+first and once; the other subsets follow, most edges first. The core's
+lay-off before them always fits (``_core_residual``), so a negative
+comes only after every distinct pairing failed, and every verdict is
+exact. A positive names the pairing and subset that fit, and
+``_placement`` builds the rows of that one placement into the witness,
+with its embedding.
 """
 
 from __future__ import annotations
@@ -125,17 +126,16 @@ def _decide_sequence(seq: DegreeSequence, m: int):
 
     seq must be a graphical DegreeSequence with at least m terms. After
     the necessary condition, the core is laid off once, before any
-    pairing; a core that does not fit rules out every pairing at once,
-    and counts as one pairing explored. Each distinct pairing then tries
-    its cycle-edge subsets, most edges first. K_m (subset 15, every
-    cycle edge) is the same placement in every pairing, so only the
-    first tries it.
+    pairing, and that lay-off always fits (``_core_residual``). Each
+    distinct pairing then tries its cycle-edge subsets, most edges
+    first. K_m (subset 15, every cycle edge) is the same placement in
+    every pairing, so only the first tries it. A negative has explored
+    0 when the necessary condition fails, and otherwise the number of
+    distinct pairings.
     """
     if (m > 4 and seq[m - 5] < m - 1) or seq[m - 1] < m - 3:
         return False, 0, None, None
     out = _core_residual(seq, m)
-    if out is None:
-        return False, 1, None, None
     explored = 0
     order = _MOST_EDGES
     for diagonals in _distinct_pairings(seq, m):
@@ -189,9 +189,18 @@ _MOST_EDGES = tuple(sorted(range(16), key=lambda used: -used.bit_count()))
 
 def _core_residual(seq: DegreeSequence, m: int) -> list[int] | None:
     """The outside degrees seq[m:] after each core vertex is laid off
-    onto them, or None when one does not fit. A core vertex is joined to
-    the other m-1 placed vertices whatever the pairing and cycle edges,
-    so this is shared by every placement."""
+    onto them. A core vertex is joined to the other m-1 placed vertices
+    in every placement, so every pairing shares this.
+
+    Once the necessary condition holds, it never runs short. By Gale and
+    Ryser, the lay-off fits when for each k <= m-4 the first k core
+    demands sum to at most sum_out min(seq[w], k). As seq is graphical,
+    Erdos-Gallai at k gives sum_{v<k} seq[v] <= k(k-1) + sum_{u>=k}
+    min(seq[u], k). Each of the m-k other placed vertices has degree at
+    least m-3 > k, so it takes k on the right, and what is left is that
+    condition: sum_{v<k} (seq[v] - (m-1)) <= sum_out min(seq[w], k). A
+    core degree below m-1 gives None; ``_decide_sequence`` never passes
+    one."""
     return _lay_off_degrees(seq[m:], [seq[v] - m + 1 for v in range(m - 4)])
 
 

@@ -480,35 +480,32 @@ def top_layouts(seq, m: int):
     return pairings, core_held, held
 
 
-def pairing_decision(seq, m: int) -> set:
-    """What the pairing-only decision may answer, from ``top_layouts``:
-    the set of allowed (verdict, pairings explored).
+def pairing_decision(seq, m: int) -> tuple[bool, int]:
+    """What the pairing-only decision answers, from ``top_layouts``:
+    (verdict, pairings explored).
 
     Pairings equal up to swapping vertices of equal degree ask the same
     question, so the first of each degree pattern is tried, in order. A
     positive stops at the first pairing some realization holds. A
     negative tries none when there are fewer than m terms or the top m
     degrees cannot carry F_m's own degrees, (m-1)^(m-4) and (m-3)^4;
-    otherwise it tries every distinct pairing, or may stop after the
-    first when no realization holds the core.
+    otherwise it tries every distinct pairing, even when no realization
+    holds the core.
     """
     fm = [m - 1] * (m - 4) + [m - 3] * 4
     if len(seq) < m or any(seq[i] < fm[i] for i in range(m)):
-        stops = [(0, False)]
-    else:
-        pairings, core_held, held = top_layouts(seq, m)
-        distinct, patterns = [], set()
-        for pairing in pairings:
-            key = tuple(sorted((seq[x], seq[y]) for x, y in pairing))
-            if key not in patterns:
-                patterns.add(key)
-                distinct.append(pairing)
-        hits = [i + 1 for i, pairing in enumerate(distinct) if pairing in held]
-        if hits:
-            stops = [(hits[0], True)]
-        else:
-            stops = [(len(distinct), False)] + ([] if core_held else [(1, False)])
-    return {(verdict, k) for k, verdict in stops}
+        return False, 0
+    pairings, _, held = top_layouts(seq, m)
+    distinct, patterns = [], set()
+    for pairing in pairings:
+        key = tuple(sorted((seq[x], seq[y]) for x, y in pairing))
+        if key not in patterns:
+            patterns.add(key)
+            distinct.append(pairing)
+    for i, pairing in enumerate(distinct, 1):
+        if pairing in held:
+            return True, i
+    return False, len(distinct)
 
 
 def sigma_by_full_sweep(m: int, n: int) -> SigmaReport:

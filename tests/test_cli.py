@@ -145,7 +145,7 @@ class TestPotential:
 
     def test_negative_exhausted(self, capsys):
         # one pairing up to equal degrees, and no realization holds it
-        assert pairing_decision((5, 5, 2, 2, 2, 2), 5) == {(False, 1)}
+        assert pairing_decision((5, 5, 2, 2, 2, 2), 5) == (False, 1)
         code, out, _ = run_cli(capsys, "potential", "5,5,2,2,2,2", "--m", "5")
         assert code == 1
         assert out == "not potential: exhausted 1 candidates\n"
@@ -155,7 +155,7 @@ class TestPotential:
     def test_budget_is_ignored(self, capsys, mode, budget):
         # only the second of two pairings holds the bowtie; no K stops
         # the decision before it, and stdout is that of the plain run
-        assert pairing_decision((4, 4, 3, 2, 2, 1), 5) == {(True, 2)}
+        assert pairing_decision((4, 4, 3, 2, 2, 1), 5) == (True, 2)
         argv = ["potential", "4,4,3,2,2,1", "--m", "5"]
         plain = run_cli(capsys, *mode, *argv)
         assert plain[0] == 0 and plain[2] == ""

@@ -20,9 +20,10 @@ from random import Random
 import pytest
 from ffactor import has_k4_realization
 from helpers import (brute_embedding_exists, decode_graph6,
-                     embedding_is_valid, find_embedding,
-                     is_graphical_quadratic, kleitman_wang_residual,
-                     labeled_realizations, nonincreasing_tuples, two_switch)
+                     embedding_is_valid, enumerate_graphical_sequences,
+                     find_embedding, is_graphical_quadratic,
+                     kleitman_wang_residual, labeled_realizations,
+                     nonincreasing_tuples, two_switch)
 
 import kmc4.extremal
 import kmc4.graphs
@@ -212,6 +213,15 @@ class TestCaseBranches:
                 dense += 1
                 assert emb is not None, g.edges()
         assert dense == 56
+
+    def test_second_degree_3_forces_the_family(self):
+        # least term at least 3 and d_2 = 3 leave 3^(n-1) after d_1, and
+        # a sum of at least 4n - 4 then forces d_1 = n - 1: the family
+        # case builds its witness for that one sequence
+        found = [tuple(seq) for n in range(5, 11)
+                 for seq in enumerate_graphical_sequences(n, 4 * n - 4)
+                 if seq[-1] >= 3 and seq[1] == 3]
+        assert found == [(n - 1,) + (3,) * (n - 1) for n in range(5, 11)]
 
     def test_single_deletion(self):
         trace = replay_theorem2((4, 4, 4, 4, 2, 2))
@@ -491,7 +501,7 @@ class TestConstructedCompletion:
                                   "_complete_on_top")
         trace = replay_theorem2(seq)
         check_trace(seq, trace)
-        [(witness, emb, case, text)] = [d for d in returned if d is not None]
+        [(witness, emb, case, text)] = returned
         assert text.startswith(action)
         assert (trace.steps[-1].case, trace.steps[-1].action) == (case, text)
         assert witness == trace.outcome
@@ -503,10 +513,7 @@ class TestConstructedCompletion:
         real = kmc4.proof_replay._complete_on_top
 
         def swap_v1_v2(g):
-            done = real(g)
-            if done is None:
-                return None
-            witness, (v3, v1, v4, y1, v2), case, action = done
+            witness, (v3, v1, v4, y1, v2), case, action = real(g)
             return witness, (v3, v2, v4, y1, v1), case, action
 
         monkeypatch.setattr(kmc4.proof_replay, "_complete_on_top",
@@ -787,10 +794,8 @@ class TestChangedTraces:
         completed_from = []
 
         def recording(g):
-            done = real(g)
-            if done is not None:
-                completed_from.append(g)
-            return done
+            completed_from.append(g)
+            return real(g)
 
         monkeypatch.setattr(kmc4.proof_replay, "_complete_on_top", recording)
         served = set()

@@ -315,7 +315,7 @@ class TestExactDecision:
         for seq in enumerate_graphical_sequences(n):
             for m in range(4, n + 1):
                 res = is_potentially(seq, km_minus_c4(m))
-                assert (res.verdict, res.explored) in \
+                assert (res.verdict, res.explored) == \
                     pairing_decision(seq, m), (seq, m)
 
     @pytest.mark.parametrize("m", [4, 5, 6, 7])
@@ -375,7 +375,7 @@ class TestExactDecision:
     def test_budget_counts_candidates(self, capsys, seq, m, budget, want):
         # the candidates counted are the exact decision's under any
         # --budget K, which caps nothing
-        assert want in pairing_decision(seq, m)
+        assert pairing_decision(seq, m) == want
         res = is_potentially(seq, km_minus_c4(m))
         assert (res.verdict, res.explored) == want
         assert report_under_budget(capsys, seq, m, budget) == want
@@ -475,6 +475,30 @@ class TestDecideSequence:
             out, [max(k, 0) for k in needs]) is not None
         assert kmc4.realizations._lay_off_degrees(out, needs) is None
 
+    def test_core_always_lays_off(self):
+        # Erdos-Gallai at each k <= m - 4 gives Gale and Ryser's condition
+        # for the core's outside demands (``_core_residual``), so once the
+        # top m degrees carry F_m's own the core fits, and a negative has
+        # tried every distinct pairing
+        checks = negatives = 0
+        for n in range(4, 11):
+            for seq in enumerate_graphical_sequences(n):
+                for m in range(4, n + 1):
+                    fm = [m - 1] * (m - 4) + [m - 3] * 4
+                    if any(seq[i] < fm[i] for i in range(m)):
+                        continue
+                    checks += 1
+                    assert kmc4.realizations._core_residual(seq, m) \
+                        is not None, (seq, m)
+                    verdict, explored, _, _ = \
+                        kmc4.realizations._decide_sequence(seq, m)
+                    if not verdict:
+                        negatives += 1
+                        assert explored == len(list(
+                            kmc4.realizations._distinct_pairings(seq, m))), \
+                            (seq, m)
+        assert (checks, negatives) == (71496, 1271)
+
     @pytest.mark.parametrize("seq,m", [((3,) * 6, 5), ((4,) * 7, 6),
                                        ((5, 4, 4, 4, 3, 3, 3), 6)])
     def test_core_below_m_minus_1_has_no_residual(self, seq, m):
@@ -511,8 +535,7 @@ def first_fit_by_rows(seq, m: int) -> tuple:
     """Reference for ``_decide_sequence``: on each distinct pairing, the
     first subset of ``_MOST_EDGES`` (of ``_MOST_EDGES[1:]`` after the
     first pairing) that ``row_by_row_placement`` builds, with every
-    subset tried; a core that cannot be laid off ends the search after
-    one pairing."""
+    subset tried."""
     if (m > 4 and seq[m - 5] < m - 1) or seq[m - 1] < m - 3:
         return False, 0, None, None
     order = kmc4.realizations._MOST_EDGES
@@ -522,24 +545,8 @@ def first_fit_by_rows(seq, m: int) -> tuple:
         for used in order:
             if row_by_row_placement(seq, m, diagonals, used)[0] is not None:
                 return True, explored, diagonals, used
-        if not core_lays_off(seq, m):
-            return False, explored, None, None
         order = kmc4.realizations._MOST_EDGES[1:]
     return False, explored, None, None
-
-
-def core_lays_off(seq, m: int) -> bool:
-    """Can each core vertex in turn, joined to the other m - 1 placed
-    vertices, join the rest of its degree to that many distinct outside
-    vertices of positive residual? The core degrees are at least m - 1."""
-    out = list(seq[m:])
-    for v in range(m - 4):
-        out.sort(reverse=True)
-        k = seq[v] - (m - 1)
-        if k > len(out) or (k and not out[k - 1]):
-            return False
-        out[:k] = [x - 1 for x in out[:k]]
-    return True
 
 
 class TestRealizeAround:
