@@ -25,7 +25,7 @@ from .extremal import (DEFAULT_VERTEX_LIMIT, SigmaReport, extremal_witness,
                        verify_theorem1)
 from .graphs import encode_graph6, km_minus_c4
 from .realizations import havel_hakimi_realize, is_potentially
-from .sequences import DegreeSequence, is_graphical
+from .sequences import DegreeSequence, _graphical, is_graphical
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -76,12 +76,9 @@ def cmd_potential(args) -> int:
     try:
         target = km_minus_c4(args.m)
     except InputError:
-        # a sequence that is not graphical is reported ahead of a bad
-        # --m; is_potentially runs Erdos-Gallai itself otherwise
-        if is_graphical(seq):
-            raise
-        raise InputError(
-            f"sequence {seq.to_text()} is not graphical") from None
+        # a sequence that is not graphical is reported ahead of a bad --m
+        _graphical(seq)
+        raise
     res = is_potentially(seq, target)
     if args.json:
         _emit({
@@ -132,8 +129,7 @@ def cmd_witness(args) -> int:
 def cmd_replay(args) -> int:
     from .proof_replay import replay_theorem2
 
-    seq = DegreeSequence.from_text(args.sequence)
-    trace = replay_theorem2(seq)
+    trace = replay_theorem2(DegreeSequence.from_text(args.sequence))
     if args.json:
         for line in trace.to_json_lines():
             print(line)

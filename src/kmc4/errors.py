@@ -6,7 +6,8 @@ class InputError(ValueError):
 
 
 class ReplayError(RuntimeError):
-    """Every proof case failed; carries the partial trace for diagnosis."""
+    """A level's witness failed its check, or a main-case sequence had no
+    realization containing K4; carries the partial trace for diagnosis."""
 
     def __init__(self, message: str, steps=None):
         super().__init__(message)

@@ -142,16 +142,9 @@ class SigmaReport(NamedTuple):
     witnesses: tuple[str, ...] = ()
 
     def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "lower_bound": self.lower_bound,
-            "exact": self.exact,
-            "formula": self.lower_bound,
-            "verdict": self.verdict,
-            "extremal_sequences": [list(s) for s in self.extremal_sequences],
-            "witnesses": list(self.witnesses),
-        }
+        return {**self._asdict(), "formula": self.lower_bound,
+                "extremal_sequences": list(map(list, self.extremal_sequences)),
+                "witnesses": list(self.witnesses)}
 
 
 def sigma_exact(m: int, n: int, limit: int = DEFAULT_VERTEX_LIMIT,

@@ -62,8 +62,8 @@ from .extremal import DEFAULT_VERTEX_LIMIT, _sigma_upward
 from .realizations import (_attach_back, _decide_sequence, _is_witness,
                            _k4_on_top, _lay_off_degrees, _placement,
                            _realize_around, is_potentially)
-from .sequences import (DegreeSequence, graphical_sequences_with_sum,
-                        is_graphical)
+from .sequences import (DegreeSequence, _graphical,
+                        graphical_sequences_with_sum)
 
 CASE_BASE5 = "q≥8 (n=5)"
 CASE_DELETION = "d_n≤2 deletion"
@@ -71,6 +71,8 @@ CASE_EXCEPTIONAL = "exceptional-sequence"
 CASE_FAMILY = "d(v2)=3 sequence"
 CASE_INTERCHANGE = "interchange"
 CASE_DIRECT = "direct-adjacency"
+
+_BOWTIE = km_minus_c4(5)
 
 # The main-case sequences with no K4 realization, so with nothing for
 # the main case to complete, decided and placed as ``is_potentially``
@@ -136,10 +138,9 @@ def verify_base_cases(family_ns=(8,)) -> BaseCaseReport:
         seq = DegreeSequence((fn - 1,) + (3,) * (fn - 1))
         if seq not in cases:
             cases.append(seq)
-    bowtie = km_minus_c4(5)
     entries = []
     for seq in cases:
-        res = is_potentially(seq, bowtie)
+        res = is_potentially(seq, _BOWTIE)
         entries.append({
             "n": seq.n,
             "sequence": list(seq),
@@ -245,7 +246,6 @@ def _replay(seq: DegreeSequence,
     builds them; one check after the cases confirms both before the
     level's step is recorded."""
     n = seq.n
-    bowtie = km_minus_c4(5)
     # seq is graphical: replay_theorem2 checked it, and every recursive
     # call passes a Kleitman-Wang residual, graphical by their lemma.
 
@@ -315,7 +315,7 @@ def _replay(seq: DegreeSequence,
                 f"Li (2005)", steps)
         g, emb, case, action = _complete_on_top(g)
 
-    if not _is_witness(seq, bowtie, g, emb):
+    if not _is_witness(seq, _BOWTIE, g, emb):
         raise ReplayError(f"'{case}' witness for {tuple(seq)} does not "
                           f"realize it with the target embedded", steps)
     steps.append(ProofStep(case, tuple(seq), action, encode_graph6(g)))
@@ -336,8 +336,7 @@ def replay_theorem2(seq) -> ProofTrace:
     n = seq.n
     if n < 5:
         raise InputError(f"replay needs n >= 5, got n={n}")
-    if not is_graphical(seq):
-        raise InputError(f"sequence {seq.to_text()} is not graphical")
+    _graphical(seq)
     if sum(seq) < 4 * n - 4:
         raise InputError(
             f"degree sum {sum(seq)} below threshold {4 * n - 4}")

@@ -53,7 +53,7 @@ from typing import NamedTuple
 
 from .errors import InputError
 from .graphs import SmallGraph, is_embedding, km_minus_c4
-from .sequences import DegreeSequence, _erdos_gallai, is_graphical
+from .sequences import DegreeSequence, _erdos_gallai, _graphical
 
 
 class WitnessResult(NamedTuple):
@@ -78,9 +78,7 @@ def havel_hakimi_realize(seq) -> SmallGraph:
     Vertex i of the result has degree seq[i] exactly. A sequence that
     is not graphical raises InputError.
     """
-    seq = DegreeSequence(seq)
-    if not is_graphical(seq):
-        raise InputError(f"sequence {seq.to_text()} is not graphical")
+    seq = _graphical(seq)
     return _realize_around(seq, [0] * seq.n, 0)
 
 
@@ -104,9 +102,7 @@ def is_potentially(seq, target: SmallGraph) -> WitnessResult:
             and target == km_minus_c4(target.n)):
         raise InputError("target is not K_m minus a 4-cycle")
     m = target.n
-    seq = DegreeSequence(seq)
-    if not is_graphical(seq):
-        raise InputError(f"sequence {seq.to_text()} is not graphical")
+    seq = _graphical(seq)
     if seq.n < m:
         return WitnessResult(False, None, None, 0)
     verdict, explored, diagonals, used = _decide_sequence(seq, m)
@@ -366,5 +362,5 @@ def _realize_around(seq: DegreeSequence, rows: list[int],
 def _is_witness(seq: DegreeSequence, target: SmallGraph,
                 g: SmallGraph, emb: tuple[int, ...]) -> bool:
     """Does g realize seq and carry every pattern edge under emb?"""
-    return g.degrees() == tuple(seq) and is_embedding(g, target, emb)
+    return g.degrees() == seq and is_embedding(g, target, emb)
 

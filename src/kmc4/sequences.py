@@ -19,7 +19,7 @@ any level is walked.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import InputError
 
@@ -27,11 +27,12 @@ from .errors import InputError
 class DegreeSequence(tuple):
     """Nonincreasing tuple of vertex degrees.
 
-    Construction sorts the values descending, so two sequences with the
-    same multiset of degrees compare equal. Everything else is plain
-    tuple behaviour, pickling and copying included. A value that is
-    already exactly of this type is returned as it is, without sorting
-    or checking it again.
+    Each term must be an ``int``, not a ``bool``, and at least 0, or
+    InputError is raised. Construction sorts the values descending, so
+    two sequences with the same multiset of degrees compare equal.
+    Everything else is plain tuple behaviour, pickling and copying
+    included. A value that is already exactly of this type is returned
+    as it is, without sorting or checking it again.
     """
 
     __slots__ = ()
@@ -39,14 +40,9 @@ class DegreeSequence(tuple):
     def __new__(cls, values: Iterable[int]):
         if type(values) is cls:
             return values
-        terms = sorted(values, reverse=True)
-        if not terms:
-            raise InputError("degree sequence needs at least one term")
-        for t in terms:
-            if not isinstance(t, int):
-                raise InputError(f"degree {t!r} is not an integer")
-            if t < 0:
-                raise InputError(f"negative degree {t}")
+        terms = _sorted_terms(values)
+        if terms[-1] < 0:
+            raise InputError(f"negative degree {terms[-1]}")
         return tuple.__new__(cls, terms)
 
     @property
@@ -80,20 +76,39 @@ class DegreeSequence(tuple):
         return ",".join(str(t) for t in self)
 
 
-def is_graphical(seq: Iterable[int]) -> bool:
-    """Erdos-Gallai test: does some simple graph realize the sequence?"""
-    d = sorted(seq, reverse=True)
-    n = len(d)
-    if n == 0:
+def _sorted_terms(values: Iterable[int]) -> list[int]:
+    """The term rule ``DegreeSequence`` and ``is_graphical`` share: at
+    least one term, each an ``int`` and not a ``bool``, checked before
+    the sort. Returns the terms nonincreasing; the sign is the caller's."""
+    terms = list(values)
+    if not terms:
         raise InputError("degree sequence needs at least one term")
-    if d[-1] < 0 or d[0] > n - 1:
-        return False
-    return _erdos_gallai(d)
+    for t in terms:
+        if not isinstance(t, int) or isinstance(t, bool):
+            raise InputError(f"degree {t!r} is not an integer")
+    terms.sort(reverse=True)
+    return terms
 
 
-def _erdos_gallai(d: list[int]) -> bool:
-    """The Erdos-Gallai inequalities for a nonincreasing list of
-    nonnegative terms, parity included.
+def is_graphical(seq: Iterable[int]) -> bool:
+    """Erdos-Gallai test: does some simple graph realize the sequence?
+    A term breaking the term rule raises InputError; a negative one, or
+    one above n - 1, answers False. A DegreeSequence is read as it is."""
+    d = seq if type(seq) is DegreeSequence else _sorted_terms(seq)
+    return d[-1] >= 0 and d[0] < len(d) and _erdos_gallai(d)
+
+
+def _graphical(seq: Iterable[int]) -> DegreeSequence:
+    """seq as a DegreeSequence; InputError unless it is graphical."""
+    seq = DegreeSequence(seq)
+    if not is_graphical(seq):
+        raise InputError(f"sequence {seq.to_text()} is not graphical")
+    return seq
+
+
+def _erdos_gallai(d: Sequence[int]) -> bool:
+    """The Erdos-Gallai inequalities for nonincreasing nonnegative terms,
+    parity included.
 
     Stops at the first k with d_k < k: from inequality k - 1 to k the
     left side grows by d_k and the right side by at least

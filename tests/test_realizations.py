@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import ast
 import json
 from itertools import combinations, permutations
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -15,6 +17,7 @@ from helpers import (brute_isomorphic, embedding_is_valid,
 
 import kmc4.cli
 import kmc4.realizations
+import kmc4.sequences
 from kmc4 import (InputError, DegreeSequence, SmallGraph, WitnessResult,
                   complete_graph, empty_graph, encode_graph6,
                   extremal_witness, havel_hakimi_realize, is_potentially,
@@ -675,12 +678,12 @@ class TestGraphicalityCheckedOnce:
         lambda: is_potentially((4, 4, 3, 3, 2, 2), km_minus_c4(6)),
     ])
     def test_library_entry_points(self, monkeypatch, run):
-        calls = count_calls(monkeypatch, kmc4.realizations, "is_graphical")
+        calls = count_calls(monkeypatch, kmc4.sequences, "is_graphical")
         run()
         assert len(calls) == 1
 
     def test_cli_realize(self, monkeypatch, capsys):
-        in_library = count_calls(monkeypatch, kmc4.realizations, "is_graphical")
+        in_library = count_calls(monkeypatch, kmc4.sequences, "is_graphical")
         in_cli = count_calls(monkeypatch, kmc4.cli, "is_graphical")
         assert kmc4.cli.main(["realize", "4,4,3,3,2,2"]) == 0
         assert capsys.readouterr().out == "E~`G\n"
@@ -704,6 +707,22 @@ class TestGraphicalityCheckedOnce:
                 run(seq)
             messages.append(str(err.value))
         assert messages == ["sequence 6,6,6,6,2,2,2,2 is not graphical"] * 3
+
+    def test_one_raise_site(self):
+        # every entry point that needs a realization goes through one gate
+        sites = []
+        for path in sorted(Path(kmc4.__file__).parent.glob("*.py")):
+            for func in ast.walk(ast.parse(path.read_text("utf-8"))):
+                if isinstance(func, ast.FunctionDef):
+                    sites += [func.name for node in ast.walk(func)
+                              if isinstance(node, ast.Raise)
+                              and "is not graphical" in ast.unparse(node)]
+        assert sites == ["_graphical"]
+
+    def test_cli_bad_m_on_graphical_sequence(self, capsys):
+        assert kmc4.cli.main(["potential", "4,2,2,2,2", "--m", "3"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: pattern needs m >= 4, got 3\n")
 
     @pytest.mark.parametrize("argv", [
         ["realize", "3,3,1,1"], ["potential", "3,3,1,1", "--m", "4"],
@@ -736,7 +755,7 @@ class TestGraphicalityCheckedOnce:
          1),
         (["potential", "2,2,2", "--m", "5"], 1)])
     def test_cli_potential(self, monkeypatch, capsys, argv, code):
-        in_library = count_calls(monkeypatch, kmc4.realizations, "is_graphical")
+        in_library = count_calls(monkeypatch, kmc4.sequences, "is_graphical")
         in_cli = count_calls(monkeypatch, kmc4.cli, "is_graphical")
         assert kmc4.cli.main(argv) == code
         assert len(in_library) + len(in_cli) == 1

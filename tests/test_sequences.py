@@ -13,7 +13,8 @@ from helpers import (enumerate_graphical_sequences,
 
 import kmc4.sequences
 from kmc4 import (DegreeSequence, InputError, graphical_sequences_with_sum,
-                  is_graphical)
+                  havel_hakimi_realize, is_graphical, is_potentially,
+                  km_minus_c4, replay_theorem2)
 from kmc4.sequences import _is_threshold
 
 
@@ -51,6 +52,49 @@ class TestDegreeSequence:
         for bad in ([2, -1], (2.5, 1), Terms((2, -1)), Terms(())):
             with pytest.raises(InputError):
                 DegreeSequence(bad)
+
+
+class TestTermRule:
+    """A term is an int, not a bool, checked before the terms are sorted;
+    every entry point applies the one rule and raises InputError."""
+
+    # each malformed term first in input order, with the sequence
+    MALFORMED = [
+        (True, (True, True, 1, 1)), (True, (True, True)),
+        (True, (4, 2, 2, 2, True, True)),  # graphical, read as 1s
+        (1.0, (1.0, 1.0)), (2.0, (4, 2, 2, 2, 2.0)),
+        ("a", ("a",)), ("a", ["a", 1]), ("2", [4, 2, 2, "2", 2]),
+        (None, (3, None, 1)),
+    ]
+    ENTRY_POINTS = {
+        "DegreeSequence": DegreeSequence,
+        "is_graphical": is_graphical,
+        "havel_hakimi_realize": havel_hakimi_realize,
+        "is_potentially": lambda seq: is_potentially(seq, km_minus_c4(5)),
+        "replay_theorem2": replay_theorem2,
+    }
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    @pytest.mark.parametrize("term,seq", MALFORMED)
+    def test_malformed_term_raises_input_error(self, name, term, seq):
+        message = f"^degree {re.escape(repr(term))} is not an integer$"
+        with pytest.raises(InputError, match=message):
+            self.ENTRY_POINTS[name](seq)
+
+    def test_is_graphical_answers_false_on_out_of_range_terms(self):
+        for bad in ((2, -1), [-1], (1, 1, -2, 0), (3, 1, 1), [5, 1, 1, 1, 1],
+                    (1, 4, 2, 1)):
+            assert is_graphical(bad) is False, bad
+
+    def test_degree_sequence_read_without_a_second_sort(self, monkeypatch):
+        yes, no = DegreeSequence((1, 3, 2, 2, 2)), DegreeSequence((3, 3, 1, 1))
+
+        def refuse(values):
+            raise AssertionError(f"terms of {values} checked again")
+
+        monkeypatch.setattr(kmc4.sequences, "_sorted_terms", refuse)
+        assert is_graphical(yes) is True
+        assert is_graphical(no) is False
 
 
 class TestPickle:
