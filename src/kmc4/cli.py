@@ -19,7 +19,7 @@ import functools
 import json
 import sys
 
-from .errors import InputError, ReplayError
+from .errors import InputError, ReplayError, _count
 from .extremal import (DEFAULT_VERTEX_LIMIT, SigmaReport, extremal_witness,
                        sigma_exact, sigma_lower_bound, verify_conjecture,
                        verify_theorem1)
@@ -139,10 +139,9 @@ def cmd_replay(args) -> int:
 
 
 def cmd_verify_theorem1(args) -> int:
-    if args.n_max < 4:
-        raise InputError(f"need --n-max >= 4, got {args.n_max}")
-    if args.m is not None and args.m < 4:
-        raise InputError(f"need --m >= 4, got {args.m}")
+    _count(args.n_max, 4, "--n-max")
+    if args.m is not None:
+        _count(args.m, 4, "--m")
     ms = [args.m] if args.m is not None else list(range(4, args.n_max + 1))
     reports = []
     for m in ms:
@@ -286,8 +285,7 @@ def run(argv=None) -> int:
     # from here on, a callable taking one progress message, or None
     args.progress = (functools.partial(print, file=sys.stderr, flush=True)
                      if args.progress else None)
-    if args.limit < 1:
-        raise InputError(f"vertex limit must be at least 1, got {args.limit}")
+    _count(args.limit, 1, "--limit")
     if args.budget is not None:
         print("kmc4: --budget is ignored; every verdict is exact",
               file=sys.stderr)
@@ -298,10 +296,8 @@ def main(argv=None) -> int:
     try:
         return run(argv)
     except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return EXIT_PASS
-        return code if isinstance(code, int) else EXIT_INPUT
+        # argparse's own exit: 0 after --help, 2 on a usage error
+        return exc.code
     except ReplayError as exc:
         print(f"replay failed: {exc}", file=sys.stderr)
         return EXIT_FAIL

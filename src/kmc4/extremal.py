@@ -26,7 +26,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import NamedTuple
 
-from .errors import InputError
+from .errors import InputError, _count
 from .graphs import (SmallGraph, complete_graph, empty_graph, encode_graph6,
                      join)
 from .realizations import _decide_sequence, havel_hakimi_realize
@@ -41,11 +41,10 @@ DEFAULT_VERTEX_LIMIT = 12
 
 
 def sigma_lower_bound(m: int, n: int) -> int:
-    """Closed-form lower bound for the threshold, valid for n >= m >= 4."""
-    if m < 4:
-        raise InputError(f"target needs m >= 4, got {m}")
-    if n < m:
-        raise InputError(f"need n >= m, got n={n} < m={m}")
+    """Closed-form lower bound for the threshold, valid for n >= m >= 4.
+    Both follow the count rule (``errors._count``): m at least 4, n at
+    least m."""
+    _count(n, _count(m, 4, "m"), "n")
     return (2 * m - 6) * n - (m - 3) * (m - 2) + 2
 
 
@@ -203,10 +202,10 @@ def _sigma_upward(m: int, n_hi: int, limit: int, progress):
     Enumeration is the one exponential step of every threshold driver,
     and every driver walks its lengths only after this sweep has reached
     them; so this is the one place ``limit`` guards: n_hi above it
-    raises InputError before any level is walked. The caller checks m
-    and n_hi.
+    raises InputError before any level is walked, as does a ``limit``
+    breaking the count rule (at least 1). The caller checks m and n_hi.
     """
-    if n_hi > limit:
+    if n_hi > _count(limit, 1, "limit"):
         raise InputError(f"exact threshold limited to {limit} vertices "
                          f"(got {n_hi})")
     below = None
@@ -294,15 +293,17 @@ def _sigma_report(m: int, n: int, exact: int,
 
 def verify_conjecture(m: int, n_max: int, limit: int = DEFAULT_VERTEX_LIMIT,
                       progress=None) -> list[SigmaReport]:
-    """Exact thresholds for n = m..n_max, empty when n_max < m.
+    """Exact thresholds for n = m..n_max, empty when n_max < m. Both
+    follow the count rule (``errors._count``): m at least 4, checked
+    first, and n_max at least 0.
 
     Returns one report per n, all from one upward sweep; the caller
     decides what to make of the verdicts. Exact below the formula would
     contradict the witness construction and exceeding it would refute
     the conjectured equality.
     """
-    if n_max < m:
-        return []
     sigma_lower_bound(m, m)  # raises unless m >= 4
+    if _count(n_max, 0, "n_max") < m:
+        return []
     return [_sigma_report(m, n, exact, failures)
             for n, exact, failures in _sigma_upward(m, n_max, limit, progress)]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from binascii import b2a_base64
 from functools import cache, lru_cache
 
-from .errors import InputError
+from .errors import InputError, _count
 
 
 def _bits(mask: int):
@@ -26,16 +26,23 @@ def _bits(mask: int):
 
 
 class SmallGraph:
-    """Immutable simple graph with vertices 0..n-1 and bitmask rows."""
+    """Immutable simple graph with vertices 0..n-1 and bitmask rows.
+
+    The order and each edge endpoint follow the count rule
+    (``errors._count``); an edge is a pair of distinct vertices below n.
+    """
 
     __slots__ = ("n", "rows")
 
     def __init__(self, n: int, edges=()):
-        if not isinstance(n, int) or n < 0:
-            raise InputError(f"vertex count must be a nonnegative integer, got {n!r}")
-        rows = [0] * n
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
+        rows = [0] * _count(n, 0, "n")
+        for edge in edges:
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise InputError(f"edge {edge!r} is not a pair") from None
+            if (_count(u, 0, "edge endpoint") >= n
+                    or _count(v, 0, "edge endpoint") >= n):
                 raise InputError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise InputError(f"self-loop at vertex {u}")
@@ -82,16 +89,12 @@ class SmallGraph:
 
 
 def complete_graph(k: int) -> SmallGraph:
-    if not isinstance(k, int) or k < 0:
-        raise InputError(f"order must be a nonnegative integer, got {k!r}")
-    full = (1 << k) - 1
+    full = (1 << _count(k, 0, "k")) - 1
     return SmallGraph._from_rows(k, [full ^ (1 << v) for v in range(k)])
 
 
 def empty_graph(k: int) -> SmallGraph:
-    if not isinstance(k, int) or k < 0:
-        raise InputError(f"order must be a nonnegative integer, got {k!r}")
-    return SmallGraph._from_rows(k, [0] * k)
+    return SmallGraph._from_rows(k, [0] * _count(k, 0, "k"))
 
 
 def join(g1: SmallGraph, g2: SmallGraph) -> SmallGraph:
@@ -112,9 +115,7 @@ def km_minus_c4(m: int) -> SmallGraph:
     join of a complete graph on m-4 vertices with two independent edges.
     The graph is built once per m, and every call returns that object.
     """
-    if not isinstance(m, int) or m < 4:
-        raise InputError(f"pattern needs m >= 4, got {m!r}")
-    return _km_minus_c4(m)
+    return _km_minus_c4(_count(m, 4, "m"))
 
 
 @cache

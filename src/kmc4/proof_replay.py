@@ -56,7 +56,7 @@ from __future__ import annotations
 import json
 from typing import NamedTuple
 
-from .errors import InputError, ReplayError
+from .errors import InputError, ReplayError, _count
 from .graphs import SmallGraph, encode_graph6, km_minus_c4
 from .extremal import DEFAULT_VERTEX_LIMIT, _sigma_upward
 from .realizations import (_attach_back, _decide_sequence, _is_witness,
@@ -129,12 +129,12 @@ def verify_base_cases(family_ns=(8,)) -> BaseCaseReport:
 
     The base cases are the fixed table sequences the induction bottoms
     out on, then the hub-plus-cycle family ((n-1), 3^(n-1)) at each n of
-    ``family_ns`` in turn, each sequence listed once.
+    ``family_ns`` in turn, each sequence listed once. Each such n
+    follows the count rule (``errors._count``), at least 5.
     """
     cases = list(_EXCEPTIONAL_CASES)
     for fn in family_ns:
-        if fn < 5:
-            raise InputError(f"family needs n >= 5, got {fn}")
+        _count(fn, 5, "family_ns entry")
         seq = DegreeSequence((fn - 1,) + (3,) * (fn - 1))
         if seq not in cases:
             cases.append(seq)
@@ -151,29 +151,24 @@ def verify_base_cases(family_ns=(8,)) -> BaseCaseReport:
     return BaseCaseReport(entries)
 
 
-def _base5_embedding(g: SmallGraph) -> tuple[int, ...] | None:
-    """The bowtie in a 5-vertex graph, read off without a search.
+def _base5_embedding(g: SmallGraph) -> tuple[int, ...]:
+    """The bowtie in a 5-vertex graph with at least 8 edges, read off
+    without a search.
 
     The centre is the lowest-index vertex of degree 4; the two
     independent edges are the first of the three pairings of the other
     four vertices, in the order below, whose two pairs are both edges.
-    With at least 8 edges both always exist: the complement has at
-    most 2 edges, so some vertex misses all of them,
-    and they rule out at most two of the three disjoint pairings.
-    Returns the embedding in the layout (p, r, q, s, centre) with
-    independent edges p-q and r-s, or None.
+    Both always exist: the complement has at most 2 edges, so some
+    vertex misses all of them, and they rule out at most two of the
+    three disjoint pairings. Returns the embedding in the layout
+    (p, r, q, s, centre) with independent edges p-q and r-s.
     """
     rows = g.rows
-    for c in range(5):
-        if rows[c].bit_count() == 4:
-            break
-    else:
-        return None
+    c = next(v for v in range(5) if rows[v].bit_count() == 4)
     a, b, x, y = (v for v in range(5) if v != c)
-    for p, q, r, s in ((a, x, b, y), (a, y, b, x), (a, b, x, y)):
-        if (rows[p] >> q) & 1 and (rows[r] >> s) & 1:
-            return (p, r, q, s, c)
-    return None
+    return next((p, r, q, s, c)
+                for p, q, r, s in ((a, x, b, y), (a, y, b, x), (a, b, x, y))
+                if (rows[p] >> q) & 1 and (rows[r] >> s) & 1)
 
 
 def _interchange(g: SmallGraph, v1: int, v2: int, v4: int,
@@ -372,10 +367,10 @@ def verify_theorem2_range(n_max: int, limit: int = DEFAULT_VERTEX_LIMIT,
     nothing is decided again here, since a threshold above 4n-4 already
     fails the report. Each length is replayed only after that sweep has
     reached it, so the sweep's ``limit`` guard covers the replay too:
-    n_max above ``limit`` raises InputError before anything is walked.
+    n_max above ``limit`` raises InputError before anything is walked,
+    as does an n_max breaking the count rule (at least 5).
     """
-    if n_max < 5:
-        raise InputError(f"need n_max >= 5, got {n_max}")
+    _count(n_max, 5, "n_max")
     entries = []
     for n, exact, _ in _sigma_upward(5, n_max, limit, progress):
         exact_ok = exact == 4 * n - 4

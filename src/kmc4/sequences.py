@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 
-from .errors import InputError
+from .errors import InputError, _count
 
 
 class DegreeSequence(tuple):
@@ -161,15 +161,13 @@ def graphical_sequences_with_sum(n: int, total: int, *,
 
     The floor only narrows the range of each term, so the walk, its
     prune and the order are those of the unfloored enumeration with the
-    sequences below the floor left out.
+    sequences below the floor left out. ``n`` (at least 1), ``total``
+    and ``min_term`` (at least 0) follow the count rule; a total above
+    n(n - 1) raises InputError too.
     """
-    if n < 1:
-        raise InputError(f"need at least one term, got n={n}")
-    if total < 0 or total > n * (n - 1):
+    if _count(n, 1, "n") * (n - 1) < _count(total, 0, "total"):
         raise InputError(f"degree sum {total} out of range for n={n}")
-    if min_term < 0:
-        raise InputError(f"negative term floor {min_term}")
-    if total % 2 or min_term * n > total:
+    if _count(min_term, 0, "min_term") * n > total or total % 2:
         return
     # Depth-first over nonincreasing terms <= n-1: level j holds the next
     # value to try for term j, at most what leaves min_term for each later

@@ -280,8 +280,10 @@ def graphical_sequences_by_filter(n: int, total: int):
     every nonincreasing sequence with parts <= n-1 and that sum, in
     descending lexicographic order, and keeping the graphical ones."""
     if n < 1:
-        raise InputError(f"need at least one term, got n={n}")
-    if total < 0 or total > n * (n - 1):
+        raise InputError(f"n must be an integer >= 1, got {n}")
+    if total < 0:
+        raise InputError(f"total must be an integer >= 0, got {total}")
+    if total > n * (n - 1):
         raise InputError(f"degree sum {total} out of range for n={n}")
     if total % 2:
         return
@@ -347,6 +349,15 @@ def kleitman_wang_residual(seq) -> tuple[int, ...]:
     hit = {label for label, _ in others[:d]}
     degrees = [deg - (label in hit) for label, deg in others]
     return tuple(sorted(degrees, reverse=True))
+
+
+def top_lay_off(seq) -> tuple[int, ...]:
+    """Kleitman-Wang residual at the top: lay a vertex of largest degree
+    d1 off onto the d1 largest of the others, positions 2..d1+1 of the
+    nonincreasing order, each of which loses one; then re-sort."""
+    top, *rest = sorted(seq, reverse=True)
+    return tuple(sorted((t - (i < top) for i, t in enumerate(rest)),
+                        reverse=True))
 
 
 def uplifts_by_positions(r, d: int) -> set[tuple[int, ...]]:

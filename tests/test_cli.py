@@ -371,7 +371,7 @@ class TestVerifySubcommands:
     def test_theorem2_bad_range(self, capsys):
         code, _, err = run_cli(capsys, "verify", "theorem2", "--n-max", "4")
         assert code == 2
-        assert "error:" in err
+        assert err == "error: n_max must be an integer >= 5, got 4\n"
 
     def test_conjecture(self, capsys):
         code, out, _ = run_cli(capsys, "--json", "verify", "conjecture",
@@ -446,7 +446,7 @@ class TestLimitsAndEnvironment:
     def test_limit_out_of_range(self, capsys):
         code, _, err = run_cli(capsys, "--limit", "0", "graphical", "2,1,1")
         assert code == 2
-        assert err == "error: vertex limit must be at least 1, got 0\n"
+        assert err == "error: --limit must be an integer >= 1, got 0\n"
         # no upper end: 33 and 64 are limits like any other
         for limit in ("33", "64"):
             code, out, _ = run_cli(capsys, "--limit", limit, "sigma",
@@ -498,6 +498,21 @@ class TestArgumentErrors:
                            "--progress"}
         # --budget is parsed and ignored, and --help does not offer it
         assert "--budget" not in build_parser().format_help()
+
+    @pytest.mark.parametrize("argv,err", [
+        (["verify", "theorem1", "--n-max", "3"],
+         "--n-max must be an integer >= 4, got 3"),
+        (["verify", "theorem1", "--m", "3", "--n-max", "9"],
+         "--m must be an integer >= 4, got 3"),
+        (["sigma", "--m", "5", "--n", "4"],
+         "n must be an integer >= 5, got 4"),
+        (["verify", "base-cases", "--family-n", "4"],
+         "family_ns entry must be an integer >= 5, got 4")],
+        ids=["theorem1-n-max", "theorem1-m", "sigma-n", "base-cases-family-n"])
+    def test_count_below_its_least(self, capsys, argv, err):
+        # argparse makes each an int; the count rule checks its least,
+        # in the command line's own checks and the library's
+        assert run_cli(capsys, *argv) == (2, "", f"error: {err}\n")
 
     def test_sigma_requires_m_and_n(self, capsys):
         code, _, _ = run_cli(capsys, "sigma", "--m", "5")

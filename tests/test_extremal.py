@@ -74,17 +74,25 @@ class TestLowerBound:
     def test_values(self, m, n, want):
         assert sigma_lower_bound(m, n) == want
 
-    # extremal_witness checks its arguments through sigma_lower_bound
+    # extremal_witness, verify_theorem1 and sigma_exact check m and n
+    # through sigma_lower_bound, by the count rule: an int, not a bool,
+    # m at least 4 and n at least m
+    THROUGH_THE_BOUND = (sigma_lower_bound, extremal_witness,
+                         verify_theorem1, sigma_exact)
+
     def test_rejects_small_m(self):
-        for f in (sigma_lower_bound, extremal_witness):
-            with pytest.raises(InputError, match=r"^target needs m >= 4, got 3$"):
-                f(3, 5)
+        for f in self.THROUGH_THE_BOUND:
+            for m in (3, 4.5, 5.0, True, "5"):
+                with pytest.raises(InputError, match="^m must be an integer "
+                                   rf">= 4, got {re.escape(repr(m))}$"):
+                    f(m, 9)
 
     def test_rejects_n_below_m(self):
-        for f in (sigma_lower_bound, extremal_witness):
-            with pytest.raises(InputError,
-                               match=r"^need n >= m, got n=4 < m=5$"):
-                f(5, 4)
+        for f in self.THROUGH_THE_BOUND:
+            for n in (4, 9.0, True, "9"):
+                with pytest.raises(InputError, match="^n must be an integer "
+                                   rf">= 5, got {re.escape(repr(n))}$"):
+                    f(5, n)
 
 
 class TestExtremalWitness:
@@ -350,12 +358,14 @@ class TestVerifyConjecture:
         assert all(r.exact == 2 * r.n for r in reports)
 
     def test_empty_below_m(self):
-        # the reports start at n = m; an n_max below it leaves none,
-        # before m itself is checked
+        # the reports start at n = m; an n_max below it leaves none, but
+        # m is checked first, so a bad m raises whatever n_max is
         assert verify_conjecture(5, 4) == []
-        assert verify_conjecture(3, 2) == []
-        with pytest.raises(InputError, match="target needs m >= 4, got 3"):
-            verify_conjecture(3, 5)
+        assert verify_conjecture(5, 0) == []
+        for n_max in (2, 5):
+            with pytest.raises(InputError,
+                               match="^m must be an integer >= 4, got 3$"):
+                verify_conjecture(3, n_max)
 
     def test_vertex_limit(self):
         with pytest.raises(InputError, match=re.escape(

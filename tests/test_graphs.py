@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from random import Random
 
 import pytest
@@ -42,6 +43,12 @@ class TestSmallGraph:
     def test_rejects_out_of_range(self):
         with pytest.raises(InputError):
             SmallGraph(3, [(0, 3)])
+
+    @pytest.mark.parametrize("edge", [(0, 1, 2), (0,), 5, None])
+    def test_rejects_an_edge_that_is_not_a_pair(self, edge):
+        with pytest.raises(InputError, match=(
+                rf"^edge {re.escape(repr(edge))} is not a pair$")):
+            SmallGraph(3, [(1, 2), edge])
 
     def test_rejects_oversize(self):
         # rows are as wide as the graph: 33 and 64 vertices are accepted
@@ -209,9 +216,10 @@ class TestKmMinusC4Cache:
         assert km_minus_c4(6) is km_minus_c4(6)
         assert km_minus_c4(6) is not km_minus_c4(7)
 
-    @pytest.mark.parametrize("bad", [[5], 3, 5.0, "5"])
+    @pytest.mark.parametrize("bad", [[5], 3, 5.0, "5", True])
     def test_bad_argument_is_an_input_error(self, bad):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^m must be an integer >= 4, "
+                           rf"got {re.escape(repr(bad))}$"):
             km_minus_c4(bad)
 
 

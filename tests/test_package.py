@@ -1,6 +1,6 @@
 """The package surface: what ``import kmc4`` loads, the result records,
-and the imports and annotations of each source module and test oracle
-module.
+the count rule every size argument follows, and the imports and
+annotations of each source module and test oracle module.
 
 The replay module is imported on the first use of one of its names,
 every result record is a named tuple with fixed fields and defaults, no
@@ -13,6 +13,7 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import re
 import subprocess
 import sys
 import types
@@ -22,8 +23,11 @@ from pathlib import Path
 import pytest
 
 import kmc4
-from kmc4 import (BaseCaseReport, ProofStep, ProofTrace, SigmaReport,
-                  Theorem1Report, Theorem2RangeReport, WitnessResult)
+from kmc4 import (BaseCaseReport, InputError, ProofStep, ProofTrace,
+                  SigmaReport, SmallGraph, Theorem1Report,
+                  Theorem2RangeReport, WitnessResult, complete_graph,
+                  empty_graph, graphical_sequences_with_sum, sigma_exact,
+                  verify_base_cases, verify_conjecture, verify_theorem2_range)
 
 
 def run_probe(body: str) -> str:
@@ -110,6 +114,63 @@ class TestRecords:
                               "graph6=None)")
         with pytest.raises(AttributeError):
             step.graph6 = "E"
+
+
+class TestCountRule:
+    """Every size argument is an ``int``, not a ``bool``, and at least
+    its least value; ``errors._count`` is the one check, and it raises
+    InputError in one shape, naming the argument. The m and n of
+    sigma_lower_bound, and of the drivers that reach it, are probed in
+    test_extremal; km_minus_c4's m in test_graphs."""
+
+    # entry point with one size argument open: its name, least value,
+    # and a value it takes
+    PROBES = {
+        "SmallGraph-n": (lambda v: SmallGraph(v), "n", 0, 3),
+        "SmallGraph-endpoint": (lambda v: SmallGraph(3, [(0, 2), (0, v)]),
+                                "edge endpoint", 0, 1),
+        "complete_graph": (complete_graph, "k", 0, 3),
+        "empty_graph": (empty_graph, "k", 0, 3),
+        "graphical_sequences_with_sum-n": (
+            lambda v: list(graphical_sequences_with_sum(v, 6)), "n", 1, 4),
+        "graphical_sequences_with_sum-total": (
+            lambda v: list(graphical_sequences_with_sum(4, v)), "total", 0, 6),
+        "graphical_sequences_with_sum-min_term": (
+            lambda v: list(graphical_sequences_with_sum(4, 6, min_term=v)),
+            "min_term", 0, 1),
+        "sigma_exact-limit": (lambda v: sigma_exact(5, 9, limit=v),
+                              "limit", 1, 12),
+        "verify_conjecture-m": (lambda v: verify_conjecture(v, 8), "m", 4, 5),
+        "verify_conjecture-n_max": (lambda v: verify_conjecture(5, v),
+                                    "n_max", 0, 8),
+        "verify_theorem2_range-n_max": (verify_theorem2_range, "n_max", 5, 6),
+        "verify_theorem2_range-limit": (
+            lambda v: verify_theorem2_range(6, limit=v), "limit", 1, 12),
+        "verify_base_cases": (lambda v: verify_base_cases((8, v)),
+                              "family_ns entry", 5, 8),
+    }
+
+    @pytest.mark.parametrize("probe", PROBES)
+    def test_bad_count_raises_in_one_shape(self, probe):
+        call, name, least, valid = self.PROBES[probe]
+        for bad in (float(valid), True, str(valid), least - 1):
+            with pytest.raises(InputError, match=(
+                    f"^{re.escape(name)} must be an integer >= {least}, "
+                    f"got {re.escape(repr(bad))}$")):
+                call(bad)
+
+    def test_one_check_of_a_count(self):
+        # isinstance(..., int) appears only in the count rule and in the
+        # term rule of sequences._sorted_terms
+        sites = []
+        for path in sorted(Path(kmc4.__file__).parent.glob("*.py")):
+            for func in ast.walk(ast.parse(path.read_text("utf-8"))):
+                if isinstance(func, ast.FunctionDef):
+                    sites += [func.name for node in ast.walk(func)
+                              if isinstance(node, ast.Call)
+                              and ast.unparse(node.func) == "isinstance"
+                              and ast.unparse(node.args[1]) == "int"]
+        assert sorted(set(sites)) == ["_count", "_sorted_terms"]
 
 
 class TestImportsAreUsed:

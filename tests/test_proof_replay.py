@@ -128,8 +128,8 @@ class TestBaseCaseSequences:
         assert base_cases((6, 7, 6)) == fam + [(7, (6,) + (3,) * 6)]
 
     def test_family_too_short(self):
-        with pytest.raises(InputError,
-                           match=re.escape("family needs n >= 5, got 4")):
+        with pytest.raises(InputError, match=re.escape(
+                "family_ns entry must be an integer >= 5, got 4")):
             verify_base_cases(family_ns=(8, 4))
 
 
@@ -194,24 +194,23 @@ class TestCaseBranches:
         assert [s.case for s in trace.steps] == ["q≥8 (n=5)"]
 
     def test_five_vertex_bowtie_read_off_without_a_search(self):
-        # every labelled graph on 5 vertices: the construction returns a
-        # valid bowtie exactly when brute force finds one, and always
-        # with at least 8 edges (at most 2 in the complement)
+        # every labelled graph on 5 vertices with at least 8 edges (at
+        # most 2 in the complement), the only ones the base case meets:
+        # brute force finds a bowtie, and the construction reads off a
+        # valid one, the one find_embedding finds
         pairs = list(combinations(range(5), 2))
         dense = 0
         for mask in range(1 << len(pairs)):
+            if mask.bit_count() < 8:
+                continue
             g = SmallGraph(5, [e for i, e in enumerate(pairs)
                                if (mask >> i) & 1])
+            dense += 1
+            assert brute_embedding_exists(g, BOWTIE), g.edges()
             emb = _base5_embedding(g)
-            exists = brute_embedding_exists(g, BOWTIE)
-            assert (emb is not None) == exists, g.edges()
-            if emb is not None:
-                assert embedding_is_valid(g, BOWTIE, emb), (g.edges(), emb)
-                # the pairing order keeps the base step's action text
-                assert emb == find_embedding(g, BOWTIE)
-            if g.edge_count >= 8:
-                dense += 1
-                assert emb is not None, g.edges()
+            assert embedding_is_valid(g, BOWTIE, emb), (g.edges(), emb)
+            # the pairing order keeps the base step's action text
+            assert emb == find_embedding(g, BOWTIE)
         assert dense == 56
 
     def test_second_degree_3_forces_the_family(self):

@@ -13,7 +13,7 @@ from helpers import (brute_isomorphic, embedding_is_valid,
                      find_embedding, gray_code_degree_map,
                      greedy_realization_by_scan, pairing_decision,
                      random_graph, relabel, row_by_row_placement, top_layouts,
-                     two_switch)
+                     top_lay_off, two_switch)
 
 import kmc4.cli
 import kmc4.realizations
@@ -288,27 +288,39 @@ class TestExactDecision:
                 (res.verdict, res.explored), seq
             assert res.explored <= 3
 
-    def test_universal_vertex_lemma(self):
-        # F_m is one vertex joined to F_{m-1}. A sequence s with
-        # d1 = n - 1 has vertex 1 universal in every realization, and
-        # deleting it realizes s' = (d2 - 1, ..., dn - 1); so s is
-        # potentially F_m-graphic exactly when s' is potentially
-        # F_{m-1}-graphic, by either decider
-        count = positive = 0
+    def test_top_lay_off_lemma(self):
+        # F_m is one vertex joined to F_{m-1}. Lay the top vertex of s,
+        # with d1 >= m - 1, off onto positions 2..d1+1, leaving r. If s
+        # is potentially F_m-graphic, r is potentially F_{m-1}-graphic;
+        # the converse holds under the tie condition, d1 = n - 1 or
+        # d_m > d_{d1+2}, and fails without it on 385 pairs, so the
+        # condition is needed. The rows with d1 = n - 1, where vertex 1
+        # is universal in every realization, are checked through n = 8
+        # by the f-factor oracle too
+        pairs = ties = differ = universal = positive = 0
         for m in (5, 6, 7):
-            for n in range(m, 9):
+            for n in range(m, 10):
                 for seq in enumerate_graphical_sequences(n):
-                    if seq[0] != n - 1:
+                    d1 = seq[0]
+                    if d1 < m - 1:
                         continue
-                    rest = tuple(t - 1 for t in seq[1:])
-                    want = is_potentially(rest, km_minus_c4(m - 1)).verdict
-                    assert potentially(rest, m - 1) == want, (rest, m - 1)
-                    assert is_potentially(seq, km_minus_c4(m)).verdict \
-                        == want, (seq, m)
-                    assert potentially(seq, m) == want, (seq, m)
-                    count += 1
-                    positive += want
-        assert (count, positive) == (1405, 838)
+                    r = top_lay_off(seq)
+                    want = is_potentially(r, km_minus_c4(m - 1)).verdict
+                    got = is_potentially(seq, km_minus_c4(m)).verdict
+                    tie = d1 == n - 1 or seq[m - 1] > seq[d1 + 1]
+                    assert want or not got, (seq, m)
+                    if tie:
+                        assert got == want, (seq, m)
+                    differ += got != want
+                    pairs += 1
+                    ties += tie
+                    if d1 == n - 1 and n <= 8:
+                        assert potentially(r, m - 1) == want, (r, m - 1)
+                        assert potentially(seq, m) == got, (seq, m)
+                        universal += 1
+                        positive += want
+        assert (pairs, ties, differ) == (15405, 12808, 385)
+        assert (universal, positive) == (1405, 838)
 
     @pytest.mark.parametrize("n", range(4, 8))
     def test_explored_pairings_agree_with_brute_force(self, n):
@@ -722,7 +734,7 @@ class TestGraphicalityCheckedOnce:
     def test_cli_bad_m_on_graphical_sequence(self, capsys):
         assert kmc4.cli.main(["potential", "4,2,2,2,2", "--m", "3"]) == 2
         assert capsys.readouterr() == (
-            "", "error: pattern needs m >= 4, got 3\n")
+            "", "error: m must be an integer >= 4, got 3\n")
 
     @pytest.mark.parametrize("argv", [
         ["realize", "3,3,1,1"], ["potential", "3,3,1,1", "--m", "4"],

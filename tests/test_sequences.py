@@ -280,7 +280,7 @@ class TestPrunedWalk:
                         n, total, floor)
 
     def test_negative_floor_rejected(self):
-        with pytest.raises(InputError, match="negative term floor -1"):
+        with pytest.raises(InputError, match="^min_term must be an integer >= 0, got -1$"):
             list(graphical_sequences_with_sum(4, 6, min_term=-1))
 
     def test_odd_sums_yield_nothing(self):
