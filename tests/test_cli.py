@@ -9,6 +9,7 @@ realization, threshold values at small n).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -403,6 +404,62 @@ class TestVerifySubcommands:
         assert chatty[1] == quiet[1]
         assert "m=4 n=5" in chatty[2]
         assert quiet[2] == ""
+
+
+class TestVerifyBytes:
+    """Every byte each verify command prints, and its exit code: the
+    text report as a literal, the --json report as the SHA-256 digest of
+    its stdout. A change to either fails here; freeze new values only
+    when the report is meant to change."""
+
+    CASES = {
+        "theorem1": (
+            ["verify", "theorem1", "--m", "5", "--n-max", "7"],
+            "m=5 n=5: pattern-free True, classes 1, sum-check True -> ok\n"
+            "m=5 n=6: pattern-free True, classes 1, sum-check True -> ok\n"
+            "m=5 n=7: pattern-free True, classes 1, sum-check True -> ok\n"
+            "PASS\n",
+            "03a9629fcac7958028ba081413f1af9943bc4723c6c223ef6639ed1f9223f902"),
+        "conjecture": (
+            ["verify", "conjecture", "--m", "5", "--n-max", "8"],
+            "m=5 n=5: exact 16, formula 16, verdict matches\n"
+            "m=5 n=6: exact 20, formula 20, verdict matches\n"
+            "m=5 n=7: exact 24, formula 24, verdict matches\n"
+            "m=5 n=8: exact 28, formula 28, verdict matches\n"
+            "PASS\n",
+            "f37692bca37bfbcf84a326e8aa7a047bf030565c9ebebdc550ad73318e4be305"),
+        "theorem2": (
+            ["verify", "theorem2", "--n-max", "7"],
+            "n=5: exact 16 (expected 16), 4 sequences replayed, "
+            "0 replay failures\n"
+            "n=6: exact 20 (expected 20), 26 sequences replayed, "
+            "0 replay failures\n"
+            "n=7: exact 24 (expected 24), 135 sequences replayed, "
+            "0 replay failures\n"
+            "PASS\n",
+            "f3041423e585f1ead61a637d81d085ba45f2af0498497134f97dac6f06b6d1d0"),
+        "base-cases": (
+            ["verify", "base-cases", "--family-n", "6", "--family-n", "9"],
+            "n=6 (4,4,3,3,3,3): E}dg\n"
+            "n=6 (4,4,4,4,4,4): E}lw\n"
+            "n=7 (4,4,4,4,4,4,4): F}dhw\n"
+            "n=6 (5,3,3,3,3,3): E}eg\n"
+            "n=9 (8,3,3,3,3,3,3,3,3): H}mCKIB\n"
+            "PASS\n",
+            "e0f63620e931e782b717d690ed48669bc4c33ce37ff0959b772dce4c5e7bb79b"),
+    }
+
+    @pytest.mark.parametrize("claim", CASES)
+    def test_text_report(self, capsys, claim):
+        argv, text, _ = self.CASES[claim]
+        assert run_cli(capsys, *argv) == (0, text, "")
+
+    @pytest.mark.parametrize("claim", CASES)
+    def test_json_report_digest(self, capsys, claim):
+        argv, _, digest = self.CASES[claim]
+        code, out, err = run_cli(capsys, "--json", *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestCachedParser:
