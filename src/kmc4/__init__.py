@@ -21,11 +21,11 @@ from .sequences import (DegreeSequence, graphical_sequences_with_sum,
 
 __version__ = "0.1.0"
 
-# Names of ``proof_replay``, the largest module, which only the replay
-# and its verify drivers need: it is imported on the first access to
+# Names of ``proof_replay``, the largest module: the replay, its trace
+# records and its two verify drivers, which return plain entry dicts.
+# Only they need that module, so it is imported on the first access to
 # any of them (PEP 562), and that access binds them all here.
-_REPLAY_NAMES = ("BaseCaseReport", "ProofStep", "ProofTrace",
-                 "Theorem2RangeReport", "replay_theorem2",
+_REPLAY_NAMES = ("ProofStep", "ProofTrace", "replay_theorem2",
                  "verify_base_cases", "verify_theorem2_range")
 
 
@@ -43,7 +43,6 @@ def __dir__() -> list[str]:
     return sorted(set(globals()) | set(_REPLAY_NAMES))
 
 __all__ = [
-    "BaseCaseReport",
     "DEFAULT_VERTEX_LIMIT",
     "DegreeSequence",
     "InputError",
@@ -53,7 +52,6 @@ __all__ = [
     "SigmaReport",
     "SmallGraph",
     "Theorem1Report",
-    "Theorem2RangeReport",
     "WitnessResult",
     "complete_graph",
     "empty_graph",

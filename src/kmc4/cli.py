@@ -24,7 +24,8 @@ from .extremal import (DEFAULT_VERTEX_LIMIT, SigmaReport, extremal_witness,
                        sigma_exact, sigma_lower_bound, verify_conjecture,
                        verify_theorem1)
 from .graphs import encode_graph6, km_minus_c4
-from .realizations import havel_hakimi_realize, is_potentially
+from .realizations import (WitnessResult, havel_hakimi_realize,
+                           is_potentially)
 from .sequences import DegreeSequence, _graphical, is_graphical
 
 EXIT_PASS = 0
@@ -36,16 +37,18 @@ def _emit(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _print_report(args, report: dict, lines) -> int:
-    """Print a verify report, the JSON ``report`` under --json, else each
-    of ``lines`` and then PASS or FAIL by its "passed" key, and return
-    its exit code."""
-    passed = report["passed"]
+def _print_report(args, key: str, entries: list[dict], passes, line) -> int:
+    """Print a verify report and return its exit code: the one place a
+    verify command's PASS or FAIL is decided. The report passes when
+    ``passes`` holds for each of ``entries``. Under --json it prints
+    ``{key: entries, "passed": ...}``, else ``line`` of each entry and
+    then PASS or FAIL."""
+    passed = all(passes(e) for e in entries)
     if args.json:
-        _emit(report)
+        _emit({key: entries, "passed": passed})
     else:
-        for line in lines:
-            print(line)
+        for e in entries:
+            print(line(e))
         print("PASS" if passed else "FAIL")
     return EXIT_PASS if passed else EXIT_FAIL
 
@@ -74,12 +77,18 @@ def cmd_realize(args) -> int:
 def cmd_potential(args) -> int:
     seq = DegreeSequence.from_text(args.sequence)
     try:
-        target = km_minus_c4(args.m)
+        _count(args.m, 4, "m")
     except InputError:
         # a sequence that is not graphical is reported ahead of a bad --m
         _graphical(seq)
         raise
-    res = is_potentially(seq, target)
+    if args.m <= seq.n:
+        res = is_potentially(seq, km_minus_c4(args.m))
+    else:
+        # fewer terms than m: is_potentially's immediate no, without
+        # building F_m, m rows of m bits that would stay cached
+        _graphical(seq)
+        res = WitnessResult(False, None, None, 0)
     if args.json:
         _emit({
             "sequence": list(seq),
@@ -152,24 +161,27 @@ def cmd_verify_theorem1(args) -> int:
     if not reports:
         raise InputError(f"empty grid: no n in [{args.m}, {args.n_max}]")
     return _print_report(
-        args, {"reports": [r.to_json_dict() for r in reports],
-               "passed": all(r.passed for r in reports)},
-        (f"m={r.m} n={r.n}: pattern-free {r.pattern_free}, "
-         f"classes {r.realization_classes}, "
-         f"sum-check {r.sum_is_bound_minus_two} -> "
-         f"{'ok' if r.passed else 'FAIL'}" for r in reports))
+        args, "reports", [r.to_json_dict() for r in reports],
+        lambda r: r["passed"],
+        lambda r: (f"m={r['m']} n={r['n']}: pattern-free "
+                   f"{r['pattern_free']}, classes "
+                   f"{r['realization_classes']}, sum-check "
+                   f"{r['sum_is_bound_minus_two']} -> "
+                   f"{'ok' if r['passed'] else 'FAIL'}"))
 
 
 def cmd_verify_theorem2(args) -> int:
     from .proof_replay import verify_theorem2_range
 
-    report = verify_theorem2_range(args.n_max, limit=args.limit,
-                                   progress=args.progress)
     return _print_report(
-        args, report.to_json_dict(),
-        (f"n={e['n']}: exact {e['exact']} (expected {e['expected']}), "
-         f"{e['sequences_checked']} sequences replayed, "
-         f"{e['replay_failures']} replay failures" for e in report.entries))
+        args, "entries",
+        verify_theorem2_range(args.n_max, limit=args.limit,
+                              progress=args.progress),
+        lambda e: e["exact_ok"] and e["replay_failures"] == 0,
+        lambda e: (f"n={e['n']}: exact {e['exact']} "
+                   f"(expected {e['expected']}), "
+                   f"{e['sequences_checked']} sequences replayed, "
+                   f"{e['replay_failures']} replay failures"))
 
 
 def cmd_verify_conjecture(args) -> int:
@@ -178,22 +190,22 @@ def cmd_verify_conjecture(args) -> int:
     if not reports:
         raise InputError(f"empty grid: no n in [{args.m}, {args.n_max}]")
     return _print_report(
-        args, {"reports": [r.to_json_dict() for r in reports],
-               "passed": all(r.verdict == "matches" for r in reports)},
-        (f"m={r.m} n={r.n}: exact {r.exact}, formula {r.lower_bound}, "
-         f"verdict {r.verdict}" for r in reports))
+        args, "reports", [r.to_json_dict() for r in reports],
+        lambda r: r["verdict"] == "matches",
+        lambda r: (f"m={r['m']} n={r['n']}: exact {r['exact']}, "
+                   f"formula {r['lower_bound']}, verdict {r['verdict']}"))
 
 
 def cmd_verify_base_cases(args) -> int:
     from .proof_replay import verify_base_cases
 
-    family = tuple(args.family_n) if args.family_n else (8,)
-    report = verify_base_cases(family)
     return _print_report(
-        args, report.to_json_dict(),
-        (f"n={e['n']} ({DegreeSequence(e['sequence']).to_text()}): "
-         f"{e['witness'] if e['potential'] else 'NO WITNESS'}"
-         for e in report.entries))
+        args, "entries",
+        verify_base_cases(args.family_n) if args.family_n
+        else verify_base_cases(),
+        lambda e: e["potential"],
+        lambda e: (f"n={e['n']} ({DegreeSequence(e['sequence']).to_text()})"
+                   f": {e['witness'] if e['potential'] else 'NO WITNESS'}"))
 
 
 @functools.cache

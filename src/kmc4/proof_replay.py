@@ -58,7 +58,7 @@ from typing import NamedTuple
 
 from .errors import InputError, ReplayError, _count
 from .graphs import SmallGraph, encode_graph6, km_minus_c4
-from .extremal import DEFAULT_VERTEX_LIMIT, _sigma_upward
+from .extremal import DEFAULT_VERTEX_LIMIT, _sigma_upward, sigma_lower_bound
 from .realizations import (_attach_back, _decide_sequence, _is_witness,
                            _k4_on_top, _lay_off_degrees, _placement,
                            _realize_around, is_potentially)
@@ -83,7 +83,7 @@ _EXCEPTIONAL_CASES = (DegreeSequence((4, 4, 3, 3, 3, 3)),
 
 class ProofStep(NamedTuple):
     case: str
-    sequence: tuple[int, ...]
+    sequence: DegreeSequence
     action: str
     graph6: str | None = None
 
@@ -106,31 +106,23 @@ class ProofTrace(NamedTuple):
     def to_text(self) -> str:
         lines = []
         for i, s in enumerate(self.steps, 1):
-            seq = ",".join(str(t) for t in s.sequence)
             tail = f"  [{s.graph6}]" if s.graph6 else ""
-            lines.append(f"{i}. [{s.case}] ({seq}) {s.action}{tail}")
+            lines.append(f"{i}. [{s.case}] ({s.sequence.to_text()}) "
+                         f"{s.action}{tail}")
         return "\n".join(lines)
 
 
-class BaseCaseReport(NamedTuple):
-    entries: list[dict]
-
-    @property
-    def passed(self) -> bool:
-        return all(e["potential"] for e in self.entries)
-
-    def to_json_dict(self) -> dict:
-        return {"entries": self.entries, "passed": self.passed}
-
-
-def verify_base_cases(family_ns=(8,)) -> BaseCaseReport:
-    """Confirm with ``is_potentially`` that every base-case sequence is
-    potentially bowtie-graphic, recording a witness for each.
+def verify_base_cases(family_ns=(8,)) -> list[dict]:
+    """Decide with ``is_potentially`` whether each base-case sequence is
+    potentially bowtie-graphic: one entry per sequence, with its verdict
+    under "potential" and its witness in graph6, or None.
 
     The base cases are the fixed table sequences the induction bottoms
     out on, then the hub-plus-cycle family ((n-1), 3^(n-1)) at each n of
     ``family_ns`` in turn, each sequence listed once. Each such n
-    follows the count rule (``errors._count``), at least 5.
+    follows the count rule (``errors._count``), at least 5. The claim
+    holds when every entry is potential; ``kmc4 verify base-cases``
+    applies that rule.
     """
     cases = list(_EXCEPTIONAL_CASES)
     for fn in family_ns:
@@ -148,7 +140,7 @@ def verify_base_cases(family_ns=(8,)) -> BaseCaseReport:
             "witness": encode_graph6(res.witness) if res.witness else None,
             "explored": res.explored,
         })
-    return BaseCaseReport(entries)
+    return entries
 
 
 def _base5_embedding(g: SmallGraph) -> tuple[int, ...]:
@@ -177,8 +169,8 @@ def _interchange(g: SmallGraph, v1: int, v2: int, v4: int,
     v2-y2 and inserts y1-v2, y3-v1 and y2-v4. On the vertices
     ``_complete_on_top`` finds, this keeps every degree and completes a
     bowtie on the quadruple v1..v4 and y1 (centre v2, independent edges
-    v3-v4 and v1-y1); v3 keeps its edges, so it is not passed. It only
-    toggles the six edges.
+    v3-v4 and v1-y1); v3 keeps its edges, so it is not an argument. It
+    only toggles the six edges.
     """
     rows = list(g.rows)
     for u, v in ((y1, y3), (v1, v4), (v2, y2), (y1, v2), (y3, v1), (y2, v4)):
@@ -259,10 +251,10 @@ def _replay(seq: DegreeSequence,
         residual = tuple.__new__(DegreeSequence,
                                  _lay_off_degrees(seq[:-1], (d,)))
         steps.append(ProofStep(
-            CASE_DELETION, tuple(seq),
+            CASE_DELETION, seq,
             f"laid a vertex of degree {d} off onto degrees "
-            f"{list(seq[:d])}; residual "
-            f"({','.join(str(t) for t in residual)}) keeps the threshold"))
+            f"{list(seq[:d])}; residual ({residual.to_text()}) keeps the "
+            f"threshold"))
         inner, emb = _replay(residual, steps)
         g = _attach_back(inner, seq, residual)
         case = CASE_DELETION
@@ -313,7 +305,7 @@ def _replay(seq: DegreeSequence,
     if not _is_witness(seq, _BOWTIE, g, emb):
         raise ReplayError(f"'{case}' witness for {tuple(seq)} does not "
                           f"realize it with the target embedded", steps)
-    steps.append(ProofStep(case, tuple(seq), action, encode_graph6(g)))
+    steps.append(ProofStep(case, seq, action, encode_graph6(g)))
     return g, emb
 
 
@@ -332,40 +324,33 @@ def replay_theorem2(seq) -> ProofTrace:
     if n < 5:
         raise InputError(f"replay needs n >= 5, got n={n}")
     _graphical(seq)
-    if sum(seq) < 4 * n - 4:
-        raise InputError(
-            f"degree sum {sum(seq)} below threshold {4 * n - 4}")
+    threshold = sigma_lower_bound(5, n)
+    if sum(seq) < threshold:
+        raise InputError(f"degree sum {sum(seq)} below threshold {threshold}")
     steps: list[ProofStep] = []
     out, emb = _replay(seq, steps)
     return ProofTrace(steps, out, emb)
 
 
-class Theorem2RangeReport(NamedTuple):
-    entries: list[dict]
-
-    @property
-    def passed(self) -> bool:
-        return all(e["exact_ok"] and e["replay_failures"] == 0
-                   for e in self.entries)
-
-    def to_json_dict(self) -> dict:
-        return {"entries": self.entries, "passed": self.passed}
-
-
 def verify_theorem2_range(n_max: int, limit: int = DEFAULT_VERTEX_LIMIT,
-                          progress=None) -> Theorem2RangeReport:
-    """Exhaustively confirm the m=5 equality for 5 <= n <= n_max.
+                          progress=None) -> list[dict]:
+    """Exhaustively check the m=5 equality for 5 <= n <= n_max: one
+    entry per n, in order.
 
-    At each n the exact threshold must equal 4n-4, and the constructive
-    replay must produce a valid witness for every graphical sequence at
-    or above 4n-4. ``replay_theorem2`` checks every level's witness,
-    leaves included, once before recording its step, with the predicate
+    Each entry holds the exact threshold, the expected 4n-4 and whether
+    they agree ("exact_ok"), and how many graphical sequences at or
+    above 4n-4 were replayed and how many of those replays failed. The
+    equality holds at n when "exact_ok" is true and "replay_failures" is
+    0; ``kmc4 verify theorem2`` applies that rule to every entry.
+
+    ``replay_theorem2`` checks every level's witness, leaves included,
+    once before recording its step, with the predicate
     ``is_potentially`` uses: its degrees vertex by vertex, and its
     bowtie edge by edge on the embedding the level carries. It raises
     ReplayError on a wrong one; each such error counts as a replay
     failure. The thresholds come from one upward sweep over n;
     nothing is decided again here, since a threshold above 4n-4 already
-    fails the report. Each length is replayed only after that sweep has
+    fails the entry. Each length is replayed only after that sweep has
     reached it, so the sweep's ``limit`` guard covers the replay too:
     n_max above ``limit`` raises InputError before anything is walked,
     as does an n_max breaking the count rule (at least 5).
@@ -373,11 +358,11 @@ def verify_theorem2_range(n_max: int, limit: int = DEFAULT_VERTEX_LIMIT,
     _count(n_max, 5, "n_max")
     entries = []
     for n, exact, _ in _sigma_upward(5, n_max, limit, progress):
-        exact_ok = exact == 4 * n - 4
+        expected = sigma_lower_bound(5, n)
         checked = 0
         replay_failures = 0
         level = n * (n - 1)
-        while level >= 4 * n - 4:
+        while level >= expected:
             for seq in graphical_sequences_with_sum(n, level):
                 checked += 1
                 try:
@@ -391,9 +376,9 @@ def verify_theorem2_range(n_max: int, limit: int = DEFAULT_VERTEX_LIMIT,
         entries.append({
             "n": n,
             "exact": exact,
-            "expected": 4 * n - 4,
-            "exact_ok": exact_ok,
+            "expected": expected,
+            "exact_ok": exact == expected,
             "sequences_checked": checked,
             "replay_failures": replay_failures,
         })
-    return Theorem2RangeReport(entries)
+    return entries

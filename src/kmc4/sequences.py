@@ -73,7 +73,7 @@ class DegreeSequence(tuple):
 
     def to_text(self) -> str:
         """Render as comma-separated terms."""
-        return ",".join(str(t) for t in self)
+        return ",".join(map(str, self))
 
 
 def _sorted_terms(values: Iterable[int]) -> list[int]:

@@ -21,6 +21,7 @@ from helpers import (decode_graph6, embedding_is_valid,
 from jsonschema import validate
 
 import kmc4
+import kmc4.proof_replay
 from kmc4 import extremal_witness, encode_graph6, km_minus_c4
 from kmc4.cli import build_parser, main
 
@@ -194,6 +195,28 @@ class TestPotential:
             assert encode_graph6_by_bits(g) == rec["witness"]
             assert g.degrees() == (4,) * n
             assert embedding_is_valid(g, km_minus_c4(5), rec["embedding"])
+
+    @pytest.mark.parametrize("mode,out", [
+        ([], "not potential: exhausted 0 candidates\n"),
+        (["--json"], json.dumps(
+            {"embedding": None, "exhausted": True, "explored": 0, "m": 50,
+             "sequence": [3, 3, 3, 3], "verdict": False, "witness": None},
+            indent=2) + "\n")], ids=["text", "json"])
+    def test_target_longer_than_sequence_is_not_built(self, capsys,
+                                                      monkeypatch, mode, out):
+        # F_m has m rows of m bits and stays cached; with fewer terms than
+        # m the answer is an immediate no, so it is never built
+        sizes = []
+        real = kmc4.cli.km_minus_c4
+
+        def spy(m):
+            sizes.append(m)
+            return real(m)
+
+        monkeypatch.setattr(kmc4.cli, "km_minus_c4", spy)
+        assert run_cli(capsys, *mode, "potential", "3,3,3,3", "--m",
+                       "50") == (1, out, "")
+        assert all(m <= 4 for m in sizes)
 
     def test_other_target_size(self, capsys):
         # The degree sequence of the m=6 pattern itself must be potential.
@@ -462,6 +485,68 @@ class TestVerifyBytes:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def spoil_last(spoil):
+    """A spoiler of a list's last entry, for a driver returning one."""
+    return lambda out: [*out[:-1], spoil(out[-1])]
+
+
+class TestVerifyFails:
+    """One failing entry fails a verify report: exit 1, FAIL as the last
+    text line, and "passed" false under --json. Each driver is wrapped
+    to spoil what it returns, the way that command's pass rule reads
+    it: the one report of a theorem1 call, the last entry of the others'
+    lists."""
+
+    CASES = {
+        "theorem1": (
+            kmc4.cli, "verify_theorem1",
+            lambda r: r._replace(pattern_free=False),
+            ["verify", "theorem1", "--m", "5", "--n-max", "5"],
+            "m=5 n=5: pattern-free False, classes 1, sum-check True "
+            "-> FAIL\nFAIL\n"),
+        "conjecture": (
+            kmc4.cli, "verify_conjecture",
+            spoil_last(lambda r: r._replace(exact=22, verdict="exceeds")),
+            ["verify", "conjecture", "--m", "5", "--n-max", "6"],
+            "m=5 n=5: exact 16, formula 16, verdict matches\n"
+            "m=5 n=6: exact 22, formula 20, verdict exceeds\nFAIL\n"),
+        "theorem2": (
+            kmc4.proof_replay, "verify_theorem2_range",
+            spoil_last(lambda e: {**e, "exact": 18, "exact_ok": False}),
+            ["verify", "theorem2", "--n-max", "5"],
+            "n=5: exact 18 (expected 16), 4 sequences replayed, "
+            "0 replay failures\nFAIL\n"),
+        "base-cases": (
+            kmc4.proof_replay, "verify_base_cases",
+            spoil_last(lambda e: {**e, "potential": False, "witness": None}),
+            ["verify", "base-cases", "--family-n", "6"],
+            "n=6 (4,4,3,3,3,3): E}dg\n"
+            "n=6 (4,4,4,4,4,4): E}lw\n"
+            "n=7 (4,4,4,4,4,4,4): F}dhw\n"
+            "n=6 (5,3,3,3,3,3): NO WITNESS\nFAIL\n"),
+    }
+
+    @pytest.fixture
+    def spoiled(self, monkeypatch, request):
+        module, name, spoil, argv, text = self.CASES[request.param]
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, **kw: spoil(real(*args, **kw)))
+        return argv, text
+
+    @pytest.mark.parametrize("spoiled", CASES, indirect=True)
+    def test_text_report(self, capsys, spoiled):
+        argv, text = spoiled
+        assert run_cli(capsys, *argv) == (1, text, "")
+
+    @pytest.mark.parametrize("spoiled", CASES, indirect=True)
+    def test_json_report(self, capsys, spoiled):
+        argv, _ = spoiled
+        code, out, _ = run_cli(capsys, "--json", *argv)
+        assert code == 1
+        assert json.loads(out)["passed"] is False
+
+
 class TestCachedParser:
     # Each run follows one that set what it leaves at its default.
     RUNS = [
@@ -564,8 +649,11 @@ class TestArgumentErrors:
         (["sigma", "--m", "5", "--n", "4"],
          "n must be an integer >= 5, got 4"),
         (["verify", "base-cases", "--family-n", "4"],
-         "family_ns entry must be an integer >= 5, got 4")],
-        ids=["theorem1-n-max", "theorem1-m", "sigma-n", "base-cases-family-n"])
+         "family_ns entry must be an integer >= 5, got 4"),
+        (["potential", "1,1", "--m", "3"],
+         "m must be an integer >= 4, got 3")],
+        ids=["theorem1-n-max", "theorem1-m", "sigma-n", "base-cases-family-n",
+             "potential-m-over-length"])
     def test_count_below_its_least(self, capsys, argv, err):
         # argparse makes each an int; the count rule checks its least,
         # in the command line's own checks and the library's

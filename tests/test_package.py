@@ -23,9 +23,8 @@ from pathlib import Path
 import pytest
 
 import kmc4
-from kmc4 import (BaseCaseReport, InputError, ProofStep, ProofTrace,
-                  SigmaReport, SmallGraph, Theorem1Report,
-                  Theorem2RangeReport, WitnessResult, complete_graph,
+from kmc4 import (InputError, ProofStep, ProofTrace, SigmaReport,
+                  SmallGraph, Theorem1Report, WitnessResult, complete_graph,
                   empty_graph, graphical_sequences_with_sum, sigma_exact,
                   verify_base_cases, verify_conjecture, verify_theorem2_range)
 
@@ -96,8 +95,6 @@ class TestRecords:
         (ProofStep, ("case", "sequence", "action", "graph6"),
          {"graph6": None}),
         (ProofTrace, ("steps", "outcome", "embedding"), {}),
-        (BaseCaseReport, ("entries",), {}),
-        (Theorem2RangeReport, ("entries",), {}),
     ]
 
     @pytest.mark.parametrize("record,fields,defaults", FIELDS,

@@ -30,7 +30,6 @@ import kmc4.graphs
 import kmc4.proof_replay
 import kmc4.realizations
 from kmc4 import (
-    BaseCaseReport,
     DegreeSequence,
     InputError,
     ProofStep,
@@ -97,7 +96,7 @@ def check_trace(seq, trace):
 def base_cases(family_ns):
     """The (n, sequence) pairs ``verify_base_cases`` reports, in order."""
     return [(e["n"], tuple(e["sequence"]))
-            for e in verify_base_cases(family_ns).entries]
+            for e in verify_base_cases(family_ns)]
 
 
 class TestBaseCaseSequences:
@@ -135,24 +134,22 @@ class TestBaseCaseSequences:
 
 class TestVerifyBaseCases:
     def test_default_report_passes(self):
-        report = verify_base_cases()
-        assert isinstance(report, BaseCaseReport)
-        assert report.passed
-        for entry in report.entries:
+        entries = verify_base_cases()
+        assert [e["n"] for e in entries] == [6, 6, 7, 8]
+        for entry in entries:
             assert entry["potential"] is True
             assert entry["witness"] is not None
 
     def test_witnesses_decode_and_embed(self):
-        report = verify_base_cases(family_ns=(6, 7))
-        for entry in report.entries:
+        for entry in verify_base_cases(family_ns=(6, 7)):
             g = decode_graph6(entry["witness"])
             assert g.degrees() == tuple(sorted(entry["sequence"], reverse=True))
             assert find_embedding(g, BOWTIE) is not None
 
     def test_json_round_trip(self):
-        report = verify_base_cases()
-        blob = json.dumps(report.to_json_dict())
-        assert json.loads(blob)["passed"] is True
+        # the entries are plain JSON values, printed as they are
+        entries = verify_base_cases()
+        assert json.loads(json.dumps(entries)) == entries
 
 
 class TestReplayPreconditions:
@@ -533,8 +530,8 @@ class TestConstructedCompletion:
                            match=witness_error("interchange", seq)) as err:
             replay_theorem2(seq)
         assert err.value.steps == []
-        report = verify_theorem2_range(7)
-        assert [e["replay_failures"] for e in report.entries] == [0, 0, 1]
+        entries = verify_theorem2_range(7)
+        assert [e["replay_failures"] for e in entries] == [0, 0, 1]
 
     def test_only_the_k4_construction_is_built(self, monkeypatch):
         built = record_returns(monkeypatch, kmc4.proof_replay, "_k4_on_top")
@@ -883,11 +880,9 @@ class TestFullAgreement:
 
 class TestVerifyTheorem2Range:
     def test_report_through_seven(self):
-        report = verify_theorem2_range(7)
-        assert report.passed
-        ns = [entry["n"] for entry in report.entries]
-        assert ns == [5, 6, 7]
-        for entry in report.entries:
+        entries = verify_theorem2_range(7)
+        assert [entry["n"] for entry in entries] == [5, 6, 7]
+        for entry in entries:
             assert entry["exact"] == 4 * entry["n"] - 4
             assert entry["exact_ok"] is True
             assert entry["replay_failures"] == 0
@@ -916,17 +911,16 @@ class TestVerifyTheorem2Range:
 
         monkeypatch.setattr(kmc4.proof_replay, "_complete_on_top",
                             wrong_outcome)
-        report = verify_theorem2_range(6)
+        entries = verify_theorem2_range(6)
         assert corrupted == [target]
-        assert [e["replay_failures"] for e in report.entries] == [0, 1]
-        assert not report.passed
+        assert [e["replay_failures"] for e in entries] == [0, 1]
 
     def test_range_too_small(self):
         with pytest.raises(InputError):
             verify_theorem2_range(4)
 
     def test_json_dict(self):
-        report = verify_theorem2_range(5)
-        rec = report.to_json_dict()
-        assert rec["passed"] is True
-        assert rec["entries"][0]["n"] == 5
+        # the entries are plain JSON values, printed as they are
+        entries = verify_theorem2_range(5)
+        assert json.loads(json.dumps(entries)) == entries
+        assert entries[0]["n"] == 5
