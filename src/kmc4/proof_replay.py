@@ -82,6 +82,8 @@ _EXCEPTIONAL_CASES = (DegreeSequence((4, 4, 3, 3, 3, 3)),
 
 
 class ProofStep(NamedTuple):
+    """One case decision of a replay, on that level's sequence."""
+
     case: str
     sequence: DegreeSequence
     action: str
