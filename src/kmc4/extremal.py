@@ -228,7 +228,7 @@ def _sigma_upward(m: int, n_hi: int, limit: int, progress):
             for s in chain(graphical_sequences_with_sum(n, level,
                                                         min_term=floor),
                            lifts):
-                verdict, explored, _, _ = _decide_sequence(s, m)
+                verdict, explored, _ = _decide_sequence(s, m)
                 if not verdict:
                     failures.append(s)
                 decided += 1

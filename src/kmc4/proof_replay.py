@@ -265,11 +265,9 @@ def _replay(seq: DegreeSequence,
 
     elif seq in _EXCEPTIONAL_CASES:
         # each table sequence is potential, as verify_base_cases checks
-        _, explored, diagonals, used = _decide_sequence(seq, 5)
-        g, emb = _placement(seq, 5, diagonals, used)
+        g, emb = _placement(seq, 5, _decide_sequence(seq, 5)[2])
         case = CASE_EXCEPTIONAL
-        action = (f"table sequence; the top-degree placement holds the "
-                  f"target at pairing {explored}")
+        action = "table sequence; the top-degree placement holds the target"
 
     elif seq[1] == 3:
         # least term at least 3 and d_2 = 3 force 3^(n-1) after d_1, and

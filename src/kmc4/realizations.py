@@ -18,18 +18,36 @@ The 2-switch settles where F_m may sit:
 - The core can take the largest m-4 of those degrees. The same switch
   moves a core role onto a cycle vertex of higher degree; its partners b
   lie outside S, because a core vertex is adjacent to all of S.
-- What remains is a choice of pairing and cycle edges: how the 4 cycle
-  vertices pair into diagonals (at most 3 ways, fewer up to equal
-  degrees), and which of the 4 cycle edges the rest of the graph uses
-  (16 subsets, fewer once degree arithmetic rules some out).
+- The cycle vertices a, b, c, d, at positions m-4..m-1 and so with
+  d(a) >= d(b) >= d(c) >= d(d), can take the diagonals ad and bc.
+  Suppose F_m sits there with diagonals ab, cd or ac, bd. When ad and
+  bc are both non-edges, the 2-switch of the two old diagonals makes
+  them edges. Otherwise exactly one is missing; take (u, w) from the
+  table. The named vertex lies in N(w) minus N[u], and d(u) >= d(w)
+  gives N(u) minus N[w] at least as many vertices, so it holds some z.
+  N[w] holds the core and every cycle vertex but u, so z lies outside,
+  and the switch removes only an old diagonal:
+
+  ======== ======= ====== ===== ===================
+  old      missing (u, w) named switch
+  ======== ======= ====== ===== ===================
+  ab, cd   bc      (b, d) c     bz, dc -> bc, dz
+  ab, cd   ad      (a, c) d     az, cd -> ad, cz
+  ac, bd   bc      (c, d) b     cz, db -> cb, dz
+  ac, bd   ad      (a, b) d     az, bd -> ad, bz
+  ======== ======= ====== ===== ===================
+
+- What remains is which of the 4 cycle edges ab, bd, dc and ca the rest
+  of the graph uses (16 subsets, fewer once degree arithmetic rules
+  some out).
 - Everything else is an exact lay-off (Kleitman and Wang, 1973). Every
   other edge of a placed vertex goes outside. Outside vertices may be
   joined to anything, so laying each placed vertex off onto the largest
   outside residuals loses no realization. Havel-Hakimi then realizes the
   outside residual exactly.
 
-So after a top-degree necessary condition, the decision tries at most
-three pairings on degrees alone, with no adjacency rows. A cycle-edge
+So after a top-degree necessary condition, the decision tries one
+placement on degrees alone, with no adjacency rows. A cycle-edge
 subset fits when, after the inside degrees are subtracted, each placed
 vertex can be laid off onto the largest outside degrees and the sorted
 outside residual passes Erdos-Gallai. A cycle vertex x has spare degree
@@ -37,18 +55,16 @@ seq[x] - (m - 3) once the core and its diagonal are placed. A subset is
 skipped before any lay-off when it gives some x more cycle edges than
 that, or when the outside residual it leaves would sum below 0 or above
 what the outside vertices can carry among themselves; neither can fit
-(``_first_fit``). K_m, the one subset every pairing shares, is tried
-first and once; the other subsets follow, most edges first. The core's
-lay-off before them always fits (``_core_residual``), so a negative
-comes only after every distinct pairing failed, and every verdict is
-exact. A positive names the pairing and subset that fit, and
-``_placement`` builds the rows of that one placement into the witness,
-with its embedding.
+(``_first_fit``). The subsets are tried most edges first, K_m first of
+all. The core's lay-off before them always fits (``_core_residual``),
+so a negative comes only after every subset failed, and every verdict
+is exact. A positive names the subset that fit, and ``_placement``
+builds the rows of that one placement into the witness, with its
+embedding.
 """
 
 from __future__ import annotations
 
-from functools import cache
 from typing import NamedTuple
 
 from .errors import InputError
@@ -60,8 +76,9 @@ class WitnessResult(NamedTuple):
     """Outcome of a potential-subgraph decision.
 
     ``verdict`` True comes with the witness realization and the embedding
-    (host vertex per pattern vertex). ``explored`` counts the placement
-    pairings tried. Every verdict, False as well as True, is exact.
+    (host vertex per pattern vertex). ``explored`` counts the
+    placements tried: 0 when the necessary condition rules F_m out, and
+    otherwise 1. Every verdict, False as well as True, is exact.
     """
 
     verdict: bool
@@ -88,15 +105,15 @@ def is_potentially(seq, target: SmallGraph) -> WitnessResult:
     A sequence that is not graphical raises InputError, whatever its
     length. With fewer terms than m, or when the top degrees fail the
     necessary condition (the m-4 largest at least m-1, the m-th largest
-    at least m-3), the answer is an immediate no. Otherwise each
-    distinct diagonal pairing of the top-degree placement is tried on
-    degrees (module docstring); ``explored`` counts the pairings tried,
-    at most 3, and every verdict is exact. A positive's witness is the
-    placement that fit, checked edge by edge before it is returned. The
-    target must be ``km_minus_c4(m)``, the SmallGraph F_m of order m;
-    anything else raises InputError. The work is polynomial in the
-    length, and no length is refused. A witness that fails its check is
-    a bug in this module and raises AssertionError.
+    at least m-3), the answer is an immediate no. Otherwise the one
+    top-degree placement, with diagonals ad and bc, is tried on degrees
+    (module docstring); ``explored`` is 0 or 1, and every verdict is
+    exact. A positive's witness is the placement that fit, checked edge
+    by edge before it is returned. The target must be ``km_minus_c4(m)``,
+    the SmallGraph F_m of order m; anything else raises InputError. The
+    work is polynomial in the length, and no length is refused. A witness
+    that fails its check is a bug in this module and raises
+    AssertionError.
     """
     if not (isinstance(target, SmallGraph) and target.n >= 4
             and target == km_minus_c4(target.n)):
@@ -105,10 +122,10 @@ def is_potentially(seq, target: SmallGraph) -> WitnessResult:
     seq = _graphical(seq)
     if seq.n < m:
         return WitnessResult(False, None, None, 0)
-    verdict, explored, diagonals, used = _decide_sequence(seq, m)
+    verdict, explored, used = _decide_sequence(seq, m)
     if not verdict:
         return WitnessResult(False, None, None, explored)
-    g, emb = _placement(seq, m, diagonals, used)
+    g, emb = _placement(seq, m, used)
     if not _is_witness(seq, target, g, emb):
         raise AssertionError(f"placement witness for {tuple(seq)} "
                              f"fails its check")
@@ -116,63 +133,33 @@ def is_potentially(seq, target: SmallGraph) -> WitnessResult:
 
 
 def _decide_sequence(seq: DegreeSequence, m: int):
-    """The decision on degrees alone: (verdict, pairings explored,
-    diagonals, used), where a positive names the pairing and the
-    cycle-edge subset that fit, and a negative has None for both.
+    """The decision on degrees alone: (verdict, placements explored,
+    used), where a positive names the cycle-edge subset that fit and a
+    negative has None.
 
     seq must be a graphical DegreeSequence with at least m terms. After
-    the necessary condition, the core is laid off once, before any
-    pairing, and that lay-off always fits (``_core_residual``). Each
-    distinct pairing then tries its cycle-edge subsets, most edges
-    first. K_m (subset 15, every cycle edge) is the same placement in
-    every pairing, so only the first tries it. A negative has explored
-    0 when the necessary condition fails, and otherwise the number of
-    distinct pairings.
+    the necessary condition, the core is laid off, and that lay-off
+    always fits (``_core_residual``). The one placement then tries its
+    cycle-edge subsets, most edges first. A negative has explored 0
+    when the necessary condition fails, and otherwise 1.
     """
     if (m > 4 and seq[m - 5] < m - 1) or seq[m - 1] < m - 3:
-        return False, 0, None, None
-    out = _core_residual(seq, m)
-    explored = 0
-    order = _MOST_EDGES
-    for diagonals in _distinct_pairings(seq, m):
-        explored += 1
-        used = _first_fit(seq, m, out, diagonals, order)
-        if used is not None:
-            return True, explored, diagonals, used
-        order = _MOST_EDGES[1:]
-    return False, explored, None, None
+        return False, 0, None
+    used = _first_fit(seq, m, _core_residual(seq, m), _MOST_EDGES)
+    return used is not None, 1, used
 
 
-def _distinct_pairings(seq: DegreeSequence, m: int):
-    """The diagonal pairings of the cycle vertices m-4..m-1. Two that
-    differ only by swapping vertices of equal degree decide the same
-    question, so one per pattern of degrees is kept. The first is
-    yielded before any pattern is worked out."""
-    first, *rest = _pairings(m)
-    yield first
-    seen = {_degree_pattern(seq, first)}
-    for diagonals in rest:
-        key = _degree_pattern(seq, diagonals)
-        if key not in seen:
-            seen.add(key)
-            yield diagonals
-
-
-def _degree_pattern(seq: DegreeSequence, diagonals):
-    return tuple(sorted((seq[x], seq[y]) for x, y in diagonals))
-
-
-@cache
-def _pairings(m: int):
-    """The three ways to pair the cycle vertices m-4..m-1 into
-    diagonals."""
+def _cycle(m: int) -> tuple[int, int, int, int]:
+    """The cycle vertices in the order p, r, q, s of the cycle p-r-q-s-p
+    that F_m leaves out: a, b, d, c for a, b, c, d at m-4..m-1, so the
+    diagonals pq and rs are ad and bc (module docstring)."""
     a, b, c, d = range(m - 4, m)
-    return ((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))
+    return a, b, d, c
 
 
 # Bit i of a cycle-edge subset stands for edge i of the cycle p-r-q-s-p
-# of diagonals (p, q), (r, s); entry ``used`` holds how many of its edges
-# meet p, r, q and s.
+# (``_cycle``); entry ``used`` holds how many of its edges meet p, r, q
+# and s.
 _CYCLE_DEGREES = tuple(((used & 1) + (used >> 3 & 1),
                         (used & 1) + (used >> 1 & 1),
                         (used >> 1 & 1) + (used >> 2 & 1),
@@ -186,7 +173,7 @@ _MOST_EDGES = tuple(sorted(range(16), key=lambda used: -used.bit_count()))
 def _core_residual(seq: DegreeSequence, m: int) -> list[int] | None:
     """The outside degrees seq[m:] after each core vertex is laid off
     onto them. A core vertex is joined to the other m-1 placed vertices
-    in every placement, so every pairing shares this.
+    whatever cycle edges the placement uses.
 
     Once the necessary condition holds, it never runs short. By Gale and
     Ryser, the lay-off fits when for each k <= m-4 the first k core
@@ -200,10 +187,10 @@ def _core_residual(seq: DegreeSequence, m: int) -> list[int] | None:
     return _lay_off_degrees(seq[m:], [seq[v] - m + 1 for v in range(m - 4)])
 
 
-def _first_fit(seq: DegreeSequence, m: int, out: list[int], diagonals,
+def _first_fit(seq: DegreeSequence, m: int, out: list[int],
                order) -> int | None:
     """The first cycle-edge subset in ``order`` with which the cycle
-    vertices of ``diagonals`` fit on the core residual ``out``, or None.
+    vertices fit on the core residual ``out``, or None.
 
     Two tests on degrees skip a subset before any lay-off, and each
     skips only subsets that cannot fit, so the first one that fits is
@@ -216,17 +203,18 @@ def _first_fit(seq: DegreeSequence, m: int, out: list[int], diagonals,
       among themselves. With e cycle edges that sum is 2e - extra, extra
       being the spare degrees' sum less the sum of ``out``.
     """
-    (p, q), (r, s) = diagonals
+    p, r, q, s = _cycle(m)
     spare = m - 3  # the core and the diagonal
-    a, b, c, d = seq[p] - spare, seq[r] - spare, seq[q] - spare, seq[s] - spare
-    extra = a + b + c + d - sum(out)
+    xp, xr = seq[p] - spare, seq[r] - spare
+    xq, xs = seq[q] - spare, seq[s] - spare
+    extra = xp + xr + xq + xs - sum(out)
     most = extra + len(out) * (len(out) - 1)
     for used in order:
         ep, er, eq, es = _CYCLE_DEGREES[used]
-        if (ep > a or er > b or eq > c or es > d
+        if (ep > xp or er > xr or eq > xq or es > xs
                 or not extra <= 2 * used.bit_count() <= most):
             continue
-        rest = _lay_off_degrees(out, (a - ep, b - er, c - eq, d - es))
+        rest = _lay_off_degrees(out, (xp - ep, xr - er, xq - eq, xs - es))
         if rest is not None and _erdos_gallai(rest):
             return used
     return None
@@ -277,20 +265,20 @@ def _attach_back(inner: SmallGraph, seq: DegreeSequence,
     return SmallGraph._from_rows(new_v + 1, rows)
 
 
-def _placement(seq: DegreeSequence, m: int, diagonals, used: int):
+def _placement(seq: DegreeSequence, m: int, used: int):
     """The realization of seq with F_m on vertices 0..m-1, the core on
-    0..m-5, the cycle diagonals as given and the cycle edges in ``used``,
+    0..m-5, the diagonals ad and bc and the cycle edges in ``used``,
     with its embedding. The caller has found on degrees that this
     placement fits (``_decide_sequence``); ``_realize_around`` finishes
     the rows.
     """
-    (p, q), (r, s) = diagonals
+    cycle = p, r, q, s = _cycle(m)
     core = (1 << (m - 4)) - 1
     placed = (1 << m) - 1
     rows = [0] * seq.n
     for v in range(m - 4):
         rows[v] = placed ^ (1 << v)
-    for u, v in diagonals:
+    for u, v in ((p, q), (r, s)):
         rows[u] = core | (1 << v)
         rows[v] = core | (1 << u)
     for bit, (u, v) in enumerate(((p, r), (r, q), (q, s), (s, p))):
@@ -301,7 +289,7 @@ def _placement(seq: DegreeSequence, m: int, diagonals, used: int):
     if g is None:
         raise AssertionError(f"placement for {tuple(seq)} ran out of "
                              f"layoff targets")
-    return g, (p, r, q, s) + tuple(range(m - 4))
+    return g, cycle + tuple(range(m - 4))
 
 
 def _k4_on_top(seq: DegreeSequence) -> SmallGraph | None:

@@ -6,8 +6,8 @@ so the two can be compared honestly:
 - brute force over raw edge sets and bitmasks: ``gray_code_degree_map``
   visits every labeled graph on n vertices, ``labeled_realizations``
   every labeled realization of a sequence, and ``top_layouts`` and
-  ``pairing_decision`` read off them what the pairing-only decision may
-  answer;
+  ``pairing_decision`` read off them which diagonal pairings hold F_m
+  and what the one-placement decision answers;
 - ``brute_embedding_exists`` and ``brute_isomorphic``, which try every
   vertex map, and ``find_embedding``, a backtracking subgraph search
   checked against the first: the fast oracle where trying every map
@@ -391,9 +391,10 @@ def embedding_is_valid(host: SmallGraph, pattern, emb) -> bool:
 
 
 def row_by_row_placement(seq, m: int, diagonals, used: int):
-    """Reference for ``kmc4.realizations._placement``: F_m on vertices
-    0..m-1 with the given diagonals and the cycle edges in ``used`` (bit
-    i for edge i of the cycle p-r-q-s-p of diagonals (p, q), (r, s)),
+    """Reference for ``kmc4.realizations._placement``, whose diagonals
+    are ((m-4, m-1), (m-3, m-2)): F_m on vertices 0..m-1 with the given
+    diagonals and the cycle edges in ``used`` (bit i for edge i of the
+    cycle p-r-q-s-p of diagonals (p, q), (r, s)),
     built row by row and finished by laying each placed vertex off onto
     the largest outside residuals, then by Havel-Hakimi on the outside
     vertices, ties to the lowest index; (None, None) when a lay-off runs
@@ -492,31 +493,20 @@ def top_layouts(seq, m: int):
 
 
 def pairing_decision(seq, m: int) -> tuple[bool, int]:
-    """What the pairing-only decision answers, from ``top_layouts``:
-    (verdict, pairings explored).
+    """What the one-placement decision answers, from ``top_layouts``:
+    (verdict, placements explored).
 
-    Pairings equal up to swapping vertices of equal degree ask the same
-    question, so the first of each degree pattern is tried, in order. A
-    positive stops at the first pairing some realization holds. A
-    negative tries none when there are fewer than m terms or the top m
-    degrees cannot carry F_m's own degrees, (m-1)^(m-4) and (m-3)^4;
-    otherwise it tries every distinct pairing, even when no realization
-    holds the core.
+    It explores none when there are fewer than m terms or the top m
+    degrees cannot carry F_m's own degrees, (m-1)^(m-4) and (m-3)^4.
+    Otherwise it explores the high-low pairing ((a,d),(b,c)), even when
+    no realization holds the core, and the verdict is whether some
+    realization holds F_m there.
     """
     fm = [m - 1] * (m - 4) + [m - 3] * 4
     if len(seq) < m or any(seq[i] < fm[i] for i in range(m)):
         return False, 0
     pairings, _, held = top_layouts(seq, m)
-    distinct, patterns = [], set()
-    for pairing in pairings:
-        key = tuple(sorted((seq[x], seq[y]) for x, y in pairing))
-        if key not in patterns:
-            patterns.add(key)
-            distinct.append(pairing)
-    for i, pairing in enumerate(distinct, 1):
-        if pairing in held:
-            return True, i
-    return False, len(distinct)
+    return pairings[2] in held, 1
 
 
 def sigma_by_full_sweep(m: int, n: int) -> SigmaReport:

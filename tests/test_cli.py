@@ -146,7 +146,7 @@ class TestPotential:
         assert find_embedding(g, km_minus_c4(5)) is not None
 
     def test_negative_exhausted(self, capsys):
-        # one pairing up to equal degrees, and no realization holds it
+        # no realization holds the bowtie on the one placement
         assert pairing_decision((5, 5, 2, 2, 2, 2), 5) == (False, 1)
         code, out, _ = run_cli(capsys, "potential", "5,5,2,2,2,2", "--m", "5")
         assert code == 1
@@ -155,9 +155,9 @@ class TestPotential:
     @pytest.mark.parametrize("budget", ["0", "1", "2", "8", "-1"])
     @pytest.mark.parametrize("mode", [[], ["--json"]])
     def test_budget_is_ignored(self, capsys, mode, budget):
-        # only the second of two pairings holds the bowtie; no K stops
-        # the decision before it, and stdout is that of the plain run
-        assert pairing_decision((4, 4, 3, 2, 2, 1), 5) == (True, 2)
+        # the diagonals ab and cd hold no bowtie, and ad and bc hold one;
+        # no K changes the decision, and stdout is that of the plain run
+        assert pairing_decision((4, 4, 3, 2, 2, 1), 5) == (True, 1)
         argv = ["potential", "4,4,3,2,2,1", "--m", "5"]
         plain = run_cli(capsys, *mode, *argv)
         assert plain[0] == 0 and plain[2] == ""
@@ -463,13 +463,13 @@ class TestVerifyBytes:
             "f3041423e585f1ead61a637d81d085ba45f2af0498497134f97dac6f06b6d1d0"),
         "base-cases": (
             ["verify", "base-cases", "--family-n", "6", "--family-n", "9"],
-            "n=6 (4,4,3,3,3,3): E}dg\n"
-            "n=6 (4,4,4,4,4,4): E}lw\n"
-            "n=7 (4,4,4,4,4,4,4): F}dhw\n"
-            "n=6 (5,3,3,3,3,3): E}eg\n"
-            "n=9 (8,3,3,3,3,3,3,3,3): H}mCKIB\n"
+            "n=6 (4,4,3,3,3,3): E|pW\n"
+            "n=6 (4,4,4,4,4,4): E|tw\n"
+            "n=7 (4,4,4,4,4,4,4): F|pXw\n"
+            "n=6 (5,3,3,3,3,3): E|qW\n"
+            "n=9 (8,3,3,3,3,3,3,3,3): H|uCKIB\n"
             "PASS\n",
-            "e0f63620e931e782b717d690ed48669bc4c33ce37ff0959b772dce4c5e7bb79b"),
+            "cedb9ac6bc836351fac85768366e9a296b0eb0bdadae59c0f805abab05cdda9f"),
     }
 
     @pytest.mark.parametrize("claim", CASES)
@@ -520,9 +520,9 @@ class TestVerifyFails:
             kmc4.proof_replay, "verify_base_cases",
             spoil_last(lambda e: {**e, "potential": False, "witness": None}),
             ["verify", "base-cases", "--family-n", "6"],
-            "n=6 (4,4,3,3,3,3): E}dg\n"
-            "n=6 (4,4,4,4,4,4): E}lw\n"
-            "n=7 (4,4,4,4,4,4,4): F}dhw\n"
+            "n=6 (4,4,3,3,3,3): E|pW\n"
+            "n=6 (4,4,4,4,4,4): E|tw\n"
+            "n=7 (4,4,4,4,4,4,4): F|pXw\n"
             "n=6 (5,3,3,3,3,3): NO WITNESS\nFAIL\n"),
     }
 

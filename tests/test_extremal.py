@@ -332,7 +332,7 @@ class TestSweepSkipsWhatDegreesRuleOut:
         lines = []
         for m in (4, 5, 6):
             sigma_exact(m, 9, progress=lines.append)
-        assert len(demands) == 117
+        assert len(demands) == 111
         assert all(k >= 0 for needs in demands for k in needs)
         assert len(lines) == 38
 

@@ -586,17 +586,22 @@ class TestConstructedCompletion:
         # to the three sequences with no K4 realization: the 27 traces
         # here that reached (5,3^5), (5^6), (6,3^6), (5,4,3^5) or
         # (4,4,4,3^4) changed their leaf case and action, and 13 of them
-        # their graphs, each checked the same way first. Every case,
-        # action and graph of every threshold sequence on 6 to 8 vertices
-        # is pinned.
+        # their graphs, each checked the same way first. Re-frozen when
+        # the decision tried only the diagonals ad and bc: the 27 traces
+        # here that reach an exceptional sequence changed their action
+        # text (no "at pairing" count) and their graphs, each checked the
+        # same way first. Every case, action and graph of every threshold
+        # sequence on 6 to 8 vertices is pinned.
         assert trace_digest(range(6, 9)) == (820, (
-            "73f21a2ee093a8bfc8c09ad073d4afc3d5777cdc3dac35720b015bc8810b315c"))
+            "eef126e48f45a04c4b7ec11918268dac542367a98e078ddcb8b6a6ed4ad6e09b"))
 
     def test_json_lines_frozen_for_9_vertices(self):
         # with the 6-8 digest this pins every trace the benchmark's
-        # replay workload produces
+        # replay workload produces. Re-frozen when the decision tried only
+        # the diagonals ad and bc: 40 traces changed their action text and
+        # graphs, each checked as above first
         assert trace_digest([9]) == (2947, (
-            "bf02d1863fdd924a69c300c5c4bd3e4b6bbc61267535c53aa1a6eaf380544c54"))
+            "7d54212ffc8d4fc7d3d4854ed7d3f046fd83e0098b72560016e50188cfde15a4"))
 
 
 def trace_digest(ns):
