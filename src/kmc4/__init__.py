@@ -13,8 +13,7 @@ from .errors import InputError, ReplayError
 from .extremal import (DEFAULT_VERTEX_LIMIT, SigmaReport, Theorem1Report,
                        extremal_witness, sigma_exact, sigma_lower_bound,
                        verify_conjecture, verify_theorem1)
-from .graphs import (SmallGraph, complete_graph, empty_graph, encode_graph6,
-                     join, km_minus_c4)
+from .graphs import SmallGraph, encode_graph6, km_minus_c4
 from .realizations import WitnessResult, havel_hakimi_realize, is_potentially
 from .sequences import (DegreeSequence, graphical_sequences_with_sum,
                         is_graphical)
@@ -53,15 +52,12 @@ __all__ = [
     "SmallGraph",
     "Theorem1Report",
     "WitnessResult",
-    "complete_graph",
-    "empty_graph",
     "encode_graph6",
     "extremal_witness",
     "graphical_sequences_with_sum",
     "havel_hakimi_realize",
     "is_graphical",
     "is_potentially",
-    "join",
     "km_minus_c4",
     "replay_theorem2",
     "sigma_exact",

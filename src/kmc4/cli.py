@@ -77,7 +77,7 @@ def cmd_realize(args) -> int:
 def cmd_potential(args) -> int:
     seq = DegreeSequence.from_text(args.sequence)
     try:
-        _count(args.m, 4, "m")
+        _count(args.m, 4, "--m")
     except InputError:
         # a sequence that is not graphical is reported ahead of a bad --m
         _graphical(seq)

@@ -27,8 +27,7 @@ from itertools import chain
 from typing import NamedTuple
 
 from .errors import InputError, _count
-from .graphs import (SmallGraph, complete_graph, empty_graph, encode_graph6,
-                     join)
+from .graphs import SmallGraph, encode_graph6
 from .realizations import _decide_sequence, havel_hakimi_realize
 from .sequences import (DegreeSequence, _is_threshold,
                         graphical_sequences_with_sum)
@@ -56,7 +55,9 @@ def extremal_witness(m: int, n: int) -> tuple[SmallGraph, DegreeSequence]:
     sum exactly two below the lower bound.
     """
     sigma_lower_bound(m, n)  # raises unless 4 <= m <= n
-    g = join(complete_graph(m - 3), empty_graph(n - m + 3))
+    full, clique = (1 << n) - 1, (1 << (m - 3)) - 1
+    g = SmallGraph._from_rows(n, [full ^ (1 << v) for v in range(m - 3)]
+                              + [clique] * (n - m + 3))
     seq = DegreeSequence([n - 1] * (m - 3) + [m - 3] * (n - m + 3))
     return g, seq
 
@@ -191,7 +192,7 @@ def _sigma_upward(m: int, n_hi: int, limit: int, progress):
     level and its failing sequences, merged into descending order, are
     those of the full sweep. At n = m nothing is known below and the
     whole level is walked. A progress line counts the walked sequences
-    and the uplifts apart; its pairings are those of both.
+    and the uplifts apart; its placements are those of both.
 
     No s at S has a least term below d, and n terms of at least d sum to
     d * n or more; so a level with d * n > S, that is S > n(below - 2) /
@@ -224,7 +225,7 @@ def _sigma_upward(m: int, n_hi: int, limit: int, progress):
                 floor = max(0, d + 1)
                 if d >= 0:
                     lifts = [s for r in lifted_from for s in _uplifts(r, d)]
-            decided = pairings = 0
+            decided = placements = 0
             for s in chain(graphical_sequences_with_sum(n, level,
                                                         min_term=floor),
                            lifts):
@@ -232,11 +233,11 @@ def _sigma_upward(m: int, n_hi: int, limit: int, progress):
                 if not verdict:
                     failures.append(s)
                 decided += 1
-                pairings += explored
+                placements += explored
             if progress is not None:
                 progress(f"m={m} n={n} sum={level} floor={floor}: "
                          f"{decided - len(lifts)} sequences, "
-                         f"{len(failures)} failing, {pairings} pairings, "
+                         f"{len(failures)} failing, {placements} placements, "
                          f"{len(lifts)} uplifts")
             if failures:
                 failures.sort(reverse=True)

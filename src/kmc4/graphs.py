@@ -3,8 +3,7 @@
 Adjacency is stored as one integer bitmask per vertex, bit v for an edge
 to vertex v, which makes neighborhood intersection, degree counts, and
 edge toggles cheap; a row is as wide as the graph, so nothing caps the
-order. On top of the type live the pattern
-constructions (complete and empty graphs, joins, the complete graph
+order. On top of the type live the target pattern (the complete graph
 minus a 4-cycle), the check of a subgraph embedding, and the graph6
 text writer. Nothing here reads graph6 back; networkx and nauty do.
 """
@@ -88,25 +87,6 @@ class SmallGraph:
         return f"SmallGraph({self.n}, {self.edges()})"
 
 
-def complete_graph(k: int) -> SmallGraph:
-    full = (1 << _count(k, 0, "k")) - 1
-    return SmallGraph._from_rows(k, [full ^ (1 << v) for v in range(k)])
-
-
-def empty_graph(k: int) -> SmallGraph:
-    return SmallGraph._from_rows(k, [0] * _count(k, 0, "k"))
-
-
-def join(g1: SmallGraph, g2: SmallGraph) -> SmallGraph:
-    """Disjoint union plus all cross edges; g1's vertices come first."""
-    n = g1.n + g2.n
-    high = ((1 << g2.n) - 1) << g1.n
-    low = (1 << g1.n) - 1
-    rows = [row | high for row in g1.rows]
-    rows += [(row << g1.n) | low for row in g2.rows]
-    return SmallGraph._from_rows(n, rows)
-
-
 def km_minus_c4(m: int) -> SmallGraph:
     """Complete graph on m vertices with the four edges of a 4-cycle removed.
 
@@ -120,8 +100,8 @@ def km_minus_c4(m: int) -> SmallGraph:
 
 @cache
 def _km_minus_c4(m: int) -> SmallGraph:
-    g = complete_graph(m)
-    rows = list(g.rows)
+    full = (1 << m) - 1
+    rows = [full ^ (1 << v) for v in range(m)]
     for u, v in ((0, 1), (1, 2), (2, 3), (3, 0)):
         rows[u] ^= 1 << v
         rows[v] ^= 1 << u

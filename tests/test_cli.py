@@ -651,7 +651,7 @@ class TestArgumentErrors:
         (["verify", "base-cases", "--family-n", "4"],
          "family_ns entry must be an integer >= 5, got 4"),
         (["potential", "1,1", "--m", "3"],
-         "m must be an integer >= 4, got 3")],
+         "--m must be an integer >= 4, got 3")],
         ids=["theorem1-n-max", "theorem1-m", "sigma-n", "base-cases-family-n",
              "potential-m-over-length"])
     def test_count_below_its_least(self, capsys, argv, err):

@@ -1,16 +1,17 @@
 from __future__ import annotations
 
 import re
+from itertools import combinations
 from random import Random
 
+import networkx
 import pytest
 from helpers import (brute_embedding_exists, brute_isomorphic, decode_graph6,
                      embedding_is_valid, encode_graph6_by_bits,
                      find_embedding, random_graph)
 
-from kmc4 import (DegreeSequence, InputError, SmallGraph, complete_graph,
-                  empty_graph, encode_graph6, havel_hakimi_realize, join,
-                  km_minus_c4)
+from kmc4 import (DegreeSequence, InputError, SmallGraph, encode_graph6,
+                  extremal_witness, havel_hakimi_realize, km_minus_c4)
 from kmc4.graphs import _bits, is_embedding
 
 
@@ -60,34 +61,6 @@ class TestSmallGraph:
             assert encode_graph6_by_bits(g) == encode_graph6(g)
 
 
-class TestConstructors:
-    def test_complete(self):
-        g = complete_graph(4)
-        assert g.edge_count == 6
-        assert g.degrees() == (3, 3, 3, 3)
-
-    def test_empty(self):
-        assert empty_graph(5).edge_count == 0
-
-    def test_join_degrees(self):
-        g = join(complete_graph(2), empty_graph(4))
-        assert DegreeSequence(g.degrees()) == (5, 5, 2, 2, 2, 2)
-        assert g.edge_count == 9
-
-    def test_join_keeps_first_block_first(self):
-        g = join(SmallGraph(2, [(0, 1)]), empty_graph(1))
-        assert g.has_edge(0, 1) and g.has_edge(0, 2) and g.has_edge(1, 2)
-
-    def test_join_overflow(self):
-        # 36 and 64 vertices: the join of two cliques is a clique
-        for a, b in ((20, 16), (32, 32)):
-            g = join(complete_graph(a), complete_graph(b))
-            n = a + b
-            assert g.n == n and g.edge_count == n * (n - 1) // 2
-            assert all(g.has_edge(u, v) for u in range(n)
-                       for v in range(n) if u != v)
-
-
 class TestTargetPattern:
     def test_m4_is_two_independent_edges(self):
         t = km_minus_c4(4)
@@ -111,10 +84,26 @@ class TestTargetPattern:
         assert DegreeSequence(t.degrees()) == (5, 5, 3, 3, 3, 3)
         assert t.edge_count == 11
 
-    @pytest.mark.parametrize("m", [5, 6, 7])
-    def test_join_characterization(self, m):
-        built = join(complete_graph(m - 4), two_independent_edges())
-        assert brute_isomorphic(built, km_minus_c4(m))
+    def test_constructions_match_independent_builds(self):
+        # the extremal witness is K_{m-3} joined with n-m+3 isolated
+        # vertices, the clique first; comparing whole graphs checks the
+        # rows below the diagonal too, which edges() does not read
+        for n in range(4, 13):
+            for m in range(4, n + 1):
+                g, _ = extremal_witness(m, n)
+                want = {(u, v) for u, v in combinations(range(n), 2)
+                        if u < m - 3}
+                assert set(g.edges()) == want
+                assert g == SmallGraph(n, want)
+        # F_m is K_{m-4} joined with two independent edges
+        for m in range(4, 10):
+            built = networkx.full_join(
+                networkx.complete_graph(m - 4),
+                networkx.Graph([(0, 1), (2, 3)]), rename=("k", "e"))
+            t = km_minus_c4(m)
+            got = networkx.Graph(t.edges())
+            got.add_nodes_from(range(t.n))
+            assert networkx.is_isomorphic(got, built)
 
     def test_rejects_small_m(self):
         with pytest.raises(InputError):
@@ -154,13 +143,16 @@ class TestFindEmbedding:
             assert got == brute_embedding_exists(host, pattern)
 
     def test_no_room(self):
-        assert find_embedding(complete_graph(4), km_minus_c4(5)) is None
+        k4 = SmallGraph(4, combinations(range(4), 2))
+        assert find_embedding(k4, km_minus_c4(5)) is None
         # one vertex more and it fits
-        assert find_embedding(complete_graph(5), km_minus_c4(5)) is not None
+        k5 = SmallGraph(5, combinations(range(5), 2))
+        assert find_embedding(k5, km_minus_c4(5)) is not None
 
 
 class TestIsEmbedding:
     BOW = km_minus_c4(5)
+    K5 = SmallGraph(5, combinations(range(5), 2))
 
     def test_accepts_what_find_embedding_returns(self):
         rng = Random(37)
@@ -188,14 +180,13 @@ class TestIsEmbedding:
     def test_rejects_a_non_injective_map(self):
         # every pattern edge lands on a host edge, but two pattern
         # vertices share a host vertex
-        host = complete_graph(6)
+        host = SmallGraph(6, combinations(range(6), 2))
         assert is_embedding(host, self.BOW, (0, 1, 2, 3, 4))
         assert not is_embedding(host, self.BOW, (0, 1, 2, 3, 0))
         assert not is_embedding(host, self.BOW, (0, 1, 0, 3, 4))
 
     def test_rejects_a_missing_edge(self):
-        host = complete_graph(5)
-        rows = list(host.rows)
+        rows = list(self.K5.rows)
         # pattern vertex 4 is the centre; drop its edge to pattern vertex 0
         rows[4] ^= 1 << 0
         rows[0] ^= 1 << 4
@@ -208,7 +199,7 @@ class TestIsEmbedding:
     @pytest.mark.parametrize("emb", [(0, 1, 2, 3), (0, 1, 2, 3, 4, 5),
                                      (0, 1, 2, 3, 5), (0, 1, 2, 3, -1)])
     def test_rejects_wrong_length_and_out_of_range(self, emb):
-        assert not is_embedding(complete_graph(5), self.BOW, emb)
+        assert not is_embedding(self.K5, self.BOW, emb)
 
 
 class TestKmMinusC4Cache:
@@ -228,11 +219,12 @@ class TestGraph6:
     sizes, against networkx's reader."""
 
     def test_known_encodings(self):
-        assert encode_graph6(empty_graph(0)) == "?"
-        assert encode_graph6(empty_graph(1)) == "@"
-        assert encode_graph6(complete_graph(2)) == "A_"
-        assert encode_graph6(empty_graph(2)) == "A?"
-        assert encode_graph6(complete_graph(5)) == "D~{"
+        assert encode_graph6(SmallGraph(0)) == "?"
+        assert encode_graph6(SmallGraph(1)) == "@"
+        assert encode_graph6(SmallGraph(2, [(0, 1)])) == "A_"
+        assert encode_graph6(SmallGraph(2)) == "A?"
+        k5 = SmallGraph(5, combinations(range(5), 2))
+        assert encode_graph6(k5) == "D~{"
 
     def test_every_graph_to_six_vertices_matches_bitwise_encoder(self):
         for n in range(7):

@@ -24,8 +24,8 @@ import pytest
 
 import kmc4
 from kmc4 import (InputError, ProofStep, ProofTrace, SigmaReport,
-                  SmallGraph, Theorem1Report, WitnessResult, complete_graph,
-                  empty_graph, graphical_sequences_with_sum, sigma_exact,
+                  SmallGraph, Theorem1Report, WitnessResult,
+                  graphical_sequences_with_sum, sigma_exact,
                   verify_base_cases, verify_conjecture, verify_theorem2_range)
 
 
@@ -126,8 +126,6 @@ class TestCountRule:
         "SmallGraph-n": (lambda v: SmallGraph(v), "n", 0, 3),
         "SmallGraph-endpoint": (lambda v: SmallGraph(3, [(0, 2), (0, v)]),
                                 "edge endpoint", 0, 1),
-        "complete_graph": (complete_graph, "k", 0, 3),
-        "empty_graph": (empty_graph, "k", 0, 3),
         "graphical_sequences_with_sum-n": (
             lambda v: list(graphical_sequences_with_sum(v, 6)), "n", 1, 4),
         "graphical_sequences_with_sum-total": (

@@ -19,9 +19,8 @@ import kmc4.cli
 import kmc4.realizations
 import kmc4.sequences
 from kmc4 import (InputError, DegreeSequence, SmallGraph, WitnessResult,
-                  complete_graph, empty_graph, encode_graph6,
-                  extremal_witness, havel_hakimi_realize, is_potentially,
-                  join, km_minus_c4, replay_theorem2)
+                  encode_graph6, extremal_witness, havel_hakimi_realize,
+                  is_potentially, km_minus_c4, replay_theorem2)
 from kmc4.graphs import _bits
 from kmc4.proof_replay import _interchange
 
@@ -72,7 +71,9 @@ class TestHavelHakimi:
 
     def test_double_hub(self):
         g = havel_hakimi_realize((5, 5, 2, 2, 2, 2))
-        assert g == join(complete_graph(2), empty_graph(4))
+        # vertices 0 and 1 are adjacent to every vertex
+        assert set(g.edges()) == {(u, v) for u, v in combinations(range(6), 2)
+                                  if u < 2}
 
     def test_vertex_i_gets_degree_i(self):
         rng = Random(31)
@@ -179,7 +180,7 @@ class TestTwoSwitch:
             done += 1
 
     def test_rejects_duplicate_vertices(self):
-        g = complete_graph(4)
+        g = SmallGraph(4, combinations(range(4), 2))
         with pytest.raises(InputError):
             two_switch(g, 0, 1, 1, 2)
 
@@ -190,7 +191,7 @@ class TestTwoSwitch:
 
     def test_rejects_present_non_edge(self):
         with pytest.raises(InputError, match="non-edge"):
-            two_switch(complete_graph(4), 0, 1, 2, 3)
+            two_switch(SmallGraph(4, combinations(range(4), 2)), 0, 1, 2, 3)
 
     def test_rejects_out_of_range(self):
         g = SmallGraph(4, [(0, 1), (2, 3)])
@@ -405,8 +406,8 @@ class TestExactDecision:
         assert report_under_budget(capsys, seq, m, budget) == want
 
     @pytest.mark.parametrize("target", [
-        complete_graph(5),
-        complete_graph(3),
+        SmallGraph(5, combinations(range(5), 2)),
+        SmallGraph(3, combinations(range(3), 2)),
         relabel(BOWTIE, [4, 0, 1, 2, 3]),
         # the bowtie and an isolated vertex: order 6, but not F_6 (its
         # join with one vertex would be F_6 itself)
@@ -597,7 +598,7 @@ class TestTopEmbedding:
         # K_m holds every pairing; the one layout is returned
         a, b, c, d = range(m - 4, m)
         res = is_potentially([m - 1] * m, km_minus_c4(m))
-        assert res.witness == complete_graph(m)
+        assert res.witness == SmallGraph(m, combinations(range(m), 2))
         assert res.embedding == (a, b, d, c) + tuple(range(m - 4))
 
     @pytest.mark.parametrize("m,core_vertex,top", [
@@ -703,7 +704,7 @@ class TestGraphicalityCheckedOnce:
     def test_cli_bad_m_on_graphical_sequence(self, capsys):
         assert kmc4.cli.main(["potential", "4,2,2,2,2", "--m", "3"]) == 2
         assert capsys.readouterr() == (
-            "", "error: m must be an integer >= 4, got 3\n")
+            "", "error: --m must be an integer >= 4, got 3\n")
 
     @pytest.mark.parametrize("argv", [
         ["realize", "3,3,1,1"], ["potential", "3,3,1,1", "--m", "4"],
