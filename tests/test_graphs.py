@@ -84,7 +84,18 @@ class TestTargetPattern:
         assert DegreeSequence(t.degrees()) == (5, 5, 3, 3, 3, 3)
         assert t.edge_count == 11
 
-    def test_constructions_match_independent_builds(self):
+    @pytest.mark.parametrize("m", range(4, 10))
+    def test_join_characterization(self, m):
+        # F_m is K_{m-4} joined with two independent edges
+        built = networkx.full_join(
+            networkx.complete_graph(m - 4),
+            networkx.Graph([(0, 1), (2, 3)]), rename=("k", "e"))
+        t = km_minus_c4(m)
+        got = networkx.Graph(t.edges())
+        got.add_nodes_from(range(t.n))
+        assert networkx.is_isomorphic(got, built)
+
+    def test_witness_matches_independent_build(self):
         # the extremal witness is K_{m-3} joined with n-m+3 isolated
         # vertices, the clique first; comparing whole graphs checks the
         # rows below the diagonal too, which edges() does not read
@@ -95,15 +106,6 @@ class TestTargetPattern:
                         if u < m - 3}
                 assert set(g.edges()) == want
                 assert g == SmallGraph(n, want)
-        # F_m is K_{m-4} joined with two independent edges
-        for m in range(4, 10):
-            built = networkx.full_join(
-                networkx.complete_graph(m - 4),
-                networkx.Graph([(0, 1), (2, 3)]), rename=("k", "e"))
-            t = km_minus_c4(m)
-            got = networkx.Graph(t.edges())
-            got.add_nodes_from(range(t.n))
-            assert networkx.is_isomorphic(got, built)
 
     def test_rejects_small_m(self):
         with pytest.raises(InputError):
