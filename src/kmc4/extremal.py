@@ -258,10 +258,16 @@ def _uplifts(r: DegreeSequence, d: int):
     above t + 1 and none below t - 1, so the choice is only how many to
     raise of the terms equal to t + 1, t and t - 1 (a, b and c of them).
     A raised t - 1 ties an unraised t, so c > 0 needs every t + 1 raised.
-    Distinct counts give distinct sequences. Needs 0 <= d <= len(r).
+    Distinct counts give distinct sequences. Each term is at least d
+    exactly when no term of r is below d - 1 and all k terms equal to
+    d - 1 are raised: the t's if t = d - 1, the t - 1's if t = d, else
+    none. Only those sequences are built. Needs 0 <= d <= len(r).
     """
     if d == 0:
         yield tuple.__new__(DegreeSequence, r + (0,))
+        return
+    k = r.count(d - 1)
+    if r[-1] < d - 1 or k > d:
         return
     t = r[d - 1]
     top = sum(x > t + 1 for x in r)
@@ -272,12 +278,12 @@ def _uplifts(r: DegreeSequence, d: int):
     for a in range(min(big, need), -1, -1):
         for b in range(min(mid, need - a), -1, -1):
             c = need - a - b
-            if c > low or (c and a < big):
+            if (c > low or (c and a < big)
+                    or k != b * (t == d - 1) + c * (t == d)):
                 continue
-            s = (head + (t + 2,) * a + (t + 1,) * (big - a + b)
-                 + (t,) * (mid - b + c) + (t - 1,) * (low - c) + tail)
-            if s[-2] >= d:
-                yield tuple.__new__(DegreeSequence, s)
+            yield tuple.__new__(DegreeSequence, (
+                head + (t + 2,) * a + (t + 1,) * (big - a + b)
+                + (t,) * (mid - b + c) + (t - 1,) * (low - c) + tail))
 
 
 def _sigma_report(m: int, n: int, exact: int,

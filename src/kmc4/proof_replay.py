@@ -3,9 +3,9 @@
 For every graphical sequence with degree sum at least 4n-4 the replay
 builds a realization containing the bowtie (complete graph on five
 vertices minus a 4-cycle) by walking the cases of the inductive
-argument: a direct 5-vertex base, deletion of a low-degree vertex and
-recursion, a small table of exceptional sequences, the hub-plus-cycle
-family forced when the second degree is 3, and otherwise a complete
+argument: deletion of low-degree vertices down to a leaf, which is a
+direct 5-vertex base, a small table of exceptional sequences, the
+hub-plus-cycle family forced when the second degree is 3, or a complete
 quadruple completed through a neighbor or a three-edge interchange.
 Each decision is recorded in a trace. Every level's witness, leaves
 included, is checked once before its step is recorded, by the predicate
@@ -35,11 +35,12 @@ The deletion case works on degrees alone. A vertex of least degree
 d <= 2 is laid off onto the d largest other terms (Kleitman and Wang),
 which leaves a graphical residual with n - 1 terms and sum at least
 4(n - 1) - 4: the deletion lemma the threshold sweep in ``extremal``
-uses. The replay recurses on that residual and joins a new vertex to
-the positions the lay-off lowered, which realizes the sequence again;
-only that graph is recorded. Every witness realizes its sequence
-vertex by vertex (vertex i has degree seq[i]), and each level's check
-confirms that it does.
+uses. The replay lays such vertices off in a loop down to a leaf, then
+goes back out level by level, joining a new vertex to the positions
+that level's lay-off lowered, which realizes its sequence again; only
+that graph is recorded, and only memory bounds the chain. Every witness
+realizes its sequence vertex by vertex (vertex i has degree seq[i]),
+and each level's check confirms that it does.
 
 Each leaf case yields its witness together with the bowtie's position
 in it: the 5-vertex base reads it off a vertex of degree 4 and a
@@ -59,9 +60,9 @@ from typing import NamedTuple
 from .errors import InputError, ReplayError, _count
 from .graphs import SmallGraph, encode_graph6, km_minus_c4
 from .extremal import DEFAULT_VERTEX_LIMIT, _sigma_upward, sigma_lower_bound
-from .realizations import (_attach_back, _decide_sequence, _is_witness,
-                           _k4_on_top, _lay_off_degrees, _placement,
-                           _realize_around, is_potentially)
+from .realizations import (_decide_sequence, _is_witness, _k4_on_top,
+                           _lay_off_degrees, _placement, _realize_around,
+                           is_potentially)
 from .sequences import (DegreeSequence, _graphical,
                         graphical_sequences_with_sum)
 
@@ -229,25 +230,37 @@ def _complete_on_top(g: SmallGraph):
             f"y1={y1}, y2={y2}, y3={y3}")
 
 
+def _attach_back(inner: SmallGraph, seq: DegreeSequence,
+                 residual: DegreeSequence) -> SmallGraph:
+    """Undo the lay-off of seq's last vertex: a new vertex joined to each
+    position u with ``seq[u] != residual[u]``.
+
+    ``inner`` realizes ``residual`` vertex by vertex, and ``residual``
+    is seq[:-1] with its first d = seq[-1] terms lowered by one and
+    re-sorted (``_lay_off_degrees``). Re-sorting moves each lowered term
+    to the end of its block of ties, so exactly d positions differ, each
+    by one, and the result realizes seq vertex by vertex. Adding edges
+    cannot destroy an embedded subgraph. The replay checks both facts
+    on the result before recording it.
+    """
+    new_v = inner.n
+    rows = list(inner.rows) + [0]
+    for u in range(new_v):
+        if seq[u] != residual[u]:
+            rows[u] |= 1 << new_v
+            rows[new_v] |= 1 << u
+    return SmallGraph._from_rows(new_v + 1, rows)
+
+
 def _replay(seq: DegreeSequence,
             steps: list[ProofStep]) -> tuple[SmallGraph, tuple[int, ...]]:
-    """The witness for seq and the bowtie's embedding in it. Each case
-    builds them; one check after the cases confirms both before the
-    level's step is recorded."""
-    n = seq.n
-    # seq is graphical: replay_theorem2 checked it, and every recursive
-    # call passes a Kleitman-Wang residual, graphical by their lemma.
-
-    if n == 5:
-        # the sum is at least 16, so g has at least 8 edges, and
-        # _base5_embedding always finds the bowtie in such a graph
-        g = _realize_around(seq, [0] * 5, 0)
-        emb = _base5_embedding(g)
-        case = CASE_BASE5
-        action = (f"greedy realization has {g.edge_count} >= 8 edges; "
-                  f"target embedded at {list(emb)}")
-
-    elif seq[-1] <= 2:
+    """The witness for seq and the bowtie's embedding in it. Vertices
+    are laid off down to a leaf case, which builds both; on the way back
+    out each level is checked once, recorded, then re-attached."""
+    # seq is graphical: replay_theorem2 checked it, and each lay-off
+    # leaves a Kleitman-Wang residual, graphical by their lemma.
+    above = []
+    while seq.n > 5 and seq[-1] <= 2:
         # the residual sums to sum(seq) - 2d >= 4n - 8 = 4(n - 1) - 4
         d = seq[-1]
         residual = tuple.__new__(DegreeSequence,
@@ -257,11 +270,17 @@ def _replay(seq: DegreeSequence,
             f"laid a vertex of degree {d} off onto degrees "
             f"{list(seq[:d])}; residual ({residual.to_text()}) keeps the "
             f"threshold"))
-        inner, emb = _replay(residual, steps)
-        g = _attach_back(inner, seq, residual)
-        case = CASE_DELETION
-        action = (f"re-attached the deleted vertex to degrees "
-                  f"{[t - 1 for t in seq[:d]]}")
+        above.append(seq)
+        seq = residual
+
+    if seq.n == 5:
+        # the sum is at least 16, so g has at least 8 edges, and
+        # _base5_embedding always finds the bowtie in such a graph
+        g = _realize_around(seq, [0] * 5, 0)
+        emb = _base5_embedding(g)
+        case = CASE_BASE5
+        action = (f"greedy realization has {g.edge_count} >= 8 edges; "
+                  f"target embedded at {list(emb)}")
 
     elif seq in _EXCEPTIONAL_CASES:
         # each table sequence is potential, as verify_base_cases checks
@@ -271,17 +290,12 @@ def _replay(seq: DegreeSequence,
 
     elif seq[1] == 3:
         # least term at least 3 and d_2 = 3 force 3^(n-1) after d_1, and
-        # then a sum of at least 4n - 4 forces d_1 = n - 1
-        rows = [0] * n
-        rim = list(range(1, n))
-        for i, u in enumerate(rim):
-            v = rim[(i + 1) % len(rim)]
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        for u in rim:
-            rows[0] |= 1 << u
-            rows[u] |= 1
-        g = SmallGraph._from_rows(n, rows)
+        # then a sum of at least 4n - 4 forces d_1 = n - 1: hub 0 joined
+        # to every vertex of the rim, the cycle 1, 2, ..., n - 1
+        n = seq.n
+        g = SmallGraph._from_rows(n, [(1 << n) - 2] + [
+            1 | 1 << (u % (n - 1) + 1) | 1 << ((u - 2) % (n - 1) + 1)
+            for u in range(1, n)])
         # the hub is the bowtie's center; rim edges 1-2 and 3-4 its two
         # independent edges
         emb = (1, 3, 2, 4, 0)
@@ -302,11 +316,18 @@ def _replay(seq: DegreeSequence,
                 f"Li (2005)", steps)
         g, emb, case, action = _complete_on_top(g)
 
-    if not _is_witness(seq, _BOWTIE, g, emb):
-        raise ReplayError(f"'{case}' witness for {tuple(seq)} does not "
-                          f"realize it with the target embedded", steps)
-    steps.append(ProofStep(case, seq, action, encode_graph6(g)))
-    return g, emb
+    while True:
+        if not _is_witness(seq, _BOWTIE, g, emb):
+            raise ReplayError(f"'{case}' witness for {tuple(seq)} does not "
+                              f"realize it with the target embedded", steps)
+        steps.append(ProofStep(case, seq, action, encode_graph6(g)))
+        if not above:
+            return g, emb
+        residual, seq = seq, above.pop()
+        g = _attach_back(g, seq, residual)
+        case = CASE_DELETION
+        action = (f"re-attached the deleted vertex to degrees "
+                  f"{[t - 1 for t in seq[:seq[-1]]]}")
 
 
 def replay_theorem2(seq) -> ProofTrace:
@@ -328,8 +349,7 @@ def replay_theorem2(seq) -> ProofTrace:
     if sum(seq) < threshold:
         raise InputError(f"degree sum {sum(seq)} below threshold {threshold}")
     steps: list[ProofStep] = []
-    out, emb = _replay(seq, steps)
-    return ProofTrace(steps, out, emb)
+    return ProofTrace(steps, *_replay(seq, steps))
 
 
 def verify_theorem2_range(n_max: int, limit: int = DEFAULT_VERTEX_LIMIT,
@@ -359,17 +379,14 @@ def verify_theorem2_range(n_max: int, limit: int = DEFAULT_VERTEX_LIMIT,
     entries = []
     for n, exact, _ in _sigma_upward(5, n_max, limit, progress):
         expected = sigma_lower_bound(5, n)
-        checked = 0
-        replay_failures = 0
-        level = n * (n - 1)
-        while level >= expected:
+        checked = replay_failures = 0
+        for level in range(n * (n - 1), expected - 1, -2):
             for seq in graphical_sequences_with_sum(n, level):
                 checked += 1
                 try:
                     replay_theorem2(seq)
                 except ReplayError:
                     replay_failures += 1
-            level -= 2
         if progress is not None:
             progress(f"n={n}: exact={exact}, {checked} sequences "
                      f"replayed, {replay_failures} replay failures")

@@ -370,6 +370,16 @@ class TestReplay:
         second = run_cli(capsys, "--json", "replay", "4,4,4,4,4,4,4,4")
         assert first == second
 
+    def test_replay_failure_exits_1_with_nothing_on_stdout(self, capsys,
+                                                          monkeypatch):
+        # a main-case sequence with no K4 realization would contradict
+        # the cited degree condition: the replay stops with a ReplayError
+        monkeypatch.setattr(kmc4.proof_replay, "_k4_on_top", lambda seq: None)
+        assert run_cli(capsys, "replay", "4^8") == (
+            1, "", "replay failed: main-case sequence (4, 4, 4, 4, 4, 4, 4, "
+            "4) has no realization containing K4, against the cited "
+            "condition of Yin and Li (2005)\n")
+
 
 class TestVerifySubcommands:
     def test_theorem1_text(self, capsys):
@@ -427,6 +437,19 @@ class TestVerifySubcommands:
         assert chatty[1] == quiet[1]
         assert "m=4 n=5" in chatty[2]
         assert quiet[2] == ""
+
+    def test_theorem2_progress_line_per_replayed_length(self, capsys):
+        quiet = run_cli(capsys, "verify", "theorem2", "--n-max", "7")
+        chatty = run_cli(capsys, "--progress", "verify", "theorem2",
+                         "--n-max", "7")
+        assert chatty[:2] == quiet[:2]
+        assert quiet[2] == ""
+        # the sweep's lines start "m=5 n=..."; the replay adds one per n
+        assert [line for line in chatty[2].splitlines()
+                if line.startswith("n=")] == [
+            "n=5: exact=16, 4 sequences replayed, 0 replay failures",
+            "n=6: exact=20, 26 sequences replayed, 0 replay failures",
+            "n=7: exact=24, 135 sequences replayed, 0 replay failures"]
 
 
 class TestVerifyBytes:

@@ -37,6 +37,11 @@ class TestSmallGraph:
         assert a == b and hash(a) == hash(b)
         assert a != SmallGraph(3, [(0, 2)])
 
+    def test_repr_names_the_order_and_the_edges(self):
+        g = SmallGraph(4, [(2, 1), (0, 3)])
+        assert repr(g) == "SmallGraph(4, [(0, 3), (1, 2)])"
+        assert eval(repr(g), {"SmallGraph": SmallGraph}) == g
+
     def test_rejects_self_loop(self):
         with pytest.raises(InputError):
             SmallGraph(3, [(1, 1)])

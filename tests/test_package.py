@@ -62,6 +62,13 @@ class TestImportSet:
                         "      'kmc4.proof_replay' in sys.modules)\n")
         assert out == "[] False\n"
 
+    def test_dir_lists_every_public_name_in_order(self):
+        # in this process the replay names may be bound already or not;
+        # either way ``dir`` lists each once, sorted
+        names = dir(kmc4)
+        assert set(kmc4.__all__) <= set(names)
+        assert names == sorted(set(names))
+
     def test_star_import(self):
         out = run_probe("from kmc4 import *\n"
                         "steps = replay_theorem2((4, 4, 3, 3, 2)).steps\n"

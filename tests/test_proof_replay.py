@@ -1,11 +1,11 @@
 """Tests for the constructive replay of the five-vertex threshold argument.
 
 Every trace is checked end to end: the final graph must realize the input
-sequence and contain the target pattern, the recursion depth must stay
-within n - 4, and each step must carry one of the six documented case
-labels.  Expected traces for specific sequences were frozen from runs of
-the finished implementation after hand-checking the recursion by the
-deletion arithmetic (removing a vertex of degree d_n <= 2 keeps the
+sequence and contain the target pattern, the deletion chain must visit
+at most n - 4 lengths, and each step must carry one of the six
+documented case labels.  Expected traces for specific sequences were
+frozen from runs of the finished implementation after hand-checking the
+chain by the deletion arithmetic (removing a vertex of degree d_n <= 2 keeps the
 residual sum at or above the threshold for n - 1 vertices).
 """
 
@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import sys
 from itertools import combinations
 from random import Random
 
@@ -72,7 +73,7 @@ FORMER_TABLE = {
 
 
 def lengths_visited(trace):
-    """Recursion depth: how many sequence lengths the replay visited."""
+    """Chain depth: how many sequence lengths the replay visited."""
     return len({len(s.sequence) for s in trace.steps})
 
 
@@ -257,6 +258,18 @@ class TestCaseBranches:
         assert len(full) == 2
         assert all(s.case == "d_n≤2 deletion" for s in full)
 
+    def test_chain_deeper_than_the_recursion_limit(self):
+        # ((n-1)^2, 3^2, 2^(n-4)) sums to exactly 4n - 4 and lays off
+        # n - 5 vertices of degree 2 before its 5-vertex base; the chain
+        # runs in a loop, so its length is not bound by Python's stack
+        n = sys.getrecursionlimit() + 100
+        seq = (n - 1,) * 2 + (3,) * 2 + (2,) * (n - 4)
+        trace = replay_theorem2(seq)
+        assert len(trace.steps) == 2 * (n - 5) + 1
+        assert trace.steps[n - 5][:2] == ("q≥8 (n=5)", (4, 4, 3, 3, 2))
+        assert trace.outcome.degrees() == seq
+        assert embedding_is_valid(trace.outcome, BOWTIE, trace.embedding)
+
     @pytest.mark.parametrize("seq", list(FORMER_TABLE))
     def test_exceptional_sequences(self, seq):
         # Of the former table, only (4,4,3^4) has no K4 realization; the
@@ -325,6 +338,21 @@ def record_returns(monkeypatch, module, name):
     return returned
 
 
+def record_witness_checks(monkeypatch):
+    """Wrap the replay's ``_is_witness`` so that the witness and the
+    embedding of every check it makes are appended to the list returned
+    here."""
+    checked = []
+    real = kmc4.proof_replay._is_witness
+
+    def recording(seq, pattern, g, emb):
+        checked.append((g, emb))
+        return real(seq, pattern, g, emb)
+
+    monkeypatch.setattr(kmc4.proof_replay, "_is_witness", recording)
+    return checked
+
+
 def witness_error(case, seq):
     """The start of the ReplayError message of a level whose witness
     fails its check, as a pattern."""
@@ -337,11 +365,13 @@ class TestCarriedEmbedding:
         (8, 3, 3, 3, 3, 3, 3, 3, 3), (4, 4, 4, 4, 3, 3), (4,) * 8, (4,) * 6,
         (6, 6, 5, 5, 4, 3, 3, 2, 2)])
     def test_every_level_returns_a_valid_embedding(self, monkeypatch, seq):
-        returned = record_returns(monkeypatch, kmc4.proof_replay, "_replay")
+        checked = record_witness_checks(monkeypatch)
         trace = replay_theorem2(seq)
         check_trace(seq, trace)
-        assert returned[-1][0] == trace.outcome
-        for g, emb in returned:
+        # one check per level that records a graph, the outermost last
+        assert len(checked) == sum(s.graph6 is not None for s in trace.steps)
+        assert checked[-1] == (trace.outcome, trace.embedding)
+        for g, emb in checked:
             assert embedding_is_valid(g, BOWTIE, emb), (g, emb)
 
     def test_deletion_levels_do_not_search(self, monkeypatch):
@@ -356,16 +386,7 @@ class TestCarriedEmbedding:
         assert checked == [True] * 4
         assert embedding_is_valid(trace.outcome, BOWTIE, trace.embedding)
 
-    def test_deletion_recurses_on_the_kleitman_wang_residual(self,
-                                                             monkeypatch):
-        called = []
-        real = kmc4.proof_replay._replay
-
-        def recording(seq, steps):
-            called.append(tuple(seq))
-            return real(seq, steps)
-
-        monkeypatch.setattr(kmc4.proof_replay, "_replay", recording)
+    def test_deletion_lays_off_down_the_kleitman_wang_chain(self):
         deletions = 0
         for n in range(6, 10):
             for total in range(n * (n - 1), 4 * n - 5, -2):
@@ -378,10 +399,16 @@ class TestCarriedEmbedding:
                     while len(chain[-1]) > 5 and chain[-1][-1] <= 2:
                         chain.append(kleitman_wang_residual(chain[-1]))
                         assert is_graphical_quadratic(chain[-1])
-                    called.clear()
-                    check_trace(tuple(seq), replay_theorem2(seq))
-                    assert called == chain
-                    deletions += len(chain) - 1
+                    trace = replay_theorem2(seq)
+                    check_trace(tuple(seq), trace)
+                    # the lay-offs come first, and the leaf's sequence
+                    # is the last one's residual
+                    laid = [s for s in trace.steps
+                            if s.action.startswith("laid ")]
+                    assert trace.steps[:len(laid)] == laid
+                    assert [s.sequence for s in trace.steps[:len(chain)]
+                            ] == chain
+                    deletions += len(laid)
         assert deletions == 4631
 
     def test_family_embedding_is_built(self, monkeypatch):
@@ -394,13 +421,14 @@ class TestCarriedEmbedding:
         # re-attach as usual, then 2-switch away one edge of the carried
         # embedding: the degrees still match, and another bowtie may
         # remain, but the carried embedding is broken
-        returned = record_returns(monkeypatch, kmc4.proof_replay, "_replay")
+        checked = record_witness_checks(monkeypatch)
         real_attach = kmc4.proof_replay._attach_back
         switched = []
 
         def drop_embedded_edge(inner, seq, residual):
             out = real_attach(inner, seq, residual)
-            emb = returned[-1][1]
+            # the embedding the inner level's check passed, carried up
+            emb = checked[-1][1]
             for a, b in BOWTIE.edges():
                 x, y = emb[a], emb[b]
                 for u, w in out.edges():
@@ -790,7 +818,7 @@ class TestChangedTraces:
         # exceptional table while it held eight sequences.
         k4_graphs = record_returns(monkeypatch, kmc4.proof_replay,
                                    "_k4_on_top")
-        returned = record_returns(monkeypatch, kmc4.proof_replay, "_replay")
+        returned = record_witness_checks(monkeypatch)
         real = kmc4.proof_replay._complete_on_top
         completed_from = []
 
